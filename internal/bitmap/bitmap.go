@@ -25,6 +25,7 @@ const (
 type chunk struct {
 	words    [chunkWords]uint64
 	pop      int    // number of set bits in this chunk
+	ci       uint64 // chunk index while allocated
 	nextFree *chunk // free-list link while recycled
 }
 
@@ -39,11 +40,30 @@ type Sparse struct {
 	chunks *rbtree.Tree[uint64, *chunk]
 	count  uint64 // total set bits
 	free   *chunk // recycled chunks, linked through nextFree
+
+	// memo remembers the chunks of recent Test/Set/Unset calls, direct-
+	// mapped by chunk index. Bit tests come in runs over neighbouring
+	// indices — a few runs interleaved, hence more than one entry — so
+	// most of them skip the tree descent.
+	memo [4]*chunk
 }
 
 // New returns an empty sparse bitmap.
 func New() *Sparse {
 	return &Sparse{chunks: rbtree.New[uint64, *chunk](func(a, b uint64) bool { return a < b })}
+}
+
+// chunkAt returns the chunk with index ci, or nil if none is allocated.
+func (s *Sparse) chunkAt(ci uint64) *chunk {
+	m := &s.memo[ci%uint64(len(s.memo))]
+	if c := *m; c != nil && c.ci == ci {
+		return c
+	}
+	c, ok := s.chunks.Get(ci)
+	if ok {
+		*m = c
+	}
+	return c
 }
 
 func split(i uint64) (ci uint64, word int, bit uint) {
@@ -70,9 +90,10 @@ func (s *Sparse) releaseChunk(c *chunk) {
 // Set marks bit i. It reports whether the bit changed (was previously 0).
 func (s *Sparse) Set(i uint64) bool {
 	ci, w, b := split(i)
-	c, ok := s.chunks.Get(ci)
-	if !ok {
+	c := s.chunkAt(ci)
+	if c == nil {
 		c = s.newChunk()
+		c.ci = ci
 		s.chunks.Set(ci, c)
 	}
 	mask := uint64(1) << b
@@ -89,8 +110,8 @@ func (s *Sparse) Set(i uint64) bool {
 // whether the bit changed (was previously 1).
 func (s *Sparse) Unset(i uint64) bool {
 	ci, w, b := split(i)
-	c, ok := s.chunks.Get(ci)
-	if !ok {
+	c := s.chunkAt(ci)
+	if c == nil {
 		return false
 	}
 	mask := uint64(1) << b
@@ -103,6 +124,7 @@ func (s *Sparse) Unset(i uint64) bool {
 	if c.pop == 0 {
 		s.chunks.Delete(ci)
 		s.releaseChunk(c)
+		s.memo[ci%uint64(len(s.memo))] = nil // chunkAt just put c there
 	}
 	return true
 }
@@ -110,11 +132,8 @@ func (s *Sparse) Unset(i uint64) bool {
 // Test reports whether bit i is set.
 func (s *Sparse) Test(i uint64) bool {
 	ci, w, b := split(i)
-	c, ok := s.chunks.Get(ci)
-	if !ok {
-		return false
-	}
-	return c.words[w]&(uint64(1)<<b) != 0
+	c := s.chunkAt(ci)
+	return c != nil && c.words[w]&(uint64(1)<<b) != 0
 }
 
 // SetRange sets bits [lo, hi) and returns how many changed.
@@ -156,6 +175,7 @@ func (s *Sparse) Clear() {
 	})
 	s.chunks.Reset()
 	s.count = 0
+	s.memo = [len(s.memo)]*chunk{}
 }
 
 // Chunks returns the number of allocated chunks.

@@ -231,3 +231,21 @@ func BenchmarkSparseTest(b *testing.B) {
 		s.Test(uint64(i) % (1 << 20))
 	}
 }
+
+// BenchmarkSparseTestRuns is the done-bitmap access pattern of a block
+// task under cache churn: short runs of neighbouring bits, alternating
+// between two distant regions (the block of the page just evicted, the
+// block of the page just added). Runs stay within a chunk, so all but
+// the first test of each should skip the tree.
+func BenchmarkSparseTestRuns(b *testing.B) {
+	s := New()
+	for i := uint64(0); i < 64*ChunkBits; i += 2 {
+		s.Set(i)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run := uint64(i) / 16
+		region := run % 2 * 37 * ChunkBits
+		s.Test(region + run*8%ChunkBits + uint64(i)%8)
+	}
+}

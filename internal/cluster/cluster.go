@@ -247,30 +247,30 @@ func contains(s []int, v int) bool {
 // plus every node's, summed in node order after the run.
 type Stats struct {
 	// Client traffic (coordinator side).
-	WritesIssued, WritesAcked     int64
-	WriteRejects, WriteFailures   int64
-	ReadsIssued, ReadsOK          int64
-	ReadFallbacks, ReadFailures   int64
-	UnavailOps                    int64
-	RPCRetries, RPCTimeouts       int64
-	ConsistencyViolations         int64
+	WritesIssued, WritesAcked   int64
+	WriteRejects, WriteFailures int64
+	ReadsIssued, ReadsOK        int64
+	ReadFallbacks, ReadFailures int64
+	UnavailOps                  int64
+	RPCRetries, RPCTimeouts     int64
+	ConsistencyViolations       int64
 	// Failure handling.
-	KillsDetected, Joins          int64
-	RepairsStarted, ShardRepairs  int64
-	DegradedUs                    int64 // shard-time spent below full replication
-	ReadOnlyUs, UnavailUs         int64 // the two severe slices of DegradedUs
-	RepairWindowUs                int64 // sum over kills of detect -> fully re-replicated
-	Epoch                         uint64
+	KillsDetected, Joins         int64
+	RepairsStarted, ShardRepairs int64
+	DegradedUs                   int64 // shard-time spent below full replication
+	ReadOnlyUs, UnavailUs        int64 // the two severe slices of DegradedUs
+	RepairWindowUs               int64 // sum over kills of detect -> fully re-replicated
+	Epoch                        uint64
 	// Node side (summed).
-	Kills, Recoveries             int64
+	Kills, Recoveries                int64
 	RecordsAppended, RecordsReplayed int64
-	TornLogs, CorruptLogs         int64
-	ApplyWrites, ResyncApplied    int64
-	PagesShipped                  int64
+	TornLogs, CorruptLogs            int64
+	ApplyWrites, ResyncApplied       int64
+	PagesShipped                     int64
 	RepairDiskReads, RepairCacheHits int64
-	ReplRetries                   int64
-	CommitErrors                  int64
-	DroppedDead, DroppedPartition int64
+	ReplRetries                      int64
+	CommitErrors                     int64
+	DroppedDead, DroppedPartition    int64
 }
 
 // Stats aggregates the run's counters. Call after RunFor returns;

@@ -15,10 +15,10 @@ const (
 
 // Shard service states, ordered by severity.
 const (
-	shardHealthy = iota // full replication
-	shardUnder          // below R but at/above write quorum
-	shardReadOnly       // below quorum, at least one replica serving
-	shardUnavail        // no in-service replica
+	shardHealthy  = iota // full replication
+	shardUnder           // below R but at/above write quorum
+	shardReadOnly        // below quorum, at least one replica serving
+	shardUnavail         // no in-service replica
 )
 
 // rpcCall is one outstanding client op.

@@ -99,6 +99,44 @@ func BenchmarkSetDoneCheckDone(b *testing.B) {
 	}
 }
 
+// countingFS is a stub filesystem whose only job is to count FIBMAP
+// translations.
+type countingFS struct{ fibmaps int }
+
+func (f *countingFS) FSID() pagecache.FSID                   { return 1 }
+func (f *countingFS) Fibmap(ino, idx uint64) (int64, bool)   { f.fibmaps++; return int64(idx), true }
+func (f *countingFS) Within(ino, root uint64) (string, bool) { return "", false }
+func (f *countingFS) IsDir(ino uint64) bool                  { return false }
+func (f *countingFS) DeviceBlocks() int64                    { return 1 << 20 }
+
+// BenchmarkHookTwoBlockSessions delivers events to two block-task
+// sessions on one filesystem and checks the resolve-once rule: the page
+// is translated to its block once per event, not once per session.
+func BenchmarkHookTwoBlockSessions(b *testing.B) {
+	e := sim.New(1)
+	d := New(pagecache.New(e, pagecache.DefaultConfig(1<<12)))
+	fs := &countingFS{}
+	d.AttachFS(fs)
+	for i := 0; i < 2; i++ {
+		if _, err := d.RegisterBlock(fs, EvtDirtied|EvtFlushed); err != nil {
+			b.Fatal(err)
+		}
+	}
+	pgs := make([]pagecache.Page, 1<<12)
+	for i := range pgs {
+		pgs[i].Key = pagecache.PageKey{FS: 1, Ino: 2, Index: uint64(i)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.PageEvent(pagecache.EventDirtied, &pgs[i%len(pgs)])
+	}
+	b.StopTimer()
+	if fs.fibmaps != b.N {
+		b.Fatalf("%d FIBMAP translations for %d events, want one per event", fs.fibmaps, b.N)
+	}
+}
+
 // newMultiEnv registers n block-task sessions (0 is the baseline: hook
 // attached, nobody listening — the configuration every non-Duet
 // experiment run pays for).

@@ -228,11 +228,6 @@ func (t *descTable) free(desc *itemDesc, st *Stats) {
 	t.freeList = desc
 }
 
-// ensureTable returns the descriptor table (its zero value is ready).
-func (d *Duet) ensureTable() *descTable {
-	return &d.table
-}
-
 // maybeFree releases the descriptor if no active session needs it.
 func (d *Duet) maybeFree(desc *itemDesc) {
 	if desc.queued != 0 {
@@ -277,7 +272,9 @@ func (d *Duet) refreshGlobalMask() {
 }
 
 // PageEvent implements pagecache.Hook: it fans the event out to every
-// interested session, as §4.1 describes.
+// interested session, as §4.1 describes. The page's block is resolved at
+// most once per event — an event belongs to one filesystem — and handed
+// to every block-task session on it.
 func (d *Duet) PageEvent(ev pagecache.EventType, pg *pagecache.Page) {
 	if len(d.active) == 0 {
 		return
@@ -287,8 +284,17 @@ func (d *Duet) PageEvent(ev pagecache.EventType, pg *pagecache.Page) {
 		t0 = time.Now()
 	}
 	d.stats.HookCalls++
+	var blk int64
+	mapped, resolved := false, false
 	for _, s := range d.active {
-		s.deliver(ev, pg.Key, pg.Dirty)
+		if s.fsid != pg.Key.FS {
+			continue
+		}
+		if s.kind == blockTask && !resolved {
+			blk, mapped = s.fs.Fibmap(pg.Key.Ino, pg.Key.Index)
+			resolved = true
+		}
+		s.deliver(ev, pg.Key, pg.Dirty, blk, mapped)
 	}
 	if d.MeasureCPU {
 		d.stats.HookNanos += time.Since(t0).Nanoseconds()

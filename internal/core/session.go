@@ -104,21 +104,30 @@ func (d *Duet) newSession(kind taskKind, fs FSAdapter, root uint64, mask Mask) (
 	d.sessions[slot] = s
 	d.active = append(d.active, s)
 	d.refreshGlobalMask()
-	d.ensureTable()
 	// Registration scan (§4.1): initialize descriptors from the pages
 	// already cached, so the task can exploit them immediately and state
 	// notifications start from the truth.
 	d.cache.Iterate(func(pg *pagecache.Page) bool {
-		if pg.Key.FS != s.fsid {
-			return true
-		}
-		s.deliver(pagecache.EventAdded, pg.Key, pg.Dirty)
-		if pg.Dirty {
-			s.deliver(pagecache.EventDirtied, pg.Key, true)
+		if pg.Key.FS == s.fsid {
+			s.deliverCached(pg)
 		}
 		return true
 	})
 	return s, nil
+}
+
+// deliverCached tells the session about a page that is already cached,
+// as the events that brought it to its current state would have.
+func (s *Session) deliverCached(pg *pagecache.Page) {
+	var blk int64
+	mapped := false
+	if s.kind == blockTask {
+		blk, mapped = s.fs.Fibmap(pg.Key.Ino, pg.Key.Index)
+	}
+	s.deliver(pagecache.EventAdded, pg.Key, pg.Dirty, blk, mapped)
+	if pg.Dirty {
+		s.deliver(pagecache.EventDirtied, pg.Key, true, blk, mapped)
+	}
 }
 
 // RegisterBlock starts a block-task session over a filesystem's device.
@@ -188,15 +197,17 @@ func (s *Session) Mask() Mask { return s.mask }
 func (s *Session) QueueLen() int { return len(s.queue) - s.qhead }
 
 // deliver processes one page event for this session (§4.1: check
-// interest, relevance and done status, then update the descriptor).
-func (s *Session) deliver(ev pagecache.EventType, key pagecache.PageKey, dirty bool) {
-	if !s.active || key.FS != s.fsid {
+// interest, relevance and done status, then update the descriptor). key
+// is a page of the session's filesystem; for a block task the caller
+// passes the page's FIBMAP translation (blk, mapped), which file tasks
+// ignore.
+func (s *Session) deliver(ev pagecache.EventType, key pagecache.PageKey, dirty bool, blk int64, mapped bool) {
+	if !s.active {
 		return
 	}
 	s.EventsSeen++
 	// Relevance and done filtering.
 	if s.kind == blockTask {
-		blk, mapped := s.fs.Fibmap(key.Ino, key.Index)
 		// An unmapped page (no block assigned yet — the delayed-allocation
 		// case of §4.2) is left for a later event to report.
 		if mapped && s.done.Test(uint64(blk)) {
@@ -223,7 +234,7 @@ func (s *Session) deliver(ev pagecache.EventType, key pagecache.PageKey, dirty b
 	}
 
 	d := s.d
-	desc := d.ensureTable().getOrCreate(itemKey{key.FS, key.Ino, key.Index}, &d.stats)
+	desc := d.table.getOrCreate(itemKey{key.FS, key.Ino, key.Index}, &d.stats)
 	f := desc.flags[s.id]
 
 	// Update current state bits.
@@ -535,10 +546,7 @@ func (s *Session) handleMove(ino uint64, isDir bool, oldParent, newParent uint64
 		s.done.Unset(ino)
 		s.relevant.Set(ino)
 		s.d.cache.IterateFile(s.fsid, ino, func(pg *pagecache.Page) bool {
-			s.deliver(pagecache.EventAdded, pg.Key, pg.Dirty)
-			if pg.Dirty {
-				s.deliver(pagecache.EventDirtied, pg.Key, true)
-			}
+			s.deliverCached(pg)
 			return true
 		})
 	case wasTracked && !nowIn:
@@ -562,7 +570,7 @@ func (s *Session) handleMove(ino uint64, isDir bool, oldParent, newParent uint64
 			}
 		}
 		s.d.cache.IterateFile(s.fsid, ino, func(pg *pagecache.Page) bool {
-			s.deliver(pagecache.EventRemoved, pg.Key, false)
+			s.deliver(pagecache.EventRemoved, pg.Key, false, 0, false)
 			return true
 		})
 		s.relevant.Unset(ino)

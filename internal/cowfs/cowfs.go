@@ -100,10 +100,11 @@ type FS struct {
 	disk  *storage.Disk
 	cache *pagecache.Cache
 
-	inodes  map[Ino]*Inode
-	nextIno Ino
-	gen     uint64
-	nextVer uint64
+	inodes    map[Ino]*Inode
+	inodeMemo [8]*Inode // Fibmap's lookup memo, indexed by ino mod 8
+	nextIno   Ino
+	gen       uint64
+	nextVer   uint64
 
 	free       *freeIndex // two-level free-space index (freeindex.go)
 	freeBlocks int64
@@ -493,6 +494,7 @@ func (fs *FS) deleteInode(i *Inode) error {
 	fs.cache.RemoveFile(fs.id, uint64(i.Ino))
 	fs.dirRemove(fs.inodes[i.Parent], i.Name)
 	delete(fs.inodes, i.Ino)
+	fs.inodeMemo[i.Ino%Ino(len(fs.inodeMemo))] = nil
 	delete(fs.wbTags, i.Ino)
 	fs.gen++
 	return nil

@@ -107,12 +107,27 @@ func findExtent(exts []Extent, idx int64) (Extent, bool) {
 }
 
 // Fibmap translates a file page to its device block, like the FIBMAP
-// ioctl (§4.2). ok is false for holes.
+// ioctl (§4.2). ok is false for holes. Page events arrive in per-file
+// runs — interleaved, as every miss reports the evicted page of one file
+// and the added page of another — so recently resolved inodes are kept
+// in a small direct-mapped memo (deleteInode drops its entry) and a run
+// costs one map lookup.
 func (fs *FS) Fibmap(ino Ino, idx int64) (int64, bool) {
+	memo := &fs.inodeMemo[ino%Ino(len(fs.inodeMemo))]
+	if i := *memo; i != nil && i.Ino == ino {
+		return fibmapIn(i, idx)
+	}
 	i, exists := fs.inodes[ino]
-	if !exists || i.Dir {
+	if !exists {
 		return 0, false
 	}
+	*memo = i
+	return fibmapIn(i, idx)
+}
+
+// fibmapIn is Fibmap for callers that already hold the inode.
+// Directories have no extents, so every page of one is a hole.
+func fibmapIn(i *Inode, idx int64) (int64, bool) {
 	e, ok := findExtent(i.Extents, idx)
 	if !ok {
 		return 0, false
@@ -262,7 +277,7 @@ func (fs *FS) Write(p *sim.Proc, ino Ino, off, n int64) error {
 
 	// Count blocks being re-allocated away from snapshot sharing.
 	for idx := off; idx < off+n; idx++ {
-		if b, mapped := fs.Fibmap(ino, idx); mapped && fs.refs[b] > 1 {
+		if b, mapped := fibmapIn(i, idx); mapped && fs.refs[b] > 1 {
 			fs.stats.CowReallocation++
 		}
 	}
@@ -358,11 +373,10 @@ func (fs *FS) ReadCount(p *sim.Proc, ino Ino, off, n int64, class storage.Class,
 	defer fs.putMissBuf(mb)
 	misses := mb.m
 	for idx := off; idx < off+n; idx++ {
-		if fs.cache.Contains(fs.pageKey(ino, idx)) {
-			fs.cache.Lookup(fs.pageKey(ino, idx)) // LRU touch + hit accounting
+		if _, hit := fs.cache.Touch(fs.pageKey(ino, idx)); hit {
 			continue
 		}
-		b, mapped := fs.Fibmap(ino, idx)
+		b, mapped := fibmapIn(i, idx)
 		if !mapped {
 			fs.cache.Insert(p, fs.pageKey(ino, idx), 0) // hole: zero page
 			continue
@@ -453,7 +467,7 @@ func (fs *FS) WritebackPages(p *sim.Proc, inoN uint64, indices []uint64) (int, e
 	pages := wbuf.w
 	for pos, idxU := range indices {
 		idx := int64(idxU)
-		b, mapped := fs.Fibmap(ino, idx)
+		b, mapped := fibmapIn(i, idx)
 		if !mapped || idx >= int64(len(i.PageVers)) {
 			continue
 		}
@@ -485,12 +499,13 @@ func (fs *FS) WritebackPages(p *sim.Proc, inoN uint64, indices []uint64) (int, e
 		s = e
 	}
 	applied := 0
+	_, alive := fs.inodes[ino] // the file may have been deleted during the writes
 	for _, w := range pages {
 		if !w.ok {
 			continue
 		}
 		applied++
-		if b, mapped := fs.Fibmap(ino, w.idx); mapped && b == w.block {
+		if b, mapped := fibmapIn(i, w.idx); alive && mapped && b == w.block {
 			fs.diskVer[w.block] = w.ver
 		}
 	}

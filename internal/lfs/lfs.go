@@ -447,8 +447,7 @@ func (fs *FS) Read(p *sim.Proc, ino Ino, off, n int64, class storage.Class, owne
 	misses := mb.m
 	for idx := off; idx < off+n; idx++ {
 		key := fs.pageKey(ino, idx)
-		if fs.cache.Contains(key) {
-			fs.cache.Lookup(key)
+		if _, hit := fs.cache.Touch(key); hit {
 			continue
 		}
 		b := i.blocks[idx]

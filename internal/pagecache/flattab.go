@@ -75,10 +75,14 @@ func (t *pageTab) put(k PageKey, v *Page) {
 	}
 }
 
-func (t *pageTab) del(k PageKey) {
+// delPage removes pg's entry, unless the table no longer maps pg's key
+// to pg: reclaim's pinned candidate can outlive its entry, and the key
+// may have been re-inserted since.
+func (t *pageTab) delPage(pg *Page) {
 	if t.n == 0 {
 		return
 	}
+	k := pg.Key
 	mask := uint64(len(t.vals) - 1)
 	i := k.hash() & mask
 	for {
@@ -86,6 +90,9 @@ func (t *pageTab) del(k PageKey) {
 			return
 		}
 		if t.keys[i] == k {
+			if t.vals[i] != pg {
+				return
+			}
 			break
 		}
 		i = (i + 1) & mask

@@ -1,0 +1,473 @@
+package pagecache
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"duet/internal/sim"
+	"duet/internal/storage"
+)
+
+// Differential test of the cache against a reference pager: a
+// slice-ordered LRU whose reclaim is, literally, "first clean page
+// within 128 of the tail, else sync the tail's file". Both sides are
+// driven with the same operation stream from one process (nothing
+// blocks, so the flusher never runs) and must agree on the event
+// sequence — which carries the victim sequence — the writeback calls,
+// the LRU order with every page's state, the quarantine list and Stats.
+
+// scriptBackend is the environment both sides write back to: a call
+// persists the leading indices up to the first page with a scripted
+// fault and returns that fault. It logs every call.
+type scriptBackend struct {
+	fault map[PageKey]error
+	log   []string
+}
+
+func (b *scriptBackend) WritebackPages(_ *sim.Proc, ino uint64, indices []uint64) (int, error) {
+	b.log = append(b.log, fmt.Sprint(ino, indices))
+	for n, idx := range indices {
+		if err := b.fault[key(ino, idx)]; err != nil {
+			return n, err
+		}
+	}
+	return len(indices), nil
+}
+
+type refPage struct {
+	key         PageKey
+	ver         uint64
+	dirty, quar bool
+}
+
+// refPager is the reference model. lru[0] is the coldest page.
+type refPager struct {
+	capacity int
+	lru      []*refPage
+	quar     []PageKey
+	keep     EvictionAdvisor
+	be       *scriptBackend
+	stats    Stats
+	events   []string
+}
+
+func (m *refPager) emit(ev EventType, pg *refPage) {
+	m.stats.EventsDispatched++
+	m.events = append(m.events, fmt.Sprint(ev, pg.key))
+}
+
+func (m *refPager) find(k PageKey) (int, *refPage) {
+	for i, pg := range m.lru {
+		if pg.key == k {
+			return i, pg
+		}
+	}
+	return -1, nil
+}
+
+// file returns the file's resident pages in index order.
+func (m *refPager) file(ino uint64) []*refPage {
+	var out []*refPage
+	for _, pg := range m.lru {
+		if pg.key.Ino == ino {
+			out = append(out, pg)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].key.Index < out[j].key.Index })
+	return out
+}
+
+// promote moves the page at LRU position i to the hot end.
+func (m *refPager) promote(i int) {
+	m.lru = append(append(m.lru[:i:i], m.lru[i+1:]...), m.lru[i])
+}
+
+func (m *refPager) lookup(k PageKey) bool {
+	i, pg := m.find(k)
+	if pg == nil {
+		m.stats.Misses++
+		return false
+	}
+	m.stats.Hits++
+	m.promote(i)
+	return true
+}
+
+func (m *refPager) drop(pg *refPage) {
+	i, _ := m.find(pg.key)
+	m.lru = append(m.lru[:i:i], m.lru[i+1:]...)
+	if pg.quar {
+		m.unquarantine(pg)
+	}
+	m.emit(EventRemoved, pg)
+}
+
+func (m *refPager) unquarantine(pg *refPage) {
+	pg.quar = false
+	for i, k := range m.quar {
+		if k == pg.key {
+			m.quar = append(m.quar[:i:i], m.quar[i+1:]...)
+			break
+		}
+	}
+}
+
+func (m *refPager) pick() *refPage {
+	var fallback *refPage
+	for i := 0; i < len(m.lru) && i < 128; i++ {
+		pg := m.lru[i]
+		if pg.dirty {
+			continue
+		}
+		if m.keep == nil || !m.keep.KeepPage(&Page{Key: pg.key}) {
+			return pg
+		}
+		if fallback == nil {
+			fallback = pg
+			m.stats.AdvisorDeferrals++
+		}
+	}
+	return fallback
+}
+
+// writeback sends pgs (one file, index order) to the backend and applies
+// the outcome: the persisted prefix comes clean, a permanent fault
+// quarantines the rest, a transient one leaves it dirty.
+func (m *refPager) writeback(pgs []*refPage) {
+	if len(pgs) == 0 {
+		return
+	}
+	idx := make([]uint64, len(pgs))
+	for i, pg := range pgs {
+		idx[i] = pg.key.Index
+	}
+	n, err := m.be.WritebackPages(nil, pgs[0].key.Ino, idx)
+	m.stats.WritebackPages += int64(n)
+	for _, pg := range pgs[:n] {
+		pg.dirty = false
+		m.emit(EventFlushed, pg)
+	}
+	if err == nil {
+		return
+	}
+	m.stats.WritebackErrors++
+	if errors.Is(err, storage.ErrWriteFault) {
+		for _, pg := range pgs[n:] {
+			pg.quar = true
+			m.quar = append(m.quar, pg.key)
+			m.stats.QuarantineEvents++
+		}
+	}
+}
+
+func flushable(pgs []*refPage) []*refPage {
+	var out []*refPage
+	for _, pg := range pgs {
+		if pg.dirty && !pg.quar {
+			out = append(out, pg)
+		}
+	}
+	return out
+}
+
+func (m *refPager) syncFile(ino uint64) { m.writeback(flushable(m.file(ino))) }
+
+func (m *refPager) syncAll() {
+	inos := map[uint64]bool{}
+	for _, pg := range flushable(m.lru) {
+		inos[pg.key.Ino] = true
+	}
+	order := make([]uint64, 0, len(inos))
+	for ino := range inos {
+		order = append(order, ino)
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	for _, ino := range order {
+		m.syncFile(ino)
+	}
+}
+
+func (m *refPager) insert(k PageKey, ver uint64) {
+	if i, pg := m.find(k); pg != nil {
+		m.promote(i) // resident: promoted, no hit counted
+		return
+	}
+	for len(m.lru) >= m.capacity {
+		victim := m.pick()
+		if victim == nil {
+			tail := m.lru[0]
+			m.stats.DirtyEvictions++
+			m.syncFile(tail.key.Ino)
+			if victim = m.pick(); victim == nil {
+				if !tail.quar {
+					m.writeback([]*refPage{tail})
+				}
+				if tail.dirty {
+					m.stats.LostPages++
+				}
+				victim = tail
+			}
+		}
+		m.drop(victim)
+		m.stats.Evictions++
+	}
+	pg := &refPage{key: k, ver: ver}
+	m.lru = append(m.lru, pg)
+	m.stats.Inserts++
+	m.emit(EventAdded, pg)
+}
+
+func (m *refPager) markDirty(pg *refPage, ver uint64) {
+	pg.ver = ver
+	if !pg.dirty {
+		pg.dirty = true
+		m.emit(EventDirtied, pg)
+	}
+}
+
+func (m *refPager) requeue(k PageKey) {
+	if _, pg := m.find(k); pg != nil && pg.quar {
+		m.unquarantine(pg)
+		m.stats.RequeuedPages++
+	}
+}
+
+// keyHook records events with their keys, in the model's format.
+type keyHook struct{ events []string }
+
+func (h *keyHook) PageEvent(ev EventType, pg *Page) {
+	h.events = append(h.events, fmt.Sprint(ev, pg.Key))
+}
+
+// checkVictimCursor recomputes the coldest clean page by an unbounded
+// walk from the tail and compares it with the cached cursor whenever the
+// cursor is marked valid; it also checks that LRU stamps order the list.
+func (c *Cache) checkVictimCursor() error {
+	below := 0
+	var coldest *Page
+	for pg := c.lruTail; pg != nil; pg = pg.lruPrev {
+		if pg.lruNext != nil && pg.lruStamp <= pg.lruNext.lruStamp {
+			return fmt.Errorf("lruStamp not increasing toward the head at %v", pg.Key)
+		}
+		if coldest == nil {
+			if pg.Dirty {
+				below++
+			} else {
+				coldest = pg
+			}
+		}
+	}
+	if c.victim == nil {
+		return nil // cursor invalid: the next pickVictim re-primes it
+	}
+	if c.victim != coldest || c.dirtyBelow != below || below >= scanLimit {
+		return fmt.Errorf("cursor (%v, %d), scan finds (%v, %d)", c.victim.Key, c.dirtyBelow, coldest, below)
+	}
+	return nil
+}
+
+// runDifferential drives the cache and the model with the op stream
+// encoded in data (three bytes per op) and fails on the first divergence.
+// parked dirty pages are placed at the LRU tail first.
+func runDifferential(t testing.TB, capacity, parked int, data []byte) {
+	e := sim.New(1)
+	cfg := DefaultConfig(capacity)
+	cfg.DirtyBackgroundRatio = 2 // never kick the flusher: this test owns all writeback
+	c := New(e, cfg)
+	hook := &keyHook{}
+	c.AddHook(hook)
+	cbe := &scriptBackend{fault: map[PageKey]error{}}
+	c.RegisterFS(1, cbe)
+	m := &refPager{capacity: capacity, be: &scriptBackend{fault: map[PageKey]error{}}}
+
+	step := 0
+	check := func(op string) {
+		t.Helper()
+		if err := c.checkVictimCursor(); err != nil {
+			t.Fatalf("step %d (%s): %v", step, op, err)
+		}
+		if !reflect.DeepEqual(hook.events, m.events) {
+			t.Fatalf("step %d (%s): events diverge:\n cache %v\n model %v", step, op, tail(hook.events), tail(m.events))
+		}
+		if !reflect.DeepEqual(cbe.log, m.be.log) {
+			t.Fatalf("step %d (%s): writeback calls diverge:\n cache %v\n model %v", step, op, tail(cbe.log), tail(m.be.log))
+		}
+		if *c.Stats() != m.stats {
+			t.Fatalf("step %d (%s): stats diverge:\n cache %+v\n model %+v", step, op, *c.Stats(), m.stats)
+		}
+		i := 0
+		for pg := c.lruTail; pg != nil; pg, i = pg.lruPrev, i+1 {
+			if i >= len(m.lru) {
+				t.Fatalf("step %d (%s): cache holds more than the model's %d pages", step, op, len(m.lru))
+			}
+			if r := m.lru[i]; pg.Key != r.key || pg.Version != r.ver || pg.Dirty != r.dirty || pg.quarantined != r.quar {
+				t.Fatalf("step %d (%s): LRU position %d: cache %+v, model %+v", step, op, i, *pg, *r)
+			}
+			if cur, ok := c.Peek(pg.Key); !ok || cur != pg {
+				t.Fatalf("step %d (%s): %v is in the LRU but not in the table", step, op, pg.Key)
+			}
+		}
+		if i != len(m.lru) || c.Len() != i {
+			t.Fatalf("step %d (%s): %d pages in the LRU, %d in the table, model has %d", step, op, i, c.Len(), len(m.lru))
+		}
+		if q := c.Quarantined(nil); !reflect.DeepEqual(q, append([]PageKey(nil), m.quar...)) {
+			t.Fatalf("step %d (%s): quarantine lists diverge: cache %v, model %v", step, op, q, m.quar)
+		}
+		hook.events, m.events = hook.events[:0], m.events[:0]
+		cbe.log, m.be.log = cbe.log[:0], m.be.log[:0]
+	}
+
+	e.Go("differential", func(p *sim.Proc) {
+		defer e.Stop()
+		read := func(k PageKey, ver uint64) {
+			if _, ok := c.Lookup(k); !ok {
+				c.Insert(p, k, ver)
+			}
+			if !m.lookup(k) {
+				m.insert(k, ver)
+			}
+		}
+		dirty := func(r *refPage, ver uint64) {
+			pg, _ := c.Peek(r.key)
+			c.MarkDirty(pg, ver)
+			m.markDirty(r, ver)
+		}
+		for i := 0; i < parked; i++ {
+			read(key(100+uint64(i/16), uint64(i)), 1) // 16 to a file, so one SyncFile frees few
+			dirty(m.lru[len(m.lru)-1], 2)
+		}
+		for i := parked; i < capacity; i++ {
+			read(key(99, uint64(i)), 1)
+		}
+		check("park")
+		span := uint64(4 * capacity) // three reads in four miss once the cache is full
+		churnKey := func(xy uint64) PageKey { return key(1+xy%span/64%8, xy%span) }
+		for ; len(data) >= 3; data = data[3:] {
+			step++
+			op, x, y := data[0]%32, uint64(data[1]), uint64(data[2])
+			xy := x<<8 | y
+			ver := uint64(step + 2)
+			var at *refPage // a resident chosen by LRU position
+			if len(m.lru) > 0 {
+				at = m.lru[xy%uint64(len(m.lru))]
+			}
+			name := "read"
+			switch {
+			case op < 16 || at == nil:
+				read(churnKey(xy), ver)
+			case op == 16:
+				name = "insert"
+				k := churnKey(xy)
+				if x%2 == 0 {
+					k = at.key
+				}
+				c.Insert(p, k, ver)
+				m.insert(k, ver)
+			case op == 17:
+				name = "hit near tail"
+				read(m.lru[int(x%4)%len(m.lru)].key, ver)
+			case op <= 20:
+				name = "dirty"
+				dirty(at, ver)
+			case op == 21:
+				name = "dirty coldest clean"
+				for _, r := range m.lru {
+					if !r.dirty {
+						dirty(r, ver)
+						break
+					}
+				}
+			case op == 22 && x < 32:
+				name = "sync"
+				c.Sync(p)
+				m.syncAll()
+			case op <= 23:
+				name = "syncfile"
+				_ = c.SyncFile(p, 1, at.key.Ino)
+				m.syncFile(at.key.Ino)
+			case op == 24:
+				name = "remove"
+				c.Remove(at.key)
+				m.drop(at)
+			case op == 25 && x < 16:
+				name = "removefile"
+				c.RemoveFile(1, at.key.Ino)
+				for _, r := range m.file(at.key.Ino) {
+					m.drop(r)
+					m.stats.RemovedByDelete++
+				}
+			case op <= 26:
+				name = "fault"
+				err := storage.ErrWriteFault
+				if y%4 == 0 {
+					err = storage.ErrTransient
+				}
+				cbe.fault[at.key], m.be.fault[at.key] = err, err
+			case op == 27:
+				name = "repair+requeue"
+				clear(cbe.fault)
+				clear(m.be.fault)
+				if len(m.quar) > 0 {
+					k := m.quar[int(xy)%len(m.quar)]
+					c.Requeue(k)
+					m.requeue(k)
+				}
+			case op == 28 && x < 4:
+				name = "dropvolatile"
+				c.DropVolatile()
+				m.lru, m.quar = nil, nil
+			case op == 28:
+				name = "advisor"
+				adv := []EvictionAdvisor{nil, nil, keepOdd{}, keepAll{}}[x%4]
+				c.SetAdvisor(adv)
+				m.keep = adv
+			default:
+				read(churnKey(xy), ver)
+			}
+			check(name)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func tail(s []string) []string {
+	if len(s) > 12 {
+		return s[len(s)-12:]
+	}
+	return s
+}
+
+// TestDifferentialAgainstReferencePager runs seeded random op streams,
+// over parked-dirty tails on both sides of the 128-page reclaim window.
+func TestDifferentialAgainstReferencePager(t *testing.T) {
+	for _, parked := range []int{0, 1, 64, 127, 128, 129, 500, 2000} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("parked=%d/seed=%d", parked, seed), func(t *testing.T) {
+				data := make([]byte, 3*3000)
+				rand.New(rand.NewSource(seed)).Read(data)
+				runDifferential(t, parked+200, parked, data)
+			})
+		}
+	}
+}
+
+// FuzzVictimCursor feeds arbitrary op streams to the same differential,
+// on a cache small enough that the reclaim window covers most of it.
+func FuzzVictimCursor(f *testing.F) {
+	seed := make([]byte, 3*400)
+	rand.New(rand.NewSource(1)).Read(seed)
+	f.Add(seed, uint8(100))
+	f.Add([]byte{8, 0, 0, 8, 0, 0, 0, 1, 2, 9, 0, 0}, uint8(140))
+	f.Fuzz(func(t *testing.T, data []byte, parked uint8) {
+		// Many short streams find more than few long ones: every op is
+		// followed by a full comparison of both sides.
+		data = data[:min(len(data), 3*600)]
+		runDifferential(t, int(parked)+40, int(parked), data)
+	})
+}

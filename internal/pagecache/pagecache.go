@@ -121,6 +121,11 @@ type Page struct {
 	lruPrev, lruNext   *Page
 	filePrev, fileNext *Page
 
+	// lruStamp orders the LRU without walking it: it is drawn from a
+	// counter on every push to the front, so a page is colder than
+	// another exactly when its stamp is smaller.
+	lruStamp uint64
+
 	// resident is true while the page is linked into the LRU and its
 	// file's index. pins counts in-flight references held across a
 	// blocking call (reclaim holding its eviction candidate); a pinned
@@ -303,6 +308,16 @@ type Cache struct {
 	stats    Stats
 
 	lruHead, lruTail *Page // lruHead = most recently used
+	lruClock         uint64
+
+	// Clean-victim cursor: pickVictim's answer, kept current instead of
+	// rediscovered per eviction. While victim is non-nil it is the
+	// coldest clean page of the LRU and dirtyBelow (< scanLimit) is the
+	// number of pages colder than it, all of them dirty. nil means
+	// unknown, or no clean page within the reclaim window; the next
+	// pickVictim rescans and re-primes it.
+	victim     *Page
+	dirtyBelow int
 
 	// quar lists quarantined pages in insertion order (bounded by the
 	// cache capacity; scanned only on quarantine-state changes).
@@ -433,6 +448,8 @@ func (c *Cache) emit(ev EventType, pg *Page) {
 // --- intrusive LRU ---------------------------------------------------------
 
 func (c *Cache) lruPushFront(pg *Page) {
+	c.lruClock++
+	pg.lruStamp = c.lruClock
 	pg.lruPrev = nil
 	pg.lruNext = c.lruHead
 	if c.lruHead != nil {
@@ -445,6 +462,11 @@ func (c *Cache) lruPushFront(pg *Page) {
 }
 
 func (c *Cache) lruRemove(pg *Page) {
+	if v := c.victim; v == pg {
+		c.advanceVictim(0)
+	} else if v != nil && pg.lruStamp < v.lruStamp {
+		c.dirtyBelow-- // one of the dirty pages under the cursor left
+	}
 	if pg.lruPrev != nil {
 		pg.lruPrev.lruNext = pg.lruNext
 	} else {
@@ -456,6 +478,25 @@ func (c *Cache) lruRemove(pg *Page) {
 		c.lruTail = pg.lruPrev
 	}
 	pg.lruPrev, pg.lruNext = nil, nil
+}
+
+// advanceVictim moves the cursor off the current victim, which is
+// leaving the LRU (passed = 0) or has just been dirtied (passed = 1), to
+// the next clean page toward the head, counting the dirty pages it
+// walks over. A dirty page is walked over once per stay below the
+// cursor, and the walk ends where the reclaim window does: with no clean
+// page inside it there is no victim to cache, and pickVictim rescans.
+func (c *Cache) advanceVictim(passed int) {
+	below := c.dirtyBelow + passed
+	pg := c.victim.lruPrev
+	for pg != nil && pg.Dirty && below < scanLimit {
+		below++
+		pg = pg.lruPrev
+	}
+	if below >= scanLimit {
+		pg = nil
+	}
+	c.victim, c.dirtyBelow = pg, below
 }
 
 func (c *Cache) lruMoveToFront(pg *Page) {
@@ -562,11 +603,22 @@ func (c *Cache) putBatch(b *wbBatch) {
 
 // --- lookup / insert / evict ----------------------------------------------
 
-// Lookup returns the page if cached, promoting it in the LRU.
+// Lookup returns the page if cached, promoting it in the LRU, and counts
+// the hit or the miss.
 func (c *Cache) Lookup(key PageKey) (*Page, bool) {
-	pg, ok := c.pages.get(key)
+	pg, ok := c.Touch(key)
 	if !ok {
 		c.stats.Misses++
+	}
+	return pg, ok
+}
+
+// Touch is Lookup for read paths that follow a miss with an Insert and
+// do their own miss accounting: a hit is promoted and counted, a miss is
+// only reported.
+func (c *Cache) Touch(key PageKey) (*Page, bool) {
+	pg, ok := c.pages.get(key)
+	if !ok {
 		return nil, false
 	}
 	c.stats.Hits++
@@ -594,7 +646,15 @@ func (c *Cache) Insert(p *sim.Proc, key PageKey, version uint64) *Page {
 		c.lruMoveToFront(pg)
 		return pg
 	}
-	c.makeRoom(p)
+	if c.makeRoom(p) {
+		// Reclaim blocked in writeback, so another process may have
+		// inserted the key meanwhile; a second page under it would orphan
+		// the first in the LRU and the file index.
+		if pg, ok := c.pages.get(key); ok {
+			c.lruMoveToFront(pg)
+			return pg
+		}
+	}
 	pg := c.arena.alloc()
 	pg.Key = key
 	pg.Version = version
@@ -607,8 +667,9 @@ func (c *Cache) Insert(p *sim.Proc, key PageKey, version uint64) *Page {
 	return pg
 }
 
-// makeRoom evicts pages until there is room for one more.
-func (c *Cache) makeRoom(p *sim.Proc) {
+// makeRoom evicts pages until there is room for one more. It reports
+// whether it went through writeback, the only place it can block.
+func (c *Cache) makeRoom(p *sim.Proc) (blocked bool) {
 	for c.pages.len() >= c.cfg.CapacityPages {
 		victim := c.pickVictim()
 		if victim == nil {
@@ -620,6 +681,7 @@ func (c *Cache) makeRoom(p *sim.Proc) {
 			// it meanwhile, and the pin keeps the struct (and the
 			// frozen key/version the fallback below relies on) from
 			// being recycled under our pointer.
+			blocked = true
 			tail := c.lruTail
 			tail.pins++
 			c.stats.DirtyEvictions++
@@ -650,21 +712,34 @@ func (c *Cache) makeRoom(p *sim.Proc) {
 		c.removePage(victim, EventRemoved)
 		c.stats.Evictions++
 	}
+	return blocked
 }
 
-// pickVictim scans from the LRU tail for a clean page, skipping up to a
-// bounded number of dirty pages (approximating kernel reclaim, which
-// prefers clean pages). With an advisor installed, advised pages are
-// passed over in a first pass; if only advised clean pages remain in the
-// scan window, the coldest of them is evicted anyway (advice defers, it
-// does not pin — pinning would recreate the memory-pressure problems the
+// scanLimit is how many pages reclaim looks at from the LRU tail before
+// it gives up on finding a clean one and forces writeback.
+const scanLimit = 128
+
+// pickVictim returns the first clean page within scanLimit positions of
+// the LRU tail (approximating kernel reclaim, which prefers clean pages),
+// or nil when that window is all dirty. The answer normally comes from
+// the clean-victim cursor in O(1); the scan below runs only to re-prime
+// an invalid cursor, and on every call while an advisor is installed —
+// KeepPage is dynamic, so nothing can be cached across calls. Advised
+// pages are passed over; if only advised clean pages remain in the
+// window, the coldest of them is evicted anyway (advice defers, it does
+// not pin — pinning would recreate the memory-pressure problems the
 // paper avoids, §3.1).
 func (c *Cache) pickVictim() *Page {
-	const scanLimit = 128
+	if c.advisor == nil && c.victim != nil {
+		return c.victim
+	}
 	var fallback *Page
 	pg := c.lruTail
 	for i := 0; pg != nil && i < scanLimit; i++ {
 		if !pg.Dirty {
+			if c.victim == nil {
+				c.victim, c.dirtyBelow = pg, i // first clean page met: prime
+			}
 			if c.advisor == nil || !c.advisor.KeepPage(pg) {
 				return pg
 			}
@@ -713,9 +788,7 @@ func (c *Cache) writebackOne(p *sim.Proc, pg *Page) {
 // race, the fresh page is left fully intact (the map delete is guarded),
 // so a raced double-eviction can never orphan a live page.
 func (c *Cache) removePage(pg *Page, ev EventType) {
-	if cur, ok := c.pages.get(pg.Key); ok && cur == pg {
-		c.pages.del(pg.Key)
-	}
+	c.pages.delPage(pg)
 	if pg.resident {
 		c.lruRemove(pg)
 		if pg.quarantined {
@@ -742,6 +815,9 @@ func (c *Cache) MarkDirty(pg *Page, version uint64) {
 		return
 	}
 	pg.Dirty = true
+	if pg == c.victim {
+		c.advanceVictim(1)
+	}
 	pg.DirtyAt = c.eng.Now()
 	c.dirty.Set(pg.Key, pg)
 	c.emit(EventDirtied, pg)
@@ -760,6 +836,9 @@ func (c *Cache) markCleanIf(key PageKey, version uint64) {
 		return
 	}
 	pg.Dirty = false
+	if c.victim != nil && pg.lruStamp < c.victim.lruStamp {
+		c.victim = nil // a colder page came clean: re-prime on demand
+	}
 	c.dirty.Delete(key)
 	c.emit(EventFlushed, pg)
 }
@@ -1014,9 +1093,7 @@ func (c *Cache) DropVolatile() int {
 	n := 0
 	for pg := c.lruHead; pg != nil; n++ {
 		next := pg.lruNext
-		if cur, ok := c.pages.get(pg.Key); ok && cur == pg {
-			c.pages.del(pg.Key)
-		}
+		c.pages.delPage(pg)
 		if pg.Dirty {
 			c.dirty.Delete(pg.Key)
 			pg.Dirty = false
@@ -1030,7 +1107,7 @@ func (c *Cache) DropVolatile() int {
 		}
 		pg = next
 	}
-	c.lruHead, c.lruTail = nil, nil
+	c.lruHead, c.lruTail, c.victim = nil, nil, nil
 	c.quar = c.quar[:0]
 	return n
 }

@@ -1,6 +1,7 @@
 package pagecache
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -648,5 +649,65 @@ func TestEvictionRaceReinsert(t *testing.T) {
 	})
 	if !seen {
 		t.Error("re-inserted page missing from the per-file index")
+	}
+}
+
+// TestInsertRaceSameKey pins Insert's behaviour when reclaim blocks: two
+// processes miss on the same key while the reclaim window is all dirty,
+// so both block in makeRoom's writeback. The first to resume inserts the
+// page; the second must find it and return it, not insert a second page
+// under the same key — that would orphan the first in the LRU and the
+// file index (resident, absent from the table), and its later eviction
+// would report Removed for a key that is still cached.
+func TestInsertRaceSameKey(t *testing.T) {
+	e := sim.New(1)
+	c := New(e, DefaultConfig(2))
+	c.RegisterFS(1, &slowBackend{e: e, delay: 10 * sim.Millisecond})
+	h := &keyHook{}
+	c.AddHook(h)
+	k1, k2, k3 := key(1, 0), key(1, 1), key(2, 0)
+	var first, second *Page
+	e.Go("first", func(p *sim.Proc) {
+		c.MarkDirty(c.Insert(p, k1, 1), 1)
+		c.MarkDirty(c.Insert(p, k2, 2), 2)
+		first = c.Insert(p, k3, 3) // blocks writing back file 1
+	})
+	e.Go("second", func(p *sim.Proc) {
+		p.Sleep(sim.Millisecond) // let the first block
+		second = c.Insert(p, k3, 4)
+		// Push everything else out: an orphan would surface here as a
+		// Removed for k3 while k3 stays cached.
+		c.Insert(p, key(3, 0), 5)
+		c.Lookup(k3)
+		c.Insert(p, key(3, 1), 6)
+		e.Stop()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if first == nil || first != second {
+		t.Errorf("the two inserts returned different pages: %p, %p", first, second)
+	}
+	added, removed := 0, 0
+	for _, ev := range h.events {
+		switch ev {
+		case fmt.Sprint(EventAdded, k3):
+			added++
+		case fmt.Sprint(EventRemoved, k3):
+			removed++
+		}
+	}
+	if added != 1 || removed != 0 {
+		t.Errorf("k3: %d Added, %d Removed events, want 1 and 0: %v", added, removed, h.events)
+	}
+	if pg, ok := c.Peek(k3); !ok || pg.Version != 3 {
+		t.Errorf("k3 should be cached at the winner's version 3, got %+v, %v", pg, ok)
+	}
+	n := 0
+	for pg := c.lruHead; pg != nil; pg = pg.lruNext {
+		n++
+	}
+	if n != c.Len() {
+		t.Errorf("%d pages in the LRU, %d in the table", n, c.Len())
 	}
 }
