@@ -276,3 +276,69 @@ func TestDescriptorRecycling(t *testing.T) {
 		t.Errorf("descriptor accounting: frees=%d cur=%d", st.DescFrees, st.CurDescs)
 	}
 }
+
+// BenchmarkHookLargeTable is the hook path at the size hdd-maint runs it:
+// three block sessions over 700k live descriptors, a window of cached
+// pages sliding through 128-page files, whole files at a time in no
+// particular inode order. One op evicts a page and inserts another (two
+// hook calls, each fanned out to the three sessions), and the sessions
+// fetch every 256 ops, which frees the evicted pages' descriptors. The
+// other benchmarks here run on tables that fit in the CPU cache; this one
+// does not.
+func BenchmarkHookLargeTable(b *testing.B) {
+	const (
+		live      = 700_000
+		filePages = 128
+		files     = 5504 // a little more than live/filePages: the window moves
+		stride    = 2731 // coprime to files: scatters consecutive files over the inode space
+	)
+	e := sim.New(1)
+	d := New(pagecache.New(e, pagecache.DefaultConfig(1<<15)))
+	fs := &countingFS{}
+	d.AttachFS(fs)
+	var sessions [3]*Session
+	for i := range sessions {
+		s, err := d.RegisterBlock(fs, StExists)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sessions[i] = s
+	}
+	buf := make([]Item, 256)
+	fetch := func() {
+		for _, s := range sessions {
+			for s.FetchInto(buf) == len(buf) {
+			}
+		}
+	}
+	event := func(ev pagecache.EventType, n int) {
+		file := n / filePages % files
+		pg := pagecache.Page{Key: pagecache.PageKey{FS: 1, Ino: uint64(1 + file*stride%files), Index: uint64(n % filePages)}}
+		d.PageEvent(ev, &pg)
+	}
+	for n := 0; n < live; n++ {
+		event(pagecache.EventAdded, n)
+		if n%4096 == 4095 {
+			fetch() // keeps the queues, which only the set-up fills, short
+		}
+	}
+	fetch()
+	if got := d.Stats().CurDescs; got != live {
+		b.Fatalf("CurDescs = %d after set-up, want %d", got, live)
+	}
+	step := func(i int) {
+		event(pagecache.EventRemoved, i)
+		event(pagecache.EventAdded, i+live)
+		if i%256 == 255 {
+			fetch()
+		}
+	}
+	for i := 0; i < 4*filePages; i++ {
+		step(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(4*filePages + i)
+	}
+}

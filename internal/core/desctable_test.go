@@ -1,0 +1,426 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"duet/internal/pagecache"
+	"duet/internal/sim"
+)
+
+// check verifies the table's structure: every descriptor sits at
+// descs[key.idx] of the fileDescs the file table maps its file to, the
+// per-file counts add up to Stats.CurDescs, the memo points at a live
+// fileDescs, and pooled ones are empty and within the pool's budget. It
+// returns the descriptors by key.
+func (t *descTable) check(st *Stats) (map[itemKey]*itemDesc, error) {
+	all := map[itemKey]*itemDesc{}
+	for slot, fd := range t.byFile.vals {
+		if fd == nil {
+			continue
+		}
+		if t.byFile.keys[slot] != fd.key {
+			return nil, fmt.Errorf("file %v is filed under %v", fd.key, t.byFile.keys[slot])
+		}
+		n := 0
+		for idx, desc := range fd.descs[:cap(fd.descs)] {
+			if desc == nil {
+				continue
+			}
+			if idx >= len(fd.descs) || desc.key != (itemKey{fd.key.fs, fd.key.ino, uint64(idx)}) {
+				return nil, fmt.Errorf("file %v slot %d (len %d) holds descriptor %v", fd.key, idx, len(fd.descs), desc.key)
+			}
+			all[desc.key] = desc
+			n++
+		}
+		if n != fd.n || n == 0 {
+			return nil, fmt.Errorf("file %v: %d descriptors, counted %d", fd.key, n, fd.n)
+		}
+	}
+	if int64(len(all)) != st.CurDescs || st.DescAllocs-st.DescFrees != st.CurDescs || st.PeakDescs < st.CurDescs {
+		return nil, fmt.Errorf("%d descriptors in the table, stats %+v", len(all), *st)
+	}
+	if fd := t.last; fd != nil && t.byFile.get(fd.key) != fd {
+		return nil, fmt.Errorf("memo points at a released fileDescs (last key %v)", fd.key)
+	}
+	pooled := 0
+	for _, fd := range t.fdFree {
+		for _, desc := range fd.descs[:cap(fd.descs)] {
+			if desc != nil {
+				return nil, fmt.Errorf("pooled fileDescs (last key %v) still holds %v", fd.key, desc.key)
+			}
+		}
+		if fd.n != 0 || len(fd.descs) != 0 {
+			return nil, fmt.Errorf("pooled fileDescs (last key %v) is not empty", fd.key)
+		}
+		pooled += cap(fd.descs)
+	}
+	if pooled != t.fdFreeCap || pooled > t.poolBudget {
+		return nil, fmt.Errorf("pool holds %d entries, accounted %d, budget %d", pooled, t.fdFreeCap, t.poolBudget)
+	}
+	return all, nil
+}
+
+// fileKeys returns the keys of one file's descriptors in index order.
+func fileKeys(all map[itemKey]*itemDesc, fs pagecache.FSID, ino uint64) []itemKey {
+	var out []itemKey
+	for k := range all {
+		if k.fs == fs && k.ino == ino {
+			out = append(out, k)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].idx < out[j].idx })
+	return out
+}
+
+// sparseIdx draws page indexes that make indexes sparse: mostly low, some
+// far up, in no order.
+func sparseIdx(rng *rand.Rand) uint64 {
+	switch rng.Intn(4) {
+	case 0:
+		return uint64(300 + rng.Intn(8))
+	case 1:
+		return uint64(40 + rng.Intn(8))
+	}
+	return uint64(rng.Intn(8))
+}
+
+// moveFS is a filesystem stub for file sessions: every inode is a file
+// under the directory 1 unless it has been moved outside.
+type moveFS struct{ outside map[uint64]bool }
+
+func (f *moveFS) FSID() pagecache.FSID                 { return 1 }
+func (f *moveFS) Fibmap(ino, idx uint64) (int64, bool) { return int64(ino<<12 | idx), true }
+func (f *moveFS) IsDir(ino uint64) bool                { return ino == 1 }
+func (f *moveFS) DeviceBlocks() int64                  { return 1 << 20 }
+func (f *moveFS) Within(ino, root uint64) (string, bool) {
+	return "", !f.outside[ino]
+}
+
+// TestDescTableAgainstMap checks the descriptor table against a
+// map[itemKey] model, first on its own and then under sessions.
+func TestDescTableAgainstMap(t *testing.T) {
+	t.Run("table", func(t *testing.T) {
+		// Random getOrCreate/get/free: the table and the map must hold the
+		// same descriptors under the same keys, each file's in index
+		// order, and count them alike.
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			tab := descTable{poolBudget: 64}
+			var st, want Stats
+			model := map[itemKey]*itemDesc{}
+			for step := 0; step < 4000; step++ {
+				k := itemKey{1, uint64(1 + rng.Intn(6)), sparseIdx(rng)}
+				switch op := rng.Intn(8); {
+				case op < 4:
+					desc := tab.getOrCreate(k, &st)
+					if prev, ok := model[k]; ok && prev != desc {
+						t.Fatalf("seed %d step %d: getOrCreate(%v) replaced a live descriptor", seed, step, k)
+					} else if !ok {
+						model[k] = desc
+						want.DescAllocs++
+						want.CurDescs++
+						want.PeakDescs = max(want.PeakDescs, want.CurDescs)
+					}
+					if desc.key != k {
+						t.Fatalf("seed %d step %d: getOrCreate(%v) returned %v", seed, step, k, desc.key)
+					}
+				case op < 7:
+					// Free one of the file's descriptors, often the last.
+					if keys := fileKeys(model, k.fs, k.ino); len(keys) > 0 {
+						k = keys[rng.Intn(len(keys))]
+						tab.free(model[k], &st)
+						delete(model, k)
+						want.DescFrees++
+						want.CurDescs--
+					}
+				}
+				if got := tab.get(k); got != model[k] {
+					t.Fatalf("seed %d step %d: get(%v) = %p, model %p", seed, step, k, got, model[k])
+				}
+				if st != want {
+					t.Fatalf("seed %d step %d: stats %+v, model %+v", seed, step, st, want)
+				}
+				all, err := tab.check(&st)
+				if err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
+				}
+				if len(all) != len(model) {
+					t.Fatalf("seed %d step %d: table holds %d descriptors, model %d", seed, step, len(all), len(model))
+				}
+				for k, desc := range model {
+					if all[k] != desc {
+						t.Fatalf("seed %d step %d: %v: table %p, model %p", seed, step, k, all[k], desc)
+					}
+				}
+				// The walk SetDone and move handling take.
+				if fd := tab.file(fileKey{k.fs, k.ino}); fd != nil {
+					var walk []itemKey
+					for _, desc := range fd.descs {
+						if desc != nil {
+							walk = append(walk, desc.key)
+						}
+					}
+					if want := fileKeys(model, k.fs, k.ino); fmt.Sprint(walk) != fmt.Sprint(want) {
+						t.Fatalf("seed %d step %d: file walk %v, model %v", seed, step, walk, want)
+					}
+				}
+			}
+		}
+	})
+
+	t.Run("sessions", func(t *testing.T) {
+		for seed := int64(1); seed <= 4; seed++ {
+			runSessionModel(t, seed, 3000)
+		}
+	})
+
+	t.Run("SetDone frees the last descriptor mid-loop", func(t *testing.T) {
+		// Descriptors kept alive by a state session and orphaned when it
+		// closes are all freed by the next SetDone over their file: the
+		// loop releases the fileDescs it is walking.
+		d := New(pagecache.New(sim.New(1), pagecache.DefaultConfig(64)))
+		fs := &moveFS{outside: map[uint64]bool{}}
+		d.AttachFS(fs)
+		state, _ := d.RegisterFile(fs, 1, StExists)
+		events, _ := d.RegisterFile(fs, 1, EvtAdded)
+		for _, idx := range []uint64{300, 3, 41} {
+			d.PageEvent(pagecache.EventAdded, &pagecache.Page{Key: pagecache.PageKey{FS: 1, Ino: 7, Index: idx}})
+		}
+		drain(state)
+		drain(events)
+		if err := state.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := d.Stats().CurDescs; got != 3 {
+			t.Fatalf("CurDescs = %d before SetDone, want the 3 orphans", got)
+		}
+		events.SetDone(7)
+		if got := d.Stats().CurDescs; got != 0 || d.table.file(fileKey{1, 7}) != nil {
+			t.Errorf("CurDescs = %d after SetDone, file still indexed: %v", got, d.table.file(fileKey{1, 7}) != nil)
+		}
+		if _, err := d.table.check(&d.stats); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// runSessionModel drives three sessions with random events, fetches,
+// done-marking, renames and session turnover. After every operation the
+// table must pass check; SetDone and the move-out path are predicted
+// from the map of descriptors taken before the call, key by key in
+// index order.
+func runSessionModel(t *testing.T, seed int64, steps int) {
+	rng := rand.New(rand.NewSource(seed))
+	d := New(pagecache.New(sim.New(1), pagecache.DefaultConfig(64)))
+	d.table.poolBudget = 64
+	fs := &moveFS{outside: map[uint64]bool{}}
+	d.AttachFS(fs)
+	masks := []Mask{EventBits, StExists | StModified, EvtAdded | EvtFlushed}
+	sessions := make([]*Session, len(masks))
+	open := func(i int) {
+		var err error
+		if i == 2 {
+			sessions[i], err = d.RegisterBlock(fs, masks[i])
+		} else {
+			sessions[i], err = d.RegisterFile(fs, 1, masks[i])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range masks {
+		open(i)
+	}
+	needed := func(desc *itemDesc) bool {
+		if desc.queued != 0 {
+			return true
+		}
+		for _, s := range d.active {
+			if needsDesc(desc.flags[s.id], s.mask) {
+				return true
+			}
+		}
+		return false
+	}
+	upToDate := func(f uint8) uint8 {
+		f &^= fEventBits
+		cur := (f >> curShift) & twoStateBit
+		return f&^(twoStateBit<<repShift) | cur<<repShift
+	}
+	buf := make([]Item, 8)
+	for step := 0; step < steps; step++ {
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("seed %d step %d: %s", seed, step, fmt.Sprintf(format, args...))
+		}
+		before, err := d.table.check(&d.stats)
+		if err != nil {
+			fail("%v", err)
+		}
+		ino := uint64(2 + rng.Intn(5))
+		s := sessions[rng.Intn(2)] // a file session
+		switch op := rng.Intn(16); {
+		case op < 8:
+			ev := pagecache.EventType(rng.Intn(4))
+			pg := pagecache.Page{Key: pagecache.PageKey{FS: 1, Ino: ino, Index: sparseIdx(rng)}, Dirty: ev == pagecache.EventDirtied}
+			d.PageEvent(ev, &pg)
+		case op < 11:
+			sessions[rng.Intn(len(sessions))].FetchInto(buf[:1+rng.Intn(len(buf))])
+		case op == 11:
+			s.UnsetDone(ino)
+		case op == 12:
+			i := rng.Intn(len(sessions))
+			if err := sessions[i].Close(); err != nil {
+				fail("%v", err)
+			}
+			open(i)
+		case op == 13:
+			// Move in (a no-op unless the file was outside).
+			delete(fs.outside, ino)
+			d.FileMoved(1, ino, false, 99, 1)
+		case op == 14:
+			// Move out: every descriptor of the file not yet queued for a
+			// session tracking it joins the queue, in index order.
+			fs.outside[ino] = true
+			type tail struct {
+				s    *Session
+				from int
+				want []itemKey
+			}
+			var tails []tail
+			for _, fsess := range sessions[:2] {
+				tl := tail{s: fsess, from: len(fsess.queue)}
+				if fsess.relevant.Test(ino) {
+					for _, k := range fileKeys(before, 1, ino) {
+						desc := before[k]
+						f := desc.flags[fsess.id]&^(fCurExists|fCurModif) | uint8(fsess.mask)&uint8(EvtRemoved)
+						if desc.queued&(1<<uint(fsess.id)) == 0 && pendingFor(f, fsess.mask) {
+							tl.want = append(tl.want, k)
+						}
+					}
+				}
+				tails = append(tails, tl)
+			}
+			d.FileMoved(1, ino, false, 1, 99)
+			for _, tl := range tails {
+				var got []itemKey
+				for _, desc := range tl.s.queue[tl.from:] {
+					got = append(got, desc.key)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(tl.want) {
+					fail("move-out of %d queued %v for session %d, want %v", ino, got, tl.s.id, tl.want)
+				}
+			}
+		default:
+			// SetDone: each descriptor of the file is brought up to date
+			// for the session, and freed if that leaves nobody needing it.
+			wasDone := s.CheckDone(ino)
+			frees := d.stats.DescFrees
+			s.SetDone(ino)
+			if wasDone {
+				break
+			}
+			freed := int64(0)
+			for _, k := range fileKeys(before, 1, ino) {
+				desc := before[k]
+				want := upToDate(desc.flags[s.id])
+				// A freed descriptor is zeroed, so key and flags tell.
+				if got := d.table.get(k); got != nil {
+					if got != desc || got.flags[s.id] != want {
+						fail("SetDone(%d): %v has flags %08b, want %08b", ino, k, got.flags[s.id], want)
+					}
+					if !needed(got) {
+						fail("SetDone(%d): %v is needed by nobody and was kept", ino, k)
+					}
+				} else {
+					freed++
+				}
+			}
+			if d.stats.DescFrees-frees != freed {
+				fail("SetDone(%d): DescFrees moved by %d, %d of the file's descriptors are gone", ino, d.stats.DescFrees-frees, freed)
+			}
+		}
+	}
+	if _, err := d.table.check(&d.stats); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+}
+
+// TestIndexMemoryBound is the page cache's test of the same name, for
+// the descriptor table under a block session that keeps a descriptor per
+// cached page: single pages read at random places of many large files
+// through a small cache, then everything removed. At every step the
+// live fileDescs hold at most twice (slice growth rounds up) the size of
+// their files, and the pool stays within its budget.
+func TestIndexMemoryBound(t *testing.T) {
+	const (
+		capacity  = 1024
+		files     = 4096
+		filePages = 4096
+	)
+	e := sim.New(1)
+	c := pagecache.New(e, pagecache.DefaultConfig(capacity))
+	d := New(c)
+	fs := &moveFS{}
+	d.AttachFS(fs)
+	sess, err := d.RegisterBlock(fs, StExists)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]Item, 256)
+	rng := rand.New(rand.NewSource(1))
+	maxPooled := 0
+	check := func(step int) {
+		live, nfiles := 0, 0
+		for _, fd := range d.table.byFile.vals {
+			if fd != nil {
+				live += cap(fd.descs)
+				nfiles++
+			}
+		}
+		pooled := 0
+		for _, fd := range d.table.fdFree {
+			pooled += cap(fd.descs)
+		}
+		maxPooled = max(maxPooled, pooled)
+		if live > 2*nfiles*filePages || pooled > d.table.poolBudget {
+			t.Fatalf("step %d: %d files hold %d descriptor slots (bound %d), the pool %d (budget %d)",
+				step, nfiles, live, 2*nfiles*filePages, pooled, d.table.poolBudget)
+		}
+	}
+	e.Go("test", func(p *sim.Proc) {
+		defer e.Stop()
+		for step := 0; step < 20*capacity; step++ {
+			k := pagecache.PageKey{FS: 1, Ino: uint64(1 + rng.Intn(files)), Index: uint64(rng.Intn(filePages))}
+			if _, ok := c.Touch(k); !ok {
+				c.Insert(p, k, 1)
+			}
+			if step%64 == 0 {
+				for sess.FetchInto(buf) == len(buf) {
+				}
+			}
+			check(step)
+		}
+		if maxPooled == 0 {
+			t.Error("the pool never held a fileDescs: the bound was not exercised")
+		}
+		for ino := uint64(1); ino <= files; ino++ {
+			c.RemoveFile(1, ino)
+			for sess.FetchInto(buf) == len(buf) {
+			}
+			check(-int(ino))
+		}
+		if got := d.Stats().CurDescs; got != 0 {
+			t.Errorf("CurDescs = %d after everything was removed and fetched", got)
+		}
+		if _, err := d.table.check(&d.stats); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -146,6 +146,8 @@ func New(cache *pagecache.Cache) *Duet {
 	d := &Duet{
 		cache: cache,
 		fses:  make(map[pagecache.FSID]FSAdapter),
+		// The page cache's rule for its own pool of emptied indexes.
+		table: descTable{poolBudget: 4 * cache.Config().CapacityPages},
 	}
 	cache.AddHook(d)
 	return d
@@ -158,27 +160,69 @@ func (d *Duet) AttachFS(a FSAdapter) { d.fses[a.FSID()] = a }
 // Stats returns live statistics.
 func (d *Duet) Stats() *Stats { return &d.stats }
 
-// table holds the merged item descriptors; descByFile indexes them per
-// file for done-marking and move handling. Freed descriptors are
-// recycled through a free list, so the event hot path stops allocating
-// once the table has reached its high-water mark.
-type descTable struct {
-	byKey    descTab
-	byFile   fdescTab
-	freeList *itemDesc
-	// freeMaps recycles emptied per-file index maps: a file whose last
-	// descriptor is freed would otherwise force a map allocation on its
-	// next event. Bounded so a burst of distinct files cannot pin memory.
-	freeMaps []map[uint64]*itemDesc
+// fileDescs holds one file's descriptors, the same shape as the page
+// cache's per-file index: descs[idx] is the descriptor of page idx. Slice
+// order is index order, which is the order done-marking and move
+// handling process a file in.
+type fileDescs struct {
+	key   fileKey
+	descs []*itemDesc // indexed by page index; nil = no descriptor
+	n     int         // descriptors held
 }
 
-const maxFreeMaps = 32
+// descTable holds the merged item descriptors: byFile finds the file,
+// its slice finds the descriptor. Events arrive file by file, so the
+// file found last is tried before the table. Freed descriptors and
+// emptied fileDescs are recycled, so the event hot path stops allocating
+// once the table has reached its high-water mark.
+type descTable struct {
+	byFile   fdescTab
+	last     *fileDescs // the fileDescs file() returned last; nil once released
+	freeList *itemDesc
+	// fdFree is the stack of emptied fileDescs, kept with their slices
+	// (length 0, capacity kept). As in the page cache, the slice capacity
+	// it holds (fdFreeCap) is bounded by poolBudget, and past that the
+	// ones deepest in the stack go to the GC.
+	fdFree     []*fileDescs
+	fdFreeCap  int
+	poolBudget int
+}
 
-func (t *descTable) get(k itemKey) *itemDesc { return t.byKey.get(k) }
+func (t *descTable) file(fk fileKey) *fileDescs {
+	if fd := t.last; fd != nil && fd.key == fk {
+		return fd
+	}
+	fd := t.byFile.get(fk)
+	if fd != nil {
+		t.last = fd
+	}
+	return fd
+}
+
+func (t *descTable) get(k itemKey) *itemDesc {
+	fd := t.file(fileKey{k.fs, k.ino})
+	if fd == nil || k.idx >= uint64(len(fd.descs)) {
+		return nil
+	}
+	return fd.descs[k.idx]
+}
 
 func (t *descTable) getOrCreate(k itemKey, st *Stats) *itemDesc {
-	if desc := t.byKey.get(k); desc != nil {
-		return desc
+	fk := fileKey{k.fs, k.ino}
+	fd := t.file(fk)
+	if fd == nil {
+		if n := len(t.fdFree) - 1; n >= 0 {
+			fd, t.fdFree[n] = t.fdFree[n], nil
+			t.fdFree = t.fdFree[:n]
+			t.fdFreeCap -= cap(fd.descs)
+		} else {
+			fd = &fileDescs{}
+		}
+		fd.key = fk
+		t.byFile.put(fk, fd)
+		t.last = fd
+	} else if k.idx < uint64(len(fd.descs)) && fd.descs[k.idx] != nil {
+		return fd.descs[k.idx]
 	}
 	desc := t.freeList
 	if desc != nil {
@@ -188,20 +232,15 @@ func (t *descTable) getOrCreate(k itemKey, st *Stats) *itemDesc {
 	} else {
 		desc = &itemDesc{key: k}
 	}
-	t.byKey.put(k, desc)
-	fk := fileKey{k.fs, k.ino}
-	m := t.byFile.get(fk)
-	if m == nil {
-		if n := len(t.freeMaps); n > 0 {
-			m = t.freeMaps[n-1]
-			t.freeMaps[n-1] = nil
-			t.freeMaps = t.freeMaps[:n-1]
-		} else {
-			m = make(map[uint64]*itemDesc)
-		}
-		t.byFile.put(fk, m)
+	// Entries past the length are nil up to the capacity: a slot is
+	// cleared when its descriptor is freed.
+	if need := int(k.idx) + 1; need > cap(fd.descs) {
+		fd.descs = append(fd.descs[:cap(fd.descs)], make([]*itemDesc, need-cap(fd.descs))...)
+	} else if need > len(fd.descs) {
+		fd.descs = fd.descs[:need]
 	}
-	m[k.idx] = desc
+	fd.descs[k.idx] = desc
+	fd.n++
 	st.DescAllocs++
 	st.CurDescs++
 	if st.CurDescs > st.PeakDescs {
@@ -211,15 +250,19 @@ func (t *descTable) getOrCreate(k itemKey, st *Stats) *itemDesc {
 }
 
 func (t *descTable) free(desc *itemDesc, st *Stats) {
-	t.byKey.del(desc.key)
-	fk := fileKey{desc.key.fs, desc.key.ino}
-	if m := t.byFile.get(fk); m != nil {
-		delete(m, desc.key.idx)
-		if len(m) == 0 {
-			t.byFile.del(fk)
-			if len(t.freeMaps) < maxFreeMaps {
-				t.freeMaps = append(t.freeMaps, m)
-			}
+	fd := t.file(fileKey{desc.key.fs, desc.key.ino})
+	fd.descs[desc.key.idx] = nil
+	fd.n--
+	if fd.n == 0 {
+		t.byFile.del(fd.key)
+		t.last = nil
+		fd.descs = fd.descs[:0]
+		t.fdFree = append(t.fdFree, fd)
+		t.fdFreeCap += cap(fd.descs)
+		for t.fdFreeCap > t.poolBudget {
+			t.fdFreeCap -= cap(t.fdFree[0].descs)
+			t.fdFree[0] = nil
+			t.fdFree = t.fdFree[1:]
 		}
 	}
 	st.DescFrees++
@@ -316,7 +359,7 @@ var _ pagecache.EvictionAdvisor = (*Duet)(nil)
 // MemBytes estimates Duet's memory footprint: descriptors plus session
 // bitmaps (the quantities §6.4 reports).
 func (d *Duet) MemBytes() int {
-	const descSize = 16 /* key */ + MaxSessions + 16 /* map node overhead */
+	const descSize = 16 /* key */ + MaxSessions + 16 /* index overhead */
 	n := int(d.stats.CurDescs) * descSize
 	for _, s := range d.active {
 		n += s.done.MemBytes()

@@ -1,11 +1,11 @@
 package core
 
-// Flat open-addressed hash tables for the descriptor table's two
-// indexes, mirroring internal/pagecache/flattab.go: the runtime map's
-// generic struct-key hashing showed up at the top of full-run CPU
-// profiles, and every page event performs at least one descriptor
-// lookup. Linear probing with backward-shift deletion; a slot is
-// occupied iff its value is non-nil.
+// A flat open-addressed hash table finds a file's descriptors,
+// mirroring internal/pagecache/flattab.go: the runtime map's generic
+// struct-key hashing showed up at the top of full-run CPU profiles, and
+// every page event performs at least one descriptor lookup. Linear
+// probing with backward-shift deletion; a slot is occupied iff its value
+// is non-nil.
 
 const descTabMinSize = 256
 
@@ -19,114 +19,18 @@ func descHashMix(h uint64) uint64 {
 	return h
 }
 
-func (k itemKey) hash() uint64 {
-	return descHashMix(uint64(k.fs)*0x9e3779b97f4a7c15 ^ k.ino*0xbf58476d1ce4e5b9 ^ k.idx)
-}
-
 func (k fileKey) hash() uint64 {
 	return descHashMix(uint64(k.fs)*0x9e3779b97f4a7c15 ^ k.ino)
 }
 
-// descTab maps itemKey -> *itemDesc.
-type descTab struct {
-	keys []itemKey
-	vals []*itemDesc
-	n    int
-}
-
-func (t *descTab) get(k itemKey) *itemDesc {
-	if t.n == 0 {
-		return nil
-	}
-	mask := uint64(len(t.vals) - 1)
-	for i := k.hash() & mask; ; i = (i + 1) & mask {
-		v := t.vals[i]
-		if v == nil {
-			return nil
-		}
-		if t.keys[i] == k {
-			return v
-		}
-	}
-}
-
-func (t *descTab) put(k itemKey, v *itemDesc) {
-	if t.n >= len(t.vals)-len(t.vals)/4 {
-		t.grow()
-	}
-	mask := uint64(len(t.vals) - 1)
-	for i := k.hash() & mask; ; i = (i + 1) & mask {
-		if t.vals[i] == nil {
-			t.keys[i], t.vals[i] = k, v
-			t.n++
-			return
-		}
-		if t.keys[i] == k {
-			t.vals[i] = v
-			return
-		}
-	}
-}
-
-func (t *descTab) del(k itemKey) {
-	if t.n == 0 {
-		return
-	}
-	mask := uint64(len(t.vals) - 1)
-	i := k.hash() & mask
-	for {
-		if t.vals[i] == nil {
-			return
-		}
-		if t.keys[i] == k {
-			break
-		}
-		i = (i + 1) & mask
-	}
-	j := i
-	for {
-		t.keys[i] = itemKey{}
-		t.vals[i] = nil
-		for {
-			j = (j + 1) & mask
-			if t.vals[j] == nil {
-				t.n--
-				return
-			}
-			h := t.keys[j].hash() & mask
-			if (j-h)&mask >= (j-i)&mask {
-				break
-			}
-		}
-		t.keys[i], t.vals[i] = t.keys[j], t.vals[j]
-		i = j
-	}
-}
-
-func (t *descTab) grow() {
-	size := descTabMinSize
-	if len(t.vals) > 0 {
-		size = len(t.vals) * 2
-	}
-	oldKeys, oldVals := t.keys, t.vals
-	t.keys = make([]itemKey, size)
-	t.vals = make([]*itemDesc, size)
-	t.n = 0
-	for i, v := range oldVals {
-		if v != nil {
-			t.put(oldKeys[i], v)
-		}
-	}
-}
-
-// fdescTab maps fileKey -> the file's per-index descriptor map.
+// fdescTab maps fileKey -> *fileDescs.
 type fdescTab struct {
 	keys []fileKey
-	vals []map[uint64]*itemDesc
+	vals []*fileDescs
 	n    int
 }
 
-func (t *fdescTab) get(k fileKey) map[uint64]*itemDesc {
+func (t *fdescTab) get(k fileKey) *fileDescs {
 	if t.n == 0 {
 		return nil
 	}
@@ -142,7 +46,7 @@ func (t *fdescTab) get(k fileKey) map[uint64]*itemDesc {
 	}
 }
 
-func (t *fdescTab) put(k fileKey, v map[uint64]*itemDesc) {
+func (t *fdescTab) put(k fileKey, v *fileDescs) {
 	if t.n >= len(t.vals)-len(t.vals)/4 {
 		t.grow()
 	}
@@ -202,7 +106,7 @@ func (t *fdescTab) grow() {
 	}
 	oldKeys, oldVals := t.keys, t.vals
 	t.keys = make([]fileKey, size)
-	t.vals = make([]map[uint64]*itemDesc, size)
+	t.vals = make([]*fileDescs, size)
 	t.n = 0
 	for i, v := range oldVals {
 		if v != nil {

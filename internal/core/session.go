@@ -478,14 +478,14 @@ func (s *Session) SetDone(id uint64) {
 	}
 	if s.kind == fileTask {
 		// Eagerly mark the file's descriptors up-to-date.
-		if m := s.d.table.byFile.get(fileKey{s.fsid, id}); m != nil {
-			idxs := make([]uint64, 0, len(m))
-			for idx := range m {
-				idxs = append(idxs, idx)
-			}
-			sortUint64(idxs)
-			for _, idx := range idxs {
-				desc := m[idx]
+		if fd := s.d.table.file(fileKey{s.fsid, id}); fd != nil {
+			// maybeFree can free the file's last descriptor and release
+			// fd; the range holds the slice header it started with, whose
+			// remaining entries are nil by then.
+			for _, desc := range fd.descs {
+				if desc == nil {
+					continue
+				}
 				f := desc.flags[s.id]
 				f &= ^uint8(fEventBits)
 				cur := (f >> curShift) & twoStateBit
@@ -552,14 +552,11 @@ func (s *Session) handleMove(ino uint64, isDir bool, oldParent, newParent uint64
 	case wasTracked && !nowIn:
 		// Moved out: emit Removed/¬Exists for all the file's pages and
 		// stop tracking it (§4.1).
-		if m := s.d.table.byFile.get(fileKey{s.fsid, ino}); m != nil {
-			idxs := make([]uint64, 0, len(m))
-			for idx := range m {
-				idxs = append(idxs, idx)
-			}
-			sortUint64(idxs)
-			for _, idx := range idxs {
-				desc := m[idx]
+		if fd := s.d.table.file(fileKey{s.fsid, ino}); fd != nil {
+			for _, desc := range fd.descs { // enqueue can free, as in SetDone
+				if desc == nil {
+					continue
+				}
 				f := desc.flags[s.id]
 				f &^= fCurExists | fCurModif
 				f |= uint8(s.mask) & uint8(EvtRemoved)
@@ -602,13 +599,5 @@ func (s *Session) resetBitmapsForRename() {
 	}
 	for _, ino := range clearDone {
 		s.done.Unset(ino)
-	}
-}
-
-func sortUint64(v []uint64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
 	}
 }

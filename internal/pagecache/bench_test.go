@@ -63,19 +63,90 @@ func cycle(p *sim.Proc, c *Cache, ino uint64) {
 
 // BenchmarkInsertSequential measures streaming inserts into a full
 // cache: every insert evicts the coldest clean page and recycles its
-// struct, the common case for scan-heavy workloads.
+// struct, the common case for scan-heavy workloads. The stream wraps at
+// the size of the largest file any workload builds (the webserver log,
+// workload.logRotatePages): a file's index is as long as the file, so an
+// endless file would measure slice growth, which no workload pays.
 func BenchmarkInsertSequential(b *testing.B) {
+	const filePages = 4096
 	c, e := benchCache(1024)
 	run(b, e, func(p *sim.Proc) {
-		for i := 0; i < 2048; i++ {
+		for i := 0; i < filePages; i++ {
 			c.Insert(p, PageKey{FS: 1, Ino: 1, Index: uint64(i)}, 1)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c.Insert(p, PageKey{FS: 1, Ino: 1, Index: uint64(2048 + i)}, 1)
+			c.Insert(p, PageKey{FS: 1, Ino: 1, Index: uint64(i % filePages)}, 1)
 		}
 	})
+}
+
+// BenchmarkReadMissChurn is the read path of a scan over a file set far
+// larger than the cache, page by page and file by file (the hdd-maint
+// shape): look the page up, miss, check again as the filesystem does
+// once its device read returns, insert, evict. Unlike the benchmarks
+// above, cache and file set are as large as a workload's, so that the
+// indexes do not sit in the CPU cache.
+func BenchmarkReadMissChurn(b *testing.B) {
+	const (
+		capacity  = 32768
+		files     = 6144
+		filePages = 128
+	)
+	c, e := benchCache(capacity)
+	run(b, e, func(p *sim.Proc) {
+		n := uint64(0)
+		read := func() {
+			k := PageKey{FS: 1, Ino: 1 + n/filePages%files, Index: n % filePages}
+			n++
+			if _, ok := c.Touch(k); !ok && !c.Contains(k) {
+				c.Insert(p, k, 1)
+			}
+		}
+		for i := 0; i < 2*capacity; i++ {
+			read()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			read()
+		}
+	})
+}
+
+// BenchmarkFlushExpired measures one flusher round over a cache a fifth
+// dirty, the background-ratio threshold, with the dirty pages in one
+// large file, in 64, or spread thinly over 1024. One op dirties the
+// pages again and flushes them all.
+func BenchmarkFlushExpired(b *testing.B) {
+	const capacity = 8192
+	for _, files := range []int{1, 64, 1024} {
+		b.Run("files="+strconv.Itoa(files), func(b *testing.B) {
+			c, e := benchCache(capacity)
+			run(b, e, func(p *sim.Proc) {
+				var dirty []*Page
+				for i := 0; i < capacity; i++ {
+					pg := c.Insert(p, PageKey{FS: 1, Ino: uint64(1 + i%files), Index: uint64(i / files)}, 1)
+					if i%5 == 0 {
+						dirty = append(dirty, pg)
+					}
+				}
+				round := func() {
+					for _, pg := range dirty {
+						c.MarkDirty(pg, pg.Version+1)
+					}
+					c.Sync(p)
+				}
+				round()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					round()
+				}
+			})
+		})
+	}
 }
 
 // BenchmarkLookupHit measures the promote-on-hit path.
@@ -209,17 +280,20 @@ func parkDirtyTail(p *sim.Proc, c *Cache, parked int) uint64 {
 // the tail's length: the clean-victim cursor stays above the parked
 // pages instead of walking past them on every eviction. (A tail longer
 // than the reclaim window is written back by the first inserts, file by
-// file, after which that case is the empty-tail one.)
+// file, after which that case is the empty-tail one.) The churn wraps at
+// twice the cache size, like BenchmarkInsertSequential and for its
+// reason: by then the low indexes are long evicted.
 func BenchmarkEvictDirtyTail(b *testing.B) {
+	const capacity = 8192
 	for _, parked := range []int{0, 64, 127, 1000} {
 		b.Run(strconv.Itoa(parked), func(b *testing.B) {
-			c, e := benchCache(8192)
+			c, e := benchCache(capacity)
 			run(b, e, func(p *sim.Proc) {
 				next := parkDirtyTail(p, c, parked)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					c.Insert(p, PageKey{FS: 1, Ino: 1, Index: next}, 1)
+					c.Insert(p, PageKey{FS: 1, Ino: 1, Index: next % (2 * capacity)}, 1)
 					next++
 				}
 			})

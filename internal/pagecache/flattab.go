@@ -1,10 +1,9 @@
 package pagecache
 
-// Flat open-addressed hash tables for the cache's two hottest lookups:
-// the page table (hit by every Lookup/Contains/Insert and every
-// eviction) and the per-file list index. The runtime map hashes these
-// multi-word struct keys through the generic type-hash path, which
-// dominated CPU profiles of full grid runs; these tables use a
+// A flat open-addressed hash table finds a file's index (a slice indexed
+// by page index finds the page from there, see fileIndex). The runtime
+// map hashes a multi-word struct key through the generic type-hash path,
+// which dominated CPU profiles of full grid runs; this table uses a
 // three-multiply inline hash and linear probing with backward-shift
 // deletion instead. A slot is occupied iff its value is non-nil (all
 // values stored here are non-nil by construction), so no separate
@@ -14,7 +13,7 @@ const tabMinSize = 256
 
 // hashMix is the 64-bit avalanche finalizer from MurmurHash3: after the
 // key fields are combined with distinct odd multipliers, it spreads the
-// result so sequential inos/indexes don't cluster in the probe space.
+// result so sequential inos don't cluster in the probe space.
 func hashMix(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
@@ -24,128 +23,20 @@ func hashMix(h uint64) uint64 {
 	return h
 }
 
-func (k PageKey) hash() uint64 {
-	return hashMix(uint64(k.FS)*0x9e3779b97f4a7c15 ^ k.Ino*0xbf58476d1ce4e5b9 ^ k.Index)
-}
-
 func (k FileKey) hash() uint64 {
 	return hashMix(uint64(k.FS)*0x9e3779b97f4a7c15 ^ k.Ino)
 }
 
-// pageTab maps PageKey -> *Page.
-type pageTab struct {
-	keys []PageKey
-	vals []*Page
-	n    int
-}
-
-func (t *pageTab) len() int { return t.n }
-
-func (t *pageTab) get(k PageKey) (*Page, bool) {
-	if t.n == 0 {
-		return nil, false
-	}
-	mask := uint64(len(t.vals) - 1)
-	for i := k.hash() & mask; ; i = (i + 1) & mask {
-		v := t.vals[i]
-		if v == nil {
-			return nil, false
-		}
-		if t.keys[i] == k {
-			return v, true
-		}
-	}
-}
-
-func (t *pageTab) put(k PageKey, v *Page) {
-	if t.n >= len(t.vals)-len(t.vals)/4 {
-		t.grow()
-	}
-	mask := uint64(len(t.vals) - 1)
-	for i := k.hash() & mask; ; i = (i + 1) & mask {
-		if t.vals[i] == nil {
-			t.keys[i], t.vals[i] = k, v
-			t.n++
-			return
-		}
-		if t.keys[i] == k {
-			t.vals[i] = v
-			return
-		}
-	}
-}
-
-// delPage removes pg's entry, unless the table no longer maps pg's key
-// to pg: reclaim's pinned candidate can outlive its entry, and the key
-// may have been re-inserted since.
-func (t *pageTab) delPage(pg *Page) {
-	if t.n == 0 {
-		return
-	}
-	k := pg.Key
-	mask := uint64(len(t.vals) - 1)
-	i := k.hash() & mask
-	for {
-		if t.vals[i] == nil {
-			return
-		}
-		if t.keys[i] == k {
-			if t.vals[i] != pg {
-				return
-			}
-			break
-		}
-		i = (i + 1) & mask
-	}
-	// Backward-shift deletion keeps probe chains intact without
-	// tombstones: each later entry of the cluster is pulled into the
-	// hole if its home slot lies at or before it.
-	j := i
-	for {
-		t.keys[i] = PageKey{}
-		t.vals[i] = nil
-		for {
-			j = (j + 1) & mask
-			if t.vals[j] == nil {
-				t.n--
-				return
-			}
-			h := t.keys[j].hash() & mask
-			if (j-h)&mask >= (j-i)&mask {
-				break
-			}
-		}
-		t.keys[i], t.vals[i] = t.keys[j], t.vals[j]
-		i = j
-	}
-}
-
-func (t *pageTab) grow() {
-	size := tabMinSize
-	if len(t.vals) > 0 {
-		size = len(t.vals) * 2
-	}
-	oldKeys, oldVals := t.keys, t.vals
-	t.keys = make([]PageKey, size)
-	t.vals = make([]*Page, size)
-	t.n = 0
-	for i, v := range oldVals {
-		if v != nil {
-			t.put(oldKeys[i], v)
-		}
-	}
-}
-
-// fileTab maps FileKey -> *fileList.
+// fileTab maps FileKey -> *fileIndex.
 type fileTab struct {
 	keys []FileKey
-	vals []*fileList
+	vals []*fileIndex
 	n    int
 }
 
 func (t *fileTab) len() int { return t.n }
 
-func (t *fileTab) get(k FileKey) *fileList {
+func (t *fileTab) get(k FileKey) *fileIndex {
 	if t.n == 0 {
 		return nil
 	}
@@ -161,7 +52,7 @@ func (t *fileTab) get(k FileKey) *fileList {
 	}
 }
 
-func (t *fileTab) put(k FileKey, v *fileList) {
+func (t *fileTab) put(k FileKey, v *fileIndex) {
 	if t.n >= len(t.vals)-len(t.vals)/4 {
 		t.grow()
 	}
@@ -221,7 +112,7 @@ func (t *fileTab) grow() {
 	}
 	oldKeys, oldVals := t.keys, t.vals
 	t.keys = make([]FileKey, size)
-	t.vals = make([]*fileList, size)
+	t.vals = make([]*fileIndex, size)
 	t.n = 0
 	for i, v := range oldVals {
 		if v != nil {

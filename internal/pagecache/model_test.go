@@ -270,6 +270,86 @@ func (c *Cache) checkVictimCursor() error {
 	return nil
 }
 
+// checkIndex verifies the per-file indexes against the LRU, which is the
+// independent record of what is resident: every page is in its slot of
+// its file's index, the per-file and global counts add up, the dirty
+// tree holds exactly the files with pages to write back, and the memo
+// points at a live index. It costs what the LRU walk costs; checkSlots
+// is the part that has to look at every slot.
+func (c *Cache) checkIndex() error {
+	type count struct{ n, dirty int }
+	files := map[*fileIndex]count{}
+	pages, dirtyN, dirtyFiles := 0, 0, 0
+	for pg := c.lruTail; pg != nil; pg = pg.lruPrev {
+		f := pg.file
+		if f == nil || !pg.resident || f.key != (FileKey{pg.Key.FS, pg.Key.Ino}) ||
+			pg.Key.Index >= uint64(len(f.pages)) || f.pages[pg.Key.Index] != pg {
+			return fmt.Errorf("%v is on the LRU but not in its slot of its file's index", pg.Key)
+		}
+		ct := files[f]
+		ct.n++
+		if pg.Dirty && !pg.quarantined {
+			ct.dirty++
+		}
+		files[f] = ct
+		pages++
+	}
+	for f, ct := range files {
+		if c.files.get(f.key) != f {
+			return fmt.Errorf("file %v: the table does not map its key to its index", f.key)
+		}
+		if f.n != ct.n || f.dirty != ct.dirty {
+			return fmt.Errorf("file %v: index counts (n %d, dirty %d), its pages count (%d, %d)", f.key, f.n, f.dirty, ct.n, ct.dirty)
+		}
+		if _, in := c.dirty.Get(f.key); in != (ct.dirty > 0) {
+			return fmt.Errorf("file %v: %d pages to write back, in the dirty tree: %v", f.key, ct.dirty, in)
+		}
+		if ct.dirty > 0 {
+			dirtyFiles++
+		}
+		dirtyN += ct.dirty
+	}
+	if pages != c.Len() || len(files) != c.files.len() || dirtyN != c.DirtyLen() || dirtyFiles != c.dirty.Len() {
+		return fmt.Errorf("LRU holds %d pages of %d files, %d to write back in %d files; Len() = %d, the table holds %d files, DirtyLen() = %d, the dirty tree %d files",
+			pages, len(files), dirtyN, dirtyFiles, c.Len(), c.files.len(), c.DirtyLen(), c.dirty.Len())
+	}
+	if f := c.lastFile; f != nil && c.files.get(f.key) != f {
+		return fmt.Errorf("memo points at a released index (last key %v)", f.key)
+	}
+	return nil
+}
+
+// checkSlots looks at every slot up to the capacity of every index, live
+// and pooled: a live index holds its count of pages and no more (so,
+// after checkIndex, nothing stale and nothing past its length), a pooled
+// one nothing at all, and the pool is within its bound.
+func (c *Cache) checkSlots() error {
+	occupied := func(f *fileIndex) (n int) {
+		for _, pg := range f.pages[:cap(f.pages)] {
+			if pg != nil {
+				n++
+			}
+		}
+		return n
+	}
+	for _, f := range c.files.vals {
+		if f != nil && occupied(f) != f.n {
+			return fmt.Errorf("file %v: %d occupied slots for %d pages (len %d, cap %d)", f.key, occupied(f), f.n, len(f.pages), cap(f.pages))
+		}
+	}
+	pooled := 0
+	for _, f := range c.flFree {
+		if f.n != 0 || f.dirty != 0 || len(f.pages) != 0 || occupied(f) != 0 {
+			return fmt.Errorf("pooled index (last key %v) is not empty: n %d, dirty %d, len %d, %d occupied slots", f.key, f.n, f.dirty, len(f.pages), occupied(f))
+		}
+		pooled += cap(f.pages)
+	}
+	if pooled != c.flFreeCap || pooled > poolEntriesPerPage*c.cfg.CapacityPages {
+		return fmt.Errorf("pool holds %d entries, accounted %d, bound %d", pooled, c.flFreeCap, poolEntriesPerPage*c.cfg.CapacityPages)
+	}
+	return nil
+}
+
 // runDifferential drives the cache and the model with the op stream
 // encoded in data (three bytes per op) and fails on the first divergence.
 // parked dirty pages are placed at the LRU tail first.
@@ -290,6 +370,16 @@ func runDifferential(t testing.TB, capacity, parked int, data []byte) {
 		if err := c.checkVictimCursor(); err != nil {
 			t.Fatalf("step %d (%s): %v", step, op, err)
 		}
+		if err := c.checkIndex(); err != nil {
+			t.Fatalf("step %d (%s): %v", step, op, err)
+		}
+		// The sparse files make a full slot scan cost far more than the
+		// step it checks; a stale slot stays stale until it is looked at.
+		if step%32 == 0 || len(data) < 6 {
+			if err := c.checkSlots(); err != nil {
+				t.Fatalf("step %d (%s, or up to 31 steps earlier): %v", step, op, err)
+			}
+		}
 		if !reflect.DeepEqual(hook.events, m.events) {
 			t.Fatalf("step %d (%s): events diverge:\n cache %v\n model %v", step, op, tail(hook.events), tail(m.events))
 		}
@@ -307,8 +397,11 @@ func runDifferential(t testing.TB, capacity, parked int, data []byte) {
 			if r := m.lru[i]; pg.Key != r.key || pg.Version != r.ver || pg.Dirty != r.dirty || pg.quarantined != r.quar {
 				t.Fatalf("step %d (%s): LRU position %d: cache %+v, model %+v", step, op, i, *pg, *r)
 			}
+			if pg.file == nil || pg.Key.Index >= uint64(len(pg.file.pages)) || pg.file.pages[pg.Key.Index] != pg {
+				t.Fatalf("step %d (%s): %v is in the LRU but not in its slot of its file's index", step, op, pg.Key)
+			}
 			if cur, ok := c.Peek(pg.Key); !ok || cur != pg {
-				t.Fatalf("step %d (%s): %v is in the LRU but not in the table", step, op, pg.Key)
+				t.Fatalf("step %d (%s): %v is in the LRU but Peek does not find it", step, op, pg.Key)
 			}
 		}
 		if i != len(m.lru) || c.Len() != i {
@@ -335,6 +428,14 @@ func runDifferential(t testing.TB, capacity, parked int, data []byte) {
 			pg, _ := c.Peek(r.key)
 			c.MarkDirty(pg, ver)
 			m.markDirty(r, ver)
+		}
+		syncFile := func(ino uint64) {
+			_ = c.SyncFile(p, 1, ino)
+			m.syncFile(ino)
+		}
+		syncAll := func() {
+			c.Sync(p)
+			m.syncAll()
 		}
 		for i := 0; i < parked; i++ {
 			read(key(100+uint64(i/16), uint64(i)), 1) // 16 to a file, so one SyncFile frees few
@@ -383,12 +484,10 @@ func runDifferential(t testing.TB, capacity, parked int, data []byte) {
 				}
 			case op == 22 && x < 32:
 				name = "sync"
-				c.Sync(p)
-				m.syncAll()
+				syncAll()
 			case op <= 23:
 				name = "syncfile"
-				_ = c.SyncFile(p, 1, at.key.Ino)
-				m.syncFile(at.key.Ino)
+				syncFile(at.key.Ino)
 			case op == 24:
 				name = "remove"
 				c.Remove(at.key)
@@ -425,8 +524,90 @@ func runDifferential(t testing.TB, capacity, parked int, data []byte) {
 				adv := []EvictionAdvisor{nil, nil, keepOdd{}, keepAll{}}[x%4]
 				c.SetAdvisor(adv)
 				m.keep = adv
+			case op == 29 && x < 128:
+				name = "sparse"
+				// High index first, then low: the file's index is sized by
+				// the first and must still find the second.
+				ino := 50 + x%4
+				read(key(ino, 1024+y), ver)
+				read(key(ino, y%16), ver)
+			case op == 29:
+				name = "quarantine rounds"
+				// A page behind a permanent fault is quarantined by the
+				// first writeback that reaches it and skipped by every
+				// SyncFile and flush round after that, repaired or not,
+				// until it is requeued.
+				k := at.key
+				cbe.fault[k], m.be.fault[k] = storage.ErrWriteFault, storage.ErrWriteFault
+				dirty(at, ver)
+				syncFile(k.Ino)
+				syncAll()
+				delete(cbe.fault, k)
+				delete(m.be.fault, k)
+				syncFile(k.Ino)
+				if y%2 == 0 {
+					c.Requeue(k)
+					m.requeue(k)
+					syncAll()
+				}
+			case op == 30:
+				name = "iteratefile"
+				// Visit one file in index order while the callback removes
+				// the page it was handed: none, the odd ones, or all of
+				// them — and in the last mode, once the file is empty,
+				// inserts a page of a fresh file while the iteration is
+				// still running.
+				ino, mode := at.key.Ino, y%4
+				want := m.file(ino)
+				i := 0
+				c.IterateFile(1, ino, func(pg *Page) bool {
+					if i >= len(want) || pg.Key != want[i].key {
+						t.Fatalf("step %d (iteratefile): visit %d is %v, model file is %v", step, i, pg.Key, refKeys(want))
+					}
+					r := want[i]
+					i++
+					if mode >= 2 || mode == 1 && r.key.Index%2 == 1 {
+						c.Remove(pg.Key)
+						m.drop(r)
+					}
+					if mode == 3 && i == len(want) {
+						// Past the page just removed: where a walk that kept
+						// going over the released index would find it.
+						k := key(1000+uint64(step), r.key.Index+1+x%64)
+						c.Insert(p, k, ver)
+						m.insert(k, ver)
+					}
+					return true
+				})
+				if i != len(want) {
+					t.Fatalf("step %d (iteratefile): visited %d of %v", step, i, refKeys(want))
+				}
 			default:
-				read(churnKey(xy), ver)
+				name = "iterate"
+				// Every page in (ino, index) order; the callback may mutate
+				// the cache, here by removing the page that would be next.
+				want := append([]*refPage(nil), m.lru...)
+				sort.Slice(want, func(i, j int) bool {
+					a, b := want[i].key, want[j].key
+					return a.Ino < b.Ino || a.Ino == b.Ino && a.Index < b.Index
+				})
+				i, removed := 0, 0
+				c.Iterate(func(pg *Page) bool {
+					if i >= len(want) || pg.Key != want[i].key {
+						t.Fatalf("step %d (iterate): visit %d is %v, want %v", step, i, pg.Key, refKeys(want[min(i, len(want)):]))
+					}
+					i++
+					if x < 64 && i%3 == 0 && i < len(want) && removed < 8 {
+						c.Remove(want[i].key)
+						m.drop(want[i])
+						i++
+						removed++
+					}
+					return true
+				})
+				if i != len(want) {
+					t.Fatalf("step %d (iterate): visited %d of %d pages", step, i, len(want))
+				}
 			}
 			check(name)
 		}
@@ -434,6 +615,14 @@ func runDifferential(t testing.TB, capacity, parked int, data []byte) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func refKeys(pgs []*refPage) []PageKey {
+	out := make([]PageKey, len(pgs))
+	for i, pg := range pgs {
+		out[i] = pg.key
+	}
+	return out
 }
 
 func tail(s []string) []string {

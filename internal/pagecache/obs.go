@@ -73,7 +73,7 @@ func (c *Cache) PublishMetrics(r *obs.Registry) {
 	r.SetCounter("pagecache.quarantine_events", s.QuarantineEvents)
 	r.SetCounter("pagecache.requeued_pages", s.RequeuedPages)
 	r.SetCounter("pagecache.lost_pages", s.LostPages)
-	r.Gauge("pagecache.resident_pages").SetMax(int64(c.pages.len()))
-	r.Gauge("pagecache.dirty_pages").SetMax(int64(c.dirty.Len()))
+	r.Gauge("pagecache.resident_pages").SetMax(int64(c.n))
+	r.Gauge("pagecache.dirty_pages").SetMax(int64(c.dirtyN))
 	r.Gauge("pagecache.quarantined_pages").SetMax(int64(len(c.quar)))
 }

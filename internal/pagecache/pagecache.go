@@ -18,10 +18,12 @@
 //
 // The hot path is allocation-free in steady state: Page structs live in
 // a preallocated arena bounded by CapacityPages and are recycled through
-// a free list, the LRU and per-file indices are intrusive linked lists
-// threaded through the pages themselves, and writeback batches reuse
-// pooled buffers. A *Page handed to a Hook is only valid while the page
-// is resident — hooks must not retain it across events (see DESIGN.md).
+// a free list, the LRU is an intrusive linked list threaded through the
+// pages themselves, each file's pages sit in a slice indexed by page
+// index that is pooled when the file leaves the cache, and writeback
+// batches reuse pooled buffers. A *Page handed to a Hook is only valid
+// while the page is resident — hooks must not retain it across events
+// (see DESIGN.md).
 package pagecache
 
 import (
@@ -80,16 +82,6 @@ type PageKey struct {
 	Index uint64 // page index within the file
 }
 
-func keyLess(a, b PageKey) bool {
-	if a.FS != b.FS {
-		return a.FS < b.FS
-	}
-	if a.Ino != b.Ino {
-		return a.Ino < b.Ino
-	}
-	return a.Index < b.Index
-}
-
 // FileKey identifies a file within the machine.
 type FileKey struct {
 	FS  FSID
@@ -114,12 +106,12 @@ type Page struct {
 	Dirty   bool
 	DirtyAt sim.Time
 
-	// Intrusive links. lruPrev/lruNext thread the global LRU (front =
-	// most recently used); filePrev/fileNext thread the per-file index
-	// in ascending page-index order. fileNext doubles as the arena
-	// free-list link while the page is not resident.
-	lruPrev, lruNext   *Page
-	filePrev, fileNext *Page
+	// lruPrev/lruNext thread the global LRU (front = most recently
+	// used); lruNext doubles as the arena free-list link while the page
+	// is not resident. file is the index holding the page at
+	// file.pages[Key.Index], nil while the page is not resident.
+	lruPrev, lruNext *Page
+	file             *fileIndex
 
 	// lruStamp orders the LRU without walking it: it is drawn from a
 	// counter on every push to the front, so a page is colder than
@@ -136,7 +128,7 @@ type Page struct {
 
 	// quarantined marks a dirty page whose writeback failed permanently
 	// (storage.ErrWriteFault): it stays dirty but is withheld from the
-	// dirty tree, so the flusher stops hammering a dead destination. The
+	// writeback set, so the flusher stops hammering a dead destination. The
 	// data is preserved until Requeue (after repair/remap) or until
 	// reclaim is forced to drop it, which is counted in Stats.LostPages.
 	quarantined bool
@@ -249,13 +241,13 @@ const arenaSlabPages = 1024
 type pageArena struct {
 	slabs [][]Page
 	used  int   // pages handed out from the newest slab
-	free  *Page // recycled pages, linked through fileNext
+	free  *Page // recycled pages, linked through lruNext
 }
 
 func (a *pageArena) alloc() *Page {
 	if pg := a.free; pg != nil {
-		a.free = pg.fileNext
-		pg.fileNext = nil
+		a.free = pg.lruNext
+		pg.lruNext = nil
 		return pg
 	}
 	if len(a.slabs) == 0 || a.used == len(a.slabs[len(a.slabs)-1]) {
@@ -269,17 +261,34 @@ func (a *pageArena) alloc() *Page {
 }
 
 func (a *pageArena) release(pg *Page) {
-	*pg = Page{fileNext: a.free}
+	*pg = Page{lruNext: a.free}
 	a.free = pg
 }
 
-// fileList is the per-file page index: an intrusive doubly-linked list
-// in ascending page-index order, threaded through Page.filePrev/fileNext.
-type fileList struct {
-	head, tail *Page
-	n          int
-	nextFree   *fileList // pool link while unused
+// fileIndex is the per-file page index, and the only index there is:
+// Cache.files finds the file, pages[Key.Index] finds the page. Slice
+// order is index order, so per-file walks are range loops. A walk whose
+// body can remove the file's last page — which releases the index to the
+// pool, where another file may pick it up — ranges over the slice header
+// it took before the loop (what range does anyway) and must not touch
+// the index again afterwards.
+type fileIndex struct {
+	key   FileKey
+	pages []*Page // indexed by page index; nil = not resident
+	n     int     // resident pages
+	dirty int     // of which dirty and not quarantined
 }
+
+// poolEntriesPerPage bounds the pool of emptied indexes. A pooled slice
+// is as long as the largest file its index ever served, and the stack is
+// as deep as the number of files that were ever resident at once, so
+// left alone the pool could pin that product. It is held to this many
+// slice entries per page of cache capacity (a third of what the pages
+// themselves take); past that the indexes deepest in the stack, which a
+// steady state never reaches, go to the GC. One entry per page is too
+// tight: lfs-gc and ssd-churn then shed and regrow slices for ever, and
+// the garbage shows in their peak RSS.
+const poolEntriesPerPage = 4
 
 // wbBatch is a reusable writeback staging buffer. A flat index/version
 // array plus file boundaries describes per-file batches without
@@ -298,9 +307,15 @@ type wbBatch struct {
 type Cache struct {
 	eng      sim.Host
 	cfg      Config
-	pages    pageTab
-	dirty    *rbtree.Tree[PageKey, *Page]
 	files    fileTab
+	lastFile *fileIndex // the index file() returned last; nil once released
+	n        int        // resident pages
+	// dirty holds the files with pages to write back (fileIndex.dirty >
+	// 0) in key order; dirtyN is the number of such pages. Pages change
+	// state far more often than files do, so the tree is touched only
+	// when a file's count leaves or returns to zero.
+	dirty    *rbtree.Tree[FileKey, *fileIndex]
+	dirtyN   int
 	backends map[FSID]Backend
 	hooks    []Hook
 	interest uint8 // union of hook event interest; emit skips masked-out types
@@ -323,8 +338,13 @@ type Cache struct {
 	// cache capacity; scanned only on quarantine-state changes).
 	quar []PageKey
 
-	arena     pageArena
-	flFree    *fileList
+	arena pageArena
+	// flFree is the stack of emptied indexes, kept with their slices
+	// (length 0, capacity kept) so that a file entering the cache need
+	// not allocate; flFreeCap is the slice capacity it holds, see
+	// poolEntriesPerPage.
+	flFree    []*fileIndex
+	flFreeCap int
 	batchFree *wbBatch
 	obs       *cacheObs // nil unless observability is on (see obs.go)
 
@@ -355,7 +375,7 @@ func New(e sim.Host, cfg Config) *Cache {
 	c := &Cache{
 		eng:      e,
 		cfg:      cfg,
-		dirty:    rbtree.New[PageKey, *Page](keyLess),
+		dirty:    rbtree.New[FileKey, *fileIndex](fileKeyLess),
 		backends: make(map[FSID]Backend),
 	}
 	c.flusherKick = sim.NewWaitQueue(e)
@@ -374,10 +394,11 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) Stats() *Stats { return &c.stats }
 
 // Len returns the number of cached pages.
-func (c *Cache) Len() int { return c.pages.len() }
+func (c *Cache) Len() int { return c.n }
 
-// DirtyLen returns the number of dirty pages.
-func (c *Cache) DirtyLen() int { return c.dirty.Len() }
+// DirtyLen returns the number of dirty pages awaiting writeback
+// (quarantined pages are dirty but held out of it).
+func (c *Cache) DirtyLen() int { return c.dirtyN }
 
 // RegisterFS attaches the writeback backend for a filesystem.
 func (c *Cache) RegisterFS(fs FSID, b Backend) { c.backends[fs] = b }
@@ -509,75 +530,102 @@ func (c *Cache) lruMoveToFront(pg *Page) {
 
 // --- per-file index --------------------------------------------------------
 
-func (c *Cache) newFileList() *fileList {
-	if fl := c.flFree; fl != nil {
-		c.flFree = fl.nextFree
-		fl.nextFree = nil
-		return fl
+// file returns the file's index, or nil when it has no resident page.
+// Readers, writeback and reclaim all walk one file at a time, so the
+// index returned last is tried before the table.
+func (c *Cache) file(fk FileKey) *fileIndex {
+	if f := c.lastFile; f != nil && f.key == fk {
+		return f
 	}
-	return &fileList{}
+	f := c.files.get(fk)
+	if f != nil {
+		c.lastFile = f
+	}
+	return f
 }
 
-// fileInsert links pg into its file's index-ordered list. Insertion
-// scans from the tail, so sequential workloads link in O(1).
+// page returns the resident page under key, or nil.
+func (c *Cache) page(key PageKey) *Page {
+	f := c.file(FileKey{key.FS, key.Ino})
+	if f == nil || key.Index >= uint64(len(f.pages)) {
+		return nil
+	}
+	return f.pages[key.Index]
+}
+
+// fileInsert enters pg into its file's index, taking an index from the
+// pool if the file had no resident page.
 func (c *Cache) fileInsert(pg *Page) {
 	fk := FileKey{pg.Key.FS, pg.Key.Ino}
-	fl := c.files.get(fk)
-	if fl == nil {
-		fl = c.newFileList()
-		c.files.put(fk, fl)
-	}
-	fl.n++
-	at := fl.tail
-	for at != nil && at.Key.Index > pg.Key.Index {
-		at = at.filePrev
-	}
-	if at == nil { // new head
-		pg.filePrev = nil
-		pg.fileNext = fl.head
-		if fl.head != nil {
-			fl.head.filePrev = pg
+	f := c.file(fk)
+	if f == nil {
+		if n := len(c.flFree) - 1; n >= 0 {
+			f, c.flFree[n] = c.flFree[n], nil
+			c.flFree = c.flFree[:n]
+			c.flFreeCap -= cap(f.pages)
+		} else {
+			f = &fileIndex{}
 		}
-		fl.head = pg
-		if fl.tail == nil {
-			fl.tail = pg
-		}
-		return
+		f.key = fk
+		c.files.put(fk, f)
+		c.lastFile = f
 	}
-	pg.filePrev = at
-	pg.fileNext = at.fileNext
-	if at.fileNext != nil {
-		at.fileNext.filePrev = pg
-	} else {
-		fl.tail = pg
+	// Entries past the length are nil up to the capacity: a slot is
+	// cleared when its page leaves, and the length never shrinks while
+	// the file is resident.
+	if need := int(pg.Key.Index) + 1; need > cap(f.pages) {
+		f.pages = append(f.pages[:cap(f.pages)], make([]*Page, need-cap(f.pages))...)
+	} else if need > len(f.pages) {
+		f.pages = f.pages[:need]
 	}
-	at.fileNext = pg
+	f.pages[pg.Key.Index] = pg
+	pg.file = f
+	f.n++
+	c.n++
 }
 
-// fileRemove unlinks pg from its file's list, releasing the list when it
-// empties.
+// fileRemove takes pg out of its file's index, releasing the index to
+// the pool when that was the file's last page.
 func (c *Cache) fileRemove(pg *Page) {
-	fk := FileKey{pg.Key.FS, pg.Key.Ino}
-	fl := c.files.get(fk)
-	if fl == nil {
+	f := pg.file
+	f.pages[pg.Key.Index] = nil
+	pg.file = nil
+	c.n--
+	f.n--
+	if f.n > 0 {
 		return
 	}
-	if pg.filePrev != nil {
-		pg.filePrev.fileNext = pg.fileNext
-	} else {
-		fl.head = pg.fileNext
+	c.files.del(f.key)
+	if c.lastFile == f {
+		c.lastFile = nil
 	}
-	if pg.fileNext != nil {
-		pg.fileNext.filePrev = pg.filePrev
-	} else {
-		fl.tail = pg.filePrev
+	f.pages = f.pages[:0]
+	c.flFree = append(c.flFree, f)
+	c.flFreeCap += cap(f.pages)
+	for c.flFreeCap > poolEntriesPerPage*c.cfg.CapacityPages {
+		c.flFreeCap -= cap(c.flFree[0].pages)
+		c.flFree[0] = nil
+		c.flFree = c.flFree[1:]
 	}
-	pg.filePrev, pg.fileNext = nil, nil
-	fl.n--
-	if fl.n == 0 {
-		c.files.del(fk)
-		fl.nextFree = c.flFree
-		c.flFree = fl
+}
+
+// dirtyAdd and dirtyDel move pg, a dirty page that is not quarantined,
+// into and out of the writeback set.
+func (c *Cache) dirtyAdd(pg *Page) {
+	f := pg.file
+	if f.dirty == 0 {
+		c.dirty.Set(f.key, f)
+	}
+	f.dirty++
+	c.dirtyN++
+}
+
+func (c *Cache) dirtyDel(pg *Page) {
+	f := pg.file
+	f.dirty--
+	c.dirtyN--
+	if f.dirty == 0 {
+		c.dirty.Delete(f.key)
 	}
 }
 
@@ -617,8 +665,8 @@ func (c *Cache) Lookup(key PageKey) (*Page, bool) {
 // do their own miss accounting: a hit is promoted and counted, a miss is
 // only reported.
 func (c *Cache) Touch(key PageKey) (*Page, bool) {
-	pg, ok := c.pages.get(key)
-	if !ok {
+	pg := c.page(key)
+	if pg == nil {
 		return nil, false
 	}
 	c.stats.Hits++
@@ -628,21 +676,19 @@ func (c *Cache) Touch(key PageKey) (*Page, bool) {
 
 // Peek returns the page if cached without perturbing the LRU or stats.
 func (c *Cache) Peek(key PageKey) (*Page, bool) {
-	return c.pages.get(key)
+	pg := c.page(key)
+	return pg, pg != nil
 }
 
 // Contains reports whether the page is cached, without LRU effects.
-func (c *Cache) Contains(key PageKey) bool {
-	_, ok := c.pages.get(key)
-	return ok
-}
+func (c *Cache) Contains(key PageKey) bool { return c.page(key) != nil }
 
 // Insert adds a clean page with the given content version, evicting as
 // needed, and fires Added. If the page is already present it is promoted
 // and returned unchanged. Insert may block (eviction of a dirty page
 // forces a synchronous writeback), so it needs the calling process.
 func (c *Cache) Insert(p *sim.Proc, key PageKey, version uint64) *Page {
-	if pg, ok := c.pages.get(key); ok {
+	if pg := c.page(key); pg != nil {
 		c.lruMoveToFront(pg)
 		return pg
 	}
@@ -650,7 +696,7 @@ func (c *Cache) Insert(p *sim.Proc, key PageKey, version uint64) *Page {
 		// Reclaim blocked in writeback, so another process may have
 		// inserted the key meanwhile; a second page under it would orphan
 		// the first in the LRU and the file index.
-		if pg, ok := c.pages.get(key); ok {
+		if pg := c.page(key); pg != nil {
 			c.lruMoveToFront(pg)
 			return pg
 		}
@@ -660,7 +706,6 @@ func (c *Cache) Insert(p *sim.Proc, key PageKey, version uint64) *Page {
 	pg.Version = version
 	pg.resident = true
 	c.lruPushFront(pg)
-	c.pages.put(key, pg)
 	c.fileInsert(pg)
 	c.stats.Inserts++
 	c.emit(EventAdded, pg)
@@ -670,7 +715,7 @@ func (c *Cache) Insert(p *sim.Proc, key PageKey, version uint64) *Page {
 // makeRoom evicts pages until there is room for one more. It reports
 // whether it went through writeback, the only place it can block.
 func (c *Cache) makeRoom(p *sim.Proc) (blocked bool) {
-	for c.pages.len() >= c.cfg.CapacityPages {
+	for c.n >= c.cfg.CapacityPages {
 		victim := c.pickVictim()
 		if victim == nil {
 			// The reclaim window is all dirty: write back the coldest
@@ -785,19 +830,18 @@ func (c *Cache) writebackOne(p *sim.Proc, pg *Page) {
 // concurrent process already evicted during a blocking writeback — is
 // not unlinked again; it only re-fires the event, as eviction raced and
 // both parties report the removal. If the key was re-inserted during the
-// race, the fresh page is left fully intact (the map delete is guarded),
-// so a raced double-eviction can never orphan a live page.
+// race, the fresh page is left fully intact (only a resident page is in
+// an index, and it is unmapped through its own file pointer), so a raced
+// double-eviction can never orphan a live page.
 func (c *Cache) removePage(pg *Page, ev EventType) {
-	c.pages.delPage(pg)
 	if pg.resident {
 		c.lruRemove(pg)
 		if pg.quarantined {
 			c.unquarantine(pg)
+		} else if pg.Dirty {
+			c.dirtyDel(pg)
 		}
-		if pg.Dirty {
-			c.dirty.Delete(pg.Key)
-			pg.Dirty = false
-		}
+		pg.Dirty = false
 		c.fileRemove(pg)
 		pg.resident = false
 	}
@@ -819,11 +863,11 @@ func (c *Cache) MarkDirty(pg *Page, version uint64) {
 		c.advanceVictim(1)
 	}
 	pg.DirtyAt = c.eng.Now()
-	c.dirty.Set(pg.Key, pg)
+	c.dirtyAdd(pg)
 	c.emit(EventDirtied, pg)
 	// Dirty-background throttling: too many dirty pages wake the flusher
 	// immediately rather than waiting out the expiry interval.
-	if float64(c.dirty.Len()) > c.cfg.DirtyBackgroundRatio*float64(c.cfg.CapacityPages) {
+	if float64(c.dirtyN) > c.cfg.DirtyBackgroundRatio*float64(c.cfg.CapacityPages) {
 		c.flusherKick.WakeAll()
 	}
 }
@@ -831,15 +875,15 @@ func (c *Cache) MarkDirty(pg *Page, version uint64) {
 // markCleanIf clears the dirty bit if the page is still at the version the
 // writeback captured, firing Flushed. Re-dirtied pages stay dirty.
 func (c *Cache) markCleanIf(key PageKey, version uint64) {
-	pg, ok := c.pages.get(key)
-	if !ok || !pg.Dirty || pg.quarantined || pg.Version != version {
+	pg := c.page(key)
+	if pg == nil || !pg.Dirty || pg.quarantined || pg.Version != version {
 		return
 	}
 	pg.Dirty = false
 	if c.victim != nil && pg.lruStamp < c.victim.lruStamp {
 		c.victim = nil // a colder page came clean: re-prime on demand
 	}
-	c.dirty.Delete(key)
+	c.dirtyDel(pg)
 	c.emit(EventFlushed, pg)
 }
 
@@ -847,8 +891,8 @@ func (c *Cache) markCleanIf(key PageKey, version uint64) {
 // Dirty pages are discarded without writeback, matching truncate
 // semantics.
 func (c *Cache) Remove(key PageKey) bool {
-	pg, ok := c.pages.get(key)
-	if !ok {
+	pg := c.page(key)
+	if pg == nil {
 		return false
 	}
 	c.removePage(pg, EventRemoved)
@@ -857,25 +901,25 @@ func (c *Cache) Remove(key PageKey) bool {
 
 // RemoveFile drops every cached page of a file (deletion).
 func (c *Cache) RemoveFile(fs FSID, ino uint64) int {
-	fl := c.files.get(FileKey{fs, ino})
-	if fl == nil {
+	f := c.file(FileKey{fs, ino})
+	if f == nil {
 		return 0
 	}
 	n := 0
-	for pg := fl.head; pg != nil; {
-		next := pg.fileNext
-		c.removePage(pg, EventRemoved)
-		c.stats.RemovedByDelete++
-		n++
-		pg = next
+	for _, pg := range f.pages {
+		if pg != nil {
+			c.removePage(pg, EventRemoved)
+			c.stats.RemovedByDelete++
+			n++
+		}
 	}
 	return n
 }
 
 // FilePages returns the number of cached pages of a file.
 func (c *Cache) FilePages(fs FSID, ino uint64) int {
-	if fl := c.files.get(FileKey{fs, ino}); fl != nil {
-		return fl.n
+	if f := c.file(FileKey{fs, ino}); f != nil {
+		return f.n
 	}
 	return 0
 }
@@ -884,16 +928,23 @@ func (c *Cache) FilePages(fs FSID, ino uint64) int {
 // without allocating. fn may remove the page it was handed, but must not
 // otherwise insert or remove pages of the same file during iteration.
 func (c *Cache) IterateFile(fs FSID, ino uint64, fn func(pg *Page) bool) {
-	fl := c.files.get(FileKey{fs, ino})
-	if fl == nil {
+	fk := FileKey{fs, ino}
+	f := c.file(fk)
+	if f == nil {
 		return
 	}
-	for pg := fl.head; pg != nil; {
-		next := pg.fileNext // survives fn removing pg
+	for _, pg := range f.pages {
+		if pg == nil {
+			continue
+		}
+		// fn removed the file's last page and its index now serves
+		// another file, whose pages these are.
+		if f.key != fk {
+			return
+		}
 		if !fn(pg) {
 			return
 		}
-		pg = next
 	}
 }
 
@@ -902,17 +953,17 @@ func (c *Cache) IterateFile(fs FSID, ino uint64, fn func(pg *Page) bool) {
 func (c *Cache) Iterate(fn func(pg *Page) bool) {
 	fks := c.files.appendKeys(make([]FileKey, 0, c.files.len()))
 	sort.Slice(fks, func(i, j int) bool { return fileKeyLess(fks[i], fks[j]) })
-	keys := make([]PageKey, 0, c.pages.len())
+	keys := make([]PageKey, 0, c.n)
 	for _, fk := range fks {
-		for pg := c.files.get(fk).head; pg != nil; pg = pg.fileNext {
-			keys = append(keys, pg.Key)
+		for _, pg := range c.files.get(fk).pages {
+			if pg != nil {
+				keys = append(keys, pg.Key)
+			}
 		}
 	}
 	for _, k := range keys {
-		if pg, ok := c.pages.get(k); ok {
-			if !fn(pg) {
-				return
-			}
+		if pg := c.page(k); pg != nil && !fn(pg) {
+			return
 		}
 	}
 }
@@ -922,20 +973,16 @@ func (c *Cache) Iterate(fn func(pg *Page) bool) {
 // a partial failure the persisted prefix is marked clean and the rest
 // handled per wbFailed.
 func (c *Cache) SyncFile(p *sim.Proc, fs FSID, ino uint64) error {
-	fl := c.files.get(FileKey{fs, ino})
-	if fl == nil {
+	f := c.file(FileKey{fs, ino})
+	if f == nil || f.dirty == 0 {
 		return nil
 	}
 	b := c.getBatch()
-	for pg := fl.head; pg != nil; pg = pg.fileNext {
-		if pg.Dirty && !pg.quarantined {
+	for _, pg := range f.pages {
+		if pg != nil && pg.Dirty && !pg.quarantined {
 			b.idx = append(b.idx, pg.Key.Index)
 			b.vers = append(b.vers, pg.Version)
 		}
-	}
-	if len(b.idx) == 0 {
-		c.putBatch(b)
-		return nil
 	}
 	be := c.backends[fs]
 	if be == nil {
@@ -977,7 +1024,7 @@ func (c *Cache) flusher(p *sim.Proc) {
 			c.flusherTimer.ArmDeferred(c.cfg.WritebackInterval)
 		}
 		c.flusherKick.Wait(p, "flusher interval")
-		if float64(c.dirty.Len()) > c.cfg.DirtyBackgroundRatio*float64(c.cfg.CapacityPages) {
+		if float64(c.dirtyN) > c.cfg.DirtyBackgroundRatio*float64(c.cfg.CapacityPages) {
 			c.flushExpired(p, 0) // over background ratio: flush regardless of age
 		} else {
 			c.flushExpired(p, c.cfg.DirtyExpire)
@@ -995,17 +1042,18 @@ func (c *Cache) flushExpired(p *sim.Proc, minAge sim.Time) {
 		flushStart = now
 	}
 	b := c.getBatch()
-	c.dirty.Ascend(nil, func(k PageKey, pg *Page) bool {
-		if now-pg.DirtyAt < minAge {
-			return true
+	c.dirty.Ascend(nil, func(fk FileKey, f *fileIndex) bool {
+		start := len(b.idx)
+		for _, pg := range f.pages {
+			if pg != nil && pg.Dirty && !pg.quarantined && now-pg.DirtyAt >= minAge {
+				b.idx = append(b.idx, pg.Key.Index)
+				b.vers = append(b.vers, pg.Version)
+			}
 		}
-		fk := FileKey{k.FS, k.Ino}
-		if len(b.files) == 0 || b.files[len(b.files)-1] != fk {
+		if len(b.idx) > start {
 			b.files = append(b.files, fk)
-			b.off = append(b.off, len(b.idx))
+			b.off = append(b.off, start)
 		}
-		b.idx = append(b.idx, k.Index)
-		b.vers = append(b.vers, pg.Version)
 		return true
 	})
 	b.off = append(b.off, len(b.idx))
@@ -1048,8 +1096,8 @@ func (c *Cache) wbFailed(err error, fs FSID, ino uint64, idx, vers []uint64) {
 	}
 	now := c.eng.Now()
 	for i, ix := range idx {
-		pg, ok := c.pages.get(PageKey{fs, ino, ix})
-		if !ok || !pg.Dirty || pg.quarantined {
+		pg := c.page(PageKey{fs, ino, ix})
+		if pg == nil || !pg.Dirty || pg.quarantined {
 			continue
 		}
 		if permanent && pg.Version == vers[i] {
@@ -1062,10 +1110,10 @@ func (c *Cache) wbFailed(err error, fs FSID, ino uint64, idx, vers []uint64) {
 
 // quarantine parks a dirty page out of the writeback path after a
 // permanent fault. The page keeps its data and dirty bit but leaves the
-// dirty tree, so flusher and sync passes skip it.
+// writeback set, so flusher and sync passes skip it.
 func (c *Cache) quarantine(pg *Page) {
 	pg.quarantined = true
-	c.dirty.Delete(pg.Key)
+	c.dirtyDel(pg)
 	c.quar = append(c.quar, pg.Key)
 	c.stats.QuarantineEvents++
 	if st := c.obs; st != nil && st.tr != nil {
@@ -1093,11 +1141,10 @@ func (c *Cache) DropVolatile() int {
 	n := 0
 	for pg := c.lruHead; pg != nil; n++ {
 		next := pg.lruNext
-		c.pages.delPage(pg)
-		if pg.Dirty {
-			c.dirty.Delete(pg.Key)
-			pg.Dirty = false
+		if pg.Dirty && !pg.quarantined {
+			c.dirtyDel(pg)
 		}
+		pg.Dirty = false
 		pg.quarantined = false
 		c.fileRemove(pg)
 		pg.resident = false
@@ -1116,13 +1163,13 @@ func (c *Cache) DropVolatile() int {
 // called after the underlying fault is repaired (block remapped or
 // rewritten). The expiry clock restarts at now.
 func (c *Cache) Requeue(key PageKey) bool {
-	pg, ok := c.pages.get(key)
-	if !ok || !pg.quarantined {
+	pg := c.page(key)
+	if pg == nil || !pg.quarantined {
 		return false
 	}
 	c.unquarantine(pg)
 	pg.DirtyAt = c.eng.Now()
-	c.dirty.Set(pg.Key, pg)
+	c.dirtyAdd(pg)
 	c.stats.RequeuedPages++
 	if st := c.obs; st != nil && st.tr != nil {
 		st.tr.Instant(st.tid, "pagecache", "requeue", c.eng.Now())

@@ -1,7 +1,9 @@
 package pagecache
 
 import (
+	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -290,6 +292,104 @@ func TestIterateFileOrder(t *testing.T) {
 			t.Errorf("FilePages = %d", h.c.FilePages(1, 9))
 		}
 	})
+}
+
+// TestIterateFileIndexReleasedMidWalk removes a file's last page from
+// inside IterateFile and then brings in a page of another file, which
+// takes over the released index while the walk is still holding its
+// slice: the walk must end there, not visit the newcomer.
+func TestIterateFileIndexReleasedMidWalk(t *testing.T) {
+	h := newHarness(20)
+	h.in(t, func(p *sim.Proc) {
+		h.c.Insert(p, key(9, 2), 1)
+		h.c.Insert(p, key(9, 10), 1)
+		h.c.Remove(key(9, 10)) // the index stays 11 long
+		var got []PageKey
+		h.c.IterateFile(1, 9, func(pg *Page) bool {
+			got = append(got, pg.Key)
+			h.c.Remove(pg.Key)
+			h.c.Insert(p, key(8, 5), 1)
+			return true
+		})
+		if len(got) != 1 || got[0] != key(9, 2) {
+			t.Errorf("visited %v, want only %v", got, key(9, 2))
+		}
+		if !h.c.Contains(key(8, 5)) || h.c.FilePages(1, 9) != 0 || h.c.FilePages(1, 8) != 1 {
+			t.Errorf("file 9 holds %d pages, file 8 holds %d", h.c.FilePages(1, 9), h.c.FilePages(1, 8))
+		}
+		if err := errors.Join(h.c.checkIndex(), h.c.checkSlots()); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// indexCapacity returns the slice capacity held by the indexes of
+// resident files and by the pool, and the number of resident files.
+func (c *Cache) indexCapacity() (live, pooled, files int) {
+	for _, f := range c.files.vals {
+		if f != nil {
+			live += cap(f.pages)
+			files++
+		}
+	}
+	for _, f := range c.flFree {
+		pooled += cap(f.pages)
+	}
+	return live, pooled, files
+}
+
+// TestIndexMemoryBound reads single pages at random places of many large
+// files through a small cache — the access pattern that makes dense
+// per-file indexes as large as they get, and leaves the largest emptied
+// ones behind — and then drains the cache. At every step the indexes of
+// resident files hold at most twice (slice growth rounds up) the size of
+// those files, and the pool at most its fixed share of the cache
+// capacity however many indexes were emptied.
+func TestIndexMemoryBound(t *testing.T) {
+	const (
+		capacity  = 1024
+		files     = 4096
+		filePages = 4096
+	)
+	e := sim.New(1)
+	c := New(e, DefaultConfig(capacity))
+	c.RegisterFS(1, &nullBackend{})
+	rng := rand.New(rand.NewSource(1))
+	maxPooled := 0
+	check := func(step int) {
+		live, pooled, resident := c.indexCapacity()
+		if live > 2*resident*filePages || pooled > poolEntriesPerPage*capacity {
+			t.Fatalf("step %d: %d resident files hold %d index entries (bound %d), the pool %d (bound %d)",
+				step, resident, live, 2*resident*filePages, pooled, poolEntriesPerPage*capacity)
+		}
+		maxPooled = max(maxPooled, pooled)
+	}
+	e.Go("test", func(p *sim.Proc) {
+		defer e.Stop()
+		for step := 0; step < 20*capacity; step++ {
+			k := key(uint64(1+rng.Intn(files)), uint64(rng.Intn(filePages)))
+			if _, ok := c.Touch(k); !ok {
+				c.Insert(p, k, 1)
+			}
+			check(step)
+		}
+		if maxPooled == 0 {
+			t.Error("the pool never held an index: the bound was not exercised")
+		}
+		for ino := uint64(1); ino <= files; ino++ {
+			c.RemoveFile(1, ino)
+			check(-int(ino))
+		}
+		if live, _, resident := c.indexCapacity(); live != 0 || resident != 0 || c.Len() != 0 {
+			t.Errorf("drained cache still holds %d pages in %d files, %d index entries", c.Len(), resident, live)
+		}
+		if err := errors.Join(c.checkIndex(), c.checkSlots()); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestIterateWholeCache(t *testing.T) {
@@ -596,7 +696,7 @@ func TestAdvisorDeferralsAccounting(t *testing.T) {
 // concurrent process may evict that page and re-insert the same key.
 // The raced double-eviction must re-report the removal (both parties
 // observed it) but leave the freshly inserted page fully intact — in
-// the key map, the file index, and the dirty tree — so a later SyncFile
+// its file's index and the writeback set — so a later SyncFile
 // cannot lose its data.
 func TestEvictionRaceReinsert(t *testing.T) {
 	e := sim.New(1)

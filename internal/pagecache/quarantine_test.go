@@ -73,7 +73,7 @@ func TestPermanentFaultQuarantinesAndRequeues(t *testing.T) {
 			t.Errorf("backend called %d times; quarantined page retried", fb.calls)
 		}
 
-		// Requeue (fault repaired): page returns to the dirty tree and the
+		// Requeue (fault repaired): page returns to the writeback set and the
 		// next sync persists it.
 		if !h.c.Requeue(key(1, 0)) {
 			t.Fatal("Requeue failed")

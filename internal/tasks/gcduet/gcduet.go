@@ -28,18 +28,25 @@ type Tracker struct {
 	session *core.Session
 	// cachedBySeg[s] counts valid blocks of segment s believed cached.
 	cachedBySeg []int
-	// lastSeg remembers which segment each page was last counted under,
-	// so Flushed relocations move the count between segments.
-	lastSeg map[pageID]int
-	fetch   []core.Item
-	eng     sim.Host
+	// rows remembers which segment each page was last counted under, so
+	// Flushed relocations move the count between segments: inode number
+	// -> row, page index -> cell, the shape the page cache and Duet's
+	// descriptor table use. Items arrive file by file, so the row found
+	// last is tried before the map.
+	rows  map[uint64]*segRow
+	last  *segRow
+	fetch []core.Item
+	eng   sim.Host
 	// EventsApplied counts processed notifications.
 	EventsApplied int64
 }
 
-type pageID struct {
-	ino uint64
-	idx uint64
+// segRow is one file's cells. It lives while it counts a page: a row
+// kept past that would outlive its file.
+type segRow struct {
+	ino   uint64
+	cells []int32 // by page index: segment+1 the page is counted under, 0 = not counted
+	n     int     // counted pages
 }
 
 // Attach registers the Duet session and returns the tracker. Close the
@@ -53,7 +60,7 @@ func Attach(e sim.Host, d *core.Duet, ad *core.LFSAdapter, fs *lfs.FS) (*Tracker
 		fs:          fs,
 		session:     sess,
 		cachedBySeg: make([]int, fs.Segments()),
-		lastSeg:     make(map[pageID]int),
+		rows:        make(map[uint64]*segRow),
 		fetch:       make([]core.Item, 512),
 		eng:         e,
 	}, nil
@@ -74,36 +81,63 @@ func (t *Tracker) harvest() {
 			return
 		}
 		for _, it := range t.fetch[:n] {
-			t.EventsApplied++
-			id := pageID{it.PageIno, it.PageIdx}
-			seg := t.fs.SegOf(int64(it.ID))
-			if old, counted := t.lastSeg[id]; counted && old != seg {
-				// Flushed to a new segment: adjust both (§5.4).
-				t.cachedBySeg[old]--
-				delete(t.lastSeg, id)
-			}
-			// An item carries the Exists bit only when existence changed;
-			// a pure Flushed event means the page is (usually) still
-			// cached. The collector runs in the kernel, so it confirms
-			// against the page cache, as the real F2fs code would.
-			exists := it.Flags.Has(core.StExists)
-			if !exists && it.Flags.Has(core.EvtFlushed) {
-				exists = t.fs.Cache().Contains(pagecache.PageKey{
-					FS: t.fs.ID(), Ino: it.PageIno, Index: it.PageIdx,
-				})
-			}
-			if exists {
-				if _, counted := t.lastSeg[id]; !counted {
-					t.lastSeg[id] = seg
-					t.cachedBySeg[seg]++
-				}
-			} else {
-				if old, counted := t.lastSeg[id]; counted {
-					t.cachedBySeg[old]--
-					delete(t.lastSeg, id)
-				}
-			}
+			t.apply(it)
 		}
+	}
+}
+
+// apply moves one page's count to where the notification says it is.
+func (t *Tracker) apply(it core.Item) {
+	t.EventsApplied++
+	seg := t.fs.SegOf(int64(it.ID))
+	r := t.last
+	if r == nil || r.ino != it.PageIno {
+		if r = t.rows[it.PageIno]; r != nil {
+			t.last = r
+		}
+	}
+	var counted int32
+	if r != nil && it.PageIdx < uint64(len(r.cells)) {
+		counted = r.cells[it.PageIdx]
+	}
+	// An item carries the Exists bit only when existence changed; a pure
+	// Flushed event means the page is (usually) still cached. The
+	// collector runs in the kernel, so it confirms against the page
+	// cache, as the real F2fs code would.
+	exists := it.Flags.Has(core.StExists)
+	if !exists && it.Flags.Has(core.EvtFlushed) {
+		exists = t.fs.Cache().Contains(pagecache.PageKey{
+			FS: t.fs.ID(), Ino: it.PageIno, Index: it.PageIdx,
+		})
+	}
+	if counted != 0 && (!exists || int(counted-1) != seg) {
+		// Gone, or flushed to a new segment, which adjusts both (§5.4).
+		t.cachedBySeg[counted-1]--
+		r.cells[it.PageIdx] = 0
+		r.n--
+		counted = 0
+	}
+	if exists && counted == 0 {
+		if r == nil {
+			r = &segRow{ino: it.PageIno}
+			t.rows[it.PageIno] = r
+			t.last = r
+		}
+		if need := it.PageIdx + 1; need > uint64(len(r.cells)) {
+			// Sized to the file on first touch, so that a row allocates
+			// once unless its file grows.
+			if i, ok := t.fs.Inode(lfs.Ino(it.PageIno)); ok && uint64(i.SizePg) > need {
+				need = uint64(i.SizePg)
+			}
+			r.cells = append(r.cells, make([]int32, need-uint64(len(r.cells)))...)
+		}
+		r.cells[it.PageIdx] = int32(seg + 1)
+		r.n++
+		t.cachedBySeg[seg]++
+	}
+	if r != nil && r.n == 0 {
+		delete(t.rows, it.PageIno)
+		t.last = nil
 	}
 }
 
