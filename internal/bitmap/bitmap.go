@@ -23,7 +23,11 @@ const (
 )
 
 type chunk struct {
-	words    [chunkWords]uint64
+	words [chunkWords]uint64
+	// nz summarises words: bit w is set iff words[w] != 0. Set, Unset and
+	// Clear maintain it, so a search for the next set bit skips empty
+	// words 64 at a time instead of scanning them.
+	nz       [chunkWords / 64]uint64
 	pop      int    // number of set bits in this chunk
 	ci       uint64 // chunk index while allocated
 	nextFree *chunk // free-list link while recycled
@@ -101,6 +105,7 @@ func (s *Sparse) Set(i uint64) bool {
 		return false
 	}
 	c.words[w] |= mask
+	c.nz[w/64] |= uint64(1) << (w % 64)
 	c.pop++
 	s.count++
 	return true
@@ -119,6 +124,9 @@ func (s *Sparse) Unset(i uint64) bool {
 		return false
 	}
 	c.words[w] &^= mask
+	if c.words[w] == 0 {
+		c.nz[w/64] &^= uint64(1) << (w % 64)
+	}
 	c.pop--
 	s.count--
 	if c.pop == 0 {
@@ -147,13 +155,14 @@ func (s *Sparse) SetRange(lo, hi uint64) uint64 {
 	return changed
 }
 
-// UnsetRange clears bits [lo, hi) and returns how many changed.
+// UnsetRange clears bits [lo, hi) and returns how many changed. It hops
+// from set bit to set bit, so clearing a range that holds none (the
+// common case for the filesystem's corruption markers) costs one probe.
 func (s *Sparse) UnsetRange(lo, hi uint64) uint64 {
 	var changed uint64
-	for i := lo; i < hi; i++ {
-		if s.Unset(i) {
-			changed++
-		}
+	for i, ok := s.NextSet(lo); ok && i < hi; i, ok = s.NextSet(i + 1) {
+		s.Unset(i)
+		changed++
 	}
 	return changed
 }
@@ -166,9 +175,8 @@ func (s *Sparse) Count() uint64 { return s.count }
 // collector.
 func (s *Sparse) Clear() {
 	s.chunks.Ascend(nil, func(_ uint64, c *chunk) bool {
-		for w := range c.words {
-			c.words[w] = 0
-		}
+		c.words = [chunkWords]uint64{}
+		c.nz = [len(c.nz)]uint64{}
 		c.pop = 0
 		s.releaseChunk(c)
 		return true
@@ -206,7 +214,9 @@ func (s *Sparse) IterateSet(fn func(i uint64) bool) {
 
 // NextSet returns the smallest set bit >= from. It walks chunks through
 // Ceiling lookups rather than an iteration callback, so the allocator's
-// per-write size-class probes stay allocation-free.
+// per-write size-class probes stay allocation-free, and inside a chunk
+// it follows the non-zero-word summary: one probe costs two
+// TrailingZeros64 per chunk visited, however sparse the chunk is.
 func (s *Sparse) NextSet(from uint64) (uint64, bool) {
 	ci := from / ChunkBits
 	for {
@@ -214,21 +224,37 @@ func (s *Sparse) NextSet(from uint64) (uint64, bool) {
 		if !ok {
 			return 0, false
 		}
-		base := cur * ChunkBits
-		w := 0
+		off := 0
 		if cur == from/ChunkBits {
-			w = int(from % ChunkBits / 64)
-			// Mask off bits below from in the first word.
-			if word := c.words[w] &^ (uint64(1)<<(from%64) - 1); word != 0 {
-				return base + uint64(w*64+bits.TrailingZeros64(word)), true
-			}
-			w++
+			off = int(from % ChunkBits)
 		}
-		for ; w < chunkWords; w++ {
-			if word := c.words[w]; word != 0 {
-				return base + uint64(w*64+bits.TrailingZeros64(word)), true
-			}
+		if b, found := c.nextSet(off); found {
+			return cur*ChunkBits + uint64(b), true
 		}
 		ci = cur + 1
 	}
+}
+
+// nextSet returns the smallest set bit >= off within the chunk.
+func (c *chunk) nextSet(off int) (int, bool) {
+	w := off / 64
+	// The first word is searched with the bits below off masked away.
+	if word := c.words[w] &^ (uint64(1)<<(off%64) - 1); word != 0 {
+		return w*64 + bits.TrailingZeros64(word), true
+	}
+	// Then the summary names the next non-zero word, if any: first among
+	// the words above w in w's own summary word, then in the later ones.
+	if w++; w == chunkWords {
+		return 0, false
+	}
+	sw := w / 64
+	m := c.nz[sw] &^ (uint64(1)<<(w%64) - 1)
+	for m == 0 {
+		if sw++; sw == len(c.nz) {
+			return 0, false
+		}
+		m = c.nz[sw]
+	}
+	w = sw*64 + bits.TrailingZeros64(m)
+	return w*64 + bits.TrailingZeros64(c.words[w]), true
 }

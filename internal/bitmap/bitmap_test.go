@@ -1,6 +1,8 @@
 package bitmap
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -168,6 +170,115 @@ func TestRandomAgainstModel(t *testing.T) {
 	}
 }
 
+// checkSummary verifies every allocated chunk's non-zero-word summary and
+// population count against its words.
+func checkSummary(t *testing.T, s *Sparse) {
+	t.Helper()
+	s.chunks.Ascend(nil, func(ci uint64, c *chunk) bool {
+		pop := 0
+		for w, word := range c.words {
+			pop += bits.OnesCount64(word)
+			if got := c.nz[w/64]>>(w%64)&1 == 1; got != (word != 0) {
+				t.Fatalf("chunk %d word %d = %#x but its summary bit is %v", ci, w, word, got)
+			}
+		}
+		if pop != c.pop || pop == 0 {
+			t.Fatalf("chunk %d holds %d bits, pop says %d (an empty chunk must be released)", ci, pop, c.pop)
+		}
+		return true
+	})
+}
+
+// TestSummaryAndNextSetAgainstScan drives Set, Unset, the range operations
+// and Clear at indices crowded around word and chunk edges, checking the
+// summary after every operation and, at several densities from one bit to
+// thousands, NextSet from every position against a scan of a dense model.
+func TestSummaryAndNextSetAgainstScan(t *testing.T) {
+	const span = 3*ChunkBits + 130
+	rng := rand.New(rand.NewSource(11))
+	s := New()
+	model := make([]bool, span)
+	index := func() uint64 {
+		var i int
+		switch rng.Intn(4) {
+		case 0:
+			i = rng.Intn(4)*ChunkBits + rng.Intn(5) - 2 // chunk edge
+		case 1:
+			i = rng.Intn(span/64)*64 + rng.Intn(5) - 2 // word edge
+		case 2:
+			i = rng.Intn(span/4096)*4096 + rng.Intn(5) - 2 // summary-word edge
+		default:
+			i = rng.Intn(span)
+		}
+		return uint64(min(max(i, 0), span-1))
+	}
+	sweep := func(op int) {
+		t.Helper()
+		next, ok := uint64(0), false // smallest set index >= i, scanning down
+		for i := span - 1; i >= 0; i-- {
+			if model[i] {
+				next, ok = uint64(i), true
+			}
+			if got, found := s.NextSet(uint64(i)); found != ok || (ok && got != next) {
+				t.Fatalf("op %d: NextSet(%d) = %d,%v, scan says %d,%v", op, i, got, found, next, ok)
+			}
+		}
+		if got, found := s.NextSet(span); found {
+			t.Fatalf("op %d: NextSet past the last index = %d", op, got)
+		}
+	}
+	setRange := func(lo, hi uint64, v bool) (changed uint64) {
+		for i := lo; i < hi; i++ {
+			if model[i] != v {
+				model[i] = v
+				changed++
+			}
+		}
+		return changed
+	}
+	for op := 1; op <= 6000; op++ {
+		i := index()
+		switch k := rng.Intn(16); {
+		case k < 7:
+			if got, want := s.Set(i), setRange(i, i+1, true) == 1; got != want {
+				t.Fatalf("op %d: Set(%d) changed=%v, want %v", op, i, got, want)
+			}
+		case k < 12:
+			if got, want := s.Unset(i), setRange(i, i+1, false) == 1; got != want {
+				t.Fatalf("op %d: Unset(%d) changed=%v, want %v", op, i, got, want)
+			}
+		case k < 14:
+			hi := min(i+uint64(rng.Intn(200)), span)
+			if got, want := s.SetRange(i, hi), setRange(i, hi, true); got != want {
+				t.Fatalf("op %d: SetRange(%d, %d) changed %d, want %d", op, i, hi, got, want)
+			}
+		default:
+			hi := min(i+uint64(rng.Intn(70000)), span)
+			if got, want := s.UnsetRange(i, hi), setRange(i, hi, false); got != want {
+				t.Fatalf("op %d: UnsetRange(%d, %d) changed %d, want %d", op, i, hi, got, want)
+			}
+		}
+		if op == 3000 {
+			s.Clear()
+			setRange(0, span, false)
+		}
+		checkSummary(t, s)
+		switch op {
+		case 1, 10, 100, 1000, 2999, 3000, 3001, 3010, 6000:
+			sweep(op)
+		}
+	}
+	var want uint64
+	for _, set := range model {
+		if set {
+			want++
+		}
+	}
+	if s.Count() != want {
+		t.Fatalf("Count = %d, model holds %d", s.Count(), want)
+	}
+}
+
 // TestQuickSetUnsetRoundTrip property: setting then unsetting any index
 // sequence leaves the bitmap empty with zero chunks.
 func TestQuickSetUnsetRoundTrip(t *testing.T) {
@@ -249,3 +360,31 @@ func BenchmarkSparseTestRuns(b *testing.B) {
 		s.Test(region + run*8%ChunkBits + uint64(i)%8)
 	}
 }
+
+// BenchmarkNextSetSparse is the allocator's size-class probe: the next
+// set bit from a random position in a bitmap the size of a 2M-block
+// device holding 1, 64 or 4096 run starts. With one bit set most probes
+// cross a whole chunk of empty words, which the summary skips.
+func BenchmarkNextSetSparse(b *testing.B) {
+	const span = 64 * ChunkBits
+	for _, set := range []int{1, 64, 4096} {
+		b.Run(fmt.Sprintf("set=%d", set), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			s := New()
+			for s.Count() < uint64(set) {
+				s.Set(uint64(rng.Intn(span)))
+			}
+			var probes [1024]uint64
+			for k := range probes {
+				probes[k] = uint64(rng.Intn(span))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sink, _ = s.NextSet(probes[i%len(probes)])
+			}
+		})
+	}
+}
+
+var sink uint64

@@ -1,14 +1,21 @@
 package cowfs
 
-// Block allocation. Free space is kept in the two-level index of
-// freeindex.go: address-ordered free runs plus size-class buckets.
-// Allocation is first-fit from a caller-supplied hint, falling back to a
-// scan from the start of the device — the same placement policy as the
-// original red-black-tree first-fit walk, now answered in O(log n) probes.
+// Block allocation and release. Free space is kept in the two-level index
+// of freeindex.go: address-ordered free runs plus size-class buckets.
+// Allocation is address-ordered first-fit from a caller-supplied hint,
+// wrapping to the start of the device, answered in O(log n) probes.
 // Copy-on-write means every overwrite allocates, so under a random-write
 // workload the free list — and therefore file layout — fragments
 // naturally, which is exactly the behaviour the defragmentation
 // experiments need.
+//
+// The extent run is the unit of the whole block lifecycle: allocate hands
+// out runs, extents release runs (derefRange), durability parks runs
+// (deferredFree), and the index is told about each freed run once. That
+// is a host-side economy only. The index is a canonical function of the
+// set of free blocks — maximal, disjoint, non-adjacent runs, each filed
+// under the class of its length — so freeing a run in one step leaves
+// exactly the index that freeing its blocks one at a time would.
 
 // run is a contiguous allocation.
 type run struct {
@@ -62,7 +69,7 @@ func (fs *FS) insertFree(start, length int64) {
 		}
 	}
 	fs.free.add(start, length)
-	// freeBlocks is maintained by the callers (deref and allocate).
+	// freeBlocks is maintained by the callers (freeRun and allocate).
 }
 
 // carve removes [at, at+length) from the free run that contains it,
@@ -159,28 +166,59 @@ func (fs *FS) anySpace(hint int64) (at, avail int64, ok bool) {
 // ref increments a block's reference count (snapshot sharing).
 func (fs *FS) ref(b int64) { fs.refs[b]++ }
 
-// deref decrements a block's reference count, freeing it at zero. With
-// durability enabled the free is deferred to the next commit instead:
-// the last checkpoint may still reference the block, so handing it to
-// the allocator before the checkpoint moves on would let an overwrite
-// destroy committed data (see durable.go).
-func (fs *FS) deref(b int64) {
-	fs.refs[b]--
-	if fs.refs[b] > 0 {
-		return
+// derefRange drops one reference from each of the n blocks starting at
+// phys and releases every maximal sub-run whose count reached zero in one
+// step. It returns how many of the blocks were shared (referenced more
+// than once before the call), which is what a copy-on-write overwrite
+// reports as re-allocation away from a snapshot.
+func (fs *FS) derefRange(phys, n int64) (shared int64) {
+	refs := fs.refs[phys : phys+n]
+	zero := int64(-1) // start of the zero-ref run being gathered, or -1
+	for k := range refs {
+		refs[k]--
+		if refs[k] == 0 {
+			if zero < 0 {
+				zero = int64(k)
+			}
+			continue
+		}
+		if refs[k] < 0 {
+			panic("cowfs: negative block refcount")
+		}
+		shared++
+		if zero >= 0 {
+			fs.release(phys+zero, int64(k)-zero)
+			zero = -1
+		}
 	}
-	if fs.refs[b] < 0 {
-		panic("cowfs: negative block refcount")
+	if zero >= 0 {
+		fs.release(phys+zero, n-zero)
 	}
+	return shared
+}
+
+// release disposes of a run whose reference counts reached zero. With
+// durability enabled the free is deferred to the next commit instead: the
+// last checkpoint may still reference the blocks, so handing them to the
+// allocator before the checkpoint moves on would let an overwrite destroy
+// committed data (see durable.go).
+func (fs *FS) release(start, n int64) {
 	if fs.durable != nil {
-		fs.deferFree(b)
+		fs.deferredFree = append(fs.deferredFree, blkRange{phys: start, n: n})
+		fs.deferredBlocks += n
 		return
 	}
-	fs.csums[b] = 0
-	fs.rev[b] = revEntry{}
-	fs.corrupt.Unset(uint64(b))
-	fs.insertFree(b, 1)
-	fs.freeBlocks++
+	fs.freeRun(start, n)
+}
+
+// freeRun returns a zero-ref run to the allocator, dropping its per-block
+// metadata (checksum, reverse map, corruption marker).
+func (fs *FS) freeRun(start, n int64) {
+	clear(fs.csums[start : start+n])
+	clear(fs.rev[start : start+n])
+	fs.corrupt.UnsetRange(uint64(start), uint64(start+n))
+	fs.insertFree(start, n)
+	fs.freeBlocks += n
 }
 
 // Allocated reports whether block b is referenced by any file or snapshot.

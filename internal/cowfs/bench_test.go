@@ -1,7 +1,9 @@
 package cowfs
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"duet/internal/sim"
@@ -31,58 +33,201 @@ func cowCycle(p *sim.Proc, v *env, ino Ino) {
 // BenchmarkWriteOverwriteRead measures the write → writeback → read
 // cycle that dominates every cowfs experiment.
 func BenchmarkWriteOverwriteRead(b *testing.B) {
-	v := newEnv(4096)
-	f, err := v.fs.Create("/f")
-	if err != nil {
-		b.Fatal(err)
-	}
-	v.e.Go("bench", func(p *sim.Proc) {
-		defer v.e.Stop()
-		for i := 0; i < 64; i++ {
-			cowCycle(p, v, f.Ino)
+	benchInProc(b, func(p *sim.Proc, v *env) func() {
+		f, err := v.fs.Create("/f")
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cowCycle(p, v, f.Ino)
-		}
+		return func() { cowCycle(p, v, f.Ino) }
 	})
-	if err := v.e.Run(); err != nil {
-		b.Fatal(err)
-	}
 }
 
-// churn allocates a multi-block region at a random hint and frees it
-// block by block, exercising findFit, carve, and the merge paths of the
-// two-level free index under fragmentation.
-func churn(fs *FS, rng *rand.Rand, rb *runBuf) {
+// churn allocates a multi-block region at a random hint and frees it,
+// exercising findFit, carve, and the merge paths of the two-level free
+// index under fragmentation. It frees each run in one derefRange, as the
+// filesystem does; perBlock frees the same runs a block at a time
+// instead, the worst case for run merging (every block but the first
+// merges into the run the previous call just filed).
+func churn(fs *FS, rng *rand.Rand, rb *runBuf, perBlock bool) {
 	runs, err := fs.allocate(7, rng.Int63n(testBlocks), rb.runs[:0])
 	if err != nil {
 		panic(err)
 	}
 	rb.runs = runs
 	for _, r := range runs {
+		if !perBlock {
+			fs.derefRange(r.phys, r.len)
+			continue
+		}
 		for blk := r.phys; blk < r.phys+r.len; blk++ {
-			fs.deref(blk)
+			fs.derefRange(blk, 1)
 		}
 	}
 }
 
 // BenchmarkAllocateFreeChurn measures raw free-space index throughput:
-// allocate at a random hint, free block-by-block (worst case for run
-// merging). Node and chunk pools must make this allocation-free.
+// allocate at a random hint, then free by run and, as the worst case,
+// block by block. Node and chunk pools must make both allocation-free.
 func BenchmarkAllocateFreeChurn(b *testing.B) {
-	v := newEnv(64)
-	rng := rand.New(rand.NewSource(1))
-	rb := v.fs.getRunBuf()
-	for i := 0; i < 2048; i++ {
-		churn(v.fs, rng, rb)
+	for _, perBlock := range []bool{false, true} {
+		name := "free=run"
+		if perBlock {
+			name = "free=block"
+		}
+		b.Run(name, func(b *testing.B) {
+			v := newEnv(64)
+			rng := rand.New(rand.NewSource(1))
+			rb := v.fs.getRunBuf()
+			for i := 0; i < 2048; i++ {
+				churn(v.fs, rng, rb, perBlock)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				churn(v.fs, rng, rb, perBlock)
+			}
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		churn(v.fs, rng, rb)
+}
+
+// benchFilePages is the file size of the free-heavy benchmarks below.
+const benchFilePages = 64
+
+// refragment re-cuts a contiguous file's extent map into k equal extents
+// by giving each piece a generation of its own — the map k partial
+// overwrites leave behind, without moving a block — so the next
+// whole-file overwrite has k extents to release.
+func refragment(i *Inode, k int64) {
+	e := i.Extents[0]
+	if len(i.Extents) != 1 || e.Len%k != 0 {
+		panic("refragment: file is not one extent divisible by k")
 	}
+	per := e.Len / k
+	i.Extents = i.Extents[:0]
+	for j := int64(0); j < k; j++ {
+		i.Extents = append(i.Extents, Extent{Logical: e.Logical + j*per, Phys: e.Phys + j*per, Len: per, Gen: e.Gen - uint64(j)})
+	}
+}
+
+// overwriteWhole is the fileserver's whole-file overwrite: every extent
+// of the file is released and the file re-allocated in one write.
+func overwriteWhole(p *sim.Proc, v *env, i *Inode, extents int64) {
+	refragment(i, extents)
+	if err := v.fs.Write(p, i.Ino, 0, benchFilePages); err != nil {
+		panic(err)
+	}
+}
+
+// deleteRecreate is the fileserver's other free-heavy operation: delete a
+// file, create a new one in its place and fill it.
+func deleteRecreate(p *sim.Proc, v *env) {
+	if err := v.fs.Delete("/f"); err != nil {
+		panic(err)
+	}
+	f, err := v.fs.Create("/f")
+	if err != nil {
+		panic(err)
+	}
+	if err := v.fs.Write(p, f.Ino, 0, benchFilePages); err != nil {
+		panic(err)
+	}
+}
+
+// commitChurn is the durable cycle: an overwrite defers the old blocks,
+// the commit that follows drains them back to the allocator.
+func commitChurn(p *sim.Proc, v *env, ino Ino) {
+	if err := v.fs.Write(p, ino, 0, benchFilePages); err != nil {
+		panic(err)
+	}
+	if err := v.fs.Commit(p); err != nil {
+		panic(err)
+	}
+}
+
+// deferDrain is commitChurn without the checkpoint (whose deep copy of
+// every file's metadata allocates by design): an overwrite defers the old
+// blocks and a drain against the standing checkpoint frees all but the
+// ones that checkpoint references, which stay deferred for ever.
+func deferDrain(p *sim.Proc, v *env, ino Ino) {
+	if err := v.fs.Write(p, ino, 0, benchFilePages); err != nil {
+		panic(err)
+	}
+	v.fs.drainDeferred()
+}
+
+// benchFile makes the benchmarks' file and fills it.
+func benchFile(p *sim.Proc, v *env) *Inode {
+	f, err := v.fs.Create("/f")
+	if err != nil {
+		panic(err)
+	}
+	if err := v.fs.Write(p, f.Ino, 0, benchFilePages); err != nil {
+		panic(err)
+	}
+	return f
+}
+
+// benchFileDurable is benchFile on the medium and in the first checkpoint.
+func benchFileDurable(p *sim.Proc, v *env) *Inode {
+	f := benchFile(p, v)
+	v.fs.Sync(p)
+	v.fs.EnableDurability()
+	return f
+}
+
+// benchInProc runs op b.N times inside a simulated process on a
+// 4096-page cache, after setup and 64 warm-up operations.
+func benchInProc(b *testing.B, setup func(p *sim.Proc, v *env) func()) {
+	v := newEnv(4096)
+	v.e.Go("bench", func(p *sim.Proc) {
+		defer v.e.Stop()
+		op := setup(p, v)
+		for i := 0; i < 64; i++ {
+			op()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			op()
+		}
+	})
+	if err := v.e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	if err := v.fs.CheckInvariants(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkOverwriteWholeFile measures a whole-file overwrite of a file
+// held in 1 or 16 extents: splice, run-wise release, re-allocation.
+func BenchmarkOverwriteWholeFile(b *testing.B) {
+	for _, extents := range []int64{1, 16} {
+		b.Run(fmt.Sprintf("extents=%d", extents), func(b *testing.B) {
+			benchInProc(b, func(p *sim.Proc, v *env) func() {
+				f := benchFile(p, v)
+				return func() { overwriteWhole(p, v, f, extents) }
+			})
+		})
+	}
+}
+
+// BenchmarkDeleteRecreate measures delete + create + fill. The new file's
+// own objects (inode, page versions, extent slice, path) are allocated
+// each time; the block release and re-allocation are not.
+func BenchmarkDeleteRecreate(b *testing.B) {
+	benchInProc(b, func(p *sim.Proc, v *env) func() {
+		benchFile(p, v)
+		return func() { deleteRecreate(p, v) }
+	})
+}
+
+// BenchmarkCommitChurn measures durable write → commit → drain.
+func BenchmarkCommitChurn(b *testing.B) {
+	benchInProc(b, func(p *sim.Proc, v *env) func() {
+		f := benchFileDurable(p, v)
+		return func() { commitChurn(p, v, f.Ino) }
+	})
 }
 
 // TestCowHotPathAllocFree is the CI regression gate for the paths above:
@@ -115,18 +260,79 @@ func TestCowHotPathAllocFree(t *testing.T) {
 			t.Error(err)
 		}
 	})
+	// The free-heavy operations: a whole-file overwrite releasing 1 or 16
+	// extents, a delete, and a durable overwrite drained against a
+	// standing checkpoint. Recreating the deleted file and taking a
+	// checkpoint allocate by design (a new inode with its slices; a deep
+	// copy of every file's metadata), so the gate measures around them.
+	inProc := func(t *testing.T, fn func(p *sim.Proc, v *env)) {
+		v := newEnv(4096)
+		v.in(t, func(p *sim.Proc) { fn(p, v) })
+	}
+	for _, extents := range []int64{1, 16} {
+		t.Run(fmt.Sprintf("overwrite-whole-file/extents=%d", extents), func(t *testing.T) {
+			inProc(t, func(p *sim.Proc, v *env) {
+				f := benchFile(p, v)
+				for i := 0; i < 64; i++ {
+					overwriteWhole(p, v, f, extents)
+				}
+				if avg := testing.AllocsPerRun(100, func() { overwriteWhole(p, v, f, extents) }); avg != 0 {
+					t.Errorf("whole-file overwrite allocates %.1f allocs/op, want 0", avg)
+				}
+			})
+		})
+	}
+	t.Run("delete", func(t *testing.T) {
+		inProc(t, func(p *sim.Proc, v *env) {
+			f := benchFile(p, v)
+			var ms runtime.MemStats
+			var mallocs uint64
+			for i := 0; i < 164; i++ {
+				refragment(f, 16)
+				runtime.ReadMemStats(&ms)
+				before := ms.Mallocs
+				if err := v.fs.deleteInode(f); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&ms)
+				if i >= 64 { // warm
+					mallocs += ms.Mallocs - before
+				}
+				f = benchFile(p, v)
+			}
+			if mallocs != 0 {
+				t.Errorf("100 deletes of a 16-extent file made %d allocations, want 0", mallocs)
+			}
+		})
+	})
+	t.Run("defer-drain", func(t *testing.T) {
+		inProc(t, func(p *sim.Proc, v *env) {
+			f := benchFileDurable(p, v)
+			for i := 0; i < 64; i++ {
+				deferDrain(p, v, f.Ino)
+			}
+			if avg := testing.AllocsPerRun(100, func() { deferDrain(p, v, f.Ino) }); avg != 0 {
+				t.Errorf("durable overwrite + drain allocates %.1f allocs/op, want 0", avg)
+			}
+			if got := v.fs.deferredBlocks; got != benchFilePages {
+				t.Errorf("%d blocks still deferred, want the checkpoint's %d", got, benchFilePages)
+			}
+		})
+	})
 	t.Run("allocate-free", func(t *testing.T) {
 		v := newEnv(64)
 		rng := rand.New(rand.NewSource(1))
 		rb := v.fs.getRunBuf()
-		for i := 0; i < 2048; i++ {
-			churn(v.fs, rng, rb)
-		}
-		avg := testing.AllocsPerRun(200, func() {
-			churn(v.fs, rng, rb)
-		})
-		if avg != 0 {
-			t.Errorf("allocate/free churn allocates %.1f allocs/op, want 0", avg)
+		for _, perBlock := range []bool{false, true} {
+			for i := 0; i < 2048; i++ {
+				churn(v.fs, rng, rb, perBlock)
+			}
+			avg := testing.AllocsPerRun(200, func() {
+				churn(v.fs, rng, rb, perBlock)
+			})
+			if avg != 0 {
+				t.Errorf("allocate/free churn (per block: %v) allocates %.1f allocs/op, want 0", perBlock, avg)
+			}
 		}
 		if err := v.fs.CheckInvariants(); err != nil {
 			t.Error(err)

@@ -120,11 +120,14 @@ type FS struct {
 	obs    *fsObs // nil unless observability is on (see obs.go)
 
 	// Durability state (nil/empty until EnableDurability; see durable.go).
-	durable      *checkpoint
-	deferredFree []int64 // zero-ref blocks held until the next commit
-	cpMark       []bool  // scratch: blocks referenced by the checkpoint
-	markScratch  []int64
-	quarScratch  []pagecache.PageKey
+	durable        *checkpoint
+	deferredFree   []blkRange // zero-ref runs held until the next commit
+	deferredBlocks int64      // total length of deferredFree
+	deferredKept   []blkRange // drainDeferred's output buffer, swapped with deferredFree
+	cpMark         []bool     // scratch: blocks referenced by the checkpoint
+	markScratch    []int64
+	quarScratch    []pagecache.PageKey
+	commitInos     []Ino // Commit's file list; taken while a commit is in flight
 
 	// Scratch storage for the allocation-free hot paths. freed is safe as
 	// a single buffer because spliceOut never blocks between filling and
@@ -487,9 +490,7 @@ func (fs *FS) deleteInode(i *Inode) error {
 		return fmt.Errorf("%w: %s", ErrNotEmpty, i.Name)
 	}
 	for _, ext := range i.Extents {
-		for b := ext.Phys; b < ext.Phys+ext.Len; b++ {
-			fs.deref(b)
-		}
+		fs.derefRange(ext.Phys, ext.Len)
 	}
 	fs.cache.RemoveFile(fs.id, uint64(i.Ino))
 	fs.dirRemove(fs.inodes[i.Parent], i.Name)

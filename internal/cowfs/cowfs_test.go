@@ -3,6 +3,7 @@ package cowfs
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"duet/internal/iosched"
@@ -20,9 +21,11 @@ type env struct {
 	fs    *FS
 }
 
-func newEnv(cachePages int) *env {
+func newEnv(cachePages int) *env { return newEnvBlocks(cachePages, testBlocks) }
+
+func newEnvBlocks(cachePages int, blocks int64) *env {
 	e := sim.New(1)
-	disk := storage.NewDisk(e, "sda", storage.DefaultHDD(testBlocks), iosched.NewCFQ())
+	disk := storage.NewDisk(e, "sda", storage.DefaultHDD(blocks), iosched.NewCFQ())
 	cache := pagecache.New(e, pagecache.DefaultConfig(cachePages))
 	fs := New(e, 1, disk, cache)
 	return &env{e: e, disk: disk, cache: cache, fs: fs}
@@ -553,6 +556,84 @@ func TestNoSpace(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	if _, err := v.fs.PopulateFile("/big", testBlocks+1, 1, rng); !errors.Is(err, ErrNoSpace) {
 		t.Errorf("over-populate: %v", err)
+	}
+}
+
+// An overwrite or a defragmentation that cannot get its blocks must leave
+// the file exactly as it was. Both release the old coverage before they
+// allocate, so they have to know beforehand that the allocation will fit:
+// into the free blocks plus the ones the release hands straight back,
+// which is none of them for blocks a snapshot shares or, under
+// durability, for any block (frees wait for the next commit).
+func TestFailedOverwriteLeavesFileIntact(t *testing.T) {
+	const filePages, spare = 8, 4
+	cases := []struct {
+		name     string
+		durable  bool
+		snapshot bool
+		writeLen int64 // an overwrite from page 0 that must not fit
+	}{
+		{"grow-past-free-space", false, false, filePages + spare + 1},
+		{"shared-with-snapshot", false, true, filePages},
+		{"frees-deferred", true, false, filePages},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			v := newEnv(1024)
+			rng := rand.New(rand.NewSource(15))
+			if _, err := v.fs.MkdirAll("/data"); err != nil {
+				t.Fatal(err)
+			}
+			f, err := v.fs.PopulateFile("/data/f", filePages, 2, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v.in(t, func(p *sim.Proc) {
+				if tc.snapshot {
+					if _, err := v.fs.CreateSnapshot(p, "/data", "/snap"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := v.fs.PopulateFile("/fill", v.fs.FreeBlocks()-spare, 1, rng); err != nil {
+					t.Fatal(err)
+				}
+				if tc.durable {
+					v.fs.EnableDurability()
+				}
+				extents := slices.Clone(f.Extents)
+				vers := slices.Clone(f.PageVers)
+				gen, size := f.Gen, f.SizePg
+
+				if err := v.fs.Write(p, f.Ino, 0, tc.writeLen); !errors.Is(err, ErrNoSpace) {
+					t.Fatalf("overwrite of %d pages with %d free: %v, want ErrNoSpace", tc.writeLen, spare, err)
+				}
+				if tc.snapshot || tc.durable { // rewriting the file in place cannot fit either
+					if _, err := v.fs.DefragFile(p, f.Ino, storage.ClassIdle, "defrag"); !errors.Is(err, ErrNoSpace) {
+						t.Fatalf("defragmentation with %d free: %v, want ErrNoSpace", spare, err)
+					}
+				}
+				if !slices.Equal(f.Extents, extents) || !slices.Equal(f.PageVers, vers) || f.Gen != gen || f.SizePg != size {
+					t.Errorf("failed overwrite changed the file: extents %v -> %v, gen %d -> %d, size %d -> %d",
+						extents, f.Extents, gen, f.Gen, size, f.SizePg)
+				}
+				if got := v.fs.FreeBlocks(); got != spare {
+					t.Errorf("free blocks = %d after the failed overwrite, want %d", got, spare)
+				}
+				// Every page still comes off the device and verifies; a
+				// hole would be served as a zero page without I/O.
+				v.cache.RemoveFile(v.fs.ID(), uint64(f.Ino))
+				missed, err := v.fs.ReadCount(p, f.Ino, 0, filePages, storage.ClassNormal, "test")
+				if err != nil || missed != filePages {
+					t.Errorf("read back after failed overwrite: %d device reads (want %d), err %v", missed, filePages, err)
+				}
+				// An overwrite that does fit still works.
+				if !tc.snapshot && !tc.durable {
+					if err := v.fs.Write(p, f.Ino, 0, filePages+spare); err != nil {
+						t.Errorf("overwrite into free + released blocks: %v", err)
+					}
+				}
+			})
+		})
 	}
 }
 

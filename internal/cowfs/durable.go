@@ -2,7 +2,7 @@ package cowfs
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"duet/internal/pagecache"
 	"duet/internal/sim"
@@ -21,8 +21,8 @@ import (
 // rebuilds the filesystem from the checkpoint plus the untouched
 // medium, and must pass CheckInvariants and a full checksum scrub.
 //
-// Durability is opt-in (EnableDurability): without it deref frees
-// blocks immediately and behavior is bit-for-bit the historical one.
+// Durability is opt-in (EnableDurability): without it derefRange frees
+// runs immediately and behavior is bit-for-bit the historical one.
 
 // cpFile is one file's committed metadata.
 type cpFile struct {
@@ -136,19 +136,18 @@ func (fs *FS) Commit(p *sim.Proc) error {
 	if fs.obs != nil {
 		commitStart = p.Now()
 	}
-	inos := make([]Ino, 0, len(fs.inodes))
-	for ino, i := range fs.inodes {
-		if !i.Dir {
-			inos = append(inos, ino)
-		}
-	}
-	sort.Slice(inos, func(a, b int) bool { return inos[a] < inos[b] })
+	// The file list is held across blocking syncs, so the scratch slice is
+	// taken out of the FS for the duration: a commit that overlaps this one
+	// in virtual time finds none and allocates its own.
+	inos := fs.fileInos(fs.commitInos[:0])
+	fs.commitInos = nil
 	var firstErr error
 	for _, ino := range inos {
 		if err := fs.cache.SyncFile(p, fs.id, uint64(ino)); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
+	fs.commitInos = inos
 	if n := fs.quarantinedPages(); n > 0 {
 		if firstErr == nil {
 			firstErr = fmt.Errorf("cowfs: %d pages quarantined", n)
@@ -185,16 +184,13 @@ func (fs *FS) quarantinedPages() int {
 	return n
 }
 
-// deferFree parks a block whose refcount reached zero until the next
-// commit. Its metadata (checksum, reverse map, corruption marker) stays
-// intact: the last checkpoint may still reference it.
-func (fs *FS) deferFree(b int64) {
-	fs.deferredFree = append(fs.deferredFree, b)
-}
-
-// drainDeferred releases deferred blocks not referenced by the new
-// checkpoint. Blocks a carried-over (dirty-file) checkpoint entry still
-// points at remain deferred for another round.
+// drainDeferred releases the deferred runs (alloc.go's release parks
+// them with their checksums, reverse map and corruption markers intact,
+// because the last checkpoint may still reference them) that the new
+// checkpoint does not reference. Each run is split where the checkpoint's
+// coverage changes: pieces a carried-over (dirty-file) checkpoint entry
+// still points at remain deferred for another round, the rest return to
+// the allocator as runs.
 func (fs *FS) drainDeferred() {
 	if len(fs.deferredFree) == 0 {
 		return
@@ -213,19 +209,26 @@ func (fs *FS) drainDeferred() {
 			}
 		}
 	}
-	kept := fs.deferredFree[:0]
-	for _, b := range fs.deferredFree {
-		if fs.cpMark[b] {
-			kept = append(kept, b)
-			continue
+	// A run can split into more kept pieces than runs consumed so far, so
+	// the kept list is built in a second buffer and the two are swapped.
+	kept := fs.deferredKept[:0]
+	for _, r := range fs.deferredFree {
+		for b, end := r.phys, r.phys+r.n; b < end; {
+			held := fs.cpMark[b]
+			e := b + 1
+			for e < end && fs.cpMark[e] == held {
+				e++
+			}
+			if held {
+				kept = append(kept, blkRange{phys: b, n: e - b})
+			} else {
+				fs.freeRun(b, e-b)
+				fs.deferredBlocks -= e - b
+			}
+			b = e
 		}
-		fs.csums[b] = 0
-		fs.rev[b] = revEntry{}
-		fs.corrupt.Unset(uint64(b))
-		fs.insertFree(b, 1)
-		fs.freeBlocks++
 	}
-	fs.deferredFree = kept
+	fs.deferredFree, fs.deferredKept = kept, fs.deferredFree[:0]
 	for _, b := range marked {
 		fs.cpMark[b] = false
 	}
@@ -283,7 +286,7 @@ func Remount(e sim.Host, id pagecache.FSID, disk *storage.Disk, cache *pagecache
 	for ino := range cp.files {
 		inos = append(inos, ino)
 	}
-	sort.Slice(inos, func(a, b int) bool { return inos[a] < inos[b] })
+	slices.Sort(inos)
 	for _, ino := range inos {
 		f := cp.files[ino]
 		i := &Inode{

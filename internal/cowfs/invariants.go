@@ -1,6 +1,10 @@
 package cowfs
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // CheckInvariants is a debug walk over the filesystem's accounting
 // structures. It cross-checks three independent views of every device
@@ -90,21 +94,35 @@ func (fs *FS) CheckInvariants() error {
 	if freeTotal != fs.freeBlocks {
 		return fmt.Errorf("cowfs: free runs hold %d blocks but freeBlocks is %d", freeTotal, fs.freeBlocks)
 	}
-	// Deferred frees (durability mode) are zero-ref blocks deliberately
-	// withheld from the index: each must be unique, unreferenced, and not
-	// also free-listed.
-	deferred := make(map[int64]bool, len(fs.deferredFree))
-	for _, b := range fs.deferredFree {
-		if deferred[b] {
-			return fmt.Errorf("cowfs: block %d deferred-freed twice", b)
+	// Deferred frees (durability mode) are zero-ref runs deliberately
+	// withheld from the index: they must be disjoint, unreferenced, and not
+	// also free-listed, and their recorded total must be their length.
+	deferred := slices.Clone(fs.deferredFree)
+	slices.SortFunc(deferred, func(a, b blkRange) int { return cmp.Compare(a.phys, b.phys) })
+	var deferredTotal int64
+	end := int64(0) // end of the previous deferred run
+	for _, r := range deferred {
+		if r.n <= 0 || r.phys < 0 || r.phys+r.n > nb {
+			return fmt.Errorf("cowfs: deferred-free run [%d, %d) is empty or outside the device", r.phys, r.phys+r.n)
 		}
-		deferred[b] = true
-		if fs.refs[b] != 0 {
-			return fmt.Errorf("cowfs: deferred-free block %d has refcount %d", b, fs.refs[b])
+		if r.phys < end {
+			return fmt.Errorf("cowfs: deferred-free run [%d, %d) overlaps one ending at %d (deferred twice)", r.phys, r.phys+r.n, end)
 		}
-		if s, l, ok := fs.free.runs.Floor(b); ok && b < s+l {
-			return fmt.Errorf("cowfs: block %d both deferred and free-listed", b)
+		end = r.phys + r.n
+		for b := r.phys; b < end; b++ {
+			if fs.refs[b] != 0 {
+				return fmt.Errorf("cowfs: deferred-free block %d has refcount %d", b, fs.refs[b])
+			}
 		}
+		// The free run at or below the last block is the only one that
+		// could reach into [phys, phys+n).
+		if s, l, ok := fs.free.runs.Floor(end - 1); ok && s+l > r.phys {
+			return fmt.Errorf("cowfs: deferred-free run [%d, %d) overlaps free run [%d, %d)", r.phys, end, s, s+l)
+		}
+		deferredTotal += r.n
+	}
+	if deferredTotal != fs.deferredBlocks {
+		return fmt.Errorf("cowfs: deferred runs hold %d blocks but deferredBlocks is %d", deferredTotal, fs.deferredBlocks)
 	}
 	var zeroRef int64
 	for b := int64(0); b < nb; b++ {
@@ -112,9 +130,9 @@ func (fs *FS) CheckInvariants() error {
 			zeroRef++
 		}
 	}
-	if zeroRef != freeTotal+int64(len(fs.deferredFree)) {
+	if zeroRef != freeTotal+deferredTotal {
 		return fmt.Errorf("cowfs: %d blocks have refcount 0 but free runs hold %d and %d are deferred (leak or double-free)",
-			zeroRef, freeTotal, len(fs.deferredFree))
+			zeroRef, freeTotal, deferredTotal)
 	}
 
 	// Pass 4: no stale size-class bucket entries — every bucket bit must

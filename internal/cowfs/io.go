@@ -203,16 +203,41 @@ func spliceExtents(exts []Extent, lo, hi int64, freed []blkRange) ([]Extent, []b
 }
 
 // spliceOut removes logical range [lo, hi) from the inode's extent map,
-// dereferencing the covered blocks and splitting boundary extents. The
+// dereferencing the covered runs and splitting boundary extents; it
+// returns how many of the covered blocks were shared with a snapshot. The
 // freed scratch is a plain FS field (not pooled): nothing between filling
 // and draining it blocks, so no other process can observe it.
-func (fs *FS) spliceOut(i *Inode, lo, hi int64) {
+func (fs *FS) spliceOut(i *Inode, lo, hi int64) (shared int64) {
 	i.Extents, fs.freed = spliceExtents(i.Extents, lo, hi, fs.freed[:0])
 	for _, r := range fs.freed {
-		for b := r.phys; b < r.phys+r.n; b++ {
-			fs.deref(b)
+		shared += fs.derefRange(r.phys, r.n)
+	}
+	return shared
+}
+
+// fitsAfterSplice reports whether n blocks can be allocated once logical
+// range [lo, hi) of the inode has been spliced out: the free blocks plus
+// those the splice hands straight back (sole references; none under
+// durability, where every free waits for the next commit). Overwrites
+// ask before they splice, so running out of space leaves the file as it
+// was instead of with a hole where its data used to be.
+func (fs *FS) fitsAfterSplice(i *Inode, lo, hi, n int64) bool {
+	avail := fs.freeBlocks
+	if n <= avail {
+		return true
+	}
+	if fs.durable != nil {
+		return false
+	}
+	for _, e := range i.Extents {
+		cutLo, cutHi := max64(e.Logical, lo), min64(e.Logical+e.Len, hi)
+		for b := e.Phys + (cutLo - e.Logical); b < e.Phys+(cutHi-e.Logical); b++ {
+			if fs.refs[b] == 1 {
+				avail++
+			}
 		}
 	}
+	return n <= avail
 }
 
 // insertExtent adds an extent keeping the slice sorted by Logical and
@@ -272,19 +297,15 @@ func (fs *FS) Write(p *sim.Proc, ino Ino, off, n int64) error {
 	if n <= 0 {
 		return nil
 	}
+	if !fs.fitsAfterSplice(i, off, off+n, n) {
+		return fmt.Errorf("cowfs: write inode %d: %w", ino, ErrNoSpace)
+	}
 	fs.gen++
 	i.Gen = fs.gen
 
-	// Count blocks being re-allocated away from snapshot sharing.
-	for idx := off; idx < off+n; idx++ {
-		if b, mapped := fibmapIn(i, idx); mapped && fs.refs[b] > 1 {
-			fs.stats.CowReallocation++
-		}
-	}
-
 	// COW: release old coverage, then allocate fresh blocks near the
 	// file's existing data to preserve some locality.
-	fs.spliceOut(i, off, off+n)
+	fs.stats.CowReallocation += fs.spliceOut(i, off, off+n)
 	hint := int64(0)
 	if len(i.Extents) > 0 {
 		last := i.Extents[len(i.Extents)-1]
@@ -654,23 +675,26 @@ func (fs *FS) RepairBlock(p *sim.Proc, b int64, class storage.Class, owner strin
 // blockOwner finds a file referencing block b (linear in file count; used
 // only on the rare repair path).
 func (fs *FS) blockOwner(b int64) (Ino, int64, bool) {
-	inos := make([]Ino, 0, len(fs.inodes))
-	for ino := range fs.inodes {
-		inos = append(inos, ino)
-	}
-	sort.Slice(inos, func(x, y int) bool { return inos[x] < inos[y] })
-	for _, ino := range inos {
-		i := fs.inodes[ino]
-		if i.Dir {
-			continue
-		}
-		for _, e := range i.Extents {
+	for _, ino := range fs.fileInos(nil) {
+		for _, e := range fs.inodes[ino].Extents {
 			if b >= e.Phys && b < e.Phys+e.Len {
 				return ino, e.Logical + (b - e.Phys), true
 			}
 		}
 	}
 	return 0, 0, false
+}
+
+// fileInos appends the inode numbers of all regular files to buf, in
+// ascending order.
+func (fs *FS) fileInos(buf []Ino) []Ino {
+	for ino, i := range fs.inodes {
+		if !i.Dir {
+			buf = append(buf, ino)
+		}
+	}
+	slices.Sort(buf)
+	return buf
 }
 
 // blockDirtyInCache reports whether the page currently mapped to block b

@@ -164,6 +164,9 @@ func (fs *FS) DefragFile(p *sim.Proc, ino Ino, class storage.Class, owner string
 	// Phase 2: relocate. Allocate a fresh contiguous region, retarget the
 	// extent map, and dirty the pages (same content version — defrag does
 	// not change data) so the flusher writes them out sequentially.
+	if !fs.fitsAfterSplice(i, 0, i.SizePg, i.SizePg) {
+		return res, fmt.Errorf("cowfs: defragment inode %d: %w", ino, ErrNoSpace)
+	}
 	fs.gen++
 	i.Gen = fs.gen
 	fs.spliceOut(i, 0, i.SizePg)
