@@ -37,7 +37,6 @@ import (
 	"duet/internal/experiments"
 	"duet/internal/machine"
 	"duet/internal/obs"
-	"duet/internal/sim"
 )
 
 // benchRecord is one experiment's entry in the BENCH json.
@@ -60,8 +59,6 @@ type benchFile struct {
 	DomainJ      int           `json:"dj"`
 	GoMaxProcs   int           `json:"gomaxprocs"`
 	Cpus         int           `json:"cpus"`
-	WindowMode   string        `json:"window"`
-	ExecMode     string        `json:"exec"`
 	Parallel     bool          `json:"parallel_speedup"`
 	Experiments  []benchRecord `json:"experiments"`
 	TotalSeconds float64       `json:"total_seconds"`
@@ -76,8 +73,6 @@ func main() {
 	seeds := flag.Int("seeds", 0, "override the number of repetitions (0 = scale default)")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "grid worker count (output is identical at any value)")
 	domainJ := flag.Int("dj", 1, "intra-simulation worker count for multi-domain cells (output is identical at any value)")
-	windowFlag := flag.String("window", "adaptive", "barrier protocol for multi-domain cells: adaptive or fixed (output is identical under both)")
-	execFlag := flag.String("exec", "callback", "executor mode: callback (inline, goroutine-free hot path) or proc (legacy goroutine executors; output is identical under both)")
 	expFlag := flag.String("experiment", "", "comma-separated experiment IDs (default: all)")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	benchOut := flag.String("bench-out", "", "timing json path (default BENCH_<scale>.json, \"-\" to disable)")
@@ -105,21 +100,6 @@ func main() {
 	}
 	experiments.Workers = *workers
 	experiments.DomainWorkers = *domainJ
-	windowMode, ok := sim.WindowModeByName(*windowFlag)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "duetbench: unknown -window %q (want adaptive or fixed)\n", *windowFlag)
-		os.Exit(2)
-	}
-	experiments.WindowMode = windowMode
-	switch *execFlag {
-	case "callback":
-		experiments.LegacyExec = false
-	case "proc":
-		experiments.LegacyExec = true
-	default:
-		fmt.Fprintf(os.Stderr, "duetbench: unknown -exec %q (want callback or proc)\n", *execFlag)
-		os.Exit(2)
-	}
 	if !*quiet {
 		experiments.Progress = os.Stderr
 	}
@@ -170,8 +150,6 @@ func main() {
 		DomainJ:    *domainJ,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Cpus:       runtime.NumCPU(),
-		WindowMode: windowMode.String(),
-		ExecMode:   *execFlag,
 	}
 	bench.Parallel = *domainJ <= bench.GoMaxProcs && *domainJ <= bench.Cpus
 	if *domainJ > 1 && !bench.Parallel {

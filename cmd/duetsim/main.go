@@ -46,7 +46,6 @@ func main() {
 		window      = flag.Duration("window", 60*time.Second, "experiment window (virtual)")
 		seed        = flag.Int64("seed", 1, "simulation seed")
 		domainJ     = flag.Int("dj", 1, "intra-simulation worker count (only affects multi-domain engines; output is identical at any value)")
-		windowMode  = flag.String("window-mode", "adaptive", "barrier protocol for multi-domain engines: adaptive or fixed (output is identical under both)")
 		traceOut    = flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) to this file")
 		metricsOut  = flag.String("metrics", "", "write the metrics registry to this file (.json for JSON, otherwise text)")
 	)
@@ -69,12 +68,6 @@ func main() {
 	})
 	fatal(err)
 	m.Eng.SetWorkers(*domainJ)
-	wm, ok := sim.WindowModeByName(*windowMode)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "duetsim: unknown -window-mode %q (want adaptive or fixed)\n", *windowMode)
-		os.Exit(2)
-	}
-	m.Eng.SetWindowMode(wm)
 	files, err := m.Populate(machine.DefaultPopulateSpec("/data", *dataMB*256))
 	fatal(err)
 	dataRoot, err := m.FS.Lookup("/data")

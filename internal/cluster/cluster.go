@@ -50,7 +50,6 @@ type Config struct {
 	// granularity (default = PortLatency).
 	PortLatency sim.Time
 	Tick        sim.Time
-	WindowMode  sim.WindowMode
 
 	// CommitEvery is the per-node checkpoint cadence: the replication
 	// log's durable watermark advances with each commit. Default 250ms.
@@ -151,7 +150,6 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	e := sim.New(cfg.Seed)
-	e.SetWindowMode(cfg.WindowMode)
 	c := &Cluster{Cfg: cfg, Eng: e}
 
 	for i := 0; i < cfg.Nodes; i++ {

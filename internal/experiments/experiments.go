@@ -68,8 +68,7 @@ var ScaleSmall = Scale{
 
 // ScaleMedium sits between small and full: enough data and window for
 // per-cell runtimes where intra-simulation parallelism (-dj) pays off
-// measurably, while a single cell still finishes in minutes. It is the
-// scale BENCH_medium.json is recorded at.
+// measurably, while a single cell still finishes in minutes.
 var ScaleMedium = Scale{
 	Name:         "medium",
 	DataPages:    786432,  // 3 GiB
@@ -204,9 +203,8 @@ func buildWith(spec EnvSpec, rate float64, o *obs.Obs) (*env, error) {
 		// CFQ's slice_idle anticipation is ~8 ms on real hardware; scale
 		// it with the device so idle-class starvation behaves the same
 		// at reduced scales.
-		IdleGrace:  sim.Time(2.5 * spec.Scale.DeviceSlow * float64(sim.Millisecond)),
-		Obs:        o,
-		LegacyExec: LegacyExec,
+		IdleGrace: sim.Time(2.5 * spec.Scale.DeviceSlow * float64(sim.Millisecond)),
+		Obs:       o,
 	})
 	if err != nil {
 		return nil, err

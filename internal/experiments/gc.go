@@ -64,7 +64,6 @@ func newLFSMachine(g gcScale, seed int64, o *obs.Obs) (*machine.LFSMachine, erro
 		Model:        storage.DefaultHDD(g.deviceBlocks).Slowed(g.slow),
 		CachePages:   g.cachePages,
 		Obs:          o,
-		LegacyExec:   LegacyExec,
 	}, lfs.Config{SegBlocks: g.segBlocks, ReservedSegs: 8})
 }
 

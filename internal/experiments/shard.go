@@ -17,27 +17,14 @@ import (
 // The sharded-machine experiment: N independent device stacks (device +
 // cache + filesystem + Duet) on N event domains, coordinated from the
 // default domain over Ports. It is the cell the -dj flag parallelizes
-// INSIDE one simulation — the other experiments parallelize only across
-// cells — and the vehicle for the intra-sim speedup numbers in
-// BENCH_medium.json. Results are byte-identical at any -dj; only
-// wall-clock changes.
+// INSIDE one simulation (the cluster experiment is the other; the rest
+// parallelize only across cells). Results are byte-identical at any
+// -dj; only wall-clock changes.
 
 // DomainWorkers is the intra-simulation worker count for multi-domain
 // cells (sharded machines). <= 0 means 1. cmd/duetbench and cmd/duetsim
 // set it from their -dj flag. It never affects simulation output.
 var DomainWorkers int
-
-// WindowMode is the barrier protocol for multi-domain cells. The zero
-// value is sim.WindowAdaptive; cmd/duetbench sets it from its -window
-// flag. Like DomainWorkers, it never affects simulation output — the
-// determinism CI gate diffs fixed against adaptive runs.
-var WindowMode sim.WindowMode
-
-// LegacyExec selects the goroutine executors instead of the inline
-// callback hot path for every cell's machine. cmd/duetbench sets it
-// from its -exec flag. It never affects simulation output — the CI
-// speedup gate diffs and times callback against proc runs.
-var LegacyExec bool
 
 // shardCount is the number of independent stacks per sharded cell: four
 // devices makes the conservative-window parallelism real (target ≥ 1.5x
@@ -107,11 +94,9 @@ func runShardCell(s Scale, seed int64, duet bool) (*shardCellResult, error) {
 			CachePages:   s.CachePages,
 			IdleGrace:    sim.Time(2.5 * s.DeviceSlow * float64(sim.Millisecond)),
 			Obs:          o,
-			LegacyExec:   LegacyExec,
 		},
 		Shards:      shardCount,
 		PortLatency: sim.Millisecond,
-		WindowMode:  WindowMode,
 	})
 	if err != nil {
 		return nil, err

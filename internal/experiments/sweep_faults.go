@@ -133,7 +133,6 @@ func buildFaultMachine(s Scale, seed int64, o *obs.Obs) (*machine.Machine, error
 		CachePages:   s.CachePages,
 		IdleGrace:    sim.Time(2.5 * s.DeviceSlow * float64(sim.Millisecond)),
 		Obs:          o,
-		LegacyExec:   LegacyExec,
 	})
 	if err != nil {
 		return nil, err

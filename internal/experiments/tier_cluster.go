@@ -100,14 +100,12 @@ func clusterConfig(s Scale, seed int64, mode cluster.RepairMode,
 			DeviceBlocks: s.DeviceBlocks / 16,
 			CachePages:   s.CachePages / 4,
 			Obs:          o,
-			LegacyExec:   LegacyExec,
 		},
 		Nodes:      4,
 		Replicas:   3,
 		Shards:     4,
 		ShardPages: shardPages,
 		Window:     s.Window,
-		WindowMode: WindowMode,
 		Mode:       mode,
 		Plan:       plan,
 	}

@@ -4,13 +4,13 @@
 // prioritization (the §6.5 ablation), and a trivial FIFO.
 //
 // Schedulers are pure queue structure: Dispatch runs inline in the
-// disk's executor, so the dispatch kick (Submit → wake → Dispatch) is
-// goroutine-free under the default callback executor — a submit
-// schedules the disk's callback on the run queue and the next slot
-// dispatches, with no park/resume handshake anywhere on the path. A
-// Dispatch that returns a positive wait (the idle-grace case) becomes
-// the disk's single reusable grace timer rather than a spawned
-// goroutine. See DESIGN.md, "Two execution modes".
+// disk's executor callback, so the dispatch kick (Submit → wake →
+// Dispatch) is goroutine-free — a submit schedules the disk's callback
+// on the run queue and the next slot dispatches, with no park/resume
+// handshake anywhere on the path. A Dispatch that returns a positive
+// wait (the idle-grace case) becomes the disk's single reusable grace
+// timer rather than a spawned goroutine. See DESIGN.md, "Procs and
+// callbacks".
 package iosched
 
 import (

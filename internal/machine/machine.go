@@ -61,12 +61,6 @@ type Config struct {
 	// engine, disks, cache, Duet, and filesystems all record into it.
 	// Nil (the default) keeps every hot path on its probe-free branch.
 	Obs *obs.Obs
-	// LegacyExec restores the goroutine executors (disk service loop as
-	// a proc, flusher timers spawned per interval) instead of the
-	// inline-callback hot path. Simulation output is byte-identical in
-	// both modes; the knob exists for A/B wall-clock measurement
-	// (duetbench -exec proc) and for bisecting executor regressions.
-	LegacyExec bool
 }
 
 // Validate fills defaults and rejects nonsense.
@@ -88,16 +82,12 @@ func (c *Config) cacheConfig() pagecache.Config {
 	if c.WritebackInterval > 0 {
 		cc.WritebackInterval = c.WritebackInterval
 	}
-	cc.SpawnTimerProcs = c.LegacyExec
 	return cc
 }
 
-// newDisk builds a disk honoring the executor-mode knob.
+// newDisk builds a disk with the configured scheduler and retry policy.
 func (c *Config) newDisk(e sim.Host, name string, model storage.Model) *storage.Disk {
 	d := storage.NewDisk(e, name, model, c.newScheduler())
-	if c.LegacyExec {
-		d.UseProcExecutor()
-	}
 	if c.Retry != (storage.RetryPolicy{}) {
 		d.SetRetryPolicy(c.Retry)
 	}

@@ -117,7 +117,8 @@ func (m *LFSMachine) Recover(fscfg lfs.Config) (*LFSMachine, error) {
 }
 
 // Robustness aggregates the fault, retry, and recovery counters of one
-// machine into the flat record duetbench exports (BENCH_*.json).
+// machine into the flat record duetbench exports (the "robustness"
+// object of BENCH_<scale>.json).
 type Robustness struct {
 	TransientFaults int64 `json:"transient_faults"`
 	PermanentFaults int64 `json:"permanent_faults"`

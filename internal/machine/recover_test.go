@@ -59,11 +59,11 @@ func startChurn(t *testing.T, m *Machine) {
 }
 
 // TestRepeatedCrashRecover is the repeated-crash regression test: after
-// a SECOND crash of the same machine (callback-exec mode), the
-// recovered machine must still (a) run background writeback — the
-// interval timer must be armed and firing — and (b) have observability
-// attached to every rebuilt component. Only the first recovery path was
-// exercised before this test existed.
+// a SECOND crash of the same machine, the recovered machine must still
+// (a) run background writeback — the interval timer must be armed and
+// firing — and (b) have observability attached to every rebuilt
+// component. Only the first recovery path was exercised before this
+// test existed.
 func TestRepeatedCrashRecover(t *testing.T) {
 	o := &obs.Obs{Trace: obs.NewTracer(obs.DefaultTraceEvents), Metrics: obs.NewRegistry()}
 	m := buildCrashable(t, o)

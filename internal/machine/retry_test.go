@@ -11,8 +11,9 @@ import (
 
 // retryStream runs a fixed fault-injected workload under the given
 // machine config and digests everything the retry executor decided:
-// the per-op error sequence and the disk's fault/retry/backoff
-// counters. Two configs with the same digest made identical decisions.
+// the per-op error sequence, the disk's fault/retry/backoff counters
+// and the virtual time the run ended at. Two configs with the same
+// digest made identical decisions.
 func retryStream(t *testing.T, cfg Config) string {
 	t.Helper()
 	cfg.Seed = 7
@@ -64,10 +65,16 @@ func retryStream(t *testing.T, cfg Config) string {
 		t.Fatal(err)
 	}
 	st := m.Disk.Stats()
-	return fmt.Sprintf("%s|tf=%d rt=%d to=%d st=%d bo=%d req=%d",
+	return fmt.Sprintf("%s|tf=%d rt=%d to=%d st=%d bo=%d req=%d end=%d",
 		digest, st.TransientFaults, st.Retries, st.Timeouts, st.Stalls,
-		st.BackoffTime, st.Requests)
+		st.BackoffTime, st.Requests, m.Eng.Now())
 }
+
+// goldenRetryStream is retryStream(t, Config{}) as the goroutine disk
+// executor's blocking retry loop produced it, captured on the last
+// commit that had one. The callback state machine that replaced it must
+// make the same decisions at the same virtual times.
+const goldenRetryStream = "......................................................................................................................................................|tf=34 rt=34 to=0 st=4 bo=52000000 req=74 end=240899372"
 
 // TestRetryPolicyConfig is the satellite table test: leaving
 // Config.Retry zero must reproduce the exact decision stream of the
@@ -91,6 +98,9 @@ func TestRetryPolicyConfig(t *testing.T) {
 		}},
 	}
 	baseline := retryStream(t, Config{})
+	if baseline != goldenRetryStream {
+		t.Errorf("default decision stream moved:\n got %s\nwant %s", baseline, goldenRetryStream)
+	}
 	for _, row := range rows {
 		got := retryStream(t, Config{Retry: row.retry})
 		if row.sameAsolder && got != baseline {

@@ -82,11 +82,6 @@ type ShardedConfig struct {
 	// the engine's lookahead bound, so smaller values mean finer barrier
 	// windows and less intra-window parallelism. Default 1ms.
 	PortLatency sim.Time
-	// WindowMode selects the engine's barrier protocol. The zero value
-	// is sim.WindowAdaptive; sim.WindowFixed restores the static
-	// minimum-latency lookahead. The mode never changes results — only
-	// how often domains synchronize (see WindowStats).
-	WindowMode sim.WindowMode
 }
 
 // NewSharded assembles a sharded machine. Worker parallelism is chosen
@@ -105,7 +100,6 @@ func NewSharded(cfg ShardedConfig) (*ShardedMachine, error) {
 		return nil, fmt.Errorf("machine: PortLatency must be positive")
 	}
 	e := sim.New(cfg.Seed)
-	e.SetWindowMode(cfg.WindowMode)
 	m := &ShardedMachine{Cfg: cfg, Eng: e}
 	for i := 0; i < cfg.Shards; i++ {
 		model := cfg.Model

@@ -192,11 +192,6 @@ type Config struct {
 	// DirtyExpire) when dirty pages exceed this fraction of the cache,
 	// like Linux dirty_background_ratio. Default 0.2.
 	DirtyBackgroundRatio float64
-	// SpawnTimerProcs restores the legacy goroutine-per-interval flusher
-	// timer instead of the reusable timer callback. Results are
-	// byte-identical either way; the knob exists for A/B wall-clock
-	// measurement (see machine.Config.LegacyExec).
-	SpawnTimerProcs bool
 }
 
 // DefaultConfig returns Linux-like writeback parameters for a cache of the
@@ -351,10 +346,9 @@ type Cache struct {
 	flusherKick *sim.WaitQueue
 	// flusherTimer is the periodic-wakeup timer. It is a callback, not a
 	// goroutine: each flusher round arms it (possibly overlapping an
-	// earlier arm still in flight after a threshold wake, exactly like
-	// the spawned timer procs it replaces) and it wakes the flusher when
-	// it fires. The flusher itself must stay a goroutine proc — it
-	// blocks in the backends' WritebackPages.
+	// earlier arm still in flight after a threshold wake) and it wakes
+	// the flusher when it fires. The flusher itself must stay a
+	// goroutine proc — it blocks in the backends' WritebackPages.
 	flusherTimer *sim.Callback
 }
 
@@ -1009,20 +1003,10 @@ func (c *Cache) Sync(p *sim.Proc) {
 // interval, or early when the dirty-background threshold is crossed.
 func (c *Cache) flusher(p *sim.Proc) {
 	for {
-		if c.cfg.SpawnTimerProcs {
-			c.eng.Go("pagecache-flusher-timer", func(tp *sim.Proc) {
-				tp.Sleep(c.cfg.WritebackInterval)
-				c.flusherKick.WakeAll()
-			})
-		} else {
-			// Arm the reusable timer callback through the run queue: the
-			// deferred arm draws its seq in the slot the spawned proc's
-			// Sleep used to, so both forms simulate identically. A
-			// threshold wake can leave an earlier arm in flight; the
-			// callback supports overlapping arms just as overlapping
-			// timer procs did.
-			c.flusherTimer.ArmDeferred(c.cfg.WritebackInterval)
-		}
+		// Arm the reusable timer callback through the run queue. A
+		// threshold wake can leave an earlier arm in flight; the callback
+		// supports overlapping arms.
+		c.flusherTimer.ArmDeferred(c.cfg.WritebackInterval)
 		c.flusherKick.Wait(p, "flusher interval")
 		if float64(c.dirtyN) > c.cfg.DirtyBackgroundRatio*float64(c.cfg.CapacityPages) {
 			c.flushExpired(p, 0) // over background ratio: flush regardless of age

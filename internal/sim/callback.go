@@ -25,7 +25,7 @@ type TimerFunc func(now Time) Time
 // return instead of blocking (no Sleep/Wait/Recv inside), which is why
 // components with blocking call stacks (e.g. the pagecache flusher
 // calling into a blocking backend) stay goroutine procs. See
-// DESIGN.md's execution-modes section for the decision rule.
+// DESIGN.md, "Procs and callbacks", for the decision rule.
 //
 // All methods must be called from the callback's own domain: from its
 // handler, from a proc or callback of the same domain, or before Run.
@@ -47,7 +47,6 @@ type Callback struct {
 	// would have drawn it in (spawn pushes the proc on the runq; the
 	// proc's Sleep runs only when that entry is reached).
 	pendingArm Time
-	stopped    bool
 
 	// Wait state mirrors Proc's: a static reason recorded at Subscribe
 	// time so wakes can emit the same blocked-interval trace slice a
@@ -87,9 +86,6 @@ func (cb *Callback) Arm(delay Time) {
 	if delay <= 0 {
 		panic("sim: Callback.Arm with non-positive delay")
 	}
-	if cb.stopped {
-		return
-	}
 	d := cb.dom
 	d.seq++
 	d.timers.push(timer{at: d.now + delay, seq: d.seq, fire: cb, armAt: d.now})
@@ -109,9 +105,6 @@ func (cb *Callback) ArmDeferred(delay Time) {
 	if delay <= 0 {
 		panic("sim: Callback.ArmDeferred with non-positive delay")
 	}
-	if cb.stopped {
-		return
-	}
 	if cb.queued {
 		panic("sim: Callback.ArmDeferred while already queued")
 	}
@@ -120,18 +113,11 @@ func (cb *Callback) ArmDeferred(delay Time) {
 	cb.dom.runq.push(runnable{cb: cb})
 }
 
-// Cancel permanently deactivates the callback: in-flight timers and
-// queued wakes are skipped when reached, and future Arm calls are
-// no-ops. Cancel does not remove heap entries (they fire as stale
-// no-ops), so it must only be used where a stale slot cannot matter —
-// e.g. switching a component to its goroutine executor before Run.
-func (cb *Callback) Cancel() { cb.stopped = true }
-
 // schedule pushes a wake onto the run queue, the callback analogue of
 // Domain.ready on a parked proc. Called by WaitQueue/Future when the
 // condition the callback subscribed to is established.
 func (cb *Callback) schedule() {
-	if cb.stopped || cb.queued {
+	if cb.queued {
 		return
 	}
 	cb.queued = true
@@ -143,9 +129,6 @@ func (cb *Callback) schedule() {
 // and runs the handler.
 func (d *Domain) invoke(cb *Callback) {
 	cb.queued = false
-	if cb.stopped {
-		return
-	}
 	if delay := cb.pendingArm; delay > 0 {
 		cb.pendingArm = 0
 		cb.Arm(delay)
@@ -166,9 +149,6 @@ func (d *Domain) invoke(cb *Callback) {
 // the slice a sleeping proc's park would have recorded.
 func (cb *Callback) fire(d *Domain, armAt Time) {
 	cb.armed--
-	if cb.stopped {
-		return
-	}
 	if t := d.tracer; t != nil {
 		t.Slice(cb.traceTID(t), "sim", "sleep", armAt, d.now)
 	}

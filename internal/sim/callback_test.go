@@ -264,35 +264,6 @@ func TestFutureValuePanicsBeforeDone(t *testing.T) {
 	f.Value()
 }
 
-// TestCallbackCancel checks that Cancel makes in-flight timer slots and
-// queued wakes fire as no-ops and later arms do nothing.
-func TestCallbackCancel(t *testing.T) {
-	e := New(5)
-	q := NewWaitQueue(e)
-	ran := 0
-	cb := NewCallback(e, "doomed", func(now Time) Time {
-		ran++
-		return 0
-	})
-	cb.Arm(Millisecond)
-	q.Subscribe(cb, "never")
-	e.Go("killer", func(p *Proc) {
-		cb.Cancel()
-		q.WakeOne() // pops the cancelled subscriber, which must stay dead
-		cb.Arm(Millisecond)
-		cb.schedule()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ran != 0 {
-		t.Errorf("cancelled callback ran %d times", ran)
-	}
-	if cb.Armed() != 0 {
-		t.Errorf("Armed = %d after run, want 0", cb.Armed())
-	}
-}
-
 // TestCallbackPanicBecomesFailure mirrors the proc contract: a
 // panicking handler fails the run with an error naming the callback
 // instead of crashing the scheduler.

@@ -56,9 +56,8 @@ type Engine struct {
 
 	// Window-protocol state (see window.go). deadline is the RunFor
 	// cutoff: events strictly after it never execute, which makes the
-	// stop point independent of the window protocol. The scratch slices
+	// stop point independent of barrier placement. The scratch slices
 	// are reused every barrier so the EOT scan never allocates.
-	windowMode     WindowMode
 	deadline       Time
 	winStats       WindowStats
 	nextScratch    []Time
@@ -283,11 +282,11 @@ func (e *Engine) runDomains(active []*Domain) {
 // halts at the first event at or after the deadline. A multi-domain
 // engine instead enforces the deadline at the barrier: every event at
 // or before the deadline executes and no later event does, so the stop
-// point is a virtual-time fact independent of the window protocol, the
-// window mode, and the worker count. (A stop-timer process cannot give
-// that guarantee there — its Stop latches at a barrier, and how far the
-// *other* domains have advanced by then depends on where the protocol
-// placed their horizons.) All clocks read the deadline afterwards.
+// point is a virtual-time fact independent of barrier placement and the
+// worker count. (A stop-timer process cannot give that guarantee there
+// — its Stop latches at a barrier, and how far the *other* domains have
+// advanced by then depends on where the protocol placed their
+// horizons.) All clocks read the deadline afterwards.
 func (e *Engine) RunFor(d Time) error {
 	if len(e.domains) > 1 {
 		if d < maxTime-e.d0.now {
@@ -370,7 +369,6 @@ func (e *Engine) DumpWaiters() string {
 		}
 		for _, cb := range d.cbs {
 			switch {
-			case cb.stopped:
 			case cb.waitReason != "":
 				fmt.Fprintf(&b, "callback %q: %s\n", cb.name, cb.waitReason)
 			case cb.armed > 0:
@@ -586,8 +584,8 @@ func (h *timerHeap) pop() (timer, bool) {
 
 // runnable is one run-queue (or wait-queue) entry: a goroutine proc to
 // resume or a callback to invoke. Exactly one field is set. Queues hold
-// both kinds in one FIFO so procs and callbacks interleave in the same
-// deterministic order regardless of execution mode.
+// both kinds in one FIFO so procs and callbacks interleave in one
+// deterministic order.
 type runnable struct {
 	p  *Proc
 	cb *Callback

@@ -24,10 +24,11 @@ type portMsg[T any] struct {
 // messages delivered on that port. The encoding is a pure function of
 // (port, message index), so the (time, seq) order of a delivery against
 // every other timer is independent of *when* the barrier flushed it —
-// the property that lets fixed and adaptive windows, which flush at
-// different rounds, produce byte-identical simulations. At equal times,
-// local timers (seq < 2^63) sort before deliveries, and deliveries sort
-// by (port creation order, send order).
+// the property that makes barrier placement unobservable (the engine's
+// windows and the fixed-lookahead reference in window_test.go flush at
+// different rounds and produce byte-identical simulations). At equal
+// times, local timers (seq < 2^63) sort before deliveries, and
+// deliveries sort by (port creation order, send order).
 const (
 	deliverySeqBit   = uint64(1) << 63
 	deliveryPortBits = 23
@@ -209,8 +210,8 @@ func (pt *Port[T]) flush() {
 // arm pushes the head pending message's delivery timer into the
 // receiver's heap, unless one is already in flight. The timer's
 // sequence is canonical (deliverySeq), so arming earlier or later —
-// fixed vs adaptive windows flush at different barriers — cannot change
-// where the delivery sorts.
+// at whichever barrier happened to flush it — cannot change where the
+// delivery sorts.
 func (pt *Port[T]) arm() {
 	if pt.armed {
 		return

@@ -54,9 +54,6 @@ func (q *WaitQueue) WakeOne() bool {
 			return false
 		}
 		if r.cb != nil {
-			if r.cb.stopped {
-				continue
-			}
 			r.cb.schedule()
 			return true
 		}

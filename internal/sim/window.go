@@ -6,30 +6,25 @@ package sim
 // barrier the engine (serial, every domain parked) flushes ports,
 // scans the domains, and grants each domain a horizon; during the round
 // every granted domain independently executes its events strictly below
-// its horizon. Two protocols compute the horizons:
+// its horizon.
 //
-//   - WindowAdaptive (the default): domain d's horizon is its earliest
-//     input time reach(d) — a lower bound on when any message could
-//     still arrive at d. A domain s cannot emit before eot(s) =
-//     min(N(s), reach(s)): it executes events in nondecreasing time
-//     starting at its next-event time N(s), unless an arriving message
-//     revives it earlier, and every send is stamped now+latency. So
-//     reach(d) = min over ports p into d of eot(from(p)) + latency(p),
-//     a shortest-arrival-path fixpoint over the port graph (latencies
-//     are positive, so Bellman-Ford relaxation converges). Domains with
-//     no inbound path from a live domain are unbounded. When no
-//     cross-domain traffic is near, horizons race ahead and barriers
-//     become rare.
+// Domain d's horizon is its earliest input time reach(d) — a lower
+// bound on when any message could still arrive at d. A domain s cannot
+// emit before eot(s) = min(N(s), reach(s)): it executes events in
+// nondecreasing time starting at its next-event time N(s), unless an
+// arriving message revives it earlier, and every send is stamped
+// now+latency. So reach(d) = min over ports p into d of
+// eot(from(p)) + latency(p), a shortest-arrival-path fixpoint over the
+// port graph (latencies are positive, so Bellman-Ford relaxation
+// converges). Domains with no inbound path from a live domain are
+// unbounded. When no cross-domain traffic is near, horizons race ahead
+// and barriers become rare.
 //
-//   - WindowFixed: every domain's horizon is nextT + minLat, where
-//     nextT is the global next-event time and minLat the smallest port
-//     latency — the classic static-lookahead window. Every adaptive
-//     horizon is >= the fixed one: any arrival path starts at some
-//     eot(s) >= nextT and crosses at least one port, so reach(d) >=
-//     nextT + minLat. Adaptive rounds are supersets of fixed rounds.
-//
-// Both protocols grant the domain owning nextT a horizon strictly above
-// nextT, so every round executes at least one event and the loop makes
+// Every horizon is at least nextT + minLat — the classic
+// static-lookahead window, nextT being the global next-event time and
+// minLat the smallest port latency — because any arrival path starts at
+// some eot(s) >= nextT and crosses at least one port. So the domain
+// owning nextT always gets a horizon above it and every round makes
 // progress. When no domain has a runnable process, the barrier also
 // fast-forwards lagging clocks to nextT ("idle fast-forward"): no timer
 // or pending delivery exists below nextT anywhere, so skipping the gap
@@ -38,55 +33,8 @@ package sim
 // Determinism: horizons are computed serially from barrier-time state,
 // so they are identical at any worker count; and because delivery
 // timers carry canonical sequence numbers (see port.go), *where* the
-// barriers fall cannot change how any two events order. That is the
-// fixed-vs-adaptive byte-identity argument, and the property tests in
-// window_test.go check it on randomized topologies.
-
-// WindowMode selects the barrier protocol for multi-domain engines. The
-// zero value is WindowAdaptive; the mode never changes simulation
-// results, only how often domains synchronize.
-type WindowMode uint8
-
-const (
-	// WindowAdaptive grants per-domain horizons from earliest output
-	// times and fast-forwards clocks over globally idle gaps.
-	WindowAdaptive WindowMode = iota
-	// WindowFixed steps every domain by the minimum static port latency
-	// past the global next event (the PR 6 protocol); kept as the
-	// equivalence baseline and for bisecting protocol regressions.
-	WindowFixed
-)
-
-// String returns the flag-friendly name of the mode.
-func (m WindowMode) String() string {
-	if m == WindowFixed {
-		return "fixed"
-	}
-	return "adaptive"
-}
-
-// WindowModeByName parses a -window flag value.
-func WindowModeByName(s string) (WindowMode, bool) {
-	switch s {
-	case "adaptive":
-		return WindowAdaptive, true
-	case "fixed":
-		return WindowFixed, true
-	}
-	return WindowAdaptive, false
-}
-
-// SetWindowMode selects the barrier protocol. Must be called before
-// Run; it is a no-op for single-domain engines, which never window.
-func (e *Engine) SetWindowMode(m WindowMode) {
-	if e.running {
-		panic("sim: SetWindowMode during Run")
-	}
-	e.windowMode = m
-}
-
-// WindowModeSet returns the configured barrier protocol.
-func (e *Engine) WindowModeSet() WindowMode { return e.windowMode }
+// barriers fall cannot change how any two events order. window_test.go
+// checks that against a static-lookahead driver on random topologies.
 
 // windowSlab bounds every granted window: even a domain no live sender
 // can reach gets a horizon of at most nextT + windowSlab (or + minLat
@@ -152,36 +100,26 @@ func (e *Engine) computeWindow() (nextT, minH Time, allIdle bool) {
 	if nextT == maxTime {
 		return nextT, maxTime, allIdle
 	}
-	if e.windowMode == WindowFixed {
-		h := maxTime
-		if e.minLat > 0 && e.minLat < maxTime-nextT {
-			h = nextT + e.minLat
-		}
-		for i := range e.horizonScratch {
-			e.horizonScratch[i] = h
-		}
-	} else {
-		// Shortest-arrival-path fixpoint: horizonScratch[d] converges to
-		// reach(d), relaxing eot(from) + latency across every port until
-		// stable. Latencies are positive, so each pass only shortens
-		// paths and the loop terminates within len(domains) passes. The
-		// fixpoint is a unique minimum, so the relaxation order cannot
-		// affect the result.
-		for changed := true; changed; {
-			changed = false
-			for j, from := range e.portFrom {
-				lb := e.nextScratch[from]
-				if r := e.horizonScratch[from]; r < lb {
-					lb = r
-				}
-				lat := e.portLat[j]
-				if lb == maxTime || lat >= maxTime-lb {
-					continue
-				}
-				if eot := lb + lat; eot < e.horizonScratch[e.portTo[j]] {
-					e.horizonScratch[e.portTo[j]] = eot
-					changed = true
-				}
+	// Shortest-arrival-path fixpoint: horizonScratch[d] converges to
+	// reach(d), relaxing eot(from) + latency across every port until
+	// stable. Latencies are positive, so each pass only shortens paths
+	// and the loop terminates within len(domains) passes. The fixpoint
+	// is a unique minimum, so the relaxation order cannot affect the
+	// result.
+	for changed := true; changed; {
+		changed = false
+		for j, from := range e.portFrom {
+			lb := e.nextScratch[from]
+			if r := e.horizonScratch[from]; r < lb {
+				lb = r
+			}
+			lat := e.portLat[j]
+			if lb == maxTime || lat >= maxTime-lb {
+				continue
+			}
+			if eot := lb + lat; eot < e.horizonScratch[e.portTo[j]] {
+				e.horizonScratch[e.portTo[j]] = eot
+				changed = true
 			}
 		}
 	}
@@ -201,9 +139,9 @@ func (e *Engine) computeWindow() (nextT, minH Time, allIdle bool) {
 			}
 		}
 	}
-	// RunFor cap: events past the deadline never execute, in either
-	// mode, so the stop point is a pure virtual-time fact — windows
-	// cannot overrun it by a protocol-dependent amount.
+	// RunFor cap: events past the deadline never execute, so the stop
+	// point is a pure virtual-time fact — windows cannot overrun it by
+	// an amount that depends on where the barriers fell.
 	if e.deadline < maxTime-1 {
 		if lim := e.deadline + 1; lim > nextT {
 			for i, h := range e.horizonScratch {
@@ -227,7 +165,7 @@ func (e *Engine) computeWindow() (nextT, minH Time, allIdle bool) {
 //  1. (serial) flush ports: sender batches move to receiver FIFOs and
 //     delivery timers are armed, in port creation order;
 //  2. (serial) computeWindow grants per-domain horizons (see the
-//     package comment for both protocols), fast-forwarding idle clocks
+//     comment at the top of this file), fast-forwarding idle clocks
 //     over event gaps;
 //  3. (parallel) every granted domain independently executes its
 //     events strictly below its horizon;
@@ -300,29 +238,33 @@ func (e *Engine) runWindows() {
 			}
 		}
 	}
-	// A run that ended on its own — quiescence or the RunFor deadline —
-	// leaves every clock at a protocol-invariant end time: the deadline
-	// when one was set, else the time of the last event executed
-	// anywhere. Without this, how far a barrier round happened to
-	// fast-forward an idle domain's clock past its final event would
-	// leak the window protocol into Domain.Now. (A dynamic Stop keeps
-	// the clocks where its barrier latched; its cut point is inherently
-	// barrier-placement-dependent.)
 	if ranToEnd {
-		end := e.deadline
-		if end == maxTime {
-			end = 0
-			for _, d := range e.domains {
-				if d.now > end {
-					end = d.now
-				}
-			}
-		}
+		e.alignClocks()
+	}
+	e.stopping = true
+}
+
+// alignClocks leaves every clock of a run that ended on its own —
+// quiescence or the RunFor deadline — at an end time that does not
+// depend on barrier placement: the deadline when one was set, else the
+// time of the last event executed anywhere. Without this, how far a
+// barrier round happened to fast-forward an idle domain's clock past
+// its final event would leak into Domain.Now. (A dynamic Stop keeps the
+// clocks where its barrier latched; its cut point is inherently
+// barrier-placement-dependent.)
+func (e *Engine) alignClocks() {
+	end := e.deadline
+	if end == maxTime {
+		end = 0
 		for _, d := range e.domains {
-			if d.now < end {
-				d.now = end
+			if d.now > end {
+				end = d.now
 			}
 		}
 	}
-	e.stopping = true
+	for _, d := range e.domains {
+		if d.now < end {
+			d.now = end
+		}
+	}
 }

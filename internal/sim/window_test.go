@@ -7,26 +7,81 @@ import (
 	"testing"
 )
 
+// runFixedLookahead is the reference the window protocol is tested
+// against: the classic static-lookahead barrier loop, where every round
+// grants every domain the same window nextT + minLat (capped at the
+// RunFor deadline when budget > 0). It stands in for Run/RunFor on a
+// multi-domain engine and exists only here, assembled from the
+// barrier's own primitives — the product has one protocol. Serial, no
+// Stop support (none of its callers stop early); rounds are counted in
+// WindowStats().Rounds so callers can compare barrier counts.
+func runFixedLookahead(e *Engine, budget Time) error {
+	e.running = true
+	defer func() { e.running, e.deadline = false, maxTime }()
+	if budget > 0 {
+		e.deadline = e.d0.now + budget
+	}
+	e.winStats = WindowStats{}
+	for e.failure == nil {
+		for _, pt := range e.ports {
+			pt.flush()
+		}
+		nextT := maxTime
+		for _, d := range e.domains {
+			nextT = min(nextT, d.nextEvent())
+		}
+		if nextT == maxTime || nextT > e.deadline {
+			e.alignClocks()
+			break
+		}
+		h := nextT + e.minLat
+		if e.deadline < maxTime {
+			h = min(h, e.deadline+1)
+		}
+		e.winStats.Rounds++
+		for _, d := range e.domains {
+			d.runWindow(h)
+			if e.failure == nil {
+				e.failure = d.failure
+			}
+		}
+	}
+	e.shutdown()
+	return e.failure
+}
+
+// runWith drives e to the end of its run (budget 0) or of budget: with
+// the fixed-lookahead reference, or with the engine's own Run/RunFor.
+func runWith(e *Engine, fixed bool, budget Time) error {
+	switch {
+	case fixed:
+		return runFixedLookahead(e, budget)
+	case budget > 0:
+		return e.RunFor(budget)
+	}
+	return e.Run()
+}
+
 // randTopologyRun builds a randomized multi-domain engine — topology,
 // latencies, workloads and message counts all drawn from metaSeed — and
-// runs it to quiescence under the given window mode and worker count.
+// runs it to quiescence: under the engine's window protocol at the
+// given worker count, or (fixed) under runFixedLookahead.
 // It returns a witness string capturing every observable ordering fact:
 // per-domain logs (message receipts interleaved with local timer work,
 // in execution order), final clocks, and event counts. Construction
 // randomness comes from metaSeed and in-simulation randomness from
 // domain-scoped streams, so two calls with equal metaSeed build
-// identical simulations regardless of mode or workers.
+// identical simulations regardless of driver or workers.
 //
 // Sleeps and latencies are multiples of 10us on purpose: equal-time
 // collisions — two ports delivering at one instant, a delivery racing a
 // local timer — are exactly where a window protocol could leak its
 // barrier placement into the event order, so the workload manufactures
 // lots of them.
-func randTopologyRun(t *testing.T, metaSeed int64, mode WindowMode, workers int) (string, WindowStats) {
+func randTopologyRun(t *testing.T, metaSeed int64, fixed bool, workers int) (string, WindowStats) {
 	t.Helper()
 	meta := rand.New(rand.NewSource(metaSeed))
 	e := New(metaSeed)
-	e.SetWindowMode(mode)
 	e.SetWorkers(workers)
 
 	nDom := 2 + meta.Intn(4)
@@ -124,8 +179,8 @@ func randTopologyRun(t *testing.T, metaSeed int64, mode WindowMode, workers int)
 	}
 	// Callback load: a goroutine-free re-arming ticker per domain on the
 	// same 10us collision grid, so callback timers collide with proc
-	// timers and port deliveries under both protocols. Its log lines must
-	// interleave identically at any worker count and window mode.
+	// timers and port deliveries. Its log lines must interleave
+	// identically at any worker count and under either driver.
 	for i, d := range doms {
 		lg := logs[i]
 		period := Time(1+meta.Intn(150)) * 10 * Microsecond
@@ -142,8 +197,8 @@ func randTopologyRun(t *testing.T, metaSeed int64, mode WindowMode, workers int)
 		cb.Arm(period)
 	}
 
-	if err := e.Run(); err != nil {
-		t.Fatalf("mode=%v workers=%d: %v", mode, workers, err)
+	if err := runWith(e, fixed, 0); err != nil {
+		t.Fatalf("fixed=%v workers=%d: %v", fixed, workers, err)
 	}
 	var b strings.Builder
 	for i, lg := range logs {
@@ -154,18 +209,18 @@ func randTopologyRun(t *testing.T, metaSeed int64, mode WindowMode, workers int)
 	return b.String(), e.WindowStats()
 }
 
-// TestWindowModeEquivalence is the cross-protocol property test: on
-// randomized port topologies and latencies, adaptive windows must
+// TestFixedLookaheadEquivalence is the cross-protocol property test: on
+// randomized port topologies and latencies, the engine's windows must
 // deliver the exact same (time, sequence) event order as fixed-latency
 // lookahead windows — the witness includes every receipt time and its
 // interleaving with local timers — at any worker count. It also checks
-// the protocol-shape claim: adaptive windows are supersets of fixed
-// windows, so adaptive never takes more barrier rounds.
-func TestWindowModeEquivalence(t *testing.T) {
+// the protocol-shape claim: the engine's windows are supersets of the
+// fixed ones, so it never takes more barrier rounds.
+func TestFixedLookaheadEquivalence(t *testing.T) {
 	for metaSeed := int64(1); metaSeed <= 12; metaSeed++ {
-		ref, fixedStats := randTopologyRun(t, metaSeed, WindowFixed, 1)
+		ref, fixedStats := randTopologyRun(t, metaSeed, true, 1)
 		for _, workers := range []int{1, 4} {
-			got, adStats := randTopologyRun(t, metaSeed, WindowAdaptive, workers)
+			got, adStats := randTopologyRun(t, metaSeed, false, workers)
 			if got != ref {
 				t.Fatalf("seed %d: adaptive(workers=%d) diverged from fixed:\n-- fixed --\n%s\n-- adaptive --\n%s",
 					metaSeed, workers, ref, got)
@@ -175,26 +230,22 @@ func TestWindowModeEquivalence(t *testing.T) {
 					metaSeed, adStats.Rounds, fixedStats.Rounds)
 			}
 		}
-		if got, _ := randTopologyRun(t, metaSeed, WindowFixed, 4); got != ref {
-			t.Fatalf("seed %d: fixed(workers=4) diverged from fixed(workers=1)", metaSeed)
-		}
 	}
 }
 
 // TestAdaptiveFewerBarriers: the workload the adaptive protocol exists
 // for — one busy domain grinding fine-grained local events, fed one-way
-// by a mostly-asleep peer. The fixed protocol must re-barrier every
-// min-latency step of the busy domain's progress; the adaptive one sees
-// the sleeping sender cannot emit before its next wake + latency and
+// by a mostly-asleep peer. The fixed reference must re-barrier every
+// min-latency step of the busy domain's progress; the engine sees the
+// sleeping sender cannot emit before its next wake + latency and
 // grants the busy domain that whole stretch in one window. (The traffic
 // must be one-way: a return port would let the busy domain's own next
 // event bounce back as a potential instant reply, correctly shrinking
 // reach to the cycle length.) Events must not change; only the round
 // count may.
 func TestAdaptiveFewerBarriers(t *testing.T) {
-	run := func(mode WindowMode) (string, WindowStats) {
+	run := func(fixed bool) (string, WindowStats) {
 		e := New(5)
-		e.SetWindowMode(mode)
 		d1 := e.NewDomain("busy")
 		req := NewPort[int](e, d1, "req", Millisecond)
 		var log strings.Builder
@@ -217,13 +268,13 @@ func TestAdaptiveFewerBarriers(t *testing.T) {
 			}
 			fmt.Fprintf(&log, "grind done %d@%s\n", work, p.Now())
 		})
-		if err := e.Run(); err != nil {
+		if err := runWith(e, fixed, 0); err != nil {
 			t.Fatal(err)
 		}
 		return log.String(), e.WindowStats()
 	}
-	fixedLog, fixedStats := run(WindowFixed)
-	adLog, adStats := run(WindowAdaptive)
+	fixedLog, fixedStats := run(true)
+	adLog, adStats := run(false)
 	if adLog != fixedLog {
 		t.Fatalf("logs diverged:\n-- fixed --\n%s\n-- adaptive --\n%s", fixedLog, adLog)
 	}
@@ -240,13 +291,13 @@ func TestAdaptiveFewerBarriers(t *testing.T) {
 
 // TestRunForDeadline: RunFor's duration is a hard cap on event
 // execution in a multi-domain engine — no event past the deadline runs,
-// under either protocol, at any worker count. This is what makes the
-// stop point a virtual-time fact rather than a window-placement fact.
+// at any worker count, and the events that do run are the ones the
+// fixed reference runs under the same cap. This is what makes the stop
+// point a virtual-time fact rather than a window-placement fact.
 func TestRunForDeadline(t *testing.T) {
 	const deadline = 5 * Millisecond
-	run := func(mode WindowMode, workers int) string {
+	run := func(fixed bool, workers int) string {
 		e := New(11)
-		e.SetWindowMode(mode)
 		e.SetWorkers(workers)
 		d1 := e.NewDomain("ticker")
 		NewPort[int](e, d1, "lookahead", 100*Microsecond)
@@ -259,20 +310,21 @@ func TestRunForDeadline(t *testing.T) {
 				fmt.Fprintf(&log, "tick %d@%s\n", i, p.Now())
 			}
 		})
-		if err := e.RunFor(deadline); err != nil {
+		if err := runWith(e, fixed, deadline); err != nil {
 			t.Fatal(err)
 		}
 		if last > deadline {
-			t.Fatalf("mode=%v workers=%d: event ran at %s, past the %s deadline", mode, workers, last, deadline)
+			t.Fatalf("fixed=%v workers=%d: event ran at %s, past the %s deadline", fixed, workers, last, deadline)
+		}
+		if now := d1.Now(); now != deadline {
+			t.Fatalf("fixed=%v workers=%d: clock reads %s after the run, want the %s deadline", fixed, workers, now, deadline)
 		}
 		return log.String()
 	}
-	ref := run(WindowFixed, 1)
-	for _, mode := range []WindowMode{WindowFixed, WindowAdaptive} {
-		for _, workers := range []int{1, 4} {
-			if got := run(mode, workers); got != ref {
-				t.Fatalf("mode=%v workers=%d: tick log diverged from fixed/serial:\n%s\nvs\n%s", mode, workers, got, ref)
-			}
+	ref := run(true, 1)
+	for _, workers := range []int{1, 4} {
+		if got := run(false, workers); got != ref {
+			t.Fatalf("workers=%d: tick log diverged from the fixed reference:\n%s\nvs\n%s", workers, got, ref)
 		}
 	}
 }
@@ -332,7 +384,7 @@ func TestBarrierPathAllocFree(t *testing.T) {
 
 // TestEOTScanAllocFree gates the other barrier cost: computing every
 // domain's granted horizon must reuse the engine's scratch and never
-// allocate, in either mode.
+// allocate.
 func TestEOTScanAllocFree(t *testing.T) {
 	e := New(1)
 	doms := []*Domain{e.Dom()}
@@ -345,14 +397,11 @@ func TestEOTScanAllocFree(t *testing.T) {
 		d.seq++
 		d.timers.push(timer{at: Time(i) * 100 * Microsecond, seq: d.seq, p: nil})
 	}
-	for _, mode := range []WindowMode{WindowAdaptive, WindowFixed} {
-		e.windowMode = mode
-		e.prepareWindows()
-		if avg := testing.AllocsPerRun(200, func() {
-			e.computeWindow()
-		}); avg != 0 {
-			t.Fatalf("mode=%v: EOT scan allocates %.1f allocs/op, want 0", mode, avg)
-		}
+	e.prepareWindows()
+	if avg := testing.AllocsPerRun(200, func() {
+		e.computeWindow()
+	}); avg != 0 {
+		t.Fatalf("EOT scan allocates %.1f allocs/op, want 0", avg)
 	}
 }
 
@@ -360,8 +409,8 @@ func TestEOTScanAllocFree(t *testing.T) {
 // deterministic surface — they must match across worker counts (they
 // feed the metrics registry, which the CI determinism gate diffs).
 func TestWindowStatsDeterminism(t *testing.T) {
-	_, ref := randTopologyRun(t, 77, WindowAdaptive, 1)
-	_, got := randTopologyRun(t, 77, WindowAdaptive, 8)
+	_, ref := randTopologyRun(t, 77, false, 1)
+	_, got := randTopologyRun(t, 77, false, 8)
 	if ref != got {
 		t.Fatalf("window stats diverged across workers: %+v vs %+v", ref, got)
 	}

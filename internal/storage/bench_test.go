@@ -8,20 +8,24 @@ import (
 	"duet/internal/storage"
 )
 
-// The disk service loop A/B: the same blocking-read workload driven
-// through the callback executor (inline dispatch and completion on the
-// scheduler goroutine) and the legacy goroutine executor (a disk proc
-// parked and resumed around every request). The pair isolates the
-// handoff cost the goroutine-free hot path removes from every
-// simulated I/O; both modes produce identical simulated timelines.
+// The disk service loop, with and without a fault injector attached:
+// the same blocking-read workload through the one executor (inline
+// dispatch and completion on the scheduler goroutine). The injected
+// side draws no fault, so the pair shows what the fault path's state
+// costs a request that never takes it.
 
-func benchServiceLoop(b *testing.B, legacyProc bool) {
+// noFault is an attached injector whose plan never fires.
+type noFault struct{}
+
+func (noFault) Evaluate(sim.Time, *storage.Request, int) storage.FaultOutcome {
+	return storage.FaultOutcome{}
+}
+
+func benchServiceLoop(b *testing.B, inj storage.FaultInjector) {
 	b.ReportAllocs()
 	e := sim.New(1)
 	d := storage.NewDisk(e, "bench", storage.DefaultSSD(1<<20), iosched.NewFIFO())
-	if legacyProc {
-		d.UseProcExecutor()
-	}
+	d.SetFaultInjector(inj)
 	var fail error
 	e.Go("driver", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
@@ -44,10 +48,10 @@ func benchServiceLoop(b *testing.B, legacyProc bool) {
 }
 
 // BenchmarkDiskServiceCallback measures submit → dispatch → completion
-// with the goroutine-free executor (the default).
-func BenchmarkDiskServiceCallback(b *testing.B) { benchServiceLoop(b, false) }
+// on a disk with no injector.
+func BenchmarkDiskServiceCallback(b *testing.B) { benchServiceLoop(b, nil) }
 
-// BenchmarkDiskServiceProc measures the same loop with the legacy
-// goroutine executor: every request pays two extra park/resume
-// handshakes (disk idle-wake and completion-sleep).
-func BenchmarkDiskServiceProc(b *testing.B) { benchServiceLoop(b, true) }
+// BenchmarkDiskServiceFaulty measures the same loop with an injector
+// attached that draws no fault: one Evaluate call and the retry
+// classification per request, on the same callback.
+func BenchmarkDiskServiceFaulty(b *testing.B) { benchServiceLoop(b, noFault{}) }

@@ -11,8 +11,8 @@ import (
 // rest of the stack programs against, the FaultInjector interface that
 // internal/faults implements, and the retry/backoff/timeout policy the
 // executor applies when an injector is attached. With no injector the
-// disk behaves exactly as before — service() never consults any of this,
-// which keeps the fault-free path byte-identical.
+// executor (Disk.step) never consults any of this, which keeps the
+// fault-free path byte-identical.
 
 // ErrTransient is a recoverable device error: the same request may
 // succeed if retried. The executor retries it under the RetryPolicy; if
@@ -100,18 +100,14 @@ func DefaultRetryPolicy() RetryPolicy {
 
 // SetFaultInjector attaches an injector and arms the retry policy (the
 // default if none was set). Passing nil detaches and restores the exact
-// pre-attach service path. Attaching switches the disk to the goroutine
-// executor — the fault path's retry/backoff loop blocks mid-request,
-// which a callback cannot do — so it must happen before the first
-// request is dispatched (machine assembly does). Detaching mid-run is
-// fine: the goroutine executor handles a nil injector per request.
+// pre-attach service path. Either may happen mid-run: the executor
+// consults the injector once per service attempt, as it starts, so an
+// attempt in flight completes as it began and a request in retry
+// backoff when the injector detaches retries as a clean attempt.
 func (d *Disk) SetFaultInjector(in FaultInjector) {
 	d.injector = in
-	if in != nil {
-		if d.retry == (RetryPolicy{}) {
-			d.retry = DefaultRetryPolicy()
-		}
-		d.UseProcExecutor()
+	if in != nil && d.retry == (RetryPolicy{}) {
+		d.retry = DefaultRetryPolicy()
 	}
 }
 
@@ -142,93 +138,42 @@ func (d *Disk) BadBlocks() []int64 {
 	return out
 }
 
-// serviceFaulty is the executor's service path with an injector
-// attached: evaluate the fault plan per attempt, retry transient errors
-// with bounded exponential backoff in virtual time, convert stalls that
-// blow the deadline into ErrTimeout, and propagate permanent errors.
-func (d *Disk) serviceFaulty(p *sim.Proc, r *Request) {
-	backoff := d.retry.BaseBackoff
-	for attempt := 0; ; attempt++ {
-		out := d.injector.Evaluate(p.Now(), r, attempt)
-		st := d.model.ServiceTime(r, d.headPos) + out.ExtraLatency
-		if out.ExtraLatency > 0 {
-			d.stats.Stalls++
+// retryOrFail is complete's fault path, for an attempt the injector
+// evaluated and that ended in err: retry transient errors with bounded
+// exponential backoff in virtual time (a positive return: retry after
+// that long), convert stalls and retry loops that blow the deadline
+// into ErrTimeout, and propagate permanent errors.
+func (d *Disk) retryOrFail(r *Request, err error, now sim.Time) (sim.Time, error) {
+	elapsed := now - r.submitted
+	switch {
+	case err == nil:
+		if d.retry.Deadline > 0 && elapsed > d.retry.Deadline {
+			// The attempt finished, but only after the initiator would
+			// have aborted it: a stalled request is a timeout even if the
+			// medium eventually responded.
+			d.stats.Timeouts++
+			err = fmt.Errorf("%w (%v elapsed)", ErrTimeout, elapsed)
 		}
-		d.inFlight = r
-		p.Sleep(st)
-		d.inFlight = nil
-		now := p.Now()
-
-		d.headPos = r.Block + int64(r.Count)
-		d.stats.BusyTime += st
-		d.stats.ByClassBusy[r.Class] += st
-		if r.Class == ClassNormal {
-			d.lastNormal = now
+	case errors.Is(err, ErrTransient):
+		d.stats.TransientFaults++
+		backoff := d.backoff
+		over := d.retry.Deadline > 0 && elapsed+backoff > d.retry.Deadline
+		if d.attempt < d.retry.MaxRetries && !over {
+			d.stats.Retries++
+			d.stats.BackoffTime += backoff
+			d.attempt++
+			d.backoff = min(2*backoff, d.retry.MaxBackoff)
+			return backoff, nil
 		}
-		o := d.stats.Owner(r.Owner)
-		o.BusyTime += st
-
-		err := out.Err
-		if err == nil && !r.Write && d.badBlocks != nil {
-			for b := r.Block; b < r.Block+int64(r.Count); b++ {
-				if d.badBlocks[b] {
-					d.stats.BadBlockHits++
-					err = fmt.Errorf("%w at block %d", ErrBadBlock, b)
-					break
-				}
-			}
+		if over {
+			d.stats.Timeouts++
+			err = fmt.Errorf("%w (retries exhausted deadline)", ErrTimeout)
 		}
-
-		elapsed := now - r.submitted
-		switch {
-		case err == nil:
-			if d.retry.Deadline > 0 && elapsed > d.retry.Deadline {
-				// The attempt finished, but only after the initiator
-				// would have aborted it: a stalled request is a timeout
-				// even if the medium eventually responded.
-				d.stats.Timeouts++
-				err = fmt.Errorf("%w (%v elapsed)", ErrTimeout, elapsed)
-			}
-		case errors.Is(err, ErrTransient):
-			d.stats.TransientFaults++
-			over := d.retry.Deadline > 0 && elapsed+backoff > d.retry.Deadline
-			if attempt < d.retry.MaxRetries && !over {
-				d.stats.Retries++
-				d.stats.BackoffTime += backoff
-				p.Sleep(backoff)
-				backoff *= 2
-				if backoff > d.retry.MaxBackoff {
-					backoff = d.retry.MaxBackoff
-				}
-				continue
-			}
-			if over {
-				d.stats.Timeouts++
-				err = fmt.Errorf("%w (retries exhausted deadline)", ErrTimeout)
-			}
-		default:
-			d.stats.PermanentFaults++
-			if _, torn := TornBlocks(err); torn {
-				d.stats.TornWrites++
-			}
+	default:
+		d.stats.PermanentFaults++
+		if _, torn := TornBlocks(err); torn {
+			d.stats.TornWrites++
 		}
-
-		d.stats.Requests++
-		o.TotalLatency += elapsed
-		if r.Write {
-			o.Writes++
-			o.BlocksWritten += int64(r.Count)
-		} else {
-			o.Reads++
-			o.BlocksRead += int64(r.Count)
-		}
-		if d.obs != nil {
-			d.observeComplete(r, now-st, now)
-			if err != nil && d.obs.tr != nil {
-				d.obs.tr.Instant(d.obs.tid, "storage", "io-error", now)
-			}
-		}
-		r.done.Complete(struct{}{}, err)
-		return
 	}
+	return 0, err
 }

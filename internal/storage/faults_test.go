@@ -2,6 +2,7 @@ package storage_test
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"duet/internal/sim"
@@ -167,5 +168,113 @@ func TestDetachRestoresCleanPath(t *testing.T) {
 	}
 	if inj.calls != 0 {
 		t.Error("detached injector was consulted")
+	}
+}
+
+// TestDetachDuringBackoff: detaching the injector while a request waits
+// out a retry backoff must not strand it — the retry proceeds as a
+// clean attempt.
+func TestDetachDuringBackoff(t *testing.T) {
+	e := sim.New(1)
+	d := newDisk(e)
+	inj := &scriptInjector{outcomes: []storage.FaultOutcome{{Err: storage.ErrTransient}}}
+	d.SetFaultInjector(inj)
+	var got error
+	e.Go("io", func(p *sim.Proc) {
+		defer e.Stop()
+		got = d.Read(p, 0, 4, storage.ClassNormal, "t")
+	})
+	e.Go("detach", func(p *sim.Proc) {
+		for d.Stats().Retries < 1 {
+			p.Sleep(100 * sim.Microsecond)
+		}
+		d.SetFaultInjector(nil)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got != nil {
+		t.Fatalf("read after detach: %v", got)
+	}
+	if st := d.Stats(); st.Retries != 1 || st.Requests != 1 {
+		t.Errorf("Retries=%d Requests=%d, want 1/1", st.Retries, st.Requests)
+	}
+	if inj.calls != 1 {
+		t.Errorf("injector evaluated %d times, want 1 (the retry ran detached)", inj.calls)
+	}
+}
+
+// TestAttachInjectorMidRun: attaching with a request in flight leaves
+// that attempt alone and takes effect from the next one dispatched.
+func TestAttachInjectorMidRun(t *testing.T) {
+	e := sim.New(1)
+	d := newDisk(e)
+	inj := &scriptInjector{outcomes: []storage.FaultOutcome{{Err: storage.ErrWriteFault}}}
+	var first, second error
+	e.Go("io", func(p *sim.Proc) {
+		defer e.Stop()
+		first = d.Write(p, 0, 4, storage.ClassNormal, "t")
+		if inj.calls != 0 {
+			t.Errorf("in-flight attempt was evaluated (%d calls)", inj.calls)
+		}
+		second = d.Write(p, 8, 4, storage.ClassNormal, "t")
+	})
+	e.Go("attach", func(p *sim.Proc) {
+		p.Sleep(10 * sim.Microsecond) // shorter than any service time
+		d.SetFaultInjector(inj)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if first != nil {
+		t.Errorf("write in flight at attach: %v", first)
+	}
+	if !errors.Is(second, storage.ErrWriteFault) {
+		t.Errorf("write after attach: %v, want ErrWriteFault", second)
+	}
+}
+
+// TestFaultPathZeroProcs is the fault path's twin of sim's
+// TestCallbackZeroGoroutines: retries, stalls and a deadline timeout
+// are all served on the disk's callback, so the only proc (and the only
+// goroutine) the run creates is the submitter.
+func TestFaultPathZeroProcs(t *testing.T) {
+	before := runtime.NumGoroutine()
+	policy := storage.RetryPolicy{
+		MaxRetries:  4,
+		BaseBackoff: sim.Millisecond,
+		MaxBackoff:  10 * sim.Millisecond,
+		Deadline:    50 * sim.Millisecond,
+	}
+	inj := &scriptInjector{outcomes: []storage.FaultOutcome{
+		{Err: storage.ErrTransient}, // read 1: two retries, then clean
+		{Err: storage.ErrTransient},
+		{},
+		{ExtraLatency: 5 * sim.Millisecond},   // read 2: stalled, in time
+		{ExtraLatency: 100 * sim.Millisecond}, // read 3: stalled past the deadline
+	}}
+	mid := -1
+	var errs [3]error
+	d, _ := ioResult(t, inj, &policy, func(p *sim.Proc, d *storage.Disk) error {
+		for i := range errs {
+			errs[i] = d.Read(p, int64(i)*64, 4, storage.ClassNormal, "t")
+		}
+		mid = runtime.NumGoroutine()
+		if n := p.Engine().ProcsCreated(); n != 1 {
+			t.Errorf("ProcsCreated = %d, want 1 (the submitter)", n)
+		}
+		return nil
+	})
+	if errs[0] != nil || errs[1] != nil || !errors.Is(errs[2], storage.ErrTimeout) {
+		t.Errorf("errors = %v, want [nil nil timeout]", errs)
+	}
+	if st := d.Stats(); st.Retries != 2 || st.Stalls != 2 || st.Timeouts != 1 {
+		t.Errorf("Retries=%d Stalls=%d Timeouts=%d, want 2/2/1", st.Retries, st.Stalls, st.Timeouts)
+	}
+	if mid > before+1 {
+		t.Errorf("goroutines grew mid-run: %d before, %d with the submitter live", before, mid)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines leaked: %d before, %d after", before, after)
 	}
 }

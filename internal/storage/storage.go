@@ -2,10 +2,10 @@
 // transfer costs, and a solid-state drive with flat per-operation latency.
 //
 // A Disk couples a device Model with an I/O Scheduler (see
-// internal/iosched) and an executor process that services one request at a
-// time over virtual time, tracking the busy-time statistics the paper's
-// evaluation relies on (device utilization is the %util statistic of
-// iostat, §6.1.2).
+// internal/iosched) and an executor callback that services one request
+// at a time over virtual time, tracking the busy-time statistics the
+// paper's evaluation relies on (device utilization is the %util
+// statistic of iostat, §6.1.2).
 package storage
 
 import (
@@ -138,7 +138,7 @@ func (s *Stats) Owner(name string) *OwnerStats {
 	return o
 }
 
-// Disk is a simulated block device: model + scheduler + executor process.
+// Disk is a simulated block device: model + scheduler + executor callback.
 type Disk struct {
 	Name string
 
@@ -150,40 +150,41 @@ type Disk struct {
 	lastNormal sim.Time // completion time of the last normal-class request
 	kick       *sim.WaitQueue
 	badBlocks  map[int64]bool
-	inFlight   *Request
-	inFlightST sim.Time // service time of inFlight (callback executor)
 	reqFree    *Request // recycled requests for the blocking Read/Write wrappers
 
-	// Executor state. The default executor is a sim.Callback: every
+	// Executor state (see step). The executor is a sim.Callback: every
 	// service step runs inline on the scheduler with no goroutine
-	// handoff. UseProcExecutor switches to the classic goroutine loop
-	// (required for the blocking retry/backoff stacks of the fault
-	// path, and available for A/B measurement). graceCB is the single
-	// reusable grace-wait timer shared by both executors.
-	cb       *sim.Callback
-	graceCB  *sim.Callback
-	execProc bool
+	// handoff. inFlight is the request occupying the device for
+	// inFlightST; graceCB is the single reusable grace-wait timer.
+	cb         *sim.Callback
+	graceCB    *sim.Callback
+	inFlight   *Request
+	inFlightST sim.Time
 
-	// Fault injection (nil/zero on the fault-free path; see faults.go).
-	injector FaultInjector
-	retry    RetryPolicy
+	// Fault injection (nil/zero on the fault-free path; see faults.go),
+	// then the retry state of the request being serviced: attempt
+	// number, next backoff, whether the injector evaluated the in-flight
+	// attempt (and its outcome), the request while it waits out a backoff.
+	injector  FaultInjector
+	retry     RetryPolicy
+	attempt   int
+	backoff   sim.Time
+	evaluated bool
+	outcome   FaultOutcome
+	retrying  *Request
 
 	// Observability (nil when disabled; see obs.go).
 	obs *diskObs
 }
 
-// Wait reasons are package constants so both executors park under the
-// same (static) strings — DumpWaiters output and trace slices must not
-// depend on the execution mode.
+// Wait reasons are static strings: they name the disk's subscribed
+// intervals in DumpWaiters output and trace slices.
 const (
 	reasonDiskIdle  = "disk idle"
 	reasonDiskGrace = "disk grace wait"
 )
 
-// NewDisk creates a disk and registers its executor on e. The executor
-// is a callback (goroutine-free); attaching a fault injector — or
-// calling UseProcExecutor before Run — switches to the classic
-// goroutine process, which supports the blocking fault path.
+// NewDisk creates a disk and registers its executor callback on e.
 func NewDisk(e sim.Host, name string, model Model, sched Scheduler) *Disk {
 	d := &Disk{
 		Name:  name,
@@ -199,24 +200,6 @@ func NewDisk(e sim.Host, name string, model Model, sched Scheduler) *Disk {
 	})
 	d.kick.Subscribe(d.cb, reasonDiskIdle)
 	return d
-}
-
-// UseProcExecutor switches the disk to the classic goroutine executor.
-// Simulation results are byte-identical in either mode (the callback
-// occupies exactly the (time, seq) slots the goroutine sleeps on); the
-// goroutine form exists for the fault path's blocking retry stack and
-// for A/B measurement of the handoff cost. Must be called before the
-// disk has a request in flight — normally at machine assembly.
-func (d *Disk) UseProcExecutor() {
-	if d.execProc {
-		return
-	}
-	if d.inFlight != nil {
-		panic("storage: UseProcExecutor with a request in flight on " + d.Name)
-	}
-	d.execProc = true
-	d.cb.Cancel()
-	d.eng.Go("disk:"+d.Name, d.run)
 }
 
 // Model returns the device model.
@@ -343,108 +326,78 @@ func (d *Disk) Write(p *sim.Proc, block int64, count int, class Class, owner str
 	return err
 }
 
-// step is the callback executor: one invocation completes the in-flight
-// request (when the callback fired as its completion timer), dispatches
-// the next one, and re-arms by returning its service time. It runs
-// inline on the domain scheduler — no goroutine exists for the disk at
-// all — yet consumes exactly the (time, seq) slots run/service sleep
-// on, so both executors produce byte-identical simulations.
+// step is the executor, a state machine over the callback's wakeups:
+// the in-flight attempt's service time elapsed (complete it, or re-arm
+// for a retry backoff), a retry backoff elapsed (start the request's
+// next attempt), or a request arrived or the grace timer fired while
+// idle (dispatch). Returning a service time or a backoff re-arms the
+// callback, drawing the timer's seq at that point; returning 0 leaves
+// it subscribed to kick. It runs inline on the domain scheduler — no
+// goroutine exists for the disk, with or without a fault plan.
 func (d *Disk) step(now sim.Time) sim.Time {
-	if r := d.inFlight; r != nil {
+	r := d.retrying
+	d.retrying = nil
+	if done := d.inFlight; done != nil {
 		d.inFlight = nil
-		d.finish(r, d.inFlightST, now)
-	}
-	r, wait := d.sched.Dispatch(now, d.lastNormal)
-	if r == nil {
-		if wait > 0 {
-			// An idle-class request is waiting out the grace period. Arm
-			// the grace timer through the run queue (the slot the spawned
-			// timer proc used to occupy) and listen for new arrivals; the
-			// earlier of the two re-invokes the step.
-			d.graceCB.ArmDeferred(wait)
-			d.kick.Subscribe(d.cb, reasonDiskGrace)
-		} else {
-			d.kick.Subscribe(d.cb, reasonDiskIdle)
+		if backoff := d.complete(done, now); backoff > 0 {
+			d.retrying = done
+			return backoff
 		}
-		return 0
 	}
-	if d.obs != nil {
-		d.observeDispatch()
-	}
-	st := d.model.ServiceTime(r, d.headPos)
-	d.inFlight = r
-	d.inFlightST = st
-	return st
-}
-
-// run is the goroutine executor process: it pulls requests from the
-// scheduler and services them one at a time.
-func (d *Disk) run(p *sim.Proc) {
-	for {
-		r, wait := d.sched.Dispatch(p.Now(), d.lastNormal)
+	if r == nil {
+		var wait sim.Time
+		r, wait = d.sched.Dispatch(now, d.lastNormal)
 		if r == nil {
 			if wait > 0 {
-				// An idle-class request is waiting out the grace period.
-				// Sleep, but a new arrival may beat the timer; re-dispatch
-				// handles either way.
-				d.sleepOrKick(p, wait)
+				// An idle-class request is waiting out the grace period. Arm
+				// the grace timer through the run queue and listen for new
+				// arrivals; the earlier of the two re-invokes the step.
+				d.graceCB.ArmDeferred(wait)
+				d.kick.Subscribe(d.cb, reasonDiskGrace)
 			} else {
-				d.kick.Wait(p, reasonDiskIdle)
+				d.kick.Subscribe(d.cb, reasonDiskIdle)
 			}
-			continue
+			return 0
 		}
 		if d.obs != nil {
 			d.observeDispatch()
 		}
-		d.service(p, r)
+		d.attempt, d.backoff = 0, d.retry.BaseBackoff
 	}
-}
-
-// sleepOrKick waits until either wait elapses or a new request arrives;
-// any wake triggers a re-dispatch in run, so spurious wakeups are fine.
-// The grace timer is the disk's single reusable callback — the old
-// goroutine-per-wait spawn paid a stack and two handshakes per batch.
-func (d *Disk) sleepOrKick(p *sim.Proc, wait sim.Time) {
-	d.graceCB.ArmDeferred(wait)
-	d.kick.Wait(p, reasonDiskGrace)
-}
-
-func (d *Disk) service(p *sim.Proc, r *Request) {
-	if d.injector != nil {
-		d.serviceFaulty(p, r)
-		return
-	}
+	// Start one service attempt. The injector, when attached, decides
+	// its outcome now and may stall it; complete applies the decision.
 	st := d.model.ServiceTime(r, d.headPos)
-	d.inFlight = r
-	p.Sleep(st)
-	d.inFlight = nil
-	d.finish(r, st, p.Now())
+	if d.evaluated = d.injector != nil; d.evaluated {
+		d.outcome = d.injector.Evaluate(now, r, d.attempt)
+		if d.outcome.ExtraLatency > 0 {
+			d.stats.Stalls++
+			st += d.outcome.ExtraLatency
+		}
+	}
+	d.inFlight, d.inFlightST = r, st
+	return st
 }
 
-// finish applies the completion accounting for a serviced request and
-// resolves its future. Shared by both executors; now is the completion
-// time and st the service time the device was occupied for.
-func (d *Disk) finish(r *Request, st sim.Time, now sim.Time) {
+// complete applies the accounting for the service attempt of r that
+// ends at now. It returns a positive backoff when the attempt failed
+// transiently and the retry policy grants another (see retryOrFail);
+// otherwise the request is finished and its future resolves.
+func (d *Disk) complete(r *Request, now sim.Time) sim.Time {
+	st := d.inFlightST
 	d.headPos = r.Block + int64(r.Count)
 	d.stats.BusyTime += st
-	d.stats.Requests++
 	d.stats.ByClassBusy[r.Class] += st
 	if r.Class == ClassNormal {
 		d.lastNormal = now
 	}
 	o := d.stats.Owner(r.Owner)
 	o.BusyTime += st
-	o.TotalLatency += now - r.submitted
-	if r.Write {
-		o.Writes++
-		o.BlocksWritten += int64(r.Count)
-	} else {
-		o.Reads++
-		o.BlocksRead += int64(r.Count)
-	}
 
 	var err error
-	if !r.Write && d.badBlocks != nil {
+	if d.evaluated {
+		err = d.outcome.Err
+	}
+	if err == nil && !r.Write && d.badBlocks != nil {
 		for b := r.Block; b < r.Block+int64(r.Count); b++ {
 			if d.badBlocks[b] {
 				d.stats.BadBlockHits++
@@ -453,10 +406,30 @@ func (d *Disk) finish(r *Request, st sim.Time, now sim.Time) {
 			}
 		}
 	}
+	if d.evaluated {
+		var backoff sim.Time
+		if backoff, err = d.retryOrFail(r, err, now); backoff > 0 {
+			return backoff
+		}
+	}
+
+	d.stats.Requests++
+	o.TotalLatency += now - r.submitted
+	if r.Write {
+		o.Writes++
+		o.BlocksWritten += int64(r.Count)
+	} else {
+		o.Reads++
+		o.BlocksRead += int64(r.Count)
+	}
 	if d.obs != nil {
 		d.observeComplete(r, now-st, now)
+		if err != nil && d.evaluated && d.obs.tr != nil {
+			d.obs.tr.Instant(d.obs.tid, "storage", "io-error", now)
+		}
 	}
 	r.done.Complete(struct{}{}, err)
+	return 0
 }
 
 // HDD models a 10K RPM enterprise hard drive. Positioning cost grows with
