@@ -92,6 +92,9 @@ func (c *Config) validate() error {
 	if c.Window <= 0 {
 		return fmt.Errorf("cluster: Window must be positive")
 	}
+	if err := c.validatePlan(); err != nil {
+		return err
+	}
 	if c.PortLatency == 0 {
 		c.PortLatency = sim.Millisecond
 	}
@@ -115,6 +118,43 @@ func (c *Config) validate() error {
 	}
 	if c.HBTimeout <= 0 {
 		c.HBTimeout = 160 * sim.Millisecond
+	}
+	return nil
+}
+
+// validatePlan enforces the schedule contract faults.KillEvent and
+// faults.Partition document: every node named exists, an outage ends
+// after it starts and does not overlap another on the same node, and a
+// partition cuts a real link for a non-empty interval. A plan that
+// breaks it would otherwise run as if the fault were not there.
+func (c *Config) validatePlan() error {
+	for _, k := range c.Plan.Kills {
+		if k.Node < 0 || k.Node >= c.Nodes {
+			return fmt.Errorf("cluster: kill of node %d outside [0, %d)", k.Node, c.Nodes)
+		}
+		if k.RecoverAt <= k.At {
+			return fmt.Errorf("cluster: kill of node %d at %v recovers at %v, not after it",
+				k.Node, k.At, k.RecoverAt)
+		}
+	}
+	for i := 0; i < c.Nodes; i++ {
+		ks := c.Plan.KillsFor(i)
+		for j := 1; j < len(ks); j++ {
+			if ks[j].At < ks[j-1].RecoverAt {
+				return fmt.Errorf("cluster: kills of node %d overlap: [%v, %v) and [%v, %v)",
+					i, ks[j-1].At, ks[j-1].RecoverAt, ks[j].At, ks[j].RecoverAt)
+			}
+		}
+	}
+	for _, pt := range c.Plan.Partitions {
+		if pt.A < 0 || pt.A >= c.Nodes || pt.B < 0 || pt.B >= c.Nodes || pt.A == pt.B {
+			return fmt.Errorf("cluster: partition %d-%d is not a link between two of %d nodes",
+				pt.A, pt.B, c.Nodes)
+		}
+		if pt.To <= pt.From {
+			return fmt.Errorf("cluster: partition %d-%d ends at %v, not after %v",
+				pt.A, pt.B, pt.To, pt.From)
+		}
 	}
 	return nil
 }
@@ -143,7 +183,7 @@ type Cluster struct {
 // New assembles the cluster: one stack per node on its own domain, the
 // full port mesh (every ordered node pair plus coordinator links — all
 // ports must exist before Run), populated shard replica files with
-// durability armed, and the server/coordinator processes ready to run.
+// durability armed, and the node servers and coordinator ready to run.
 // Call Eng.RunFor(cfg.Window), then Stats and Audit.
 func New(cfg Config) (*Cluster, error) {
 	if err := cfg.validate(); err != nil {
@@ -220,6 +260,7 @@ func New(cfg Config) (*Cluster, error) {
 		if plan := cfg.Plan.NodeDiskPlan(n.idx); !plan.Zero() {
 			faults.NewInjector(plan).Attach(n.st.Disk)
 		}
+		n.tick = sim.NewCallback(n.dom, fmt.Sprintf("server%d.tick", n.idx), n.poll)
 		n.dom.Go(fmt.Sprintf("server%d", n.idx), n.run)
 	}
 
@@ -228,7 +269,10 @@ func New(cfg Config) (*Cluster, error) {
 	if o := cfg.Obs; o != nil && o.Trace != nil {
 		e.SetTracer(o.Trace)
 	}
-	e.Go("coordinator", c.Coord.run)
+	d0 := e.Dom()
+	sim.NewCallback(e, "coordinator", func(sim.Time) sim.Time {
+		return c.Coord.step(d0)
+	}).Wake()
 	return c, nil
 }
 

@@ -42,8 +42,9 @@ type repairJob struct {
 // Coordinator is the control plane and the workload: it tracks
 // liveness by heartbeat, computes membership (epoch, per-shard
 // in-service ranks), drives deterministic client traffic, and
-// schedules repairs. It runs on the engine's default domain; every
-// node interaction goes over the c2n/n2c ports.
+// schedules repairs. It runs as a callback on the engine's default
+// domain (see step); every node interaction goes over the c2n/n2c
+// ports.
 type Coordinator struct {
 	c *Cluster
 
@@ -98,34 +99,39 @@ func newCoordinator(c *Cluster) *Coordinator {
 	return co
 }
 
-// run is the control loop.
-func (co *Coordinator) run(p *sim.Proc) {
-	co.recompute(p) // epoch 1: everyone in service
-	for !p.Engine().Stopping() {
-		co.drain(p)
-		co.detect(p)
-		co.heartbeat(p)
-		co.timeouts(p)
-		co.issueOps(p)
-		p.Sleep(co.c.Cfg.Tick)
+// step is one tick of the control loop, run inline as the coordinator
+// callback's handler. It never blocks, so it is not a proc: returning
+// Tick re-arms it in the slot a polling proc's Sleep(Tick) drew.
+func (co *Coordinator) step(d *sim.Domain) sim.Time {
+	if co.epoch == 0 {
+		co.recompute(d) // first call: epoch 1, everyone in service
 	}
+	if d.Engine().Stopping() {
+		return 0
+	}
+	co.drain(d)
+	co.detect(d)
+	co.heartbeat(d)
+	co.timeouts(d)
+	co.issueOps(d)
+	return co.c.Cfg.Tick
 }
 
-func (co *Coordinator) drain(p *sim.Proc) {
+func (co *Coordinator) drain(d *sim.Domain) {
 	for _, n := range co.c.Nodes {
 		for {
 			m, ok := n.toCoord.TryRecv()
 			if !ok {
 				break
 			}
-			co.handle(p, m)
+			co.handle(d, m)
 		}
 	}
 }
 
 // detect declares nodes dead when their heartbeats stop.
-func (co *Coordinator) detect(p *sim.Proc) {
-	now := p.Now()
+func (co *Coordinator) detect(d *sim.Domain) {
+	now := d.Now()
 	changed := false
 	for i := range co.alive {
 		if !co.alive[i] || now-co.lastPong[i] <= co.c.Cfg.HBTimeout {
@@ -144,7 +150,7 @@ func (co *Coordinator) detect(p *sim.Proc) {
 		for _, j := range co.repairs {
 			switch {
 			case j.source == i && co.alive[j.dest]:
-				co.c.Nodes[j.dest].fromCoord.Send(p, Msg{
+				co.c.Nodes[j.dest].fromCoord.Send(d, Msg{
 					Kind: MsgVecReq, From: -1, Shard: j.shard,
 				})
 			case j.dest == i:
@@ -156,34 +162,34 @@ func (co *Coordinator) detect(p *sim.Proc) {
 		changed = true
 	}
 	if changed {
-		co.recompute(p)
+		co.recompute(d)
 	}
 }
 
-func (co *Coordinator) heartbeat(p *sim.Proc) {
-	now := p.Now()
+func (co *Coordinator) heartbeat(d *sim.Domain) {
+	now := d.Now()
 	if now-co.lastHB < co.c.Cfg.HBEvery && now != 0 {
 		return
 	}
 	co.lastHB = now
 	for _, n := range co.c.Nodes {
-		n.fromCoord.Send(p, Msg{Kind: MsgPing, From: -1})
+		n.fromCoord.Send(d, Msg{Kind: MsgPing, From: -1})
 	}
 }
 
-func (co *Coordinator) handle(p *sim.Proc, m Msg) {
-	now := p.Now()
+func (co *Coordinator) handle(d *sim.Domain, m Msg) {
+	now := d.Now()
 	switch m.Kind {
 	case MsgPong:
 		co.lastPong[m.From] = now
 	case MsgWriteReply:
-		co.handleWriteReply(p, m)
+		co.handleWriteReply(d, m)
 	case MsgReadReply:
-		co.handleReadReply(p, m)
+		co.handleReadReply(d, m)
 	case MsgJoin:
-		co.handleJoin(p, m)
+		co.handleJoin(d, m)
 	case MsgShardSynced:
-		co.handleSynced(p, m)
+		co.handleSynced(d, m)
 	}
 }
 
@@ -196,7 +202,7 @@ func (co *Coordinator) findRPC(id int64) *rpcCall {
 	return nil
 }
 
-func (co *Coordinator) handleWriteReply(p *sim.Proc, m Msg) {
+func (co *Coordinator) handleWriteReply(d *sim.Domain, m Msg) {
 	r := co.findRPC(m.ID)
 	if r == nil {
 		return
@@ -210,10 +216,10 @@ func (co *Coordinator) handleWriteReply(p *sim.Proc, m Msg) {
 		return
 	}
 	co.s.WriteRejects++
-	co.retryWrite(p, r)
+	co.retryWrite(d, r)
 }
 
-func (co *Coordinator) retryWrite(p *sim.Proc, r *rpcCall) {
+func (co *Coordinator) retryWrite(d *sim.Domain, r *rpcCall) {
 	r.attempt++
 	if r.attempt >= rpcAttempts {
 		co.s.WriteFailures++
@@ -224,17 +230,17 @@ func (co *Coordinator) retryWrite(p *sim.Proc, r *rpcCall) {
 	if len(rk) < co.c.Cfg.Quorum() {
 		// No serviceable primary right now; keep the call pending and
 		// let the next deadline re-examine a hopefully healed world.
-		r.deadline = p.Now() + rpcDeadline*sim.Time(r.attempt+1)
+		r.deadline = d.Now() + rpcDeadline*sim.Time(r.attempt+1)
 		return
 	}
 	co.s.RPCRetries++
-	r.deadline = p.Now() + rpcDeadline*sim.Time(r.attempt+1)
-	co.c.Nodes[rk[0]].fromCoord.Send(p, Msg{
+	r.deadline = d.Now() + rpcDeadline*sim.Time(r.attempt+1)
+	co.c.Nodes[rk[0]].fromCoord.Send(d, Msg{
 		Kind: MsgWrite, From: -1, ID: r.id, Shard: r.shard, Page: r.page,
 	})
 }
 
-func (co *Coordinator) handleReadReply(p *sim.Proc, m Msg) {
+func (co *Coordinator) handleReadReply(d *sim.Domain, m Msg) {
 	r := co.findRPC(m.ID)
 	if r == nil {
 		return
@@ -250,11 +256,11 @@ func (co *Coordinator) handleReadReply(p *sim.Proc, m Msg) {
 		r.done = true
 		return
 	}
-	co.advanceRead(p, r)
+	co.advanceRead(d, r)
 }
 
 // advanceRead moves a read to the next in-service replica.
-func (co *Coordinator) advanceRead(p *sim.Proc, r *rpcCall) {
+func (co *Coordinator) advanceRead(d *sim.Domain, r *rpcCall) {
 	r.rankIx++
 	r.attempt++
 	rk := co.ranks[r.shard]
@@ -265,8 +271,8 @@ func (co *Coordinator) advanceRead(p *sim.Proc, r *rpcCall) {
 	}
 	co.s.ReadFallbacks++
 	co.s.RPCRetries++
-	r.deadline = p.Now() + rpcDeadline
-	co.c.Nodes[rk[r.rankIx]].fromCoord.Send(p, Msg{
+	r.deadline = d.Now() + rpcDeadline
+	co.c.Nodes[rk[r.rankIx]].fromCoord.Send(d, Msg{
 		Kind: MsgRead, From: -1, ID: r.id, Shard: r.shard, Page: r.page,
 	})
 }
@@ -279,10 +285,10 @@ func (co *Coordinator) advanceRead(p *sim.Proc, r *rpcCall) {
 // on the FIFO port to the repair source, the primary therefore learns
 // about the learner before the manifest snapshot, which is what closes
 // the catch-up gap.
-func (co *Coordinator) handleJoin(p *sim.Proc, m Msg) {
+func (co *Coordinator) handleJoin(d *sim.Domain, m Msg) {
 	i := m.From
 	co.joinVec[i][m.Shard] = m.Vec
-	co.lastPong[i] = p.Now()
+	co.lastPong[i] = d.Now()
 	changed := false
 	if !co.alive[i] {
 		co.alive[i] = true
@@ -294,12 +300,12 @@ func (co *Coordinator) handleJoin(p *sim.Proc, m Msg) {
 		changed = true
 	}
 	if changed {
-		co.recompute(p)
+		co.recompute(d)
 	}
-	co.startRepair(p, m.Shard, i)
+	co.startRepair(d, m.Shard, i)
 }
 
-func (co *Coordinator) startRepair(p *sim.Proc, shard, dest int) {
+func (co *Coordinator) startRepair(d *sim.Domain, shard, dest int) {
 	for _, j := range co.repairs {
 		if j.shard == shard && j.dest == dest {
 			return
@@ -313,19 +319,19 @@ func (co *Coordinator) startRepair(p *sim.Proc, shard, dest int) {
 		// charges them as lost blocks, which is the honest outcome of a
 		// total-loss event.
 		co.synced[dest][shard] = true
-		co.recompute(p)
+		co.recompute(d)
 		return
 	}
 	src := rk[0]
 	co.repairs = append(co.repairs, repairJob{shard: shard, dest: dest, source: src})
 	co.s.RepairsStarted++
-	co.c.Nodes[src].fromCoord.Send(p, Msg{
+	co.c.Nodes[src].fromCoord.Send(d, Msg{
 		Kind: MsgRepairCmd, From: -1, Shard: shard, Dest: dest,
 		Vec: co.joinVec[dest][shard],
 	})
 }
 
-func (co *Coordinator) handleSynced(p *sim.Proc, m Msg) {
+func (co *Coordinator) handleSynced(d *sim.Domain, m Msg) {
 	i := m.From
 	if co.synced[i][m.Shard] {
 		return
@@ -348,26 +354,26 @@ func (co *Coordinator) handleSynced(p *sim.Proc, m Msg) {
 	}
 	if all {
 		if co.deadAt[i] > 0 {
-			co.s.RepairWindowUs += int64((p.Now() - co.deadAt[i]) / sim.Microsecond)
+			co.s.RepairWindowUs += int64((d.Now() - co.deadAt[i]) / sim.Microsecond)
 			co.deadAt[i] = 0
 		}
-		co.recompute(p)
+		co.recompute(d)
 	}
 }
 
 // timeouts sweeps overdue RPCs: writes re-aim at the current primary,
 // reads fall through the rank list.
-func (co *Coordinator) timeouts(p *sim.Proc) {
-	now := p.Now()
+func (co *Coordinator) timeouts(d *sim.Domain) {
+	now := d.Now()
 	for _, r := range co.pending {
 		if r.done || now < r.deadline {
 			continue
 		}
 		co.s.RPCTimeouts++
 		if r.write {
-			co.retryWrite(p, r)
+			co.retryWrite(d, r)
 		} else {
-			co.advanceRead(p, r)
+			co.advanceRead(d, r)
 		}
 	}
 	keep := co.pending[:0]
@@ -383,8 +389,8 @@ func (co *Coordinator) timeouts(p *sim.Proc) {
 // OpEvery, shards round-robin, write-vs-read and page from the seeded
 // stream, stopping QuiesceBefore the end of the window so in-flight
 // writes settle before the audit.
-func (co *Coordinator) issueOps(p *sim.Proc) {
-	now := p.Now()
+func (co *Coordinator) issueOps(d *sim.Domain) {
+	now := d.Now()
 	cfg := &co.c.Cfg
 	if now >= cfg.Window-cfg.QuiesceBefore || now-co.lastOp < cfg.OpEvery && now != 0 {
 		return
@@ -422,7 +428,7 @@ func (co *Coordinator) issueOps(p *sim.Proc) {
 		r.expect = co.acked[shard][page]
 	}
 	co.pending = append(co.pending, r)
-	co.c.Nodes[rk[0]].fromCoord.Send(p, Msg{
+	co.c.Nodes[rk[0]].fromCoord.Send(d, Msg{
 		Kind: kind, From: -1, ID: r.id, Shard: shard, Page: page,
 	})
 }
@@ -431,8 +437,8 @@ func (co *Coordinator) issueOps(p *sim.Proc) {
 // lists (alive and synced replicas in placement order), folds elapsed
 // time into the degraded-state accumulators, and broadcasts the new
 // membership to every node with fresh slices.
-func (co *Coordinator) recompute(p *sim.Proc) {
-	now := p.Now()
+func (co *Coordinator) recompute(d *sim.Domain) {
+	now := d.Now()
 	co.epoch++
 	co.ranks = make([][]int, co.c.Cfg.Shards)
 	for s := 0; s < co.c.Cfg.Shards; s++ {
@@ -465,7 +471,7 @@ func (co *Coordinator) recompute(p *sim.Proc) {
 		ranksC[s] = append([]int(nil), rk...)
 	}
 	for _, n := range co.c.Nodes {
-		n.fromCoord.Send(p, Msg{
+		n.fromCoord.Send(d, Msg{
 			Kind: MsgMembership, From: -1, Epoch: co.epoch,
 			Alive: aliveC, Ranks: ranksC,
 		})

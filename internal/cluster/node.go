@@ -91,6 +91,11 @@ type Node struct {
 	repairSeq  int
 	lastCommit sim.Time
 
+	// tick polls due on the server's behalf while it is parked on idle,
+	// so an idle tick runs inline instead of resuming the server proc.
+	tick *sim.Callback
+	idle sim.WaitQueue
+
 	stats nodeStats
 }
 
@@ -109,7 +114,10 @@ func (n *Node) rep(s int) *replica {
 }
 
 // run is the server loop: act on the kill schedule, drain inbound
-// ports in fixed order, retry outstanding replication, checkpoint.
+// ports in fixed order, retry outstanding replication, checkpoint. It
+// is a proc because FS.Write and FS.Commit block. Between busy ticks it
+// parks on idle while the tick callback polls due; DESIGN.md ("Procs
+// and callbacks") gives why every event keeps its (time, seq) slot.
 func (n *Node) run(p *sim.Proc) {
 	for !p.Engine().Stopping() {
 		n.checkKills(p)
@@ -118,20 +126,75 @@ func (n *Node) run(p *sim.Proc) {
 			n.checkPending(p)
 			n.maybeCommit(p)
 		}
-		p.Sleep(n.c.Cfg.Tick)
+		n.tick.Arm(n.c.Cfg.Tick)
+		n.idle.Wait(p, "idle")
 	}
+}
+
+// poll is the tick callback's handler: wake the server for a busy
+// tick, or re-arm past an idle one.
+func (n *Node) poll(now sim.Time) sim.Time {
+	if n.due(now) {
+		n.idle.WakeOne()
+		return 0
+	}
+	return n.c.Cfg.Tick
+}
+
+// due reports whether a server iteration at now would do anything. A
+// tick where it is false is idle: every step of the loop body is a
+// no-op, so skipping it is invisible to the simulation.
+func (n *Node) due(now sim.Time) bool {
+	if n.c.Eng.Stopping() || n.killDue(now) || n.recoverDue(now) {
+		return true
+	}
+	for _, pt := range n.inbound {
+		if pt.Len() > 0 {
+			return true
+		}
+	}
+	if !n.alive {
+		return false
+	}
+	if n.commitDue(now) {
+		return true
+	}
+	for _, pw := range n.pend {
+		if pw.overdue(now) {
+			return true
+		}
+	}
+	return false
+}
+
+// killDue reports whether the next scheduled power cut has arrived.
+func (n *Node) killDue(now sim.Time) bool {
+	return n.alive && n.killIx < len(n.kills) && now >= n.kills[n.killIx].At
+}
+
+// recoverDue reports whether a dead node's scheduled restart has
+// arrived. A node whose remount failed stays down.
+func (n *Node) recoverDue(now sim.Time) bool {
+	return !n.alive && n.fatal == nil && n.killIx < len(n.kills) &&
+		now >= n.kills[n.killIx].RecoverAt
+}
+
+// commitDue reports whether the checkpoint cadence has elapsed.
+func (n *Node) commitDue(now sim.Time) bool {
+	return now-n.lastCommit >= n.c.Cfg.CommitEvery
+}
+
+// overdue reports whether a replication round needs a retry.
+func (pw *pendWrite) overdue(now sim.Time) bool {
+	return !pw.done && now >= pw.deadline
 }
 
 // checkKills powers the node down and back up per the fault plan.
 func (n *Node) checkKills(p *sim.Proc) {
-	if n.killIx >= len(n.kills) {
-		return
-	}
-	k := n.kills[n.killIx]
-	if n.alive && p.Now() >= k.At {
+	if n.killDue(p.Now()) {
 		n.die()
 	}
-	if !n.alive && n.fatal == nil && p.Now() >= k.RecoverAt {
+	if n.recoverDue(p.Now()) {
 		n.recover(p)
 		n.killIx++
 	}
@@ -459,7 +522,7 @@ func (n *Node) handleRepairData(p *sim.Proc, m Msg) {
 func (n *Node) checkPending(p *sim.Proc) {
 	now := p.Now()
 	for _, pw := range n.pend {
-		if pw.done || now < pw.deadline {
+		if !pw.overdue(now) {
 			continue
 		}
 		pw.attempt++
@@ -497,7 +560,7 @@ func (n *Node) compactPend() {
 // every replication log's durable watermark — the durable log and the
 // durable content model always move together.
 func (n *Node) maybeCommit(p *sim.Proc) {
-	if p.Now()-n.lastCommit < n.c.Cfg.CommitEvery {
+	if !n.commitDue(p.Now()) {
 		return
 	}
 	n.lastCommit = p.Now()

@@ -113,6 +113,13 @@ func (cb *Callback) ArmDeferred(delay Time) {
 	cb.dom.runq.push(runnable{cb: cb})
 }
 
+// Wake queues the handler through the run queue now, in the slot Go
+// gives a new proc: starting a component with Wake instead of spawning
+// it as a proc leaves every later (time, seq) draw where it was. The
+// handler runs once the entries ahead of it have; a Wake while one is
+// already queued is a no-op.
+func (cb *Callback) Wake() { cb.schedule() }
+
 // schedule pushes a wake onto the run queue, the callback analogue of
 // Domain.ready on a parked proc. Called by WaitQueue/Future when the
 // condition the callback subscribed to is established.

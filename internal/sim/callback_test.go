@@ -89,7 +89,7 @@ func TestCallbackProcSlotParity(t *testing.T) {
 // TestCallbackWakeParity checks the WaitQueue leg of slot parity: a
 // subscribed callback must be woken in the same FIFO slot as a parked
 // proc, so a waiter converted to a callback leaves the wake order of
-// every other waiter untouched.
+// every other waiter untouched. Its second half checks the Wake leg.
 func TestCallbackWakeParity(t *testing.T) {
 	run := func(convert bool) string {
 		e := New(7)
@@ -136,6 +136,58 @@ func TestCallbackWakeParity(t *testing.T) {
 	ref, got := run(false), run(true)
 	if ref != got {
 		t.Errorf("wake order diverged after converting one waiter\nref:\n%s\ngot:\n%s", ref, got)
+	}
+
+	// Wake before Run takes the run-queue slot Go gives a new proc: a
+	// periodic component started with Wake and one spawned with Go at
+	// the same point, between two procs on the same period, must log in
+	// the same order and draw the same seqs.
+	start := func(convert bool) (string, uint64) {
+		e := New(11)
+		var buf bytes.Buffer
+		const period, ticks = Millisecond, 4
+		tick := func(name string) {
+			e.Go(name, func(p *Proc) {
+				for i := 0; i < ticks; i++ {
+					fmt.Fprintf(&buf, "%s %d@%s\n", name, i, p.Now())
+					p.Sleep(period)
+				}
+			})
+		}
+		tick("before")
+		if convert {
+			i := 0
+			NewCallback(e, "w", func(now Time) Time {
+				fmt.Fprintf(&buf, "w %d@%s\n", i, now)
+				if i++; i == ticks {
+					return 0
+				}
+				return period
+			}).Wake()
+		} else {
+			e.Go("w", func(p *Proc) {
+				for i := 0; i < ticks; i++ {
+					fmt.Fprintf(&buf, "w %d@%s\n", i, p.Now())
+					if i < ticks-1 {
+						p.Sleep(period)
+					}
+				}
+			})
+		}
+		tick("after")
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String(), e.TimersScheduled()
+	}
+	refLog, refSeq := start(false)
+	gotLog, gotSeq := start(true)
+	if refLog != gotLog || refSeq != gotSeq {
+		t.Errorf("Wake before Run diverged from Go (seqs %d vs %d)\nGo:\n%s\nWake:\n%s",
+			refSeq, gotSeq, refLog, gotLog)
+	}
+	if !strings.HasPrefix(refLog, "before 0@0s\nw 0@0s\nafter 0@0s\n") {
+		t.Fatalf("reference log malformed:\n%s", refLog)
 	}
 }
 

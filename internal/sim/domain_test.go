@@ -135,6 +135,55 @@ func TestPortDelivery(t *testing.T) {
 			t.Fatalf("out-of-order delivery: got %v, sent %v", got, sentAt)
 		}
 	}
+
+	// A callback handler sends with its *Domain. Its messages must land
+	// at the (time, order) of a proc's sends from the same slots: "tx"
+	// and "cx" share the port on colliding timestamps, and cx runs once
+	// as a proc and once as a callback.
+	recvLog := func(cbSender bool) string {
+		e := New(7)
+		d1 := e.NewDomain("rx")
+		pt := NewPort[string](e, d1, "p", Millisecond)
+		const period = 100 * Microsecond
+		e.Go("tx", func(p *Proc) {
+			for i := 0; i < 5; i++ {
+				p.Sleep(period)
+				pt.Send(p, fmt.Sprintf("tx%d", i))
+			}
+		})
+		if cbSender {
+			i := 0
+			NewCallback(e, "cx", func(Time) Time {
+				pt.Send(e.Dom(), fmt.Sprintf("cx%d", i))
+				if i++; i == 5 {
+					return 0
+				}
+				return period
+			}).ArmDeferred(period)
+		} else {
+			e.Go("cx", func(p *Proc) {
+				for i := 0; i < 5; i++ {
+					p.Sleep(period)
+					pt.Send(p, fmt.Sprintf("cx%d", i))
+				}
+			})
+		}
+		var b strings.Builder
+		d1.Go("rx", func(p *Proc) {
+			for i := 0; i < 10; i++ {
+				fmt.Fprintf(&b, "%s@%s ", pt.Recv(p), p.Now())
+			}
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	if ref, cb := recvLog(false), recvLog(true); ref != cb {
+		t.Errorf("callback send diverged from proc send\nproc:     %s\ncallback: %s", ref, cb)
+	} else if !strings.Contains(ref, "tx0@1.1ms cx0@1.1ms") {
+		t.Errorf("sends did not collide as intended: %s", ref)
+	}
 }
 
 // TestLookaheadHorizon is the conservative-window safety property: the

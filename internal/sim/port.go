@@ -138,13 +138,15 @@ func (pt *Port[T]) Latency() Time { return pt.latency }
 
 // Send timestamps v at the caller's current time plus the port latency
 // and buffers it for the next barrier. It never blocks: ports are
-// unbounded, modeling an asynchronous link. The caller must run on the
-// sending domain.
-func (pt *Port[T]) Send(p *Proc, v T) {
-	if p.dom != pt.from {
-		panic("sim: Port.Send from wrong domain: " + p.name + " on " + pt.name)
+// unbounded, modeling an asynchronous link. The caller is anything
+// that names its domain — a *Proc, or a *Domain for a callback's
+// handler — and must run on the sending domain.
+func (pt *Port[T]) Send(from interface{ Dom() *Domain }, v T) {
+	d := from.Dom()
+	if d != pt.from {
+		panic("sim: Port.Send from wrong domain: " + d.name + " on " + pt.name)
 	}
-	pt.out = append(pt.out, portMsg[T]{at: p.dom.now + pt.latency, v: v})
+	pt.out = append(pt.out, portMsg[T]{at: d.now + pt.latency, v: v})
 }
 
 // Recv blocks the calling process (which must run on the receiving
