@@ -206,6 +206,7 @@ func (fs *FS) release(start, n int64) {
 	if fs.durable != nil {
 		fs.deferredFree = append(fs.deferredFree, blkRange{phys: start, n: n})
 		fs.deferredBlocks += n
+		fs.deferredRuns++
 		return
 	}
 	fs.freeRun(start, n)

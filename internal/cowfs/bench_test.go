@@ -144,15 +144,41 @@ func commitChurn(p *sim.Proc, v *env, ino Ino) {
 	}
 }
 
-// deferDrain is commitChurn without the checkpoint (whose deep copy of
-// every file's metadata allocates by design): an overwrite defers the old
-// blocks and a drain against the standing checkpoint frees all but the
-// ones that checkpoint references, which stay deferred for ever.
-func deferDrain(p *sim.Proc, v *env, ino Ino) {
-	if err := v.fs.Write(p, ino, 0, benchFilePages); err != nil {
+// durableOverwritePages is the file size of the durable-overwrite cycle:
+// one cluster-repair shard.
+const durableOverwritePages = 256
+
+// durableOverwrite is one commit cycle of the cluster-repair node's write
+// path: 64 one-page overwrites, spread over a file of one-page extents,
+// then a commit. Each overwrite covers exactly one extent; n carries the
+// spread from one cycle to the next.
+func durableOverwrite(p *sim.Proc, v *env, ino Ino, n *int64) {
+	for k := 0; k < 64; k++ {
+		*n++
+		if err := v.fs.Write(p, ino, *n*97%durableOverwritePages, 1); err != nil {
+			panic(err)
+		}
+	}
+	if err := v.fs.Commit(p); err != nil {
 		panic(err)
 	}
-	v.fs.drainDeferred()
+}
+
+// durableShard makes a durable file of one-page extents, each written by
+// a write of its own (a generation of its own, so none merge).
+func durableShard(p *sim.Proc, v *env) *Inode {
+	f, err := v.fs.Create("/f")
+	if err != nil {
+		panic(err)
+	}
+	for idx := int64(0); idx < durableOverwritePages; idx++ {
+		if err := v.fs.Write(p, f.Ino, idx, 1); err != nil {
+			panic(err)
+		}
+	}
+	v.fs.Sync(p)
+	v.fs.EnableDurability()
+	return f
 }
 
 // benchFile makes the benchmarks' file and fills it.
@@ -222,11 +248,24 @@ func BenchmarkDeleteRecreate(b *testing.B) {
 	})
 }
 
-// BenchmarkCommitChurn measures durable write → commit → drain.
+// BenchmarkCommitChurn measures durable write → commit → drain. The
+// checkpoint recycles its predecessor's entries and map, so a warm cycle
+// allocates nothing.
 func BenchmarkCommitChurn(b *testing.B) {
 	benchInProc(b, func(p *sim.Proc, v *env) func() {
 		f := benchFileDurable(p, v)
 		return func() { commitChurn(p, v, f.Ino) }
+	})
+}
+
+// BenchmarkDurableOverwrite measures one commit cycle of a durable
+// 256-extent file: 64 one-page overwrites and a commit. It runs per
+// cycle, not per write, so a commit that allocates shows in allocs/op.
+func BenchmarkDurableOverwrite(b *testing.B) {
+	benchInProc(b, func(p *sim.Proc, v *env) func() {
+		f := durableShard(p, v)
+		var n int64
+		return func() { durableOverwrite(p, v, f.Ino, &n) }
 	})
 }
 
@@ -261,10 +300,11 @@ func TestCowHotPathAllocFree(t *testing.T) {
 		}
 	})
 	// The free-heavy operations: a whole-file overwrite releasing 1 or 16
-	// extents, a delete, and a durable overwrite drained against a
-	// standing checkpoint. Recreating the deleted file and taking a
-	// checkpoint allocate by design (a new inode with its slices; a deep
-	// copy of every file's metadata), so the gate measures around them.
+	// extents, a delete, a durable overwrite whose commit misses the file
+	// (so the drain keeps what the carried entry references), and the
+	// durable one-page overwrite cycle. Recreating the deleted file
+	// allocates by design (a new inode with its slices), so the gate
+	// measures around it.
 	inProc := func(t *testing.T, fn func(p *sim.Proc, v *env)) {
 		v := newEnv(4096)
 		v.in(t, func(p *sim.Proc) { fn(p, v) })
@@ -306,16 +346,37 @@ func TestCowHotPathAllocFree(t *testing.T) {
 		})
 	})
 	t.Run("defer-drain", func(t *testing.T) {
+		// Every data writeback fails transiently, so each commit finds the
+		// file dirty and carries its first checkpoint entry over: the drain
+		// frees the blocks of the overwrite before last and keeps the ones
+		// that entry references deferred for ever.
 		inProc(t, func(p *sim.Proc, v *env) {
 			f := benchFileDurable(p, v)
+			v.disk.SetFaultInjector(&failWriteback{armed: true})
+			defer v.disk.SetFaultInjector(nil)
 			for i := 0; i < 64; i++ {
-				deferDrain(p, v, f.Ino)
+				commitChurn(p, v, f.Ino)
 			}
-			if avg := testing.AllocsPerRun(100, func() { deferDrain(p, v, f.Ino) }); avg != 0 {
-				t.Errorf("durable overwrite + drain allocates %.1f allocs/op, want 0", avg)
+			if avg := testing.AllocsPerRun(100, func() { commitChurn(p, v, f.Ino) }); avg != 0 {
+				t.Errorf("durable overwrite + missed commit allocates %.1f allocs/op, want 0", avg)
 			}
 			if got := v.fs.deferredBlocks; got != benchFilePages {
 				t.Errorf("%d blocks still deferred, want the checkpoint's %d", got, benchFilePages)
+			}
+		})
+	})
+	t.Run("durable-overwrite", func(t *testing.T) {
+		inProc(t, func(p *sim.Proc, v *env) {
+			f := durableShard(p, v)
+			var n int64
+			for i := 0; i < 64; i++ {
+				durableOverwrite(p, v, f.Ino, &n)
+			}
+			if avg := testing.AllocsPerRun(20, func() { durableOverwrite(p, v, f.Ino, &n) }); avg != 0 {
+				t.Errorf("64 durable one-page overwrites and a commit allocate %.1f times, want 0", avg)
+			}
+			if got := len(f.Extents); got != durableOverwritePages {
+				t.Errorf("file has %d extents, want %d one-page extents", got, durableOverwritePages)
 			}
 		})
 	})

@@ -120,14 +120,18 @@ type FS struct {
 	obs    *fsObs // nil unless observability is on (see obs.go)
 
 	// Durability state (nil/empty until EnableDurability; see durable.go).
-	durable        *checkpoint
-	deferredFree   []blkRange // zero-ref runs held until the next commit
-	deferredBlocks int64      // total length of deferredFree
-	deferredKept   []blkRange // drainDeferred's output buffer, swapped with deferredFree
-	cpMark         []bool     // scratch: blocks referenced by the checkpoint
-	markScratch    []int64
-	quarScratch    []pagecache.PageKey
-	commitInos     []Ino // Commit's file list; taken while a commit is in flight
+	durable         *checkpoint
+	deferredFree    []blkRange // zero-ref runs held until the next commit
+	deferredBlocks  int64      // total length of deferredFree
+	deferredRuns    uint64     // runs ever deferred; checkpoint.deferredAt samples it
+	deferredKept    []blkRange // drainDeferred's output buffer, swapped with deferredFree
+	cpMark          []bool     // scratch: blocks referenced by the checkpoint
+	markScratch     []int64
+	quarScratch     []pagecache.PageKey
+	commitInos      []Ino       // Commit's file list; taken while a commit is in flight
+	commitsInFlight int         // commits waiting on their superblock write
+	cpPool          []*cpFile   // retired checkpoint entries, slices kept for reuse
+	cpSpare         *checkpoint // a retired checkpoint, map cleared for reuse
 
 	// Scratch storage for the allocation-free hot paths. freed is safe as
 	// a single buffer because spliceOut never blocks between filling and

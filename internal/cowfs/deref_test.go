@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -37,6 +36,7 @@ func derefPerBlock(fs *FS, b int64) {
 	if fs.durable != nil {
 		fs.deferredFree = append(fs.deferredFree, blkRange{phys: b, n: 1})
 		fs.deferredBlocks++
+		fs.deferredRuns++
 		return
 	}
 	fs.csums[b] = 0
@@ -114,19 +114,18 @@ func captureLifecycle(fs *FS) lifecycleState {
 	return st
 }
 
-// diff names the first field in which two states differ.
-func (a lifecycleState) diff(b lifecycleState) string {
-	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
-	for k := 0; k < va.NumField(); k++ {
-		if !reflect.DeepEqual(va.Field(k).Interface(), vb.Field(k).Interface()) {
-			name := va.Type().Field(k).Name
-			if va.Field(k).Kind() == reflect.Slice && va.Field(k).Len() > 64 {
-				return name
-			}
-			return fmt.Sprintf("%s: %v vs %v", name, va.Field(k).Interface(), vb.Field(k).Interface())
+// equal is reflect.DeepEqual without reflection over the per-block
+// arrays, which would otherwise dominate the differential tests' time;
+// diffFields explains a mismatch.
+func (a lifecycleState) equal(b lifecycleState) bool {
+	for c := range a.Buckets {
+		if !slices.Equal(a.Buckets[c], b.Buckets[c]) {
+			return false
 		}
 	}
-	return ""
+	return a.FreeBlocks == b.FreeBlocks && a.DeferredBlocks == b.DeferredBlocks && a.CowReallocation == b.CowReallocation &&
+		slices.Equal(a.Runs, b.Runs) && slices.Equal(a.Deferred, b.Deferred) && slices.Equal(a.Refs, b.Refs) &&
+		slices.Equal(a.Csums, b.Csums) && slices.Equal(a.Rev, b.Rev) && slices.Equal(a.Corrupt, b.Corrupt)
 }
 
 // lifeOp is one decoded operation; a, b and c select files, offsets and
@@ -144,8 +143,23 @@ const (
 	lifeCorrupt
 	lifeCommit
 	lifeCommitMissed // a commit during which data writeback fails
+	lifeCommitRaced  // a commit during whose superblock write a second process overwrites or deletes a file
+	lifeCrashImage   // a CrashImage, remounted at once and again at the end, after later commits
 	lifeKinds
 )
+
+// lifeSide selects how one run releases blocks and commits.
+type lifeSide int
+
+const (
+	sideProduct   lifeSide = iota
+	sidePerBlock           // releases through derefPerBlock, the block-lifecycle reference
+	sideRefCommit          // commits through refCommit, the checkpoint reference
+)
+
+func (s lifeSide) String() string {
+	return [...]string{"product", "per-block", "reference commit"}[s]
+}
 
 // failWriteback makes every data writeback fail transiently while armed;
 // the commit record (owner "commit") still reaches the device. A commit
@@ -169,6 +183,8 @@ const (
 // lifeResult is one side's record of a sequence.
 type lifeResult struct {
 	states    []lifecycleState // after each operation
+	cps       []cpState        // durable runs: the checkpoint after each operation
+	remounts  []remountState   // durable runs: a remount after each operation
 	remounted lifecycleState   // durable runs: after CrashImage + Remount
 	lifeCoverage
 }
@@ -178,23 +194,40 @@ type lifeCoverage struct {
 	islands int // releases of a range part shared, part not (reference side)
 	kept    int // commits that left blocks deferred
 	split   int // commits that freed one part of a deferred run and kept another
+	raced   int // overwrites or deletes that landed while Commit waited on its superblock write
+	imaged  int // crash images remounted again after a later commit
 }
 
-// runLifecycle applies ops to a fresh filesystem. perBlock selects the
-// reference side.
-func runLifecycle(t *testing.T, ops []lifeOp, durable, perBlock bool) lifeResult {
+// heldImage is a crash image taken mid-stream and what it remounted to.
+type heldImage struct {
+	img     *CrashImage
+	commits int64 // Stats.Commits when it was taken
+	at      remountState
+}
+
+// racePoll is how often the racing process looks for a commit in flight;
+// a superblock write takes milliseconds.
+const racePoll = 50 * sim.Microsecond
+
+// runLifecycle applies ops to a fresh filesystem on the given side.
+func runLifecycle(t *testing.T, ops []lifeOp, durable bool, side lifeSide) lifeResult {
 	t.Helper()
 	v := newEnvBlocks(256, lifeBlocks)
 	fs := v.fs
-	rng := rand.New(rand.NewSource(1)) // extent placement, the same on both sides
+	rng := rand.New(rand.NewSource(1)) // extent placement, the same on every side
 	inj := &failWriteback{}
 	var res lifeResult
 	var files []Ino
 	var snaps []*Snapshot
+	var images []heldImage
 	names := 0
+	commit := fs.Commit
+	if side == sideRefCommit {
+		commit = func(p *sim.Proc) error { return refCommit(fs, p) }
+	}
 
 	release := func(i *Inode, lo, hi int64) int64 {
-		if !perBlock {
+		if side != sidePerBlock {
 			return 0
 		}
 		shared, island := preRelease(fs, i, lo, hi)
@@ -212,6 +245,48 @@ func runLifecycle(t *testing.T, ops []lifeOp, durable, perBlock bool) lifeResult
 		if err := fs.Write(p, ino, off, n); err != nil && !errors.Is(err, ErrNoSpace) {
 			t.Fatalf("write: %v", err)
 		}
+	}
+	overwrite := func(p *sim.Proc, op lifeOp) {
+		i := fs.inodes[files[int(op.a)%len(files)]]
+		off := int64(op.b) % i.SizePg
+		write(p, i.Ino, off, min64(int64(op.c)%16+1, i.SizePg-off))
+	}
+	del := func(op lifeOp) {
+		at := int(op.a) % len(files)
+		i := fs.inodes[files[at]]
+		release(i, 0, i.SizePg)
+		if err := fs.deleteInode(i); err != nil {
+			t.Fatalf("delete: %v", err)
+		}
+		files = slices.Delete(files, at, at+1)
+	}
+	// raceCommit commits while a second process waits for the commit to
+	// reach its superblock write and then overwrites or deletes a file —
+	// one the checkpoint has just snapshotted, so blocks a fresh entry
+	// references are deferred after the snapshot.
+	raceCommit := func(p *sim.Proc, op lifeOp) error {
+		committed, racing := false, true
+		v.e.Go("racer", func(p *sim.Proc) {
+			defer func() { racing = false }()
+			for fs.commitsInFlight == 0 && !committed {
+				p.Sleep(racePoll)
+			}
+			if committed || len(files) == 0 {
+				return
+			}
+			res.raced++
+			if op.b%3 == 0 {
+				del(op)
+			} else {
+				overwrite(p, op)
+			}
+		})
+		err := commit(p)
+		committed = true
+		for racing {
+			p.Sleep(racePoll)
+		}
+		return err
 	}
 	v.in(t, func(p *sim.Proc) {
 		if _, err := fs.MkdirAll("/data"); err != nil {
@@ -235,9 +310,7 @@ func runLifecycle(t *testing.T, ops []lifeOp, durable, perBlock bool) lifeResult
 				}
 				files = append(files, f.Ino)
 			case kind == lifeOverwrite:
-				i := fs.inodes[files[int(op.a)%len(files)]]
-				off := int64(op.b) % i.SizePg
-				write(p, i.Ino, off, min64(int64(op.c)%16+1, i.SizePg-off))
+				overwrite(p, op)
 			case kind == lifeOverwriteWhole:
 				i := fs.inodes[files[int(op.a)%len(files)]]
 				write(p, i.Ino, 0, i.SizePg)
@@ -245,13 +318,7 @@ func runLifecycle(t *testing.T, ops []lifeOp, durable, perBlock bool) lifeResult
 				i := fs.inodes[files[int(op.a)%len(files)]]
 				write(p, i.Ino, i.SizePg, int64(op.b)%8+1)
 			case kind == lifeDelete:
-				at := int(op.a) % len(files)
-				i := fs.inodes[files[at]]
-				release(i, 0, i.SizePg)
-				if err := fs.deleteInode(i); err != nil {
-					t.Fatalf("op %d delete: %v", k, err)
-				}
-				files = slices.Delete(files, at, at+1)
+				del(op)
 			case kind == lifeSnapshot:
 				if len(snaps) >= 3 {
 					break
@@ -278,10 +345,24 @@ func runLifecycle(t *testing.T, ops []lifeOp, durable, perBlock bool) lifeResult
 				if b, ok := fs.NextAllocated(int64(op.a) * (int64(op.b) + 1) % lifeBlocks); ok {
 					fs.CorruptBlock(b)
 				}
-			case durable: // lifeCommit, lifeCommitMissed
+			case !durable: // the remaining kinds need a checkpoint
+			case kind == lifeCrashImage:
+				// The image aliases the live medium, which keeps changing;
+				// freeze it, so what is left to check is that later
+				// commits do not reach the image's checkpoint.
+				img := fs.CrashImage()
+				img.diskVer = slices.Clone(img.diskVer)
+				images = append(images, heldImage{img: img, commits: fs.stats.Commits, at: remountImage(t, img)})
+			default: // lifeCommit, lifeCommitMissed, lifeCommitRaced
 				before := slices.Clone(fs.deferredFree)
 				inj.armed = kind == lifeCommitMissed
-				if err := fs.Commit(p); err != nil {
+				var err error
+				if kind == lifeCommitRaced {
+					err = raceCommit(p, op)
+				} else {
+					err = commit(p)
+				}
+				if err != nil {
 					t.Fatalf("op %d commit: %v", k, err)
 				}
 				inj.armed = false
@@ -301,40 +382,62 @@ func runLifecycle(t *testing.T, ops []lifeOp, durable, perBlock bool) lifeResult
 				}
 			}
 			if err := fs.CheckInvariants(); err != nil {
-				t.Fatalf("op %d (%+v, per-block %v): %v", k, op, perBlock, err)
+				t.Fatalf("op %d (%+v, %v side): %v", k, op, side, err)
 			}
 			res.states = append(res.states, captureLifecycle(fs))
+			if durable && side != sidePerBlock {
+				res.cps = append(res.cps, captureCheckpoint(fs))
+				res.remounts = append(res.remounts, remountImage(t, fs.CrashImage()))
+			}
 		}
 	})
 	if durable {
-		v2 := newEnvBlocks(256, lifeBlocks)
-		fs2, err := Remount(v2.e, 1, v2.disk, v2.cache, fs.CrashImage())
-		if err != nil {
-			t.Fatal(err)
+		// A crash image must remount as it did when it was taken, however
+		// many commits (and recycled checkpoints) came after it.
+		for _, h := range images {
+			if d := diffFields(remountImage(t, h.img), h.at); d != "" {
+				t.Fatalf("%v side: a crash image remounts differently after later commits: %s", side, d)
+			}
+			if fs.stats.Commits > h.commits {
+				res.imaged++
+			}
 		}
-		if err := fs2.CheckInvariants(); err != nil {
-			t.Fatalf("after remount (per-block %v): %v", perBlock, err)
-		}
-		res.remounted = captureLifecycle(fs2)
+		res.remounted = remountImage(t, fs.CrashImage()).Life
 	}
 	return res
 }
 
-// compareLifecycles runs ops on both sides and requires agreement after
-// every operation.
+// compareLifecycles runs ops on every side and requires agreement after
+// every operation: the product and per-block release on the block
+// lifecycle, and under durability the product and reference commit on
+// the checkpoint, the deferred runs and the remounted filesystem too.
 func compareLifecycles(t *testing.T, ops []lifeOp, durable bool) lifeCoverage {
 	t.Helper()
-	byRun := runLifecycle(t, ops, durable, false)
-	byBlock := runLifecycle(t, ops, durable, true)
+	byRun := runLifecycle(t, ops, durable, sideProduct)
+	byBlock := runLifecycle(t, ops, durable, sidePerBlock)
 	for k := range byRun.states {
-		if d := byRun.states[k].diff(byBlock.states[k]); d != "" {
-			t.Fatalf("after op %d (%+v) run-wise and per-block release disagree on %s", k, ops[k], d)
+		if !byRun.states[k].equal(byBlock.states[k]) {
+			t.Fatalf("after op %d (%+v) run-wise and per-block release disagree on %s", k, ops[k], diffFields(byRun.states[k], byBlock.states[k]))
 		}
 	}
-	if d := byRun.remounted.diff(byBlock.remounted); d != "" {
+	if d := diffFields(byRun.remounted, byBlock.remounted); d != "" {
 		t.Fatalf("remounted filesystems disagree on %s", d)
 	}
-	return lifeCoverage{islands: byBlock.islands, kept: byRun.kept, split: byRun.split}
+	if durable {
+		ref := runLifecycle(t, ops, durable, sideRefCommit)
+		for k := range byRun.states {
+			if !byRun.states[k].equal(ref.states[k]) {
+				t.Fatalf("after op %d (%+v) the product and reference commits disagree on %s", k, ops[k], diffFields(byRun.states[k], ref.states[k]))
+			}
+			if d := diffFields(byRun.cps[k], ref.cps[k]); d != "" {
+				t.Fatalf("after op %d (%+v) the checkpoint differs from the reference's on %s", k, ops[k], d)
+			}
+			if !byRun.remounts[k].equal(ref.remounts[k]) {
+				t.Fatalf("after op %d (%+v) a remount differs from the reference's on %s", k, ops[k], diffFields(byRun.remounts[k], ref.remounts[k]))
+			}
+		}
+	}
+	return lifeCoverage{islands: byBlock.islands, kept: byRun.kept, split: byRun.split, raced: byRun.raced, imaged: byRun.imaged}
 }
 
 // splitRunOps ends in a missed commit that must cut a deferred run in
@@ -355,6 +458,22 @@ var splitRunOps = []lifeOp{
 	{kind: lifeCommit},
 }
 
+// racedCommitOps defers blocks that fresh checkpoint entries reference
+// after the snapshot: a file is overwritten, then deleted, while a commit
+// waits on its superblock write. A drain that marked only the carried
+// entries would free those blocks. A crash image taken before the races
+// must remount unchanged after them.
+var racedCommitOps = []lifeOp{
+	{kind: lifePopulate, a: 15},
+	{kind: lifePopulate, a: 23, b: 2},
+	{kind: lifeCommit},
+	{kind: lifeCrashImage},
+	{kind: lifeCommitRaced, a: 0, b: 1, c: 3},
+	{kind: lifeCommit},
+	{kind: lifeCommitRaced, a: 1, b: 0},
+	{kind: lifeCommit},
+}
+
 func TestDerefRangeAgainstPerBlock(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
@@ -368,6 +487,8 @@ func TestDerefRangeAgainstPerBlock(t *testing.T) {
 				c := compareLifecycles(t, ops, durable)
 				got.islands += c.islands
 				got.kept += c.kept
+				got.raced += c.raced
+				got.imaged += c.imaged
 			}
 			if got.islands == 0 {
 				t.Error("no released range was part shared with a snapshot, part not")
@@ -378,8 +499,14 @@ func TestDerefRangeAgainstPerBlock(t *testing.T) {
 			if got.kept == 0 {
 				t.Error("no commit left blocks deferred: carried-over checkpoint entries never exercised")
 			}
+			if got.raced == 0 || got.imaged == 0 {
+				t.Errorf("%d writes raced a superblock write and %d crash images outlived a commit; want both > 0", got.raced, got.imaged)
+			}
 			if c := compareLifecycles(t, splitRunOps, true); c.split == 0 {
 				t.Error("the split-run sequence cut no deferred run at a checkpoint boundary")
+			}
+			if c := compareLifecycles(t, racedCommitOps, true); c.raced != 2 || c.imaged != 1 {
+				t.Errorf("the raced-commit sequence raced %d commits (want 2) and held %d crash images over a commit (want 1)", c.raced, c.imaged)
 			}
 		})
 	}
@@ -388,11 +515,13 @@ func TestDerefRangeAgainstPerBlock(t *testing.T) {
 func FuzzDerefRange(f *testing.F) {
 	f.Add([]byte{0, 0, 40, 2, 0, 0, 0, 30, 1, 0, 5, 0, 0, 0, 1, 0, 3, 9, 2, 0, 0, 0, 4, 0, 0, 0, 6, 0, 0, 0})
 	f.Add([]byte{1, 0, 47, 3, 0, 7, 9, 1, 0, 1, 0, 5, 4, 9, 0, 0, 0, 2, 0, 0, 0, 8, 0, 0, 0, 1, 0, 0, 15, 4, 0, 0, 0})
-	split := []byte{1} // durable
-	for _, op := range splitRunOps {
-		split = append(split, op.kind, op.a, op.b, op.c)
+	for _, seq := range [][]lifeOp{splitRunOps, racedCommitOps} {
+		data := []byte{1} // durable
+		for _, op := range seq {
+			data = append(data, op.kind, op.a, op.b, op.c)
+		}
+		f.Add(data)
 	}
-	f.Add(split)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

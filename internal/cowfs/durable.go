@@ -2,6 +2,7 @@ package cowfs
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"duet/internal/pagecache"
@@ -23,8 +24,16 @@ import (
 //
 // Durability is opt-in (EnableDurability): without it derefRange frees
 // runs immediately and behavior is bit-for-bit the historical one.
+//
+// A commit's host cost follows what changed, not what exists. Checkpoint
+// entries and maps are recycled (retire), so a steady commit loop
+// allocates nothing; the drain marks only the entries that can hold a
+// deferred block (drainDeferred); and whether a file is clean is one
+// counter lookup in the cache (pagecache.FileDirty), not a page walk.
 
-// cpFile is one file's committed metadata.
+// cpFile is one file's committed metadata. Entries are immutable once
+// taken: a checkpoint whose file was dirty carries the previous
+// checkpoint's entry over by pointer.
 type cpFile struct {
 	ino      Ino
 	name     string
@@ -34,7 +43,7 @@ type cpFile struct {
 	gen      uint64
 	extents  []Extent
 	pageVers []uint64
-	children map[string]Ino
+	children map[string]Ino // directories; an empty map may linger in a file's recycled entry
 }
 
 // checkpoint is the durable metadata image.
@@ -43,22 +52,31 @@ type checkpoint struct {
 	nextIno Ino
 	nextVer uint64
 	files   map[Ino]*cpFile
+	// carried lists the entries taken over from the previous checkpoint,
+	// and deferredAt is FS.deferredRuns at the snapshot: together they let
+	// drainDeferred mark only what can reference a deferred run.
+	carried    []*cpFile
+	deferredAt uint64
 }
 
-// snapshotFile deep-copies an inode's committed view.
-func snapshotFile(i *Inode) *cpFile {
-	f := &cpFile{
-		ino:    i.Ino,
-		name:   i.Name,
-		parent: i.Parent,
-		dir:    i.Dir,
-		sizePg: i.SizePg,
-		gen:    i.Gen,
+// snapshotFile copies an inode's committed view into an entry from the
+// recycling pool, reusing the entry's slices and map.
+func (fs *FS) snapshotFile(i *Inode) *cpFile {
+	var f *cpFile
+	if n := len(fs.cpPool) - 1; n >= 0 {
+		f, fs.cpPool[n] = fs.cpPool[n], nil
+		fs.cpPool = fs.cpPool[:n]
+	} else {
+		f = &cpFile{}
 	}
-	f.extents = append(f.extents, i.Extents...)
-	f.pageVers = append(f.pageVers, i.PageVers...)
+	f.ino, f.name, f.parent, f.dir, f.sizePg, f.gen = i.Ino, i.Name, i.Parent, i.Dir, i.SizePg, i.Gen
+	f.extents = append(f.extents[:0], i.Extents...)
+	f.pageVers = append(f.pageVers[:0], i.PageVers...)
+	clear(f.children)
 	if i.Children != nil {
-		f.children = make(map[string]Ino, len(i.Children))
+		if f.children == nil {
+			f.children = make(map[string]Ino, len(i.Children))
+		}
 		for n, c := range i.Children {
 			f.children[n] = c
 		}
@@ -84,40 +102,54 @@ func (fs *FS) DurabilityEnabled() bool { return fs.durable != nil }
 // takeCheckpoint snapshots every file that is durably clean. Files with
 // dirty (or quarantined) pages keep their previous committed entry:
 // their old blocks are still intact on the medium because deferred
-// frees have not released them.
+// frees have not released them. The checkpoint reuses a retired one's
+// map when there is one.
 func (fs *FS) takeCheckpoint() *checkpoint {
-	cp := &checkpoint{
-		gen:     fs.gen,
-		nextIno: fs.nextIno,
-		nextVer: fs.nextVer,
-		files:   make(map[Ino]*cpFile, len(fs.inodes)),
+	cp := fs.cpSpare
+	if cp != nil {
+		fs.cpSpare = nil
+	} else {
+		cp = &checkpoint{files: make(map[Ino]*cpFile, len(fs.inodes))}
 	}
+	cp.gen, cp.nextIno, cp.nextVer = fs.gen, fs.nextIno, fs.nextVer
+	cp.carried = cp.carried[:0]
+	cp.deferredAt = fs.deferredRuns
 	for ino, i := range fs.inodes {
-		if !i.Dir && fs.fileDirty(ino) {
+		// Quarantined pages count as dirty: their data never reached the
+		// medium.
+		if !i.Dir && fs.cache.FileDirty(fs.id, uint64(ino)) {
 			if fs.durable != nil {
 				if old, ok := fs.durable.files[ino]; ok {
 					cp.files[ino] = old // carry the last committed view
+					cp.carried = append(cp.carried, old)
 				}
 			}
 			continue
 		}
-		cp.files[ino] = snapshotFile(i)
+		cp.files[ino] = fs.snapshotFile(i)
 	}
 	return cp
 }
 
-// fileDirty reports whether any page of the file is dirty in cache
-// (quarantined pages count: their data never reached the medium).
-func (fs *FS) fileDirty(ino Ino) bool {
-	dirty := false
-	fs.cache.IterateFile(fs.id, uint64(ino), func(pg *pagecache.Page) bool {
-		if pg.Dirty {
-			dirty = true
-			return false
+// retire recycles a checkpoint that is no longer the durable one: the
+// one a successful commit replaced, or the one a failed superblock write
+// left unused. Its entries that the durable checkpoint does not share go
+// back to the pool, and its cleared map becomes the next checkpoint's.
+// An entry can live on in the durable checkpoint or in a commit still
+// waiting on its superblock write, which may have carried it from the
+// checkpoint it snapshotted against — so nothing is recycled while
+// another commit is in flight. (A crash image holds a copy of its own.)
+func (fs *FS) retire(dead *checkpoint) {
+	if fs.commitsInFlight > 0 {
+		return
+	}
+	for ino, f := range dead.files {
+		if fs.durable.files[ino] != f {
+			fs.cpPool = append(fs.cpPool, f)
 		}
-		return true
-	})
-	return dirty
+	}
+	clear(dead.files)
+	fs.cpSpare = dead
 }
 
 // Commit is the durability barrier: flush everything, snapshot the
@@ -160,11 +192,17 @@ func (fs *FS) Commit(p *sim.Proc) error {
 	cp := fs.takeCheckpoint()
 	// Superblock/checkpoint-region write: the durability barrier costs a
 	// device write like any real commit record.
-	if err := fs.disk.Write(p, 0, 1, storage.ClassNormal, "commit"); err != nil {
+	fs.commitsInFlight++
+	err := fs.disk.Write(p, 0, 1, storage.ClassNormal, "commit")
+	fs.commitsInFlight--
+	if err != nil {
+		fs.retire(cp)
 		return fmt.Errorf("cowfs: checkpoint write: %w", err)
 	}
+	old := fs.durable
 	fs.durable = cp
 	fs.drainDeferred()
+	fs.retire(old)
 	fs.stats.Commits++
 	if st := fs.obs; st != nil {
 		st.tr.Slice(st.tid, "cowfs", "commit", commitStart, p.Now())
@@ -191,6 +229,14 @@ func (fs *FS) quarantinedPages() int {
 // coverage changes: pieces a carried-over (dirty-file) checkpoint entry
 // still points at remain deferred for another round, the rest return to
 // the allocator as runs.
+//
+// Only entries that can reference a deferred run are marked. A run
+// deferred before the snapshot had no references when the snapshot was
+// taken, so no freshly snapshotted entry covers it: only the carried
+// entries can. A run deferred after the snapshot — a file overwritten or
+// deleted while Commit waited on its superblock write — can be covered by
+// any fresh entry, so then the whole checkpoint is marked. Both ways the
+// marks on the deferred runs, and so the drain, are the same.
 func (fs *FS) drainDeferred() {
 	if len(fs.deferredFree) == 0 {
 		return
@@ -199,14 +245,13 @@ func (fs *FS) drainDeferred() {
 		fs.cpMark = make([]bool, fs.disk.Blocks())
 	}
 	marked := fs.markScratch[:0]
-	for _, f := range fs.durable.files {
-		for _, e := range f.extents {
-			for b := e.Phys; b < e.Phys+e.Len; b++ {
-				if !fs.cpMark[b] {
-					fs.cpMark[b] = true
-					marked = append(marked, b)
-				}
-			}
+	if cp := fs.durable; fs.deferredRuns == cp.deferredAt {
+		for _, f := range cp.carried {
+			marked = fs.markExtents(marked, f.extents)
+		}
+	} else {
+		for _, f := range cp.files {
+			marked = fs.markExtents(marked, f.extents)
 		}
 	}
 	// A run can split into more kept pieces than runs consumed so far, so
@@ -235,6 +280,20 @@ func (fs *FS) drainDeferred() {
 	fs.markScratch = marked[:0]
 }
 
+// markExtents sets cpMark on the blocks of exts, appending each block it
+// newly marks to marked.
+func (fs *FS) markExtents(marked []int64, exts []Extent) []int64 {
+	for _, e := range exts {
+		for b := e.Phys; b < e.Phys+e.Len; b++ {
+			if !fs.cpMark[b] {
+				fs.cpMark[b] = true
+				marked = append(marked, b)
+			}
+		}
+	}
+	return marked
+}
+
 // CrashImage is what survives a power cut: the last checkpoint (the
 // durable metadata) and the medium (per-block content versions, silent
 // corruption, grown bad blocks). Capture it after the engine stops;
@@ -249,12 +308,24 @@ type CrashImage struct {
 
 // CrashImage captures the filesystem's durable state. The engine must
 // be stopped: the image aliases the medium arrays of the dead instance.
+// The durable checkpoint is copied, since its entries are recycled by
+// later commits.
 func (fs *FS) CrashImage() *CrashImage {
 	if fs.durable == nil {
 		panic("cowfs: CrashImage without EnableDurability")
 	}
+	cp := *fs.durable
+	cp.files = make(map[Ino]*cpFile, len(fs.durable.files))
+	cp.carried = nil
+	for ino, f := range fs.durable.files {
+		c := *f
+		c.extents = slices.Clone(f.extents)
+		c.pageVers = slices.Clone(f.pageVers)
+		c.children = maps.Clone(f.children)
+		cp.files[ino] = &c
+	}
 	img := &CrashImage{
-		cp:        fs.durable,
+		cp:        &cp,
 		diskVer:   fs.diskVer,
 		badBlocks: fs.disk.BadBlocks(),
 	}
@@ -299,7 +370,7 @@ func Remount(e sim.Host, id pagecache.FSID, disk *storage.Disk, cache *pagecache
 		}
 		i.Extents = append(i.Extents, f.extents...)
 		i.PageVers = append(i.PageVers, f.pageVers...)
-		if f.children != nil {
+		if f.dir {
 			i.Children = make(map[string]Ino, len(f.children))
 			for n, c := range f.children {
 				i.Children[n] = c

@@ -56,11 +56,22 @@ func (fi *freeIndex) remove(start, length int64) {
 }
 
 // findFit returns the lowest-addressed run with start in [lo, hi) and
-// length >= n — the run address-ordered first-fit would choose. Classes
-// above n's own are probed with a single NextSet each (any of their runs
-// fits); within n's own class, shorter runs are skipped until the probe
-// passes the best higher-class candidate.
+// length >= n — the run address-ordered first-fit would choose. The
+// address-ordered successor of lo is tried first: when it starts below hi
+// and holds n blocks it is that run by definition, found in one tree
+// descent (the usual case for one-block allocations into fragmented free
+// space, as a cluster node's overwrites make). Otherwise classes above
+// n's own are probed with a single NextSet each (any of their runs fits);
+// within n's own class, shorter runs are skipped until the probe passes
+// the best higher-class candidate.
 func (fi *freeIndex) findFit(n, lo, hi int64) (at, avail int64, ok bool) {
+	succ, sl, found := fi.runs.Ceiling(lo)
+	if !found || succ >= hi {
+		return 0, 0, false // no run starts in [lo, hi) at all
+	}
+	if sl >= n {
+		return succ, sl, true
+	}
 	c0 := sizeClass(n)
 	best := int64(-1)
 	for c := c0 + 1; c < 64; c++ {

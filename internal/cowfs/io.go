@@ -88,6 +88,13 @@ func (fs *FS) putWbBuf(b *wbBuf) {
 	fs.wbBufs = b
 }
 
+// extentAt returns the position of the extent that covers exactly the
+// logical range [off, off+n), if there is one.
+func extentAt(exts []Extent, off, n int64) (int, bool) {
+	k := sort.Search(len(exts), func(k int) bool { return exts[k].Logical >= off })
+	return k, k < len(exts) && exts[k].Logical == off && exts[k].Len == n
+}
+
 // findExtent returns the extent covering logical page idx, if any.
 func findExtent(exts []Extent, idx int64) (Extent, bool) {
 	lo, hi := 0, len(exts)
@@ -304,17 +311,42 @@ func (fs *FS) Write(p *sim.Proc, ino Ino, off, n int64) error {
 	i.Gen = fs.gen
 
 	// COW: release old coverage, then allocate fresh blocks near the
-	// file's existing data to preserve some locality.
-	fs.stats.CowReallocation += fs.spliceOut(i, off, off+n)
+	// file's existing data to preserve some locality. A write covering
+	// exactly one extent (a one-page overwrite of a fragmented file, say)
+	// releases that extent
+	// and, when the allocation comes back in one run, puts the new extent
+	// in its slot rather than splicing the slot out and back in. The
+	// result is the splice's: the allocation sees the same released blocks
+	// and the same hint, and the new extent's generation is newer than any
+	// neighbour's, so insertExtent would not have merged it.
+	k, whole := extentAt(i.Extents, off, n)
+	var rest []Extent // the extents the hint is taken from
+	if whole {
+		e := i.Extents[k]
+		fs.stats.CowReallocation += fs.derefRange(e.Phys, e.Len)
+		rest = i.Extents
+		if k == len(rest)-1 {
+			rest = rest[:k] // as after the splice: the previous extent is last
+		}
+	} else {
+		fs.stats.CowReallocation += fs.spliceOut(i, off, off+n)
+		rest = i.Extents
+	}
 	hint := int64(0)
-	if len(i.Extents) > 0 {
-		last := i.Extents[len(i.Extents)-1]
+	if len(rest) > 0 {
+		last := rest[len(rest)-1]
 		hint = last.Phys + last.Len
 	}
 	rb := fs.getRunBuf()
 	defer fs.putRunBuf(rb)
 	runs, err := fs.allocate(n, hint, rb.runs)
 	rb.runs = runs
+	inPlace := whole && err == nil && len(runs) == 1
+	if inPlace {
+		i.Extents[k] = Extent{Logical: off, Phys: runs[0].phys, Len: n, Gen: fs.gen}
+	} else if whole {
+		i.Extents = slices.Delete(i.Extents, k, k+1)
+	}
 	if err != nil {
 		return err
 	}
@@ -327,7 +359,9 @@ func (fs *FS) Write(p *sim.Proc, ino Ino, off, n int64) error {
 
 	logical := off
 	for _, r := range runs {
-		i.Extents = insertExtent(i.Extents, Extent{Logical: logical, Phys: r.phys, Len: r.len, Gen: fs.gen})
+		if !inPlace {
+			i.Extents = insertExtent(i.Extents, Extent{Logical: logical, Phys: r.phys, Len: r.len, Gen: fs.gen})
+		}
 		for k := int64(0); k < r.len; k++ {
 			idx := logical + k
 			fs.nextVer++
@@ -543,18 +577,8 @@ func (fs *FS) WritebackPages(p *sim.Proc, inoN uint64, indices []uint64) (int, e
 		fs.stats.WritebackErrors++
 	}
 	// Drop the tag once the file has no dirty pages left.
-	if _, tagged := fs.wbTags[ino]; tagged {
-		dirty := false
-		fs.cache.IterateFile(fs.id, inoN, func(pg *pagecache.Page) bool {
-			if pg.Dirty {
-				dirty = true
-				return false
-			}
-			return true
-		})
-		if !dirty {
-			delete(fs.wbTags, ino)
-		}
+	if _, tagged := fs.wbTags[ino]; tagged && !fs.cache.FileDirty(fs.id, inoN) {
+		delete(fs.wbTags, ino)
 	}
 	return persisted, wbErr
 }

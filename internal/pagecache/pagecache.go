@@ -918,6 +918,26 @@ func (c *Cache) FilePages(fs FSID, ino uint64) int {
 	return 0
 }
 
+// FileDirty reports whether any resident page of a file is dirty,
+// quarantined pages included, without walking the file: the index counts
+// the dirty pages on the writeback path, and the quarantine list (short,
+// and empty unless a write fault struck) holds the rest.
+func (c *Cache) FileDirty(fs FSID, ino uint64) bool {
+	f := c.file(FileKey{fs, ino})
+	if f == nil {
+		return false
+	}
+	if f.dirty > 0 {
+		return true
+	}
+	for _, k := range c.quar {
+		if k.FS == fs && k.Ino == ino {
+			return true
+		}
+	}
+	return false
+}
+
 // IterateFile calls fn for each cached page of a file in index order,
 // without allocating. fn may remove the page it was handed, but must not
 // otherwise insert or remove pages of the same file during iteration.

@@ -98,6 +98,67 @@ func TestPermanentFaultQuarantinesAndRequeues(t *testing.T) {
 	}
 }
 
+// FileDirty answers from counters, not a walk: it must agree with "some
+// resident page of the file is dirty" through every state a file's pages
+// pass, quarantine included (quarantined pages are dirty, but the index's
+// dirty count leaves them out).
+func TestFileDirty(t *testing.T) {
+	fb := &faultBackend{errs: []error{nil, storage.ErrWriteFault}, persist: []int{-1, 0}}
+	h := newFaultHarness(16, fb)
+	h.in(t, func(p *sim.Proc) {
+		check := func(what string, ino uint64, want bool) {
+			t.Helper()
+			if got := h.c.FileDirty(1, ino); got != want {
+				t.Errorf("%s: FileDirty(ino %d) = %v, want %v", what, ino, got, want)
+			}
+			walked := false
+			h.c.IterateFile(1, ino, func(pg *Page) bool {
+				walked = walked || pg.Dirty
+				return true
+			})
+			if walked != want {
+				t.Errorf("%s: a walk of ino %d finds dirty = %v, want %v", what, ino, walked, want)
+			}
+		}
+		check("no resident page", 1, false)
+		for i := uint64(0); i < 3; i++ {
+			h.c.Insert(p, key(1, i), 1)
+		}
+		check("clean file", 1, false)
+		pg, _ := h.c.Peek(key(1, 1))
+		h.c.MarkDirty(pg, 2)
+		check("dirty file", 1, true)
+		if h.c.FileDirty(2, 1) {
+			t.Error("a dirty page of fs 1 made the same inode of fs 2 dirty")
+		}
+		if err := h.c.SyncFile(p, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+		check("cleaned by writeback", 1, false)
+
+		for i := uint64(0); i < 2; i++ {
+			pg := h.c.Insert(p, key(2, i), 1)
+			h.c.MarkDirty(pg, 2)
+		}
+		if err := h.c.SyncFile(p, 1, 2); err == nil {
+			t.Fatal("SyncFile should report the write fault")
+		}
+		if h.c.QuarantinedLen() != 2 || h.c.DirtyLen() != 0 {
+			t.Fatalf("QuarantinedLen %d, DirtyLen %d: want both pages quarantined", h.c.QuarantinedLen(), h.c.DirtyLen())
+		}
+		check("only quarantined pages", 2, true)
+		check("a neighbour of a quarantined file", 1, false)
+		for _, k := range h.c.Quarantined(nil) {
+			h.c.Requeue(k)
+		}
+		check("requeued", 2, true)
+		if err := h.c.SyncFile(p, 1, 2); err != nil {
+			t.Fatal(err)
+		}
+		check("requeued and written back", 2, false)
+	})
+}
+
 func TestTransientFaultRedirtiesForRetry(t *testing.T) {
 	fb := &faultBackend{errs: []error{storage.ErrTransient}, persist: []int{0}}
 	h := newFaultHarness(8, fb)

@@ -41,11 +41,21 @@ func (e *TornWriteError) Error() string {
 }
 
 // TornBlocks extracts the persisted prefix length from a torn-write
-// error, if err is one.
+// error, if err is one. It walks the wrap chain as errors.As does, but
+// without the allocation errors.As costs: writeback asks this of every
+// failed device write.
 func TornBlocks(err error) (int, bool) {
-	var torn *TornWriteError
-	if errors.As(err, &torn) {
-		return torn.Persisted, true
+	switch e := err.(type) {
+	case *TornWriteError:
+		return e.Persisted, true
+	case interface{ Unwrap() error }:
+		return TornBlocks(e.Unwrap())
+	case interface{ Unwrap() []error }:
+		for _, err := range e.Unwrap() {
+			if n, ok := TornBlocks(err); ok {
+				return n, true
+			}
+		}
 	}
 	return 0, false
 }

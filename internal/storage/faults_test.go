@@ -2,6 +2,7 @@ package storage_test
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -119,6 +120,26 @@ func TestTornWritePropagates(t *testing.T) {
 	}
 	if st := d.Stats(); st.TornWrites != 1 {
 		t.Errorf("TornWrites = %d, want 1", st.TornWrites)
+	}
+}
+
+// TornBlocks finds a torn write however it is wrapped, as errors.As
+// would, and answers without allocating.
+func TestTornBlocksUnwraps(t *testing.T) {
+	torn := &storage.TornWriteError{Persisted: 5}
+	wrapped := fmt.Errorf("writeback: %w", torn)
+	for _, err := range []error{torn, wrapped, errors.Join(storage.ErrTransient, wrapped)} {
+		if n, ok := storage.TornBlocks(err); !ok || n != 5 {
+			t.Errorf("TornBlocks(%v) = (%d, %v), want (5, true)", err, n, ok)
+		}
+	}
+	for _, err := range []error{nil, storage.ErrTransient, fmt.Errorf("x: %w", storage.ErrWriteFault)} {
+		if _, ok := storage.TornBlocks(err); ok {
+			t.Errorf("TornBlocks(%v) reports a torn write", err)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() { storage.TornBlocks(wrapped) }); avg != 0 {
+		t.Errorf("TornBlocks allocates %.1f times per call, want 0", avg)
 	}
 }
 
