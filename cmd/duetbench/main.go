@@ -4,20 +4,17 @@
 //
 // Usage:
 //
-//	duetbench [-scale tiny|small|medium|full] [-seeds N] [-j N] [-dj N] [-experiment id[,id...]]
+//	duetbench [-scale tiny|small|medium|full] [-seeds N] [-j N] [-experiment id[,id...]]
 //	          [-list] [-bench-out file] [-cpuprofile file] [-memprofile file] [-trace file] [-metrics file]
 //
 // The default small scale reproduces the paper's ratios at laptop cost
 // (see internal/experiments); -scale full approximates the paper's
 // absolute setup and takes hours.
 //
-// -j sets the worker count for the experiment grid (default: all CPUs);
-// -dj sets the worker count *inside* multi-domain simulations (the
-// sharded-machine experiment; default 1). Output — stdout, traces, and
-// metrics alike — is byte-identical at any -j and -dj: cells are
-// reassembled in input order, trace slots are reserved in input order,
-// and the domain-sharded engine delivers cross-domain messages in a
-// canonical order at conservative time-window barriers, so parallelism
+// -j sets the worker count for the experiment grid (default: all CPUs).
+// Output — stdout, traces, and metrics alike — is byte-identical at any
+// -j: each cell is one serial simulation, cells are reassembled in input
+// order and trace slots are reserved in input order, so parallelism
 // only changes wall-clock time. Alongside the text output, a
 // machine-readable BENCH_<scale>.json records per-experiment wall-clock
 // seconds, cells run, and the worker counts, so the performance
@@ -46,20 +43,14 @@ type benchRecord struct {
 	Cells   int64   `json:"cells"`
 }
 
-// benchFile is the machine-readable timing summary. GoMaxProcs, Cpus,
-// and Parallel are provenance: a -dj N wall-clock number only measures
-// a parallel speedup when N goroutines could actually run on N cores,
-// so Parallel is false (with a stderr warning) whenever dj exceeds
-// GOMAXPROCS or the machine's CPU count — on such a run the dj pair
-// bounds barrier overhead, nothing more.
+// benchFile is the machine-readable timing summary. GoMaxProcs and Cpus
+// are provenance for the grid worker count.
 type benchFile struct {
 	Scale        string        `json:"scale"`
 	Seeds        int           `json:"seeds"`
 	Workers      int           `json:"workers"`
-	DomainJ      int           `json:"dj"`
 	GoMaxProcs   int           `json:"gomaxprocs"`
 	Cpus         int           `json:"cpus"`
-	Parallel     bool          `json:"parallel_speedup"`
 	Experiments  []benchRecord `json:"experiments"`
 	TotalSeconds float64       `json:"total_seconds"`
 	TotalCells   int64         `json:"total_cells"`
@@ -72,7 +63,6 @@ func main() {
 	scaleName := flag.String("scale", "small", "experiment scale: tiny, small, medium, or full")
 	seeds := flag.Int("seeds", 0, "override the number of repetitions (0 = scale default)")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "grid worker count (output is identical at any value)")
-	domainJ := flag.Int("dj", 1, "intra-simulation worker count for multi-domain cells (output is identical at any value)")
 	expFlag := flag.String("experiment", "", "comma-separated experiment IDs (default: all)")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	benchOut := flag.String("bench-out", "", "timing json path (default BENCH_<scale>.json, \"-\" to disable)")
@@ -99,7 +89,6 @@ func main() {
 		scale.Seeds = *seeds
 	}
 	experiments.Workers = *workers
-	experiments.DomainWorkers = *domainJ
 	if !*quiet {
 		experiments.Progress = os.Stderr
 	}
@@ -147,15 +136,8 @@ func main() {
 		Scale:      scale.Name,
 		Seeds:      scale.Seeds,
 		Workers:    *workers,
-		DomainJ:    *domainJ,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Cpus:       runtime.NumCPU(),
-	}
-	bench.Parallel = *domainJ <= bench.GoMaxProcs && *domainJ <= bench.Cpus
-	if *domainJ > 1 && !bench.Parallel {
-		fmt.Fprintf(os.Stderr,
-			"duetbench: -dj %d exceeds GOMAXPROCS (%d) or CPUs (%d): recording parallel_speedup=false — this run bounds barrier overhead, it is not a parallel speedup\n",
-			*domainJ, bench.GoMaxProcs, bench.Cpus)
 	}
 	totalStart := time.Now()
 	for _, id := range ids {

@@ -45,7 +45,6 @@ func main() {
 		sched       = flag.String("sched", "cfq", "I/O scheduler: cfq, deadline, noop")
 		window      = flag.Duration("window", 60*time.Second, "experiment window (virtual)")
 		seed        = flag.Int64("seed", 1, "simulation seed")
-		domainJ     = flag.Int("dj", 1, "intra-simulation worker count (only affects multi-domain engines; output is identical at any value)")
 		traceOut    = flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) to this file")
 		metricsOut  = flag.String("metrics", "", "write the metrics registry to this file (.json for JSON, otherwise text)")
 	)
@@ -67,7 +66,6 @@ func main() {
 		Obs:          o,
 	})
 	fatal(err)
-	m.Eng.SetWorkers(*domainJ)
 	files, err := m.Populate(machine.DefaultPopulateSpec("/data", *dataMB*256))
 	fatal(err)
 	dataRoot, err := m.FS.Lookup("/data")

@@ -1,12 +1,8 @@
 // Command traceck validates a Chrome trace-event JSON file produced by
 // the observability subsystem (duetbench -trace / duetsim -trace): it
 // checks the schema (required fields, known phases, non-negative
-// timestamps and durations) and the engine's window protocol as
-// witnessed by the trace (per domain, barrier "window" slices open
-// strictly later than their predecessor and never overlap it; no
-// engine-level slice ends before its domain's window opened), then
-// prints a one-line summary. A violation exits non-zero, which is how
-// CI gates the trace artifact.
+// timestamps and durations), then prints a one-line summary. A
+// violation exits non-zero, which is how CI gates the trace artifact.
 //
 // Usage:
 //
@@ -36,6 +32,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "traceck:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("%s: ok (%d events, %d metadata, %d processes, %d tracks, %d windows)\n",
-		os.Args[1], sum.Events, sum.Metadata, len(sum.Processes), sum.Tracks, sum.Windows)
+	fmt.Printf("%s: ok (%d events, %d metadata, %d processes, %d tracks)\n",
+		os.Args[1], sum.Events, sum.Metadata, len(sum.Processes), sum.Tracks)
 }

@@ -45,9 +45,8 @@ type Config struct {
 	Shards     int
 	ShardPages int64
 
-	// PortLatency is the cross-machine message latency (default 1ms);
-	// it is also the engine's lookahead bound. Tick is the server-loop
-	// granularity (default = PortLatency).
+	// PortLatency is the cross-machine message latency (default 1ms).
+	// Tick is the server-loop granularity (default = PortLatency).
 	PortLatency sim.Time
 	Tick        sim.Time
 

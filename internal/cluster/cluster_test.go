@@ -167,6 +167,10 @@ func TestClusterDuetRepairReadsFewerBlocks(t *testing.T) {
 	}
 }
 
+// TestClusterDeterministicAcrossWorkers: two runs of one seed agree on
+// every counter and replica vector. The second run passes a worker count,
+// which the serial engine accepts and ignores; this pins that it changes
+// nothing.
 func TestClusterDeterministicAcrossWorkers(t *testing.T) {
 	plan := singleKill()
 	plan.Partitions = []faults.Partition{
@@ -272,7 +276,8 @@ func TestConfigValidation(t *testing.T) {
 // exactly one proc (its server) to what its storage stack creates —
 // idle ticks run inline on a callback rather than on a goroutine of
 // their own. A fault-free run spawns no repair, so the counts hold to
-// the end.
+// the end. The coordinator's domain holds a second callback: RunFor's
+// stop timer, which ends every engine's run from the default domain.
 func TestClusterServerProcs(t *testing.T) {
 	cfg := testConfig(RepairDuet, faults.ClusterPlan{})
 	ref, err := machine.NewStack(sim.New(cfg.Seed).NewDomain("ref"), cfg.Config, "ref")
@@ -284,8 +289,8 @@ func TestClusterServerProcs(t *testing.T) {
 	if got := c.Eng.Dom().ProcsCreated(); got != 0 {
 		t.Errorf("coordinator domain created %d procs, want 0", got)
 	}
-	if got := c.Eng.Dom().CallbacksCreated(); got != 1 {
-		t.Errorf("coordinator domain created %d callbacks, want 1", got)
+	if got := c.Eng.Dom().CallbacksCreated(); got != 2 {
+		t.Errorf("coordinator domain created %d callbacks, want 2 (coordinator + stop timer)", got)
 	}
 	for _, n := range c.Nodes {
 		if got := n.dom.ProcsCreated(); got != stackProcs+1 {

@@ -5,9 +5,9 @@
 // two re-replication strategies — a naive disk scan and a Duet-assisted
 // repairer that ships cache-resident pages without touching the disk.
 //
-// Everything is deterministic at any worker count: nodes exchange
-// messages only over fixed-latency Ports, every decision stream is
-// seed-derived, and no map is ever iterated on a decision path.
+// Everything is deterministic: nodes exchange messages only over
+// fixed-latency Ports, every decision stream is seed-derived, and no
+// map is ever iterated on a decision path.
 package cluster
 
 import "duet/internal/faults"

@@ -4,8 +4,8 @@ package cluster
 // meaning and the other fields are kind-specific. Slices inside a Msg
 // (Pages, Vec, Alive, Ranks) are frozen at send: the sender builds a
 // fresh slice per message and never writes to it afterwards, and
-// receivers treat them as read-only — that is what makes sharing them
-// across domains race-free.
+// receivers treat them as read-only, so a receiver never observes a
+// sender's later changes.
 
 // MsgKind enumerates the protocol vocabulary.
 type MsgKind uint8

@@ -66,9 +66,8 @@ var ScaleSmall = Scale{
 	UtilStep:     0.1,
 }
 
-// ScaleMedium sits between small and full: enough data and window for
-// per-cell runtimes where intra-simulation parallelism (-dj) pays off
-// measurably, while a single cell still finishes in minutes.
+// ScaleMedium sits between small and full: four times small's data and
+// a longer window, while a single cell still finishes in minutes.
 var ScaleMedium = Scale{
 	Name:         "medium",
 	DataPages:    786432,  // 3 GiB

@@ -16,19 +16,10 @@ import (
 
 // The sharded-machine experiment: N independent device stacks (device +
 // cache + filesystem + Duet) on N event domains, coordinated from the
-// default domain over Ports. It is the cell the -dj flag parallelizes
-// INSIDE one simulation (the cluster experiment is the other; the rest
-// parallelize only across cells). Results are byte-identical at any
-// -dj; only wall-clock changes.
+// default domain over Ports.
 
-// DomainWorkers is the intra-simulation worker count for multi-domain
-// cells (sharded machines). <= 0 means 1. cmd/duetbench and cmd/duetsim
-// set it from their -dj flag. It never affects simulation output.
-var DomainWorkers int
-
-// shardCount is the number of independent stacks per sharded cell: four
-// devices makes the conservative-window parallelism real (target ≥ 1.5x
-// at -dj 4) while keeping the cell's footprint ≈ 4 ordinary cells.
+// shardCount is the number of independent stacks per sharded cell; the
+// cell's footprint is ≈ 4 ordinary cells.
 const shardCount = 4
 
 // shardWorkloadRate is a fixed foreground rate per shard (ops/s). The
@@ -101,11 +92,6 @@ func runShardCell(s Scale, seed int64, duet bool) (*shardCellResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	dj := DomainWorkers
-	if dj < 1 {
-		dj = 1
-	}
-	m.Eng.SetWorkers(dj)
 
 	ps := machine.DefaultPopulateSpec("/data", s.DataPages)
 	ps.MeanFilePages = 128
@@ -116,8 +102,8 @@ func runShardCell(s Scale, seed int64, duet bool) (*shardCellResult, error) {
 	}
 
 	scrubbers := make([]*scrub.Scrubber, shardCount)
-	// One error slot per shard: shard procs run concurrently during
-	// windows, so they must never write shared state.
+	// One error slot per shard: shard procs never write state shared
+	// with another domain.
 	scrubErrs := make([]error, shardCount)
 	for i, sh := range m.Shards {
 		i, sh := i, sh

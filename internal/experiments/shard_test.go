@@ -1,34 +1,6 @@
 package experiments
 
-import (
-	"bytes"
-	"testing"
-)
-
-// TestShardExpDeterministicAcrossWorkers is the experiment-level form of
-// the -dj obligation: the sharded experiment's rendered output must be
-// byte-identical at any intra-sim worker count.
-func TestShardExpDeterministicAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sharded cell at tiny scale is a full simulation")
-	}
-	old := DomainWorkers
-	defer func() { DomainWorkers = old }()
-	run := func(dj int) string {
-		DomainWorkers = dj
-		var b bytes.Buffer
-		if err := runShardExp(ScaleTiny, &b); err != nil {
-			t.Fatalf("dj=%d: %v", dj, err)
-		}
-		return b.String()
-	}
-	ref := run(1)
-	for _, dj := range []int{2, 8} {
-		if got := run(dj); got != ref {
-			t.Fatalf("-dj %d output diverged from -dj 1:\n-- dj1 --\n%s\n-- dj%d --\n%s", dj, ref, dj, got)
-		}
-	}
-}
+import "testing"
 
 // TestShardCellProgress checks the cross-domain control path end to end:
 // the coordinator's start command reaches every shard and progress
@@ -37,9 +9,6 @@ func TestShardCellProgress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sharded cell at tiny scale is a full simulation")
 	}
-	old := DomainWorkers
-	defer func() { DomainWorkers = old }()
-	DomainWorkers = 4
 	r, err := runShardCell(ScaleTiny, 1, true)
 	if err != nil {
 		t.Fatal(err)

@@ -121,11 +121,6 @@ func clusterCell(s Scale, seed int64, row clusterRow,
 	if err != nil {
 		return cluster.Stats{}, machine.Robustness{}, err
 	}
-	dj := DomainWorkers
-	if dj < 1 {
-		dj = 1
-	}
-	c.Eng.SetWorkers(dj)
 	if err := c.Eng.RunFor(cfg.Window); err != nil {
 		return cluster.Stats{}, machine.Robustness{}, err
 	}

@@ -35,23 +35,12 @@ func enableObs(o *obs.Obs, e *sim.Engine, parts ...interface{ EnableObs(*obs.Obs
 // publishes the same kernel-level counters).
 func PublishEngineMetrics(r *obs.Registry, e *sim.Engine) { publishEngine(r, e) }
 
-// publishEngine absorbs the kernel-level quantities. The window
-// counters are zero for single-domain machines, which never window;
-// for sharded machines they quantify barrier overhead (rounds, idle
-// fast-forwards, how much virtual time each barrier cleared) and are
-// identical at any worker count.
+// publishEngine absorbs the kernel-level quantities.
 func publishEngine(r *obs.Registry, e *sim.Engine) {
 	r.SetCounter("sim.procs_created", int64(e.ProcsCreated()))
 	r.SetCounter("sim.callbacks_created", int64(e.CallbacksCreated()))
 	r.SetCounter("sim.timers_scheduled", int64(e.TimersScheduled()))
 	r.SetCounter("sim.now_us", int64(e.Now()/sim.Microsecond))
-	ws := e.WindowStats()
-	r.SetCounter("sim.window_rounds", ws.Rounds)
-	r.SetCounter("sim.window_fastforwards", ws.FastForwards)
-	r.SetCounter("sim.window_open_us", int64(ws.OpenTime/sim.Microsecond))
-	// The largest granted window is a peak, so it rides a gauge:
-	// cross-cell merges take the max instead of summing.
-	r.Gauge("sim.window_max_open_us").SetMax(int64(ws.MaxOpen / sim.Microsecond))
 }
 
 // CollectMetrics absorbs every subsystem's counters into r: the engine,

@@ -12,14 +12,13 @@ import (
 	"duet/internal/storage"
 )
 
-// A ShardedMachine is the multi-device form of Machine built for the
-// domain-sharded engine: N fully independent storage stacks — device,
-// I/O scheduler, page cache, filesystem, and Duet instance — each on its
-// own event domain, plus a coordinator on the engine's default domain.
-// Because the stacks share no mutable state, the engine can execute them
-// concurrently inside each lookahead window; the coordinator talks to
-// shards only through Ports, whose latency models the cross-device
-// control path (an IPC hop, not a function call).
+// A ShardedMachine is the multi-device form of Machine: N fully
+// independent storage stacks — device, I/O scheduler, page cache,
+// filesystem, and Duet instance — each on its own event domain, plus a
+// coordinator on the engine's default domain. The stacks share no
+// mutable state; the coordinator talks to shards only through Ports,
+// whose latency models the cross-device control path (an IPC hop, not a
+// function call).
 //
 // This mirrors the paper's setting scaled out: each shard is "a machine"
 // running foreground work plus Duet-scheduled maintenance, and the
@@ -40,8 +39,8 @@ type Shard struct {
 	FS      *cowfs.FS
 	Duet    *core.Duet
 	Adapter *core.CowAdapter
-	// Obs is the shard's own observability handle (nil when disabled).
-	// Domains trace concurrently, so each needs a private buffer; the
+	// Obs is the shard's own observability handle (nil when disabled):
+	// its tracer exports as the shard's own trace process, and the
 	// registries merge commutatively at collection.
 	Obs *obs.Obs
 	// Report carries shard → coordinator progress messages.
@@ -72,20 +71,17 @@ type ShardReport struct {
 
 // ShardedConfig sizes a sharded machine. The embedded Config describes
 // each shard's stack (DeviceBlocks and CachePages are per shard, not
-// totals). Model, if set, must be stateless (the built-in HDD/SSD models
-// are): shards evaluate it concurrently.
+// totals). Model, if set, is shared by every shard, so it must be
+// stateless (the built-in HDD/SSD models are).
 type ShardedConfig struct {
 	Config
 	// Shards is the number of independent stacks (>= 1).
 	Shards int
-	// PortLatency is the coordinator↔shard message latency; it is also
-	// the engine's lookahead bound, so smaller values mean finer barrier
-	// windows and less intra-window parallelism. Default 1ms.
+	// PortLatency is the coordinator↔shard message latency. Default 1ms.
 	PortLatency sim.Time
 }
 
-// NewSharded assembles a sharded machine. Worker parallelism is chosen
-// separately via m.Eng.SetWorkers — it never changes results.
+// NewSharded assembles a sharded machine.
 func NewSharded(cfg ShardedConfig) (*ShardedMachine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -203,11 +199,6 @@ func (m *ShardedMachine) TraceProcesses(prefix string) []obs.TraceProcess {
 	}
 	return procs
 }
-
-// WindowStats exposes the engine's barrier counters — rounds, idle
-// fast-forwards, and granted window lengths. They are deterministic at
-// any worker count, so experiments may print or publish them.
-func (m *ShardedMachine) WindowStats() sim.WindowStats { return m.Eng.WindowStats() }
 
 // EventStats sums page-event dispatch counters across shards.
 func (m *ShardedMachine) EventStats() EventStats {

@@ -14,9 +14,8 @@ import (
 // Stack is one complete storage stack — device, scheduler, page cache,
 // cowfs, and Duet — assembled on an existing event domain of a shared
 // engine. It is the building block of the cluster tier: each cluster
-// node hosts one Stack on its own domain, so node stacks execute
-// concurrently inside the engine's lookahead windows while all
-// cross-node traffic goes over Ports.
+// node hosts one Stack on its own domain, and all cross-node traffic
+// goes over Ports.
 //
 // Unlike Machine, a Stack does not own its engine, so a crash cannot be
 // modeled by abandoning the engine (machine.Recover's trick). Instead
@@ -30,8 +29,8 @@ type Stack struct {
 	Duet    *core.Duet
 	Adapter *core.CowAdapter
 	// Obs is the stack's private observability handle (nil when
-	// disabled). Domains trace concurrently, so each stack needs its own
-	// buffer; registries merge commutatively at collection.
+	// disabled): its tracer exports as the node's own trace process, and
+	// registries merge commutatively at collection.
 	Obs *obs.Obs
 
 	cfg Config

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -207,44 +206,5 @@ func TestObsHandleNilTolerant(t *testing.T) {
 	o = &Obs{}
 	if o.TraceOf() != nil || o.MetricsOf() != nil {
 		t.Fatal("empty Obs must expose nil instruments")
-	}
-}
-
-// TestValidateTraceWindowProtocol exercises the window-monotonicity
-// checks: per process, barrier window slices must open strictly later
-// than their predecessor without overlapping it, and engine-level (cat
-// "sim") slices must not end before the latest window open.
-func TestValidateTraceWindowProtocol(t *testing.T) {
-	wrap := func(events string) string {
-		return `{"traceEvents":[` + events + `]}`
-	}
-	win := func(pid int, ts, dur float64) string {
-		return fmt.Sprintf(`{"ph":"X","pid":%d,"tid":0,"cat":"sim","name":"window","ts":%g,"dur":%g}`, pid, ts, dur)
-	}
-	ok := wrap(win(1, 0, 10) + "," + win(1, 10, 5) + "," + win(2, 3, 4) + "," +
-		`{"ph":"X","pid":1,"tid":7,"cat":"sim","name":"park","ts":2,"dur":9}`)
-	sum, err := ValidateTrace(strings.NewReader(ok))
-	if err != nil {
-		t.Fatalf("valid window sequence rejected: %v", err)
-	}
-	if sum.Windows != 3 {
-		t.Fatalf("summary windows = %d, want 3", sum.Windows)
-	}
-	for name, bad := range map[string]string{
-		"non-increasing open": wrap(win(1, 10, 5) + "," + win(1, 10, 5)),
-		"overlapping window":  wrap(win(1, 0, 10) + "," + win(1, 5, 10)),
-		"slice before window": wrap(win(1, 100, 10) + "," +
-			`{"ph":"X","pid":1,"tid":7,"cat":"sim","name":"park","ts":10,"dur":20}`),
-	} {
-		if _, err := ValidateTrace(strings.NewReader(bad)); err == nil {
-			t.Fatalf("%s accepted", name)
-		}
-	}
-	// Same timestamps on different pids are independent streams, and
-	// non-"sim" categories are exempt (task spans are recorded post-run).
-	exempt := wrap(win(1, 100, 10) + "," +
-		`{"ph":"X","pid":1,"tid":7,"cat":"task","name":"scrub","ts":10,"dur":20}`)
-	if _, err := ValidateTrace(strings.NewReader(exempt)); err != nil {
-		t.Fatalf("non-sim category wrongly gated: %v", err)
 	}
 }

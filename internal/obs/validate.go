@@ -12,25 +12,13 @@ type TraceSummary struct {
 	Metadata  int
 	Processes map[int]bool
 	Tracks    int // thread_name metadata records
-	Windows   int // barrier window slices (cat "sim", name "window")
 }
-
-// tsEpsilon absorbs float rounding in microsecond timestamps; virtual
-// times are integral nanoseconds, so distinct times differ by >= 1e-3.
-const tsEpsilon = 1e-6
 
 // ValidateTrace parses a Chrome trace-event JSON stream and checks the
 // invariants the exporter promises. Schema: a top-level traceEvents
 // array whose entries carry a known phase, a name, pid/tid, and
-// non-negative virtual timestamps (durations too, for slices).
-// Window protocol (per process, in record order): barrier "window"
-// slices (cat "sim") open strictly later than the previous window and
-// never overlap it — each round's open is the global next-event time,
-// and a round retires every event below its horizon — and every other
-// engine-level (cat "sim") slice must END at or after the latest window
-// open, because it is recorded during that window and no event below
-// the open exists anywhere. It is the check behind cmd/traceck and the
-// CI trace-artifact gate.
+// non-negative virtual timestamps (durations too, for slices). It is
+// the check behind cmd/traceck and the CI trace-artifact gate.
 func ValidateTrace(r io.Reader) (*TraceSummary, error) {
 	var doc struct {
 		DisplayTimeUnit string            `json:"displayTimeUnit"`
@@ -44,19 +32,10 @@ func ValidateTrace(r io.Reader) (*TraceSummary, error) {
 		return nil, fmt.Errorf("trace: missing traceEvents array")
 	}
 	sum := &TraceSummary{Processes: map[int]bool{}}
-	// Per-process window-protocol state: the previous window's open and
-	// end timestamps (each trace process is one event domain of one
-	// simulation, so windows are tracked per pid).
-	type winState struct {
-		open, end float64
-		seen      bool
-	}
-	windows := map[int]*winState{}
 	for i, raw := range doc.TraceEvents {
 		var e struct {
 			Ph   string   `json:"ph"`
 			Name *string  `json:"name"`
-			Cat  string   `json:"cat"`
 			Pid  *int     `json:"pid"`
 			Tid  *int     `json:"tid"`
 			Ts   *float64 `json:"ts"`
@@ -89,30 +68,6 @@ func ValidateTrace(r io.Reader) (*TraceSummary, error) {
 		}
 		if e.Ts == nil || *e.Ts < 0 {
 			return nil, fmt.Errorf("trace: event %d (%s): missing or negative ts", i, *e.Name)
-		}
-		if e.Cat == "sim" && e.Ph == "X" {
-			w := windows[*e.Pid]
-			if w == nil {
-				w = &winState{}
-				windows[*e.Pid] = w
-			}
-			if *e.Name == "window" {
-				if w.seen {
-					if *e.Ts <= w.open+tsEpsilon {
-						return nil, fmt.Errorf("trace: event %d: window open %.3f not after previous open %.3f (pid %d)",
-							i, *e.Ts, w.open, *e.Pid)
-					}
-					if *e.Ts < w.end-tsEpsilon {
-						return nil, fmt.Errorf("trace: event %d: window open %.3f overlaps previous window ending %.3f (pid %d)",
-							i, *e.Ts, w.end, *e.Pid)
-					}
-				}
-				w.open, w.end, w.seen = *e.Ts, *e.Ts+*e.Dur, true
-				sum.Windows++
-			} else if w.seen && *e.Ts+*e.Dur < w.open-tsEpsilon {
-				return nil, fmt.Errorf("trace: event %d (%s): engine slice ends %.3f before its window opened %.3f (pid %d)",
-					i, *e.Name, *e.Ts+*e.Dur, w.open, *e.Pid)
-			}
 		}
 		sum.Events++
 	}

@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// The kernel's two hot paths: the context-switch handshake (park/resume)
-// and the timer path (Sleep → heap push → pop → ready). Every simulated
-// I/O pays both, so allocs/op here multiply into every experiment.
+// The kernel's hot paths: the context-switch handshake (park/resume),
+// the timer path (Sleep → heap push → pop → ready), and the port path
+// between domains. Every simulated I/O pays the first two, so allocs/op
+// here multiply into every experiment.
 // BenchmarkProcHandoff vs BenchmarkCallbackTimer is the A/B the
 // goroutine-free executor exists for: the same periodic event with and
 // without the park/resume channel handshake.
@@ -118,52 +119,59 @@ func BenchmarkWaitQueue(b *testing.B) {
 	}
 }
 
-// BenchmarkBarrierFlush measures one barrier's worth of port work for a
-// busy port: a 64-message batch moved sender→receiver, its delivery
-// timer fired, and the inbox drained. The CI allocation gate holds this
-// at 0 allocs/op — batches and inboxes recycle through free lists, so
-// barrier frequency costs time, never garbage.
-func BenchmarkBarrierFlush(b *testing.B) {
+// BenchmarkPortPath measures one busy port's work: 64 sends, their
+// delivery timer fired, and the inbox drained. The CI allocation gate
+// holds it at 0 allocs/op: pending and the inbox reuse their arrays.
+func BenchmarkPortPath(b *testing.B) {
 	b.ReportAllocs()
 	e := New(1)
-	d1 := e.NewDomain("rx")
-	pt := NewPort[int](e, d1, "p", Millisecond)
-	var at Time
-	cycle := func() {
-		at += Millisecond
-		fillPort(pt, 64, at)
-		pt.flush()
-		if n := drainPort(pt, at); n != 64 {
-			b.Fatalf("delivered %d of 64", n)
-		}
-	}
-	cycle() // warm the free lists
+	pt := NewPort[int](e, e.NewDomain("rx"), "p", Millisecond)
+	portCycle(b, e, pt) // warm the buffer capacities
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cycle()
+		portCycle(b, e, pt)
 	}
 }
 
-// BenchmarkEOTScan measures the serial horizon computation at the
-// barrier — the reach fixpoint over an 8-domain ring with per-domain
-// timers armed, the part of barrier cost that grows with topology. The
-// CI allocation gate holds it at 0 allocs/op (engine scratch only).
-func BenchmarkEOTScan(b *testing.B) {
+// BenchmarkMultiDomainTicks is the serial loop under a cluster-shaped
+// load: five domains each with a callback re-arming every 1 ms (the node
+// tick grid), plus a ping-pong pair of ports between two of them. One
+// op is one virtual millisecond: five ticks, the heap-head scan across
+// domains, and the port traffic in flight.
+func BenchmarkMultiDomainTicks(b *testing.B) {
 	b.ReportAllocs()
 	e := New(1)
 	doms := []*Domain{e.Dom()}
-	for i := 1; i < 8; i++ {
+	for i := 1; i < 5; i++ {
 		doms = append(doms, e.NewDomain(fmt.Sprintf("d%d", i)))
 	}
-	for i := range doms {
-		NewPort[int](doms[i], doms[(i+1)%len(doms)], fmt.Sprintf("ring%d", i), Time(i+1)*Millisecond)
-		d := doms[i]
-		d.seq++
-		d.timers.push(timer{at: Time(i) * 100 * Microsecond, seq: d.seq, p: nil})
+	ticks := 0
+	for _, d := range doms {
+		NewCallback(d, "tick", func(Time) Time {
+			if ticks++; ticks == 5*b.N {
+				e.Stop()
+			}
+			return Millisecond
+		}).Arm(Millisecond)
 	}
-	e.prepareWindows()
+	ping := NewPort[int](doms[0], doms[1], "ping", 300*Microsecond)
+	pong := NewPort[int](doms[1], doms[0], "pong", 300*Microsecond)
+	bounce := func(d *Domain, in, out *Port[int]) {
+		var cb *Callback
+		cb = NewCallback(d, "bounce", func(Time) Time {
+			for v, ok := in.TryRecv(); ok; v, ok = in.TryRecv() {
+				out.Send(d, v+1)
+			}
+			in.recvQ.Subscribe(cb, "bounce")
+			return 0
+		})
+		in.recvQ.Subscribe(cb, "bounce")
+	}
+	bounce(doms[0], pong, ping)
+	bounce(doms[1], ping, pong)
+	ping.Send(doms[0], 0)
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.computeWindow()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
 	}
 }

@@ -5,10 +5,10 @@ import (
 	"runtime/debug"
 )
 
-// TimerFunc is a callback body. It runs inline on the domain scheduler's
+// TimerFunc is a callback body. It runs inline on the scheduler's
 // goroutine at its due (time, seq) slot — no channel handoff, no
-// park/resume, no goroutine — with the domain clock already advanced to
-// the slot time. Returning a positive duration re-arms the callback that
+// park/resume, no goroutine — with the clock already advanced to the
+// slot time. Returning a positive duration re-arms the callback that
 // far in the future (drawing the next seq immediately, exactly where a
 // goroutine proc's re-Sleep would); returning 0 leaves it quiescent
 // until something arms or wakes it again.
@@ -29,6 +29,7 @@ type TimerFunc func(now Time) Time
 //
 // All methods must be called from the callback's own domain: from its
 // handler, from a proc or callback of the same domain, or before Run.
+// During Run, arming or waking it from another domain panics.
 type Callback struct {
 	dom  *Domain
 	name string
@@ -87,8 +88,10 @@ func (cb *Callback) Arm(delay Time) {
 		panic("sim: Callback.Arm with non-positive delay")
 	}
 	d := cb.dom
+	d.own("Callback.Arm")
+	now := d.eng.now
 	d.seq++
-	d.timers.push(timer{at: d.now + delay, seq: d.seq, fire: cb, armAt: d.now})
+	d.timers.push(timer{at: now + delay, seq: d.seq, fire: cb, armAt: now})
 	cb.armed++
 }
 
@@ -108,9 +111,10 @@ func (cb *Callback) ArmDeferred(delay Time) {
 	if cb.queued {
 		panic("sim: Callback.ArmDeferred while already queued")
 	}
+	cb.dom.own("Callback.ArmDeferred")
 	cb.pendingArm = delay
 	cb.queued = true
-	cb.dom.runq.push(runnable{cb: cb})
+	cb.dom.eng.runq.push(runnable{cb: cb})
 }
 
 // Wake queues the handler through the run queue now, in the slot Go
@@ -124,11 +128,12 @@ func (cb *Callback) Wake() { cb.schedule() }
 // Domain.ready on a parked proc. Called by WaitQueue/Future when the
 // condition the callback subscribed to is established.
 func (cb *Callback) schedule() {
+	cb.dom.own("Callback wake")
 	if cb.queued {
 		return
 	}
 	cb.queued = true
-	cb.dom.runq.push(runnable{cb: cb})
+	cb.dom.eng.runq.push(runnable{cb: cb})
 }
 
 // invoke runs a runq entry for the callback: a deferred arm draws its
@@ -145,19 +150,19 @@ func (d *Domain) invoke(cb *Callback) {
 		// The subscribed interval, named by its wait reason, becomes one
 		// virtual-time slice on the callback's track — the same record a
 		// parked proc's park emits on wake.
-		t.Slice(cb.traceTID(t), "sim", cb.waitReason, cb.waitStart, d.now)
+		t.Slice(cb.traceTID(t), "sim", cb.waitReason, cb.waitStart, d.eng.now)
 	}
 	cb.waitReason = ""
 	d.runCB(cb)
 }
 
-// fire implements inlineEvent: a popped timer runs the handler inline.
+// fire implements timerEvent: a popped timer runs the handler inline.
 // The trace slice spans [armAt, now] under the name "sleep", exactly
 // the slice a sleeping proc's park would have recorded.
 func (cb *Callback) fire(d *Domain, armAt Time) {
 	cb.armed--
 	if t := d.tracer; t != nil {
-		t.Slice(cb.traceTID(t), "sim", "sleep", armAt, d.now)
+		t.Slice(cb.traceTID(t), "sim", "sleep", armAt, d.eng.now)
 	}
 	d.runCB(cb)
 }
@@ -167,11 +172,11 @@ func (cb *Callback) fire(d *Domain, armAt Time) {
 func (d *Domain) runCB(cb *Callback) {
 	defer func() {
 		if r := recover(); r != nil {
-			d.eng.noteFailure(d, fmt.Errorf("sim: callback %q panicked: %v\n%s",
+			d.eng.noteFailure(fmt.Errorf("sim: callback %q panicked: %v\n%s",
 				cb.name, r, debug.Stack()))
 		}
 	}()
-	if next := cb.fn(d.now); next > 0 {
+	if next := cb.fn(d.eng.now); next > 0 {
 		cb.Arm(next)
 	}
 }

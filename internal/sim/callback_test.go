@@ -209,7 +209,7 @@ func TestCallbackDispatchAllocFree(t *testing.T) {
 		if !ok {
 			t.Fatal("timer heap empty: handler failed to re-arm")
 		}
-		d.now = tm.at
+		e.now = tm.at
 		tm.fire.fire(d, tm.armAt)
 	})
 	if allocs != 0 {

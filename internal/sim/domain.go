@@ -1,13 +1,16 @@
 package sim
 
-import "math/rand"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // Domain is an event domain: a shard of the simulation with its own
-// virtual clock, run queue, timer heap, and process table. Within a
-// domain the classic cooperative discipline holds — exactly one process
-// runs at a time — so all state confined to one domain is data-race
-// free without locks. Distinct domains may run concurrently during a
-// lookahead window and must interact only through Ports.
+// timer heap, sequence counter, process table and random streams, on
+// the engine's one clock. A domain models one machine: state confined
+// to it is touched only by its own events, and other domains reach it
+// only through Ports, whose latency is the time a message takes to
+// cross. The engine enforces that during Run (see own).
 //
 // A Domain is a Host: components constructed against a Domain live on
 // that domain. The Engine's own Host methods delegate to its default
@@ -17,36 +20,24 @@ type Domain struct {
 	name string
 	eng  *Engine
 
-	now Time
 	// seq is the local-timer tiebreaker for deterministic ordering:
 	// Sleep timers take increasing values, so equal-time local timers
-	// fire in schedule order. Cross-domain delivery timers carry a
-	// disjoint canonical sequence space instead (bit 63 set — see
-	// port.go), so at equal times local timers sort before deliveries
-	// no matter when a barrier flushed them.
+	// fire in schedule order. Port delivery timers carry a disjoint
+	// canonical sequence space instead (bit 63 set — see port.go), so at
+	// equal times local timers sort before deliveries.
 	seq uint64
-	// deliveries counts cross-domain messages flushed into this domain,
-	// for the TimersScheduled accounting (deliveries no longer consume
-	// seq values).
+	// deliveries counts port messages sent to this domain, for the
+	// TimersScheduled accounting (deliveries do not consume seq values).
 	deliveries uint64
-	// horizon is the granted execution bound for the current barrier
-	// round; written serially at barriers, read by runWindow (see
-	// window.go).
-	horizon Time
-	timers  timerHeap
-	runq    procRing
-	yield   chan struct{}
-	cur     *Proc
-	procs   []*Proc // all procs ever created on this domain, in creation order
-	liveN   int
-	nextPID int
+	timers     timerHeap
+	procs      []*Proc // all procs ever created on this domain, in creation order
+	nextPID    int
 	// cbs lists every callback registered on this domain, in creation
 	// order. Callback ids come from nextCBID, a counter disjoint from
 	// nextPID: creating a callback never shifts the pid-derived random
 	// streams of goroutine procs.
 	cbs      []*Callback
 	nextCBID int
-	failure  error
 	tracer   Tracer // nil unless observability is on (see trace.go)
 }
 
@@ -58,9 +49,10 @@ func (d *Domain) ID() int { return d.id }
 // domain).
 func (d *Domain) Name() string { return d.name }
 
-// Now returns the domain's current virtual time. During a window,
-// sibling domains' clocks may differ by up to the lookahead bound.
-func (d *Domain) Now() Time { return d.now }
+// Now returns the current virtual time. Every domain reads the engine's
+// one clock: a domain's code runs only while its own events do, and at
+// those moments the global time is its time.
+func (d *Domain) Now() Time { return d.eng.now }
 
 // Engine returns the engine this domain belongs to.
 func (d *Domain) Engine() *Engine { return d.eng }
@@ -68,9 +60,8 @@ func (d *Domain) Engine() *Engine { return d.eng }
 // Dom implements Host.
 func (d *Domain) Dom() *Domain { return d }
 
-// SetTracer attaches a tracer to this domain. Each domain needs its own
-// tracer value: domains record slices concurrently during a window, so
-// sharing one buffer would race. Must be called before Run.
+// SetTracer attaches a tracer to this domain; a domain with its own
+// tracer exports as its own trace process. Must be called before Run.
 func (d *Domain) SetTracer(t Tracer) { d.tracer = t }
 
 // Tracer returns the domain's tracer (nil when tracing is off).
@@ -89,11 +80,12 @@ func (d *Domain) DeriveRand(name string) *rand.Rand {
 }
 
 // Go creates a process on this domain that will run fn. It may be called
-// before Run to seed the simulation, or by a running process of this
-// domain to spawn concurrent work; spawning onto a *different* running
-// domain is a race and must go through a Port instead. The new process
-// starts after the caller next blocks.
+// before Run to seed the simulation, or during Run by this domain's own
+// processes and callbacks; spawning onto a different domain panics (a
+// Port carries the request instead). The new process starts after the
+// caller next blocks.
 func (d *Domain) Go(name string, fn func(*Proc)) *Proc {
+	d.own("Go")
 	e := d.eng
 	p := &Proc{
 		eng:  e,
@@ -108,17 +100,14 @@ func (d *Domain) Go(name string, fn func(*Proc)) *Proc {
 		p.done = true
 		return p
 	}
-	d.liveN++
 	go func() {
 		<-p.wake
-		p.started = true
 		// The completion handshake runs in a defer so it fires even when
 		// the body exits via runtime.Goexit (e.g. t.Fatal inside a test
 		// process) — otherwise the scheduler would block forever.
 		defer func() {
 			p.done = true
-			d.liveN--
-			d.yield <- struct{}{}
+			e.yield <- struct{}{}
 		}()
 		if !e.stopping {
 			runProc(p, fn)
@@ -128,73 +117,40 @@ func (d *Domain) Go(name string, fn func(*Proc)) *Proc {
 	return p
 }
 
-// ready marks p runnable at the domain's current time.
+// own panics when code running on another domain reaches into d during
+// Run: the serial loop would silently run such a call, modelling an
+// instantaneous cross-machine interaction that only a Port may carry.
+// It guards Go, callback arms and wakes, and WaitQueue wakes.
+func (d *Domain) own(op string) {
+	if c := d.eng.cur; c != d && c != nil {
+		panic(fmt.Sprintf("sim: %s on domain %q from domain %q (cross-domain calls go through a Port)",
+			op, d.name, c.name))
+	}
+}
+
+// fire implements timerEvent: a sleeping proc's timer readies it.
+func (p *Proc) fire(d *Domain, _ Time) { d.ready(p) }
+
+// ready marks p runnable now.
 func (d *Domain) ready(p *Proc) {
 	if p.done {
 		return
 	}
-	d.runq.push(runnable{p: p})
+	d.eng.runq.push(runnable{p: p})
 }
 
-func (d *Domain) resume(p *Proc) {
+// resume hands the processor to p until it parks or exits.
+func (e *Engine) resume(p *Proc) {
 	if p.done {
 		return
 	}
-	d.cur = p
 	p.wake <- struct{}{}
-	<-d.yield
-	d.cur = nil
-}
-
-// nextEvent returns the virtual time of the domain's earliest pending
-// event: now if a process is runnable, the earliest timer otherwise, and
-// maxTime when the domain is idle. Pending cross-domain deliveries are
-// visible here because flush materializes them as timers before the
-// horizon is computed.
-func (d *Domain) nextEvent() Time {
-	if d.runq.len() > 0 {
-		return d.now
-	}
-	if tm, ok := d.timers.peek(); ok {
-		return tm.at
-	}
-	return maxTime
-}
-
-// runWindow executes the domain's events strictly below horizon. It is
-// the per-domain body of the conservative time-window barrier: no event
-// at or past the horizon may run, because a message from another domain
-// could still arrive there.
-func (d *Domain) runWindow(horizon Time) {
-	for d.failure == nil {
-		r, ok := d.runq.pop()
-		if !ok {
-			tm, ok := d.timers.peek()
-			if !ok || tm.at >= horizon {
-				return
-			}
-			d.timers.pop()
-			if tm.at > d.now {
-				d.now = tm.at
-			}
-			if tm.fire != nil {
-				tm.fire.fire(d, tm.armAt)
-				continue
-			}
-			d.ready(tm.p)
-			continue
-		}
-		if r.cb != nil {
-			d.invoke(r.cb)
-			continue
-		}
-		d.resume(r.p)
-	}
+	<-e.yield
 }
 
 // Go spawns a process on the calling process's own domain — the safe
 // default for component code, which may be hosted on any domain and must
-// never spawn onto a different (possibly concurrently running) one.
+// never spawn onto a different one.
 func (p *Proc) Go(name string, fn func(*Proc)) *Proc { return p.dom.Go(name, fn) }
 
 // ProcsCreated returns how many processes were ever created on this
@@ -206,5 +162,5 @@ func (d *Domain) ProcsCreated() int { return len(d.procs) }
 func (d *Domain) CallbacksCreated() int { return len(d.cbs) }
 
 // TimersScheduled returns how many timed events were ever scheduled on
-// this domain (sleeps plus cross-domain message deliveries).
+// this domain (sleeps plus port message deliveries).
 func (d *Domain) TimersScheduled() uint64 { return d.seq + d.deliveries }

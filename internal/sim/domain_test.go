@@ -11,10 +11,9 @@ import (
 // but irregular workload on each: every domain runs procs that sleep
 // rand-derived durations, forward tokens around the ring, and append to a
 // per-domain log. The merged log is the determinism witness: it must be
-// byte-identical at any worker count.
-func buildMesh(seed int64, nDom, workers int) (e *Engine, logs []*strings.Builder) {
+// byte-identical across runs of one seed.
+func buildMesh(seed int64, nDom int) (e *Engine, logs []*strings.Builder) {
 	e = New(seed)
-	e.SetWorkers(workers)
 	doms := []*Domain{e.Dom()}
 	for i := 1; i < nDom; i++ {
 		doms = append(doms, e.NewDomain(fmt.Sprintf("d%d", i)))
@@ -63,11 +62,11 @@ func buildMesh(seed int64, nDom, workers int) (e *Engine, logs []*strings.Builde
 	return e, logs
 }
 
-func meshRun(t *testing.T, seed int64, nDom, workers int) string {
+func meshRun(t *testing.T, seed int64, nDom int) string {
 	t.Helper()
-	e, logs := buildMesh(seed, nDom, workers)
+	e, logs := buildMesh(seed, nDom)
 	if err := e.Run(); err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+		t.Fatal(err)
 	}
 	var b strings.Builder
 	for i, lg := range logs {
@@ -80,20 +79,16 @@ func meshRun(t *testing.T, seed int64, nDom, workers int) string {
 
 // TestMultiDomainDeterminism is the kernel-level form of the byte-identical
 // obligation: an irregular multi-domain workload must produce the same
-// merged log — including per-domain clocks and timer counts — at worker
-// counts 1, 2, and 8.
+// merged log — including per-domain clocks and timer counts — on every
+// run of one seed.
 func TestMultiDomainDeterminism(t *testing.T) {
 	for _, nDom := range []int{2, 5} {
-		ref := meshRun(t, 42, nDom, 1)
-		for _, workers := range []int{2, 8} {
-			got := meshRun(t, 42, nDom, workers)
-			if got != ref {
-				t.Fatalf("nDom=%d: workers=%d diverged from workers=1:\n-- ref --\n%s\n-- got --\n%s",
-					nDom, workers, ref, got)
-			}
+		ref := meshRun(t, 42, nDom)
+		if got := meshRun(t, 42, nDom); got != ref {
+			t.Fatalf("nDom=%d: rerun diverged:\n-- ref --\n%s\n-- got --\n%s", nDom, ref, got)
 		}
 	}
-	if meshRun(t, 42, 3, 4) == meshRun(t, 43, 3, 4) {
+	if meshRun(t, 42, 3) == meshRun(t, 43, 3) {
 		t.Fatal("different seeds produced identical logs — witness is not sensitive")
 	}
 }
@@ -123,7 +118,6 @@ func TestPortDelivery(t *testing.T) {
 			got = append(got, v)
 		}
 	})
-	e.SetWorkers(4)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -186,15 +180,13 @@ func TestPortDelivery(t *testing.T) {
 	}
 }
 
-// TestLookaheadHorizon is the conservative-window safety property: the
-// horizon must never admit a receiver-domain event that runs before a
-// pending cross-domain message with an earlier delivery time. Observed
-// from inside the simulation, that means every domain's sequence of event
-// timestamps — local timers and port deliveries interleaved — is
-// nondecreasing. The receiver ticks much faster than the port latency, so
-// an unsafe horizon (one that let the receiver run past a pending
-// delivery) would manifest as a delivery stamped earlier than the tick
-// before it.
+// TestLookaheadHorizon is the merge's safety property: no receiver-domain
+// event may run before a pending port message with an earlier delivery
+// time. Observed from inside the simulation, that means every domain's
+// sequence of event timestamps — local timers and port deliveries
+// interleaved — is nondecreasing. The receiver ticks much faster than the
+// port latency, so a loop that let the receiver run past a pending
+// delivery would show a delivery stamped earlier than the tick before it.
 func TestLookaheadHorizon(t *testing.T) {
 	e := New(9)
 	d1 := e.NewDomain("rx")
@@ -220,43 +212,38 @@ func TestLookaheadHorizon(t *testing.T) {
 		}
 		e.Stop()
 	})
-	e.SetWorkers(8)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(stamps); i++ {
 		if stamps[i] < stamps[i-1] {
-			t.Fatalf("receiver-domain time went backwards: event %d at %s after event at %s — horizon admitted an event past a pending delivery",
+			t.Fatalf("receiver-domain time went backwards: event %d at %s after event at %s — an event ran past a pending delivery",
 				i, stamps[i], stamps[i-1])
 		}
 	}
 }
 
-// TestHorizonBound checks the window arithmetic directly: with a minimum
-// port latency L, a window starting at global next-event time T must not
-// execute any event at or beyond T+L. The probe domain records the gap
-// between consecutive wakes of a long-sleeping proc in another domain.
+// TestHorizonBound checks the merge across domains directly: a far timer
+// in one domain must not run before a near timer in another, whichever
+// domain was created first.
 func TestHorizonBound(t *testing.T) {
 	e := New(3)
 	d1 := e.NewDomain("a")
 	d2 := e.NewDomain("b")
-	NewPort[int](d1, d2, "bound", 100*Microsecond) // unused traffic-wise; sets lookahead
-	// d1 next event at t=0 (runnable), d2's first timer at 10ms: the
-	// first window is [0, 100us) and must not run the 10ms timer.
+	NewPort[int](d1, d2, "bound", 100*Microsecond)
 	var wokeAt Time
-	windowSeen := false
-	d1.Go("busy", func(p *Proc) {
-		p.Sleep(50 * Microsecond) // inside the first window
-		windowSeen = true
-	})
+	nearSeen := false
 	d2.Go("far", func(p *Proc) {
 		p.Sleep(10 * Millisecond)
 		wokeAt = p.Now()
-		if !windowSeen {
-			t.Error("10ms timer ran before the [0,100us) window completed")
+		if !nearSeen {
+			t.Error("10ms timer ran before the 50us timer of another domain")
 		}
 	})
-	e.SetWorkers(2)
+	d1.Go("busy", func(p *Proc) {
+		p.Sleep(50 * Microsecond)
+		nearSeen = true
+	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -265,8 +252,8 @@ func TestHorizonBound(t *testing.T) {
 	}
 }
 
-// TestPortPanics locks in the construction-time invariants the
-// conservative window relies on.
+// TestPortPanics locks in the construction-time invariants the merge
+// relies on.
 func TestPortPanics(t *testing.T) {
 	e := New(1)
 	d1 := e.NewDomain("x")
@@ -284,59 +271,56 @@ func TestPortPanics(t *testing.T) {
 	expectPanic("cross engine", func() { NewPort[int](e, e2, "c", Millisecond) })
 }
 
-// TestStopLatchedAtBarrier: a Stop issued inside a window takes effect at
-// a barrier, so the set of work completed after the stop is identical at
-// any worker count.
-func TestStopLatchedAtBarrier(t *testing.T) {
-	run := func(workers int) string {
-		e := New(11)
-		d1 := e.NewDomain("other")
-		NewPort[int](e, d1, "lat", 200*Microsecond)
-		var lg strings.Builder
-		e.Go("stopper", func(p *Proc) {
-			p.Sleep(Millisecond)
-			e.Stop()
-		})
-		d1.Go("worker", func(p *Proc) {
-			for !p.Engine().Stopping() {
-				p.Sleep(90 * Microsecond)
-				fmt.Fprintf(&lg, "tick@%s\n", p.Now())
-			}
-		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
+// TestStopIsImmediate: Stop called from one domain ends the run at once
+// in every domain — no event of any domain runs after the stopping one
+// returns, and the clock stays at the stop time.
+func TestStopIsImmediate(t *testing.T) {
+	e := New(11)
+	d1 := e.NewDomain("other")
+	NewPort[int](e, d1, "lat", 200*Microsecond)
+	var ticks []Time
+	e.Go("stopper", func(p *Proc) {
+		p.Sleep(Millisecond)
+		e.Stop()
+	})
+	d1.Go("worker", func(p *Proc) {
+		for !p.Engine().Stopping() {
+			p.Sleep(90 * Microsecond)
+			ticks = append(ticks, p.Now())
 		}
-		return lg.String()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
 	}
-	ref := run(1)
-	for _, w := range []int{2, 8} {
-		if got := run(w); got != ref {
-			t.Fatalf("stop point depends on workers=%d:\n-- ref --\n%s\n-- got --\n%s", w, ref, got)
-		}
+	if len(ticks) != 11 || ticks[10] != 990*Microsecond {
+		t.Fatalf("worker ticked at %v, want every 90us up to 990us and none after the 1ms stop", ticks)
+	}
+	if e.Now() != Millisecond {
+		t.Fatalf("clock reads %s after the stop, want 1ms", e.Now())
 	}
 }
 
 // TestMultiDomainPanicPropagates: a panic in a non-default domain must
-// surface from Run as a failure, at any worker count.
+// surface from Run as a failure, and the first failure stops the run.
 func TestMultiDomainPanicPropagates(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		e := New(5)
-		d1 := e.NewDomain("boom")
-		NewPort[int](e, d1, "lat", Millisecond)
-		d1.Go("bad", func(p *Proc) {
+	e := New(5)
+	d1 := e.NewDomain("boom")
+	NewPort[int](e, d1, "lat", Millisecond)
+	d1.Go("bad", func(p *Proc) {
+		p.Sleep(Millisecond)
+		panic("kaboom")
+	})
+	e.Go("idle", func(p *Proc) {
+		for i := 0; i < 100; i++ {
 			p.Sleep(Millisecond)
-			panic("kaboom")
-		})
-		e.Go("idle", func(p *Proc) {
-			for i := 0; i < 100; i++ {
-				p.Sleep(Millisecond)
-			}
-		})
-		e.SetWorkers(workers)
-		err := e.Run()
-		if err == nil || !strings.Contains(err.Error(), "kaboom") {
-			t.Fatalf("workers=%d: want kaboom failure, got %v", workers, err)
 		}
+	})
+	err := e.Run()
+	if err == nil || !strings.Contains(err.Error(), "kaboom") {
+		t.Fatalf("want kaboom failure, got %v", err)
+	}
+	if e.Now() != Millisecond {
+		t.Fatalf("run continued to %s after the 1ms failure", e.Now())
 	}
 }
 
@@ -354,12 +338,49 @@ func TestMultiDomainQuiesce(t *testing.T) {
 		p.Sleep(Millisecond)
 		pt.Send(p, 1)
 	})
-	e.SetWorkers(2)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !done {
 		t.Fatal("receiver never got the message before quiesce")
+	}
+}
+
+// TestCrossDomainMisusePanics: code running on one domain that spawns,
+// arms or wakes work on another fails the run with an error naming both
+// domains, instead of silently modelling an instantaneous cross-machine
+// interaction. Every such path must go through a Port.
+func TestCrossDomainMisusePanics(t *testing.T) {
+	for _, tc := range []struct {
+		op     string
+		misuse func(e *Engine, other *Domain, cb *Callback, q *WaitQueue)
+	}{
+		{"Go", func(_ *Engine, other *Domain, _ *Callback, _ *WaitQueue) {
+			other.Go("spawned", func(*Proc) {})
+		}},
+		{"Callback.Arm", func(_ *Engine, _ *Domain, cb *Callback, _ *WaitQueue) { cb.Arm(Millisecond) }},
+		{"Callback.ArmDeferred", func(_ *Engine, _ *Domain, cb *Callback, _ *WaitQueue) { cb.ArmDeferred(Millisecond) }},
+		{"Callback wake", func(_ *Engine, _ *Domain, cb *Callback, _ *WaitQueue) { cb.Wake() }},
+		{"WaitQueue wake", func(_ *Engine, _ *Domain, _ *Callback, q *WaitQueue) { q.WakeOne() }},
+	} {
+		for _, from := range []string{"proc", "callback"} {
+			e := New(1)
+			other := e.NewDomain("other")
+			cb := NewCallback(other, "victim", func(Time) Time { return 0 })
+			q := NewWaitQueue(other)
+			other.Go("waiter", func(p *Proc) { q.Wait(p, "never") })
+			misuse := func() { tc.misuse(e, other, cb, q) }
+			if from == "callback" {
+				NewCallback(e, "culprit", func(Time) Time { misuse(); return 0 }).Arm(Millisecond)
+			} else {
+				e.Go("culprit", func(p *Proc) { p.Sleep(Millisecond); misuse() })
+			}
+			err := e.Run()
+			want := fmt.Sprintf(`%s on domain "other" from domain "main"`, tc.op)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s from a %s: Run error = %v, want it to contain %q", tc.op, from, err, want)
+			}
+		}
 	}
 }
 

@@ -6,66 +6,41 @@ import (
 	"math/rand"
 	"runtime/debug"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // Engine is a discrete-event scheduler. Processes (Proc) are goroutines
-// that cooperate with the engine. Every process belongs to exactly one
-// event Domain; within a domain exactly one process runs at a time and
-// the domain's virtual clock advances only when every local process is
-// blocked, so code confined to one domain needs no locking.
+// that cooperate with the engine, and callbacks (Callback) are handlers
+// it invokes inline. Every process and callback belongs to exactly one
+// event Domain. Exactly one of them runs at a time in the whole
+// simulation, so simulated code needs no locking.
 //
-// An engine with a single domain (the default) behaves exactly like the
-// classic global scheduler: one process in the whole simulation runs at
-// a time. With multiple domains, Run executes domains concurrently on
-// up to SetWorkers goroutines under a conservative time-window barrier
-// (see runWindows); domains may interact only through Ports, and
-// same-seed runs produce identical results at any worker count.
+// Run is one serial event loop (see loop) for any number of domains:
+// the run queue first, then the earliest timer of any domain. Domains
+// keep their own timer heaps, sequence counters and random streams, and
+// may interact only through Ports.
 //
 // Engines are not safe for concurrent use from outside the simulation:
 // the only goroutines that may touch engine state are the one that
-// calls Run, the engine's window workers, and the processes the engine
-// itself resumes.
+// calls Run and the processes the engine itself resumes.
 type Engine struct {
-	seed    int64
-	running bool
-	// stopping is the latched shutdown flag every process observes. In a
-	// single-domain engine Stop sets it immediately (the classic
-	// semantics); in a multi-domain engine it is only written at window
-	// barriers, while every domain worker is parked, so mid-window reads
-	// are race-free and — crucially — identical at any worker count.
-	stopping bool
-	// stopReq records that Stop was called; the barrier latches it into
-	// stopping. It is atomic because any domain's process may call Stop.
-	stopReq atomic.Bool
-	failure error
-	workers int
+	seed     int64
+	running  bool
+	stopping bool // set by Stop or the first failure; every process observes it
+	failure  error
+
+	// now is the one virtual clock: every domain reads it.
+	now Time
+	// cur is the domain whose event is running (nil outside Run and
+	// during shutdown); the cross-domain guard compares against it.
+	cur *Domain
+	// runq holds everything runnable at now, of any domain, in one FIFO.
+	runq  procRing
+	yield chan struct{}
 
 	domains []*Domain
 	d0      *Domain // the default domain
-
-	ports []portFlusher
-	// portFrom/portTo/portLat mirror ports as flat arrays (domain ids
-	// and latencies) so the barrier's EOT scan walks dense memory
-	// without touching the generic port values.
-	portFrom []int32
-	portTo   []int32
-	portLat  []Time
-	minLat   Time // smallest port latency: the conservative lookahead bound
-
-	// Window-protocol state (see window.go). deadline is the RunFor
-	// cutoff: events strictly after it never execute, which makes the
-	// stop point independent of barrier placement. The scratch slices
-	// are reused every barrier so the EOT scan never allocates.
-	deadline       Time
-	winStats       WindowStats
-	nextScratch    []Time
-	horizonScratch []Time
+	nports  int     // ports created: the next port's canonical index
 }
-
-// maxTime is the "no event" sentinel for horizon arithmetic.
-const maxTime = Time(1<<63 - 1)
 
 // ErrStopped is returned by Wait-style primitives when they are interrupted
 // by engine shutdown. Domain code normally never sees it: shutdown unwinds
@@ -94,17 +69,14 @@ type Host interface {
 // built with the same seed and driven by the same code produce identical
 // event sequences.
 func New(seed int64) *Engine {
-	e := &Engine{seed: seed, workers: 1, deadline: maxTime}
-	e.d0 = &Domain{id: 0, name: "main", eng: e, yield: make(chan struct{})}
+	e := &Engine{seed: seed, yield: make(chan struct{})}
+	e.d0 = &Domain{id: 0, name: "main", eng: e}
 	e.domains = []*Domain{e.d0}
 	return e
 }
 
-// Now returns the default domain's current virtual time. During a
-// multi-domain run, domain clocks advance independently within a
-// lookahead window; process code should use Proc.Now (its own domain's
-// clock).
-func (e *Engine) Now() Time { return e.d0.now }
+// Now returns the current virtual time.
+func (e *Engine) Now() Time { return e.now }
 
 // Seed returns the seed the engine was created with.
 func (e *Engine) Seed() int64 { return e.seed }
@@ -119,27 +91,18 @@ func (e *Engine) Dom() *Domain { return e.d0 }
 // always first).
 func (e *Engine) Domains() []*Domain { return e.domains }
 
-// SetWorkers sets how many OS goroutines Run may use to execute domains
-// concurrently (the -dj knob). Values below 1 mean 1. The worker count
-// never affects simulation results, only wall-clock time.
-func (e *Engine) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.workers = n
-}
-
-// Workers returns the configured worker count.
-func (e *Engine) Workers() int { return e.workers }
+// SetWorkers does nothing: Run is serial. It remains only for callers
+// that still pass a worker count.
+func (e *Engine) SetWorkers(int) {}
 
 // NewDomain creates a new event domain. Domains must be created before
 // Run. Components hosted on distinct domains may interact only through
-// Ports; sharing mutable state across domains is a data race.
+// Ports; reaching into another domain during Run panics (see Domain.own).
 func (e *Engine) NewDomain(name string) *Domain {
 	if e.running {
 		panic("sim: NewDomain during Run")
 	}
-	d := &Domain{id: len(e.domains), name: name, eng: e, yield: make(chan struct{})}
+	d := &Domain{id: len(e.domains), name: name, eng: e}
 	e.domains = append(e.domains, d)
 	return d
 }
@@ -163,21 +126,13 @@ func (e *Engine) DeriveRand(name string) *rand.Rand {
 // work. The new process starts after the caller next blocks.
 func (e *Engine) Go(name string, fn func(*Proc)) *Proc { return e.d0.Go(name, fn) }
 
-// Stop requests that the simulation end. It may be called from inside a
-// process or (before Run returns) from the driving goroutine between runs.
-// In a multi-domain run the request takes effect at the next window
-// barrier — at most one lookahead window after the call — so the exact
-// stop point is identical at any worker count.
-func (e *Engine) Stop() {
-	e.stopReq.Store(true)
-	if !e.running || len(e.domains) == 1 {
-		e.stopping = true
-	}
-}
+// Stop ends the simulation: once the running event returns, no further
+// event runs, in any domain. It may be called from inside a process or
+// callback, or between runs from the driving goroutine.
+func (e *Engine) Stop() { e.stopping = true }
 
-// Stopping reports whether shutdown has been latched. Multi-domain runs
-// latch Stop requests at window barriers, so polling loops observe the
-// transition at a deterministic virtual time regardless of workers.
+// Stopping reports whether Stop has been called (or a failure ended the
+// run), for processes that poll it between steps.
 func (e *Engine) Stopping() bool { return e.stopping }
 
 // Run executes the simulation until it quiesces (no runnable process, no
@@ -189,111 +144,54 @@ func (e *Engine) Run() error {
 		return errors.New("sim: Run called reentrantly")
 	}
 	e.running = true
-	defer func() { e.running = false; e.deadline = maxTime }()
-	if len(e.domains) == 1 {
-		e.runSingle()
-	} else {
-		e.runWindows()
-	}
+	defer func() { e.running = false }()
+	e.loop()
 	e.shutdown()
 	return e.failure
 }
 
-// runSingle is the classic serial event loop over the default domain,
-// preserved verbatim for single-domain engines: it is the hot path of
-// every grid cell and must stay allocation-free per event.
-func (e *Engine) runSingle() {
-	d := e.d0
+// loop is the engine's one event loop, for any number of domains. The
+// run queue (everything runnable now) goes first; when it is empty, the
+// earliest timer of any domain fires, by (time, seq) with ties to the
+// lowest domain id. Each domain's events therefore run in exactly the
+// order its own serial loop would give them, and a port message sent at
+// t lands at t+latency > t, which no domain has passed. It is the hot
+// path of every simulation and must stay allocation-free per event.
+func (e *Engine) loop() {
 	for !e.stopping {
-		r, ok := d.runq.pop()
+		if r, ok := e.runq.pop(); ok {
+			if cb := r.cb; cb != nil {
+				e.cur = cb.dom
+				cb.dom.invoke(cb)
+			} else {
+				e.cur = r.p.dom
+				e.resume(r.p)
+			}
+			continue
+		}
+		d := e.d0
+		for _, o := range e.domains[1:] {
+			if len(o.timers.a) > 0 && (len(d.timers.a) == 0 || o.timers.a[0].before(&d.timers.a[0])) {
+				d = o
+			}
+		}
+		tm, ok := d.timers.pop()
 		if !ok {
-			tm, ok := d.timers.pop()
-			if !ok {
-				break // quiescent: every live proc is waiting on a condition
-			}
-			if tm.at > d.now {
-				d.now = tm.at
-			}
-			if tm.fire != nil {
-				tm.fire.fire(d, tm.armAt)
-				continue
-			}
-			d.ready(tm.p)
-			continue
+			break // quiescent: every live proc is waiting on a condition
 		}
-		if r.cb != nil {
-			d.invoke(r.cb)
-			continue
+		if tm.at > e.now {
+			e.now = tm.at
 		}
-		d.resume(r.p)
+		e.cur = d
+		tm.fire.fire(d, tm.armAt)
 	}
 }
 
-// runDomains executes each active domain's window (every domain runs
-// its events strictly below its own granted d.horizon — see window.go),
-// fanning out across the worker budget. Domains are independent within
-// a window, so the assignment of domains to workers cannot affect
-// results.
-func (e *Engine) runDomains(active []*Domain) {
-	n := len(active)
-	if n == 0 {
-		return
-	}
-	workers := e.workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for _, d := range active {
-			d.runWindow(d.horizon)
-		}
-		return
-	}
-	var next atomic.Int32
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				d := active[i]
-				func() {
-					defer func() {
-						if r := recover(); r != nil && d.failure == nil {
-							d.failure = fmt.Errorf("sim: domain %q scheduler panicked: %v\n%s",
-								d.name, r, debug.Stack())
-						}
-					}()
-					d.runWindow(d.horizon)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// RunFor runs the simulation for at most d of virtual time.
-//
-// A single-domain engine uses the classic stop-timer process: the run
-// halts at the first event at or after the deadline. A multi-domain
-// engine instead enforces the deadline at the barrier: every event at
-// or before the deadline executes and no later event does, so the stop
-// point is a virtual-time fact independent of barrier placement and the
-// worker count. (A stop-timer process cannot give that guarantee there
-// — its Stop latches at a barrier, and how far the *other* domains have
-// advanced by then depends on where the protocol placed their
-// horizons.) All clocks read the deadline afterwards.
+// RunFor runs the simulation for at most d of virtual time: a stop
+// timer on the default domain calls Stop at the deadline, so events due
+// after it never run, and the clock reads the deadline afterwards
+// unless the run stopped earlier.
 func (e *Engine) RunFor(d Time) error {
-	if len(e.domains) > 1 {
-		if d < maxTime-e.d0.now {
-			e.deadline = e.d0.now + d
-		}
-		return e.Run()
-	}
 	if d <= 0 {
 		// A non-positive budget means "stop after the initial yield round";
 		// only the goroutine form can express Sleep(0)'s double runq pass.
@@ -304,8 +202,8 @@ func (e *Engine) RunFor(d Time) error {
 		return e.Run()
 	}
 	// The stop timer needs no call stack, so it runs as a callback. The
-	// deferred arm draws its seq exactly where the spawned proc's Sleep
-	// used to, keeping existing simulations byte-identical.
+	// deferred arm draws its seq exactly where a spawned proc's Sleep
+	// would, so it sorts like the stop process it replaced.
 	cb := NewCallback(e, "sim.stop-timer", func(Time) Time {
 		e.Stop()
 		return 0
@@ -314,11 +212,14 @@ func (e *Engine) RunFor(d Time) error {
 	return e.Run()
 }
 
-// shutdown unwinds every live process so no goroutines leak.
+// shutdown unwinds every live process so no goroutines leak. Nothing
+// scheduled during the unwinding ever runs, so it is exempt from the
+// cross-domain guard.
 func (e *Engine) shutdown() {
 	e.stopping = true
+	e.cur = nil
+	e.runq = procRing{}
 	for _, d := range e.domains {
-		d.runq = procRing{}
 		d.timers = timerHeap{}
 	}
 	for {
@@ -326,7 +227,7 @@ func (e *Engine) shutdown() {
 		for _, d := range e.domains {
 			for _, p := range d.procs {
 				if !p.done {
-					d.resume(p)
+					e.resume(p)
 					resumed = true
 				}
 			}
@@ -337,20 +238,13 @@ func (e *Engine) shutdown() {
 	}
 }
 
-// noteFailure records a process panic. The per-domain slot keeps window
-// execution deterministic (each domain aborts on its own first failure);
-// the single-domain path also stops the engine immediately, preserving
-// the classic semantics.
-func (e *Engine) noteFailure(d *Domain, err error) {
-	if d.failure == nil {
-		d.failure = err
+// noteFailure records a process or callback panic. The first failure
+// stops the run.
+func (e *Engine) noteFailure(err error) {
+	if e.failure == nil {
+		e.failure = err
 	}
-	if len(e.domains) == 1 {
-		if e.failure == nil {
-			e.failure = err
-		}
-		e.stopping = true
-	}
+	e.stopping = true
 }
 
 // DumpWaiters returns a human-readable description of blocked processes,
@@ -383,15 +277,14 @@ func (e *Engine) DumpWaiters() string {
 type procKilled struct{}
 
 // Proc is a simulated process. Every Proc method must be called from the
-// process's own goroutine while it is the running process of its domain.
+// process's own goroutine while it is the running process.
 type Proc struct {
-	eng     *Engine
-	dom     *Domain
-	name    string
-	pid     int
-	wake    chan struct{}
-	done    bool
-	started bool
+	eng  *Engine
+	dom  *Domain
+	name string
+	pid  int
+	wake chan struct{}
+	done bool
 	// Wait state is kept cheap to record: reasons are static strings and
 	// sleeps store only the wake time; DumpWaiters formats on demand, so
 	// the hot park/Sleep paths never build strings.
@@ -408,8 +301,8 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Dom returns the event domain this process belongs to.
 func (p *Proc) Dom() *Domain { return p.dom }
 
-// Now returns the process's domain's current virtual time.
-func (p *Proc) Now() Time { return p.dom.now }
+// Now returns the current virtual time.
+func (p *Proc) Now() Time { return p.eng.now }
 
 // Name returns the process name given to Go.
 func (p *Proc) Name() string { return p.name }
@@ -432,7 +325,7 @@ func runProc(p *Proc, fn func(*Proc)) {
 			if _, ok := r.(procKilled); ok {
 				return
 			}
-			p.eng.noteFailure(p.dom, fmt.Errorf("sim: proc %q panicked: %v\n%s",
+			p.eng.noteFailure(fmt.Errorf("sim: proc %q panicked: %v\n%s",
 				p.name, r, debug.Stack()))
 		}
 	}()
@@ -443,13 +336,13 @@ func runProc(p *Proc, fn func(*Proc)) {
 // reason must be a preformatted (ideally static) string: it is recorded
 // unconditionally, so building it must not allocate on the hot path.
 func (p *Proc) park(reason string) {
-	d := p.dom
+	e, d := p.eng, p.dom
 	p.waitReason = reason
 	var parkAt Time
 	if d.tracer != nil {
-		parkAt = d.now
+		parkAt = e.now
 	}
-	d.yield <- struct{}{}
+	e.yield <- struct{}{}
 	<-p.wake
 	if t := d.tracer; t != nil {
 		// The parked interval, named by its wait reason, becomes one
@@ -459,11 +352,11 @@ func (p *Proc) park(reason string) {
 		if name == "" {
 			name = "sleep"
 		}
-		t.Slice(p.traceTID(t), "sim", name, parkAt, d.now)
+		t.Slice(p.traceTID(t), "sim", name, parkAt, e.now)
 	}
 	p.waitReason = ""
 	p.sleeping = false
-	if p.eng.stopping {
+	if e.stopping {
 		panic(procKilled{})
 	}
 }
@@ -478,37 +371,37 @@ func (p *Proc) Sleep(t Time) {
 		p.park("yield")
 		return
 	}
+	at := p.eng.now + t
 	d.seq++
-	d.timers.push(timer{at: d.now + t, seq: d.seq, p: p})
+	d.timers.push(timer{at: at, seq: d.seq, fire: p})
 	p.sleeping = true
-	p.sleepUntil = d.now + t
+	p.sleepUntil = at
 	p.park("")
 }
 
 // Yield gives other runnable processes a turn without advancing time.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// inlineEvent is a timer payload the scheduler runs inline on its own
-// goroutine when the timer pops, with no process wake: cross-domain
-// port deliveries (deliverRipe) and callback timers (Callback.fire).
-// armAt is the virtual time the timer was armed; callbacks span their
-// trace slice over [armAt, now], ports ignore it.
-type inlineEvent interface {
+// timerEvent is what a popped timer does, run inline on the scheduler
+// goroutine: a sleeping proc becomes runnable (Proc.fire), a port
+// delivers its ripe messages (deliverRipe), a callback runs its handler
+// (Callback.fire). armAt is the virtual time the timer was armed;
+// callbacks span their trace slice over [armAt, now], the others
+// ignore it.
+type timerEvent interface {
 	fire(d *Domain, armAt Time)
 }
 
 type timer struct {
-	at  Time
-	seq uint64
-	p   *Proc
-	// fire, when non-nil, marks an inline event instead of a process
-	// wake: a cross-domain delivery (port.go) or a callback timer
-	// (callback.go).
-	fire  inlineEvent
+	at    Time
+	seq   uint64
+	fire  timerEvent
 	armAt Time
 }
 
-func (t timer) before(u timer) bool {
+// before orders timers by (at, seq). It takes pointers: timers are
+// 48-byte values, and copying two per compare shows in the heap's cost.
+func (t *timer) before(u *timer) bool {
 	if t.at != u.at {
 		return t.at < u.at
 	}
@@ -525,19 +418,12 @@ type timerHeap struct {
 
 func (h *timerHeap) Len() int { return len(h.a) }
 
-func (h *timerHeap) peek() (timer, bool) {
-	if len(h.a) == 0 {
-		return timer{}, false
-	}
-	return h.a[0], true
-}
-
 func (h *timerHeap) push(t timer) {
 	h.a = append(h.a, t)
 	i := len(h.a) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !h.a[i].before(h.a[parent]) {
+		if !h.a[i].before(&h.a[parent]) {
 			break
 		}
 		h.a[i], h.a[parent] = h.a[parent], h.a[i]
@@ -552,7 +438,7 @@ func (h *timerHeap) pop() (timer, bool) {
 	}
 	top := h.a[0]
 	last := h.a[n-1]
-	h.a[n-1] = timer{} // drop the Proc reference
+	h.a[n-1] = timer{} // drop the event reference
 	h.a = h.a[:n-1]
 	n--
 	if n > 0 {
@@ -567,11 +453,11 @@ func (h *timerHeap) pop() (timer, bool) {
 				end = n
 			}
 			for c := first; c < end; c++ {
-				if min < 0 || h.a[c].before(h.a[min]) {
+				if min < 0 || h.a[c].before(&h.a[min]) {
 					min = c
 				}
 			}
-			if min < 0 || !h.a[min].before(last) {
+			if min < 0 || !h.a[min].before(&last) {
 				break
 			}
 			h.a[i] = h.a[min]

@@ -41,7 +41,7 @@ func (q *WaitQueue) Subscribe(cb *Callback, reason string) {
 		panic("sim: WaitQueue.Subscribe on a queued callback")
 	}
 	cb.waitReason = reason
-	cb.waitStart = cb.dom.now
+	cb.waitStart = cb.dom.eng.now
 	q.waiters.push(runnable{cb: cb})
 }
 
@@ -58,6 +58,7 @@ func (q *WaitQueue) WakeOne() bool {
 			return true
 		}
 		if !r.p.done {
+			r.p.dom.own("WaitQueue wake")
 			r.p.dom.ready(r.p)
 			return true
 		}
@@ -178,8 +179,8 @@ type Chan[T any] struct {
 }
 
 // NewChan returns a channel with the given capacity (<= 0 for unbounded).
-// Like every sync primitive here, a Chan is domain-local state: sharing
-// one across domains is a data race — cross-domain traffic uses Ports.
+// Like every sync primitive here, a Chan is domain-local state: waking a
+// blocked peer on another domain panics — cross-domain traffic uses Ports.
 func NewChan[T any](h Host, capacity int, name string) *Chan[T] {
 	return &Chan[T]{
 		cap: capacity, name: name,

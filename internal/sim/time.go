@@ -44,12 +44,5 @@ func (t Time) String() string { return time.Duration(t).String() }
 // Scale multiplies the time by a dimensionless factor, rounding toward zero.
 func (t Time) Scale(f float64) Time { return Time(float64(t) * f) }
 
-func (t Time) min(u Time) Time {
-	if t < u {
-		return t
-	}
-	return u
-}
-
 // GoString implements fmt.GoStringer for readable test failures.
 func (t Time) GoString() string { return fmt.Sprintf("sim.Time(%s)", t) }

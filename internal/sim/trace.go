@@ -20,9 +20,7 @@ type Tracer interface {
 // SetTracer attaches a tracer to the engine's default domain. Pass the
 // concrete value only when tracing is enabled: a non-nil interface
 // holding a nil tracer would defeat the engine's nil checks. Must be
-// called before Run. Non-default domains need their own tracer value
-// (Domain.SetTracer): domains record concurrently during a window, so
-// one shared buffer would race.
+// called before Run. Other domains take their own (Domain.SetTracer).
 func (e *Engine) SetTracer(t Tracer) { e.d0.tracer = t }
 
 // Tracer returns the default domain's tracer (nil when tracing is off).
@@ -51,7 +49,7 @@ func (e *Engine) CallbacksCreated() int {
 
 // TimersScheduled returns how many timed events were ever scheduled
 // across all domains (every Sleep with a positive duration schedules
-// exactly one; cross-domain message deliveries add one each).
+// exactly one; port message deliveries add one each).
 func (e *Engine) TimersScheduled() uint64 {
 	var n uint64
 	for _, d := range e.domains {
