@@ -255,9 +255,9 @@ func New(cfg Config) (*Cluster, error) {
 				next:    1,
 			})
 		}
-		n.st.FS.EnableDurability()
+		n.st.EnableDurability()
 		if plan := cfg.Plan.NodeDiskPlan(n.idx); !plan.Zero() {
-			faults.NewInjector(plan).Attach(n.st.Disk)
+			n.st.AttachFaults(plan)
 		}
 		n.tick = sim.NewCallback(n.dom, fmt.Sprintf("server%d.tick", n.idx), n.poll)
 		n.dom.Go(fmt.Sprintf("server%d", n.idx), n.run)
@@ -412,7 +412,8 @@ func (c *Cluster) Audit() AuditReport {
 	return rep
 }
 
-// CollectMetrics publishes the engine, every node stack, and the
+// CollectMetrics publishes the engine, every node stack (its counters
+// and its private registry, see machine.Stack.CollectMetrics), and the
 // cluster-level counters into r.
 func (c *Cluster) CollectMetrics(r *obs.Registry) {
 	if r == nil {
@@ -446,16 +447,9 @@ func (c *Cluster) CollectMetrics(r *obs.Registry) {
 // TraceProcesses returns the tracers in deterministic order —
 // coordinator first, then nodes by index — for WriteTraceMulti.
 func (c *Cluster) TraceProcesses(prefix string) []obs.TraceProcess {
-	var procs []obs.TraceProcess
-	if o := c.Cfg.Obs; o != nil && o.Trace != nil {
-		procs = append(procs, obs.TraceProcess{Name: prefix + " coord", T: o.Trace})
+	stacks := make([]*machine.Stack, len(c.Nodes))
+	for i, n := range c.Nodes {
+		stacks[i] = n.st
 	}
-	for _, n := range c.Nodes {
-		if n.st.Obs != nil && n.st.Obs.Trace != nil {
-			procs = append(procs, obs.TraceProcess{
-				Name: fmt.Sprintf("%s node%d", prefix, n.idx), T: n.st.Obs.Trace,
-			})
-		}
-	}
-	return procs
+	return machine.TraceProcesses(prefix, c.Cfg.Obs, "node", stacks)
 }

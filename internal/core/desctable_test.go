@@ -17,19 +17,17 @@ import (
 // returns the descriptors by key.
 func (t *descTable) check(st *Stats) (map[itemKey]*itemDesc, error) {
 	all := map[itemKey]*itemDesc{}
-	for slot, fd := range t.byFile.vals {
-		if fd == nil {
-			continue
-		}
-		if t.byFile.keys[slot] != fd.key {
-			return nil, fmt.Errorf("file %v is filed under %v", fd.key, t.byFile.keys[slot])
+	for _, k := range t.byFile.AppendKeys(nil) {
+		fd := t.byFile.Get(k)
+		if fd.key != k {
+			return nil, fmt.Errorf("file %v is filed under %v", fd.key, k)
 		}
 		n := 0
 		for idx, desc := range fd.descs[:cap(fd.descs)] {
 			if desc == nil {
 				continue
 			}
-			if idx >= len(fd.descs) || desc.key != (itemKey{fd.key.fs, fd.key.ino, uint64(idx)}) {
+			if idx >= len(fd.descs) || desc.key != (itemKey{fd.key.FS, fd.key.Ino, uint64(idx)}) {
 				return nil, fmt.Errorf("file %v slot %d (len %d) holds descriptor %v", fd.key, idx, len(fd.descs), desc.key)
 			}
 			all[desc.key] = desc
@@ -42,7 +40,7 @@ func (t *descTable) check(st *Stats) (map[itemKey]*itemDesc, error) {
 	if int64(len(all)) != st.CurDescs || st.DescAllocs-st.DescFrees != st.CurDescs || st.PeakDescs < st.CurDescs {
 		return nil, fmt.Errorf("%d descriptors in the table, stats %+v", len(all), *st)
 	}
-	if fd := t.last; fd != nil && t.byFile.get(fd.key) != fd {
+	if fd := t.last; fd != nil && t.byFile.Get(fd.key) != fd {
 		return nil, fmt.Errorf("memo points at a released fileDescs (last key %v)", fd.key)
 	}
 	pooled := 0
@@ -156,7 +154,7 @@ func TestDescTableAgainstMap(t *testing.T) {
 					}
 				}
 				// The walk SetDone and move handling take.
-				if fd := tab.file(fileKey{k.fs, k.ino}); fd != nil {
+				if fd := tab.file(pagecache.FileKey{FS: k.fs, Ino: k.ino}); fd != nil {
 					var walk []itemKey
 					for _, desc := range fd.descs {
 						if desc != nil {
@@ -198,8 +196,8 @@ func TestDescTableAgainstMap(t *testing.T) {
 			t.Fatalf("CurDescs = %d before SetDone, want the 3 orphans", got)
 		}
 		events.SetDone(7)
-		if got := d.Stats().CurDescs; got != 0 || d.table.file(fileKey{1, 7}) != nil {
-			t.Errorf("CurDescs = %d after SetDone, file still indexed: %v", got, d.table.file(fileKey{1, 7}) != nil)
+		if got := d.Stats().CurDescs; got != 0 || d.table.file(pagecache.FileKey{FS: 1, Ino: 7}) != nil {
+			t.Errorf("CurDescs = %d after SetDone, file still indexed: %v", got, d.table.file(pagecache.FileKey{FS: 1, Ino: 7}) != nil)
 		}
 		if _, err := d.table.check(&d.stats); err != nil {
 			t.Error(err)
@@ -375,11 +373,9 @@ func TestIndexMemoryBound(t *testing.T) {
 	maxPooled := 0
 	check := func(step int) {
 		live, nfiles := 0, 0
-		for _, fd := range d.table.byFile.vals {
-			if fd != nil {
-				live += cap(fd.descs)
-				nfiles++
-			}
+		for _, k := range d.table.byFile.AppendKeys(nil) {
+			live += cap(d.table.byFile.Get(k).descs)
+			nfiles++
 		}
 		pooled := 0
 		for _, fd := range d.table.fdFree {

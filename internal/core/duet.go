@@ -47,11 +47,6 @@ type itemKey struct {
 	idx uint64
 }
 
-type fileKey struct {
-	fs  pagecache.FSID
-	ino uint64
-}
-
 // itemDesc is the merged item descriptor of §4.2: one per page for all
 // sessions, with a per-session flag byte.
 //
@@ -165,7 +160,7 @@ func (d *Duet) Stats() *Stats { return &d.stats }
 // order is index order, which is the order done-marking and move
 // handling process a file in.
 type fileDescs struct {
-	key   fileKey
+	key   pagecache.FileKey
 	descs []*itemDesc // indexed by page index; nil = no descriptor
 	n     int         // descriptors held
 }
@@ -176,7 +171,7 @@ type fileDescs struct {
 // emptied fileDescs are recycled, so the event hot path stops allocating
 // once the table has reached its high-water mark.
 type descTable struct {
-	byFile   fdescTab
+	byFile   pagecache.FileTab[fileDescs]
 	last     *fileDescs // the fileDescs file() returned last; nil once released
 	freeList *itemDesc
 	// fdFree is the stack of emptied fileDescs, kept with their slices
@@ -188,11 +183,11 @@ type descTable struct {
 	poolBudget int
 }
 
-func (t *descTable) file(fk fileKey) *fileDescs {
+func (t *descTable) file(fk pagecache.FileKey) *fileDescs {
 	if fd := t.last; fd != nil && fd.key == fk {
 		return fd
 	}
-	fd := t.byFile.get(fk)
+	fd := t.byFile.Get(fk)
 	if fd != nil {
 		t.last = fd
 	}
@@ -200,7 +195,7 @@ func (t *descTable) file(fk fileKey) *fileDescs {
 }
 
 func (t *descTable) get(k itemKey) *itemDesc {
-	fd := t.file(fileKey{k.fs, k.ino})
+	fd := t.file(pagecache.FileKey{FS: k.fs, Ino: k.ino})
 	if fd == nil || k.idx >= uint64(len(fd.descs)) {
 		return nil
 	}
@@ -208,7 +203,7 @@ func (t *descTable) get(k itemKey) *itemDesc {
 }
 
 func (t *descTable) getOrCreate(k itemKey, st *Stats) *itemDesc {
-	fk := fileKey{k.fs, k.ino}
+	fk := pagecache.FileKey{FS: k.fs, Ino: k.ino}
 	fd := t.file(fk)
 	if fd == nil {
 		if n := len(t.fdFree) - 1; n >= 0 {
@@ -219,7 +214,7 @@ func (t *descTable) getOrCreate(k itemKey, st *Stats) *itemDesc {
 			fd = &fileDescs{}
 		}
 		fd.key = fk
-		t.byFile.put(fk, fd)
+		t.byFile.Put(fk, fd)
 		t.last = fd
 	} else if k.idx < uint64(len(fd.descs)) && fd.descs[k.idx] != nil {
 		return fd.descs[k.idx]
@@ -250,11 +245,11 @@ func (t *descTable) getOrCreate(k itemKey, st *Stats) *itemDesc {
 }
 
 func (t *descTable) free(desc *itemDesc, st *Stats) {
-	fd := t.file(fileKey{desc.key.fs, desc.key.ino})
+	fd := t.file(pagecache.FileKey{FS: desc.key.fs, Ino: desc.key.ino})
 	fd.descs[desc.key.idx] = nil
 	fd.n--
 	if fd.n == 0 {
-		t.byFile.del(fd.key)
+		t.byFile.Del(fd.key)
 		t.last = nil
 		fd.descs = fd.descs[:0]
 		t.fdFree = append(t.fdFree, fd)

@@ -478,7 +478,7 @@ func (s *Session) SetDone(id uint64) {
 	}
 	if s.kind == fileTask {
 		// Eagerly mark the file's descriptors up-to-date.
-		if fd := s.d.table.file(fileKey{s.fsid, id}); fd != nil {
+		if fd := s.d.table.file(pagecache.FileKey{FS: s.fsid, Ino: id}); fd != nil {
 			// maybeFree can free the file's last descriptor and release
 			// fd; the range holds the slice header it started with, whose
 			// remaining entries are nil by then.
@@ -552,7 +552,7 @@ func (s *Session) handleMove(ino uint64, isDir bool, oldParent, newParent uint64
 	case wasTracked && !nowIn:
 		// Moved out: emit Removed/¬Exists for all the file's pages and
 		// stop tracking it (§4.1).
-		if fd := s.d.table.file(fileKey{s.fsid, ino}); fd != nil {
+		if fd := s.d.table.file(pagecache.FileKey{FS: s.fsid, Ino: ino}); fd != nil {
 			for _, desc := range fd.descs { // enqueue can free, as in SetDone
 				if desc == nil {
 					continue

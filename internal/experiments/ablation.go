@@ -95,7 +95,7 @@ func runAbFetch(s Scale, w io.Writer) error {
 		if err := e.m.Eng.RunFor(20 * sim.Second); err != nil {
 			return err
 		}
-		finishDirectCell(e, fmt.Sprintf("ab-fetch %dms", intervalMS))
+		foldCell(e.obs, e.m, -1, cellTrace(e.obs, fmt.Sprintf("ab-fetch %dms", intervalMS)))
 		rows = append(rows, []string{
 			fmt.Sprintf("%d ms", intervalMS),
 			fmt.Sprint(peak),
@@ -143,7 +143,7 @@ func runAbPolicy(s Scale, w io.Writer) error {
 		if fifo {
 			name = "event order"
 		}
-		finishDirectCell(e, "ab-policy "+name)
+		foldCell(e.obs, e.m, -1, cellTrace(e.obs, "ab-policy "+name))
 		saved := 0.0
 		if d.Report.WorkTotal > 0 {
 			saved = float64(d.Report.Saved) / float64(2*d.Report.WorkTotal)
@@ -208,7 +208,7 @@ func runAbDone(s Scale, w io.Writer) error {
 	if err := e.m.Eng.RunFor(30 * sim.Second); err != nil {
 		return err
 	}
-	finishDirectCell(e, "ab-done observer")
+	foldCell(e.obs, e.m, -1, cellTrace(e.obs, "ab-done observer"))
 	rows := [][]string{
 		{"events delivered", fmt.Sprint(sess.EventsSeen)},
 		{"events suppressed by done bitmap", fmt.Sprint(sess.SuppressedDone)},

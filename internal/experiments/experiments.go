@@ -606,8 +606,15 @@ func runTasksOn(e *env, taskNames []TaskName, duet bool, window sim.Time) (*Outc
 		out.Workload = e.gen.Stats()
 	}
 	out.Elapsed = eng.Now() - start
-	countCell()
-	finishCell(e, out, duet)
+	for _, r := range out.Reports() {
+		tasks.ObserveRun(e.obs, r)
+	}
+	name := fmt.Sprintf("%s %s u%02d seed%d", e.spec.Scale.Name,
+		e.spec.Personality, int(e.spec.TargetUtil*100+0.5), e.spec.Seed)
+	if duet {
+		name += " duet"
+	}
+	foldCell(e.obs, e.m, e.traceSlot, cellTrace(e.obs, name))
 	return out, nil
 }
 

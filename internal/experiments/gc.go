@@ -172,7 +172,7 @@ func gcRun(g gcScale, seed int64, rate float64, duet bool,
 	if duet {
 		mode = "duet"
 	}
-	finishLFSCell(o, m, fmt.Sprintf("gc %s r%.2f seed%d", mode, rate, seed))
+	foldCell(o, m, -1, cellTrace(o, fmt.Sprintf("gc %s r%.2f seed%d", mode, rate, seed)))
 	return nil
 }
 

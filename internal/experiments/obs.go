@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"fmt"
 	"sync"
 
-	"duet/internal/machine"
 	"duet/internal/obs"
-	"duet/internal/tasks"
 )
 
 // Per-cell observability. Grid cells run concurrently, so a single
@@ -135,75 +132,37 @@ func newCellObs() *obs.Obs {
 	return o
 }
 
-// finishLFSCell folds one GC-experiment cell (an LFS machine) into the
-// run-level observability state. The GC sweeps run their cells
-// sequentially per utilization point, so trace collection order is the
-// deterministic input order.
-func finishLFSCell(o *obs.Obs, m *machine.LFSMachine, name string) {
+// foldCell folds one finished cell into the run-level state and counts
+// it: c's counters are absorbed into the cell's registry, which merges
+// into the run registry, and the cell's tracers join the trace list —
+// at the cell's reserved slot when slot >= 0 (grid cells), else
+// appended. Cells without a slot run serially inside their experiment,
+// so appending preserves determinism. Tracers with a nil T (tracing
+// off) are skipped.
+func foldCell(o *obs.Obs, c interface{ CollectMetrics(*obs.Registry) }, slot int, traces ...obs.TraceProcess) {
 	countCell()
 	if o == nil {
 		return
 	}
-	m.CollectMetrics(o.Metrics)
+	c.CollectMetrics(o.Metrics)
 	obsCfg.mu.Lock()
 	defer obsCfg.mu.Unlock()
 	if obsCfg.reg != nil {
 		obsCfg.reg.Merge(o.Metrics)
 		obsCfg.reg.Counter("grid.cells").Inc()
 	}
-	if o.Trace != nil {
-		putCellTrace(-1, obs.TraceProcess{Name: name, T: o.Trace})
-	}
-}
-
-// finishDirectCell folds a hand-driven cell — one that runs its engine
-// directly instead of through runTasksOn (the ablations, the overhead
-// probes, rsync) — into the run-level state and counts it. Such cells
-// run serially inside their experiment, so appending preserves
-// determinism.
-func finishDirectCell(e *env, name string) {
-	countCell()
-	o := e.obs
-	if o == nil {
-		return
-	}
-	e.m.CollectMetrics(o.Metrics)
-	obsCfg.mu.Lock()
-	defer obsCfg.mu.Unlock()
-	if obsCfg.reg != nil {
-		obsCfg.reg.Merge(o.Metrics)
-		obsCfg.reg.Counter("grid.cells").Inc()
-	}
-	if o.Trace != nil {
-		putCellTrace(-1, obs.TraceProcess{Name: name, T: o.Trace})
-	}
-}
-
-// finishCell folds one completed cell into the run-level state: task
-// reports become spans/counters on the cell's own handle, the machine's
-// counters are absorbed, and the cell registry merges into the run
-// registry.
-func finishCell(e *env, out *Outcome, duet bool) {
-	o := e.obs
-	if o == nil {
-		return
-	}
-	for _, r := range out.Reports() {
-		tasks.ObserveRun(o, r)
-	}
-	e.m.CollectMetrics(o.Metrics)
-	obsCfg.mu.Lock()
-	defer obsCfg.mu.Unlock()
-	if obsCfg.reg != nil {
-		obsCfg.reg.Merge(o.Metrics)
-		obsCfg.reg.Counter("grid.cells").Inc()
-	}
-	if o.Trace != nil {
-		name := fmt.Sprintf("%s %s u%02d seed%d", e.spec.Scale.Name,
-			e.spec.Personality, int(e.spec.TargetUtil*100+0.5), e.spec.Seed)
-		if duet {
-			name += " duet"
+	for _, tp := range traces {
+		if tp.T != nil {
+			putCellTrace(slot, tp)
 		}
-		putCellTrace(e.traceSlot, obs.TraceProcess{Name: name, T: o.Trace})
 	}
+}
+
+// cellTrace names a single-domain cell's tracer (nil T when tracing is
+// off).
+func cellTrace(o *obs.Obs, name string) obs.TraceProcess {
+	if o == nil {
+		return obs.TraceProcess{}
+	}
+	return obs.TraceProcess{Name: name, T: o.Trace}
 }

@@ -77,7 +77,7 @@ func runFig9(s Scale, w io.Writer) error {
 			if err := e.m.Eng.RunFor(runFor); err != nil {
 				return err
 			}
-			finishDirectCell(e, fmt.Sprintf("fig9 %s fetch%dms", mk.name, fetchMS))
+			foldCell(e.obs, e.m, -1, cellTrace(e.obs, fmt.Sprintf("fig9 %s fetch%dms", mk.name, fetchMS)))
 			st := e.m.Duet.Stats()
 			modelNanos := st.HookCalls*fig9HookCost + st.ItemsFetched*fig9ItemCost + st.FetchCalls*fig9FetchCost
 			overhead := float64(modelNanos) / float64(runFor) * 100
@@ -138,7 +138,7 @@ func runMem(s Scale, w io.Writer) error {
 	if err := e.m.Eng.RunFor(30 * sim.Second); err != nil {
 		return err
 	}
-	finishDirectCell(e, "mem sampler")
+	foldCell(e.obs, e.m, -1, cellTrace(e.obs, "mem sampler"))
 	st := e.m.Duet.Stats()
 	descBound := 2 * s.CachePages
 	fmt.Fprintln(w, "# Memory overhead (§6.4)")
@@ -187,7 +187,7 @@ func runLat(s Scale, w io.Writer) error {
 			if err := e.m.Eng.RunFor(s.Window); err != nil {
 				return err
 			}
-			finishDirectCell(e, "latency baseline")
+			foldCell(e.obs, e.m, -1, cellTrace(e.obs, "latency baseline"))
 			lat = e.gen.Stats().MeanLatency()
 		} else {
 			out, err := runTasks(RunSpec{

@@ -6,7 +6,6 @@ import (
 
 	"duet/internal/machine"
 	"duet/internal/metrics"
-	"duet/internal/obs"
 	"duet/internal/sim"
 	"duet/internal/storage"
 	"duet/internal/tasks/scrub"
@@ -107,7 +106,7 @@ func runShardCell(s Scale, seed int64, duet bool) (*shardCellResult, error) {
 	scrubErrs := make([]error, shardCount)
 	for i, sh := range m.Shards {
 		i, sh := i, sh
-		gen, err := workload.New(sh.Dom, sh.FS, files[i], workload.Config{
+		gen, err := workload.New(sh.Host, sh.FS, files[i], workload.Config{
 			Personality: workload.Webserver,
 			Dir:         "/data",
 			Coverage:    1,
@@ -124,15 +123,15 @@ func runShardCell(s Scale, seed int64, duet bool) (*shardCellResult, error) {
 			sc = scrub.New(sh.FS, scrub.DefaultConfig())
 		}
 		scrubbers[i] = sc
-		sh.Dom.Go("shard-main", func(p *sim.Proc) {
+		sh.Host.Go("shard-main", func(p *sim.Proc) {
 			if cmd := sh.Ctl.Recv(p); cmd.Kind != "start" {
 				return
 			}
-			gen.Start(sh.Dom)
+			gen.Start(sh.Host)
 			// Progress heartbeats keep the coordinator ports busy for the
 			// whole window, so the cross-domain path is exercised under
 			// sustained load rather than just at the endpoints.
-			sh.Dom.Go("shard-progress", func(hp *sim.Proc) {
+			sh.Host.Go("shard-progress", func(hp *sim.Proc) {
 				for !hp.Engine().Stopping() {
 					hp.Sleep(sim.Second)
 					sh.Report.Send(hp, machine.ShardReport{
@@ -201,37 +200,12 @@ func runShardCell(s Scale, seed int64, duet bool) (*shardCellResult, error) {
 			res.workCompleted = 1
 		}
 	}
-	finishShardCell(o, m, seed, duet)
-	return res, nil
-}
-
-// finishShardCell folds one sharded cell into the run-level obs state:
-// the engine plus per-shard registries merge commutatively, and the
-// per-domain tracers export as separate trace processes in domain order.
-func finishShardCell(o *obs.Obs, m *machine.ShardedMachine, seed int64, duet bool) {
-	countCell()
-	if o == nil {
-		return
-	}
-	m.CollectMetrics(o.Metrics)
-	for _, sh := range m.Shards {
-		if sh.Obs != nil && sh.Obs.Metrics != nil {
-			o.Metrics.Merge(sh.Obs.Metrics)
-		}
-	}
-	obsCfg.mu.Lock()
-	defer obsCfg.mu.Unlock()
-	if obsCfg.reg != nil {
-		obsCfg.reg.Merge(o.Metrics)
-		obsCfg.reg.Counter("grid.cells").Inc()
-	}
 	mode := "base"
 	if duet {
 		mode = "duet"
 	}
-	for _, tp := range m.TraceProcesses(fmt.Sprintf("shard-cell %s seed%d", mode, seed)) {
-		putCellTrace(-1, tp)
-	}
+	foldCell(o, m, -1, m.TraceProcesses(fmt.Sprintf("shard-cell %s seed%d", mode, seed))...)
+	return res, nil
 }
 
 func init() {

@@ -196,7 +196,7 @@ func runRsync(s Scale, seed int64, overlap float64, duet bool) (sim.Time, float6
 	if duet {
 		mode = "duet"
 	}
-	finishDirectCell(e, fmt.Sprintf("rsync %s ov%.2f seed%d", mode, overlap, seed))
+	foldCell(e.obs, e.m, -1, cellTrace(e.obs, fmt.Sprintf("rsync %s ov%.2f seed%d", mode, overlap, seed)))
 	savedFrac := 0.0
 	if r.Report.WorkTotal > 0 {
 		savedFrac = float64(r.Report.Saved) / float64(r.Report.WorkTotal)

@@ -109,7 +109,6 @@ func runFaultsSweep(s Scale, w io.Writer) error {
 				return fmt.Errorf("faults %s seed %d: %w", row.name, seed, err)
 			}
 			agg.add(cell)
-			countCell()
 		}
 		injected := agg.rob.TransientFaults + agg.rob.PermanentFaults + agg.rob.TornWrites + int64(row.latent*len(seeds(s)))
 		fmt.Fprintf(w, "%-16s %9d %9d %9d %6d %7d %9d %9d %8d\n",
@@ -337,28 +336,8 @@ func runFaultCell(s Scale, seed int64, row faultRow, window sim.Time) (faultCell
 	}
 	cell.lost = lostBlocks(m)
 	cell.rob.Add(m.Robustness())
-	finishFaultCell(o, m, row.name, seed)
+	foldCell(o, m, -1, cellTrace(o, fmt.Sprintf("faults %s seed%d", row.name, seed)))
 	return cell, nil
-}
-
-// finishFaultCell folds one fault-sweep cell into the run-level
-// observability state. The sweep runs its cells sequentially, so trace
-// collection order is the (deterministic) row × seed input order.
-func finishFaultCell(o *obs.Obs, m *machine.Machine, rowName string, seed int64) {
-	if o == nil {
-		return
-	}
-	m.CollectMetrics(o.Metrics)
-	obsCfg.mu.Lock()
-	defer obsCfg.mu.Unlock()
-	if obsCfg.reg != nil {
-		obsCfg.reg.Merge(o.Metrics)
-		obsCfg.reg.Counter("grid.cells").Inc()
-	}
-	if o.Trace != nil {
-		putCellTrace(-1,
-			obs.TraceProcess{Name: fmt.Sprintf("faults %s seed%d", rowName, seed), T: o.Trace})
-	}
 }
 
 func init() {

@@ -153,31 +153,10 @@ func clusterCell(s Scale, seed int64, row clusterRow,
 		return st, rob, fmt.Errorf("%d stale primary reads", st.ConsistencyViolations)
 	}
 
-	finishClusterCell(o, c, row.name, mode, seed)
+	// Cells run sequentially, so trace collection order is the
+	// deterministic row × mode × seed input order.
+	foldCell(o, c, -1, c.TraceProcesses(fmt.Sprintf("cluster %s %v seed%d", row.name, mode, seed))...)
 	return st, rob, nil
-}
-
-// finishClusterCell folds one cell into the run-level observability
-// state: node metrics merge into the shared registry, tracers export in
-// coordinator-then-nodes order. Cells run sequentially, so collection
-// order is the deterministic row × mode × seed input order.
-func finishClusterCell(o *obs.Obs, c *cluster.Cluster, rowName string,
-	mode cluster.RepairMode, seed int64) {
-	countCell()
-	if o == nil {
-		return
-	}
-	c.CollectMetrics(o.Metrics)
-	obsCfg.mu.Lock()
-	defer obsCfg.mu.Unlock()
-	if obsCfg.reg != nil {
-		obsCfg.reg.Merge(o.Metrics)
-		obsCfg.reg.Counter("grid.cells").Inc()
-	}
-	prefix := fmt.Sprintf("cluster %s %v seed%d", rowName, mode, seed)
-	for _, tp := range c.TraceProcesses(prefix) {
-		putCellTrace(-1, tp)
-	}
 }
 
 func runClusterTier(s Scale, w io.Writer) error {

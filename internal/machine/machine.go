@@ -63,7 +63,7 @@ type Config struct {
 	Obs *obs.Obs
 }
 
-// Validate fills defaults and rejects nonsense.
+// newScheduler builds the configured I/O scheduler.
 func (c *Config) newScheduler() storage.Scheduler {
 	sched := iosched.ByName(c.Scheduler)
 	if cfq, ok := sched.(*iosched.CFQ); ok && c.IdleGrace > 0 {
@@ -94,6 +94,16 @@ func (c *Config) newDisk(e sim.Host, name string, model storage.Model) *storage.
 	return d
 }
 
+// model resolves the device model: the Model override, else the
+// built-in model of Device sized to DeviceBlocks.
+func (c *Config) model() (storage.Model, error) {
+	if c.Model != nil {
+		return c.Model, nil
+	}
+	return newModel(c.Device, c.DeviceBlocks)
+}
+
+// Validate fills defaults and rejects nonsense.
 func (c *Config) Validate() error {
 	if c.DeviceBlocks <= 0 {
 		return fmt.Errorf("machine: DeviceBlocks must be positive")
@@ -113,24 +123,6 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// Machine is an assembled simulation with a cowfs filesystem.
-type Machine struct {
-	Cfg     Config
-	Eng     *sim.Engine
-	Disk    *storage.Disk
-	Cache   *pagecache.Cache
-	FS      *cowfs.FS
-	Duet    *core.Duet
-	Adapter *core.CowAdapter
-
-	nextFSID pagecache.FSID
-
-	// Components added after New, tracked so CollectMetrics covers them.
-	extraDisks []*storage.Disk
-	extraCow   []*cowfs.FS
-	extraLFS   []*lfs.FS
-}
-
 func newModel(kind DeviceKind, blocks int64) (storage.Model, error) {
 	switch kind {
 	case HDD:
@@ -141,31 +133,28 @@ func newModel(kind DeviceKind, blocks int64) (storage.Model, error) {
 	return nil, fmt.Errorf("machine: unknown device kind %q", kind)
 }
 
-// New builds a machine with a COW filesystem on one device.
+// Machine is an assembled simulation: an engine of its own plus one
+// cowfs Stack on its default domain.
+type Machine struct {
+	Eng *sim.Engine
+	*Stack
+
+	nextFSID pagecache.FSID
+
+	// Components added after New, tracked so CollectMetrics covers them.
+	extraDisks []*storage.Disk
+	extraCow   []*cowfs.FS
+}
+
+// New builds a machine with a COW filesystem on one device. Its stack
+// records into cfg.Obs directly.
 func New(cfg Config) (*Machine, error) {
-	if err := cfg.Validate(); err != nil {
+	e := sim.New(cfg.Seed)
+	s, err := newStack(e, cfg, "sda", cfg.Obs)
+	if err != nil {
 		return nil, err
 	}
-	e := sim.New(cfg.Seed)
-	model := cfg.Model
-	if model == nil {
-		var err error
-		model, err = newModel(cfg.Device, cfg.DeviceBlocks)
-		if err != nil {
-			return nil, err
-		}
-	}
-	disk := cfg.newDisk(e, "sda", model)
-	cache := pagecache.New(e, cfg.cacheConfig())
-	fs := cowfs.New(e, 1, disk, cache)
-	d := core.New(cache)
-	ad := core.AttachCow(d, fs)
-	enableObs(cfg.Obs, e, disk, cache, fs)
-	d.EnableObs(e, cfg.Obs)
-	return &Machine{
-		Cfg: cfg, Eng: e, Disk: disk, Cache: cache, FS: fs,
-		Duet: d, Adapter: ad, nextFSID: 2,
-	}, nil
+	return &Machine{Eng: e, Stack: s, nextFSID: 2}, nil
 }
 
 // AddCowFS attaches a second COW filesystem on its own device (e.g. the
@@ -175,11 +164,11 @@ func (m *Machine) AddCowFS(name string, blocks int64, kind DeviceKind) (*cowfs.F
 	if err != nil {
 		return nil, nil, err
 	}
-	disk := m.Cfg.newDisk(m.Eng, name, model)
+	disk := m.cfg.newDisk(m.Eng, name, model)
 	fs := cowfs.New(m.Eng, m.nextFSID, disk, m.Cache)
 	m.nextFSID++
 	ad := core.AttachCow(m.Duet, fs)
-	if o := m.Cfg.Obs; o != nil {
+	if o := m.Obs; live(o) {
 		disk.EnableObs(o)
 		fs.EnableObs(o)
 	}
@@ -188,28 +177,8 @@ func (m *Machine) AddCowFS(name string, blocks int64, kind DeviceKind) (*cowfs.F
 	return fs, ad, nil
 }
 
-// AddLFS attaches a log-structured filesystem on its own device.
-func (m *Machine) AddLFS(name string, blocks int64, kind DeviceKind, cfg lfs.Config) (*lfs.FS, *core.LFSAdapter, error) {
-	model, err := newModel(kind, blocks)
-	if err != nil {
-		return nil, nil, err
-	}
-	disk := m.Cfg.newDisk(m.Eng, name, model)
-	fs := lfs.New(m.Eng, m.nextFSID, disk, m.Cache, cfg)
-	m.nextFSID++
-	ad := core.AttachLFS(m.Duet, fs)
-	if o := m.Cfg.Obs; o != nil {
-		disk.EnableObs(o)
-		fs.EnableObs(o)
-	}
-	m.extraDisks = append(m.extraDisks, disk)
-	m.extraLFS = append(m.extraLFS, fs)
-	return fs, ad, nil
-}
-
 // LFSMachine is an assembled simulation with a log-structured filesystem.
 type LFSMachine struct {
-	Cfg     Config
 	Eng     *sim.Engine
 	Disk    *storage.Disk
 	Cache   *pagecache.Cache
@@ -223,51 +192,21 @@ func NewLFS(cfg Config, fscfg lfs.Config) (*LFSMachine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := sim.New(cfg.Seed)
-	model := cfg.Model
-	if model == nil {
-		var err error
-		model, err = newModel(cfg.Device, cfg.DeviceBlocks)
-		if err != nil {
-			return nil, err
-		}
+	model, err := cfg.model()
+	if err != nil {
+		return nil, err
 	}
+	e := sim.New(cfg.Seed)
 	disk := cfg.newDisk(e, "sda", model)
 	cache := pagecache.New(e, cfg.cacheConfig())
 	fs := lfs.New(e, 1, disk, cache, fscfg)
 	d := core.New(cache)
 	ad := core.AttachLFS(d, fs)
-	enableObs(cfg.Obs, e, disk, cache, fs)
-	d.EnableObs(e, cfg.Obs)
-	return &LFSMachine{Cfg: cfg, Eng: e, Disk: disk, Cache: cache, FS: fs, Duet: d, Adapter: ad}, nil
-}
-
-// EventStats summarises page-event dispatch efficiency for a run: how
-// many events the cache raised, how many the global interest mask
-// filtered before any hook ran, and how many calls reached Duet's hook.
-// With no active session, Filtered should equal Dispatched and
-// HookCalls should be zero — the baseline pays nothing for Duet being
-// loaded.
-type EventStats struct {
-	Dispatched int64
-	Filtered   int64
-	HookCalls  int64
-}
-
-func eventStats(c *pagecache.Cache, d *core.Duet) EventStats {
-	cs := c.Stats()
-	return EventStats{
-		Dispatched: cs.EventsDispatched,
-		Filtered:   cs.EventsFiltered,
-		HookCalls:  d.Stats().HookCalls,
+	if live(cfg.Obs) {
+		enableObs(e, cfg.Obs, disk, cache, fs, d)
 	}
+	return &LFSMachine{Eng: e, Disk: disk, Cache: cache, FS: fs, Duet: d, Adapter: ad}, nil
 }
-
-// EventStats reports the machine's page-event dispatch counters.
-func (m *Machine) EventStats() EventStats { return eventStats(m.Cache, m.Duet) }
-
-// EventStats reports the machine's page-event dispatch counters.
-func (m *LFSMachine) EventStats() EventStats { return eventStats(m.Cache, m.Duet) }
 
 // PopulateSpec describes a synthetic file tree, Filebench-style.
 type PopulateSpec struct {

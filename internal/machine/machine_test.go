@@ -161,12 +161,12 @@ func TestAddSecondFilesystems(t *testing.T) {
 	if ad2.FSID() != fs2.ID() {
 		t.Error("adapter FSID mismatch")
 	}
-	lf, adL, err := m.AddLFS("nvme0", 1<<14, SSD, lfs.DefaultConfig())
+	fs3, ad3, err := m.AddCowFS("nvme0", 1<<14, SSD)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lf.ID() == fs2.ID() || adL.FSID() != lf.ID() {
-		t.Error("lfs FSID wiring wrong")
+	if fs3.ID() == fs2.ID() || ad3.FSID() != fs3.ID() {
+		t.Error("third fs FSID wiring wrong")
 	}
 }
 
@@ -219,15 +219,16 @@ func TestBaselineEventFiltering(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		st := m.EventStats()
-		if st.Dispatched == 0 {
+		st := m.Cache.Stats()
+		if st.EventsDispatched == 0 {
 			t.Error("no page events raised; test is vacuous")
 			return
 		}
-		if st.Filtered != st.Dispatched || st.HookCalls != 0 {
+		if hooks := m.Duet.Stats().HookCalls; st.EventsFiltered != st.EventsDispatched || hooks != 0 {
 			t.Errorf("baseline: dispatched=%d filtered=%d hookCalls=%d; want all filtered, zero hook calls",
-				st.Dispatched, st.Filtered, st.HookCalls)
+				st.EventsDispatched, st.EventsFiltered, hooks)
 		}
+		filtered := st.EventsFiltered
 
 		sess, err := m.Duet.RegisterBlock(m.Adapter, core.EventBits)
 		if err != nil {
@@ -239,12 +240,11 @@ func TestBaselineEventFiltering(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		st2 := m.EventStats()
-		if st2.HookCalls == 0 {
+		if m.Duet.Stats().HookCalls == 0 {
 			t.Error("with an active session, no events reached the hook")
 		}
-		if st2.Filtered != st.Filtered {
-			t.Errorf("events still filtered with an active session: %d -> %d", st.Filtered, st2.Filtered)
+		if f2 := m.Cache.Stats().EventsFiltered; f2 != filtered {
+			t.Errorf("events still filtered with an active session: %d -> %d", filtered, f2)
 		}
 	})
 	if err := m.Eng.Run(); err != nil {

@@ -1,42 +1,20 @@
 package machine
 
 import (
+	"fmt"
+
 	"duet/internal/obs"
 	"duet/internal/sim"
 )
 
-// Observability wiring. The machine is the one place that sees every
-// subsystem, so it owns both halves of the integration: enableObs hands
-// the shared obs handle to each component at assembly (tracing costs
-// nothing until then — every subsystem guards its probes behind one nil
-// check), and CollectMetrics absorbs each component's cumulative
-// counters into a registry after (or during) a run. Absorption uses
-// absolute values with max semantics, so collecting twice is safe.
+// Metric collection. A machine absorbs each component's cumulative
+// counters into a registry after (or during) a run. A Machine records
+// into the run's registry itself, so it publishes straight into it with
+// absolute values and max semantics (collecting twice is safe); every
+// other stack merges through Stack.CollectMetrics.
 
-// enableObs wires the obs handle into an assembled machine's engine
-// and components. The Duet instance is wired by the caller (its hook
-// needs the engine too). SetTracer is only called with a concrete
-// non-nil tracer — a non-nil interface holding a nil pointer would
-// defeat the engine's nil checks.
-func enableObs(o *obs.Obs, e *sim.Engine, parts ...interface{ EnableObs(*obs.Obs) }) {
-	if o == nil || (o.Trace == nil && o.Metrics == nil) {
-		return
-	}
-	if o.Trace != nil {
-		e.SetTracer(o.Trace)
-	}
-	for _, p := range parts {
-		p.EnableObs(o)
-	}
-}
-
-// PublishEngineMetrics exposes publishEngine for engine-owning layers
-// outside this package (the cluster tier assembles its own engine but
-// publishes the same kernel-level counters).
-func PublishEngineMetrics(r *obs.Registry, e *sim.Engine) { publishEngine(r, e) }
-
-// publishEngine absorbs the kernel-level quantities.
-func publishEngine(r *obs.Registry, e *sim.Engine) {
+// PublishEngineMetrics absorbs the kernel-level quantities of e.
+func PublishEngineMetrics(r *obs.Registry, e *sim.Engine) {
 	r.SetCounter("sim.procs_created", int64(e.ProcsCreated()))
 	r.SetCounter("sim.callbacks_created", int64(e.CallbacksCreated()))
 	r.SetCounter("sim.timers_scheduled", int64(e.TimersScheduled()))
@@ -50,7 +28,7 @@ func (m *Machine) CollectMetrics(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	publishEngine(r, m.Eng)
+	PublishEngineMetrics(r, m.Eng)
 	m.Disk.PublishMetrics(r)
 	for _, d := range m.extraDisks {
 		d.PublishMetrics(r)
@@ -61,9 +39,6 @@ func (m *Machine) CollectMetrics(r *obs.Registry) {
 	for _, fs := range m.extraCow {
 		fs.PublishMetrics(r)
 	}
-	for _, fs := range m.extraLFS {
-		fs.PublishMetrics(r)
-	}
 }
 
 // CollectMetrics absorbs every subsystem's counters into r.
@@ -71,9 +46,28 @@ func (m *LFSMachine) CollectMetrics(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	publishEngine(r, m.Eng)
+	PublishEngineMetrics(r, m.Eng)
 	m.Disk.PublishMetrics(r)
 	m.Cache.PublishMetrics(r)
 	m.Duet.PublishMetrics(r)
 	m.FS.PublishMetrics(r)
+}
+
+// TraceProcesses lists a multi-domain run's tracers in deterministic
+// order for WriteTraceMulti: the run-level tracer of o (the
+// coordinator's domain) first, then each stack's own, named
+// "<prefix> <unit><index>". Empty when tracing is off.
+func TraceProcesses(prefix string, o *obs.Obs, unit string, stacks []*Stack) []obs.TraceProcess {
+	var procs []obs.TraceProcess
+	if o != nil && o.Trace != nil {
+		procs = append(procs, obs.TraceProcess{Name: prefix + " coord", T: o.Trace})
+	}
+	for i, s := range stacks {
+		if s.Obs != nil && s.Obs.Trace != nil {
+			procs = append(procs, obs.TraceProcess{
+				Name: fmt.Sprintf("%s %s%d", prefix, unit, i), T: s.Obs.Trace,
+			})
+		}
+	}
+	return procs
 }

@@ -1,47 +1,12 @@
 package machine
 
-import (
-	"fmt"
-
-	"duet/internal/core"
-	"duet/internal/cowfs"
-	"duet/internal/faults"
-	"duet/internal/lfs"
-	"duet/internal/pagecache"
-	"duet/internal/storage"
-)
-
-// Fault injection and crash recovery at the machine level. A "crash" in
-// the simulator is the end of an engine: virtual-time engines cannot
-// restart once their processes are abandoned, so recovery builds an
-// entirely new machine — fresh engine, device, cache, and Duet — and
-// remounts the filesystem from the dead machine's durable state. That is
-// exactly the semantics of a power cut: everything in memory is gone,
-// only the medium and the checkpoint survive.
-
-// AttachFaults arms deterministic fault injection on the machine's
-// device and returns the injector (for inspection). The plan is
-// evaluated per request; a nil or zero plan leaves the device fault-free.
-func (m *Machine) AttachFaults(plan faults.Plan) *faults.Injector {
-	inj := faults.NewInjector(plan)
-	inj.Attach(m.Disk)
-	return inj
-}
-
-// AttachFaults arms fault injection on the LFS machine's device.
-func (m *LFSMachine) AttachFaults(plan faults.Plan) *faults.Injector {
-	inj := faults.NewInjector(plan)
-	inj.Attach(m.Disk)
-	return inj
-}
-
-// EnableDurability arms checkpointing on the machine's filesystem; it
-// must be called before Recover can be used. Fault-free experiments
-// never call it, so their behavior is unchanged.
-func (m *Machine) EnableDurability() { m.FS.EnableDurability() }
-
-// EnableDurability arms checkpointing on the LFS machine's filesystem.
-func (m *LFSMachine) EnableDurability() { m.FS.EnableDurability() }
+// Crash recovery by engine death. Virtual-time engines cannot restart
+// once their processes are abandoned, so Recover builds an entirely new
+// machine — fresh engine, device, cache, and Duet — and remounts the
+// filesystem from the dead machine's durable state. That is exactly the
+// semantics of a power cut: everything in memory is gone, only the
+// medium and the checkpoint survive. Stack.Remount is the in-place
+// model; both go through Stack.recover.
 
 // Recover simulates remounting after a crash: it captures the dead
 // machine's durable state (checkpoint + medium) and assembles a new
@@ -50,68 +15,21 @@ func (m *LFSMachine) EnableDurability() { m.FS.EnableDurability() }
 // over — attach a new plan to the recovered machine if the device should
 // stay faulty. Grown bad blocks do carry over: they are medium damage.
 func (m *Machine) Recover() (*Machine, error) {
-	if !m.FS.DurabilityEnabled() {
-		return nil, fmt.Errorf("machine: Recover without EnableDurability")
-	}
-	img := m.FS.CrashImage()
-	cfg := m.Cfg
-	nm, err := New(cfg)
+	img, err := m.crashImage()
 	if err != nil {
 		return nil, err
 	}
-	// Replace the freshly created filesystem with the remounted one.
-	fs, err := cowfs.Remount(nm.Eng, 1, nm.Disk, nm.Cache, img)
+	nm, err := New(m.cfg)
 	if err != nil {
-		return nil, fmt.Errorf("machine: recover: %w", err)
+		return nil, err
 	}
-	nm.FS = fs
 	// New hooked its Duet into the new cache; that instance is being
 	// replaced, so detach it first — otherwise every recovery leaves an
 	// orphaned hook double-dispatching page events to a dead Duet (and a
 	// second crash of the same machine doubles it again).
 	nm.Cache.RemoveHook(nm.Duet)
-	nm.Duet = core.New(nm.Cache)
-	nm.Adapter = core.AttachCow(nm.Duet, fs)
-	// New wired the engine/disk/cache, but the remounted fs and fresh
-	// Duet replaced the instrumented ones — re-attach them.
-	if o := cfg.Obs; o != nil {
-		fs.EnableObs(o)
-		nm.Duet.EnableObs(nm.Eng, o)
-	}
-	if err := fs.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("machine: recovered fs inconsistent: %w", err)
-	}
-	return nm, nil
-}
-
-// Recover is the LFS machine's crash-recovery path: remount from the
-// checkpoint, roll the durable summary log forward, verify invariants.
-func (m *LFSMachine) Recover(fscfg lfs.Config) (*LFSMachine, error) {
-	if !m.FS.DurabilityEnabled() {
-		return nil, fmt.Errorf("machine: Recover without EnableDurability")
-	}
-	img := m.FS.CrashImage()
-	cfg := m.Cfg
-	nm, err := NewLFS(cfg, fscfg)
-	if err != nil {
+	if err := nm.recover(img); err != nil {
 		return nil, err
-	}
-	fs, err := lfs.Remount(nm.Eng, 1, nm.Disk, nm.Cache, fscfg, img)
-	if err != nil {
-		return nil, fmt.Errorf("machine: recover: %w", err)
-	}
-	nm.FS = fs
-	// Detach the Duet NewLFS hooked in before replacing it (see Recover).
-	nm.Cache.RemoveHook(nm.Duet)
-	nm.Duet = core.New(nm.Cache)
-	nm.Adapter = core.AttachLFS(nm.Duet, fs)
-	// Re-attach observability to the components NewLFS did not build.
-	if o := cfg.Obs; o != nil {
-		fs.EnableObs(o)
-		nm.Duet.EnableObs(nm.Eng, o)
-	}
-	if err := fs.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("machine: recovered lfs inconsistent: %w", err)
 	}
 	return nm, nil
 }
@@ -143,9 +61,10 @@ type Robustness struct {
 	ClusterLostBlocks int64 `json:"cluster_lost_blocks"`
 }
 
-func robustness(d *storage.Disk, c *pagecache.Cache, du *core.Duet, commits int64) Robustness {
-	ds := d.Stats()
-	cs := c.Stats()
+// Robustness reports the stack's fault and recovery counters.
+func (s *Stack) Robustness() Robustness {
+	ds := s.Disk.Stats()
+	cs := s.Cache.Stats()
 	return Robustness{
 		TransientFaults: ds.TransientFaults,
 		PermanentFaults: ds.PermanentFaults,
@@ -157,19 +76,9 @@ func robustness(d *storage.Disk, c *pagecache.Cache, du *core.Duet, commits int6
 		Quarantined:     cs.QuarantineEvents,
 		Requeued:        cs.RequeuedPages,
 		LostPages:       cs.LostPages,
-		DegradedSess:    du.Stats().DegradedSessions,
-		Commits:         commits,
+		DegradedSess:    s.Duet.Stats().DegradedSessions,
+		Commits:         s.FS.Stats().Commits,
 	}
-}
-
-// Robustness reports the machine's fault and recovery counters.
-func (m *Machine) Robustness() Robustness {
-	return robustness(m.Disk, m.Cache, m.Duet, m.FS.Stats().Commits)
-}
-
-// Robustness reports the LFS machine's fault and recovery counters.
-func (m *LFSMachine) Robustness() Robustness {
-	return robustness(m.Disk, m.Cache, m.Duet, m.FS.Stats().Commits)
 }
 
 // Add merges another machine's counters (multi-run aggregation).

@@ -2,14 +2,10 @@ package machine
 
 import (
 	"fmt"
-	"math/rand"
 
-	"duet/internal/core"
 	"duet/internal/cowfs"
 	"duet/internal/obs"
-	"duet/internal/pagecache"
 	"duet/internal/sim"
-	"duet/internal/storage"
 )
 
 // A ShardedMachine is the multi-device form of Machine: N fully
@@ -30,19 +26,10 @@ type ShardedMachine struct {
 	Shards []*Shard
 }
 
-// Shard is one independent storage stack on its own event domain.
+// Shard is one independent storage stack on its own event domain (its
+// Host), plus the two ports that connect it to the coordinator.
 type Shard struct {
-	Index   int
-	Dom     *sim.Domain
-	Disk    *storage.Disk
-	Cache   *pagecache.Cache
-	FS      *cowfs.FS
-	Duet    *core.Duet
-	Adapter *core.CowAdapter
-	// Obs is the shard's own observability handle (nil when disabled):
-	// its tracer exports as the shard's own trace process, and the
-	// registries merge commutatively at collection.
-	Obs *obs.Obs
+	*Stack
 	// Report carries shard → coordinator progress messages.
 	Report *sim.Port[ShardReport]
 	// Ctl carries coordinator → shard commands.
@@ -98,41 +85,16 @@ func NewSharded(cfg ShardedConfig) (*ShardedMachine, error) {
 	e := sim.New(cfg.Seed)
 	m := &ShardedMachine{Cfg: cfg, Eng: e}
 	for i := 0; i < cfg.Shards; i++ {
-		model := cfg.Model
-		if model == nil {
-			var err error
-			model, err = newModel(cfg.Device, cfg.DeviceBlocks)
-			if err != nil {
-				return nil, err
-			}
-		}
 		dom := e.NewDomain(fmt.Sprintf("shard%d", i))
-		disk := cfg.newDisk(dom, fmt.Sprintf("sd%c", 'a'+i%26), model)
-		cache := pagecache.New(dom, cfg.cacheConfig())
-		fs := cowfs.New(dom, 1, disk, cache)
-		d := core.New(cache)
-		ad := core.AttachCow(d, fs)
-		sh := &Shard{
-			Index: i, Dom: dom, Disk: disk, Cache: cache,
-			FS: fs, Duet: d, Adapter: ad,
+		st, err := NewStack(dom, cfg.Config, fmt.Sprintf("sd%c", 'a'+i%26))
+		if err != nil {
+			return nil, err
+		}
+		m.Shards = append(m.Shards, &Shard{
+			Stack:  st,
 			Report: sim.NewPort[ShardReport](dom, e, fmt.Sprintf("report%d", i), cfg.PortLatency),
 			Ctl:    sim.NewPort[ShardCommand](e, dom, fmt.Sprintf("ctl%d", i), cfg.PortLatency),
-		}
-		if o := cfg.Obs; o != nil && (o.Trace != nil || o.Metrics != nil) {
-			sh.Obs = &obs.Obs{}
-			if o.Trace != nil {
-				sh.Obs.Trace = obs.NewTracer(obs.DefaultTraceEvents)
-				dom.SetTracer(sh.Obs.Trace)
-			}
-			if o.Metrics != nil {
-				sh.Obs.Metrics = obs.NewRegistry()
-			}
-			disk.EnableObs(sh.Obs)
-			cache.EnableObs(sh.Obs)
-			fs.EnableObs(sh.Obs)
-			d.EnableObs(dom, sh.Obs)
-		}
-		m.Shards = append(m.Shards, sh)
+		})
 	}
 	// The coordinator's own domain carries the run-level tracer.
 	if o := cfg.Obs; o != nil && o.Trace != nil {
@@ -147,7 +109,7 @@ func NewSharded(cfg ShardedConfig) (*ShardedMachine, error) {
 func (m *ShardedMachine) Populate(spec PopulateSpec) ([][]*cowfs.Inode, error) {
 	files := make([][]*cowfs.Inode, len(m.Shards))
 	for i, sh := range m.Shards {
-		f, err := PopulateFS(sh.FS, spec, sh.Dom.DeriveRand("populate:"+spec.Dir))
+		f, err := PopulateFS(sh.FS, spec, sh.Host.DeriveRand("populate:"+spec.Dir))
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
@@ -156,29 +118,15 @@ func (m *ShardedMachine) Populate(spec PopulateSpec) ([][]*cowfs.Inode, error) {
 	return files, nil
 }
 
-// PopulateShardFS is PopulateFS with an explicit rand, exposed for
-// callers that populate shards with differing specs.
-func PopulateShardFS(fs *cowfs.FS, spec PopulateSpec, rng *rand.Rand) ([]*cowfs.Inode, error) {
-	return PopulateFS(fs, spec, rng)
-}
-
-// CollectMetrics absorbs the engine plus every shard's counters into r.
-// Each shard publishes its absolute counters into a private scratch
-// registry first, then merges; Merge sums counters, so identically-named
-// instruments (the per-shard caches, say) aggregate across shards
-// instead of racing SetCounter's max-absorb.
+// CollectMetrics absorbs the engine plus every shard's counters and
+// private registry into r (see Stack.CollectMetrics).
 func (m *ShardedMachine) CollectMetrics(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	publishEngine(r, m.Eng)
+	PublishEngineMetrics(r, m.Eng)
 	for _, sh := range m.Shards {
-		scratch := obs.NewRegistry()
-		sh.Disk.PublishMetrics(scratch)
-		sh.Cache.PublishMetrics(scratch)
-		sh.Duet.PublishMetrics(scratch)
-		sh.FS.PublishMetrics(scratch)
-		r.Merge(scratch)
+		sh.CollectMetrics(r)
 	}
 }
 
@@ -186,28 +134,9 @@ func (m *ShardedMachine) CollectMetrics(r *obs.Registry) {
 // coordinator first, then shards by index — for WriteTraceMulti. Empty
 // when tracing is off.
 func (m *ShardedMachine) TraceProcesses(prefix string) []obs.TraceProcess {
-	var procs []obs.TraceProcess
-	if o := m.Cfg.Obs; o != nil && o.Trace != nil {
-		procs = append(procs, obs.TraceProcess{Name: prefix + " coord", T: o.Trace})
+	stacks := make([]*Stack, len(m.Shards))
+	for i, sh := range m.Shards {
+		stacks[i] = sh.Stack
 	}
-	for _, sh := range m.Shards {
-		if sh.Obs != nil && sh.Obs.Trace != nil {
-			procs = append(procs, obs.TraceProcess{
-				Name: fmt.Sprintf("%s shard%d", prefix, sh.Index), T: sh.Obs.Trace,
-			})
-		}
-	}
-	return procs
-}
-
-// EventStats sums page-event dispatch counters across shards.
-func (m *ShardedMachine) EventStats() EventStats {
-	var total EventStats
-	for _, sh := range m.Shards {
-		s := eventStats(sh.Cache, sh.Duet)
-		total.Dispatched += s.Dispatched
-		total.Filtered += s.Filtered
-		total.HookCalls += s.HookCalls
-	}
-	return total
+	return TraceProcesses(prefix, m.Cfg.Obs, "shard", stacks)
 }

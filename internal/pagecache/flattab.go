@@ -1,13 +1,15 @@
 package pagecache
 
-// A flat open-addressed hash table finds a file's index (a slice indexed
-// by page index finds the page from there, see fileIndex). The runtime
-// map hashes a multi-word struct key through the generic type-hash path,
+// A flat open-addressed hash table finds a file's per-file state: the
+// cache's fileIndex here, Duet's descriptors in package core (a slice
+// indexed by page index finds the page from there). The runtime map
+// hashes a multi-word struct key through the generic type-hash path,
 // which dominated CPU profiles of full grid runs; this table uses a
 // three-multiply inline hash and linear probing with backward-shift
-// deletion instead. A slot is occupied iff its value is non-nil (all
-// values stored here are non-nil by construction), so no separate
-// control bytes are needed.
+// deletion instead. The key is fixed to FileKey so the hash stays
+// inlined; only the value type varies. A slot is occupied iff its value
+// is non-nil (callers only store non-nil values), so no separate control
+// bytes are needed.
 
 const tabMinSize = 256
 
@@ -27,16 +29,18 @@ func (k FileKey) hash() uint64 {
 	return hashMix(uint64(k.FS)*0x9e3779b97f4a7c15 ^ k.Ino)
 }
 
-// fileTab maps FileKey -> *fileIndex.
-type fileTab struct {
+// FileTab maps FileKey -> *V. The zero value is an empty table.
+type FileTab[V any] struct {
 	keys []FileKey
-	vals []*fileIndex
+	vals []*V
 	n    int
 }
 
-func (t *fileTab) len() int { return t.n }
+// Len returns the number of keys present.
+func (t *FileTab[V]) Len() int { return t.n }
 
-func (t *fileTab) get(k FileKey) *fileIndex {
+// Get returns k's value, or nil when k is absent.
+func (t *FileTab[V]) Get(k FileKey) *V {
 	if t.n == 0 {
 		return nil
 	}
@@ -52,7 +56,8 @@ func (t *fileTab) get(k FileKey) *fileIndex {
 	}
 }
 
-func (t *fileTab) put(k FileKey, v *fileIndex) {
+// Put sets k's value; v must be non-nil.
+func (t *FileTab[V]) Put(k FileKey, v *V) {
 	if t.n >= len(t.vals)-len(t.vals)/4 {
 		t.grow()
 	}
@@ -70,7 +75,8 @@ func (t *fileTab) put(k FileKey, v *fileIndex) {
 	}
 }
 
-func (t *fileTab) del(k FileKey) {
+// Del removes k if present.
+func (t *FileTab[V]) Del(k FileKey) {
 	if t.n == 0 {
 		return
 	}
@@ -105,24 +111,24 @@ func (t *fileTab) del(k FileKey) {
 	}
 }
 
-func (t *fileTab) grow() {
+func (t *FileTab[V]) grow() {
 	size := tabMinSize
 	if len(t.vals) > 0 {
 		size = len(t.vals) * 2
 	}
 	oldKeys, oldVals := t.keys, t.vals
 	t.keys = make([]FileKey, size)
-	t.vals = make([]*fileIndex, size)
+	t.vals = make([]*V, size)
 	t.n = 0
 	for i, v := range oldVals {
 		if v != nil {
-			t.put(oldKeys[i], v)
+			t.Put(oldKeys[i], v)
 		}
 	}
 }
 
-// appendKeys appends every present key in slot order (callers sort).
-func (t *fileTab) appendKeys(dst []FileKey) []FileKey {
+// AppendKeys appends every present key in slot order (callers sort).
+func (t *FileTab[V]) AppendKeys(dst []FileKey) []FileKey {
 	for i, v := range t.vals {
 		if v != nil {
 			dst = append(dst, t.keys[i])

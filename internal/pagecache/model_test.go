@@ -295,7 +295,7 @@ func (c *Cache) checkIndex() error {
 		pages++
 	}
 	for f, ct := range files {
-		if c.files.get(f.key) != f {
+		if c.files.Get(f.key) != f {
 			return fmt.Errorf("file %v: the table does not map its key to its index", f.key)
 		}
 		if f.n != ct.n || f.dirty != ct.dirty {
@@ -309,11 +309,11 @@ func (c *Cache) checkIndex() error {
 		}
 		dirtyN += ct.dirty
 	}
-	if pages != c.Len() || len(files) != c.files.len() || dirtyN != c.DirtyLen() || dirtyFiles != c.dirty.Len() {
+	if pages != c.Len() || len(files) != c.files.Len() || dirtyN != c.DirtyLen() || dirtyFiles != c.dirty.Len() {
 		return fmt.Errorf("LRU holds %d pages of %d files, %d to write back in %d files; Len() = %d, the table holds %d files, DirtyLen() = %d, the dirty tree %d files",
-			pages, len(files), dirtyN, dirtyFiles, c.Len(), c.files.len(), c.DirtyLen(), c.dirty.Len())
+			pages, len(files), dirtyN, dirtyFiles, c.Len(), c.files.Len(), c.DirtyLen(), c.dirty.Len())
 	}
-	if f := c.lastFile; f != nil && c.files.get(f.key) != f {
+	if f := c.lastFile; f != nil && c.files.Get(f.key) != f {
 		return fmt.Errorf("memo points at a released index (last key %v)", f.key)
 	}
 	return nil

@@ -302,7 +302,7 @@ type wbBatch struct {
 type Cache struct {
 	eng      sim.Host
 	cfg      Config
-	files    fileTab
+	files    FileTab[fileIndex]
 	lastFile *fileIndex // the index file() returned last; nil once released
 	n        int        // resident pages
 	// dirty holds the files with pages to write back (fileIndex.dirty >
@@ -531,7 +531,7 @@ func (c *Cache) file(fk FileKey) *fileIndex {
 	if f := c.lastFile; f != nil && f.key == fk {
 		return f
 	}
-	f := c.files.get(fk)
+	f := c.files.Get(fk)
 	if f != nil {
 		c.lastFile = f
 	}
@@ -561,7 +561,7 @@ func (c *Cache) fileInsert(pg *Page) {
 			f = &fileIndex{}
 		}
 		f.key = fk
-		c.files.put(fk, f)
+		c.files.Put(fk, f)
 		c.lastFile = f
 	}
 	// Entries past the length are nil up to the capacity: a slot is
@@ -589,7 +589,7 @@ func (c *Cache) fileRemove(pg *Page) {
 	if f.n > 0 {
 		return
 	}
-	c.files.del(f.key)
+	c.files.Del(f.key)
 	if c.lastFile == f {
 		c.lastFile = nil
 	}
@@ -965,11 +965,11 @@ func (c *Cache) IterateFile(fs FSID, ino uint64, fn func(pg *Page) bool) {
 // Iterate calls fn for every cached page in key order (used by Duet's
 // registration scan). It snapshots keys first, so fn may mutate the cache.
 func (c *Cache) Iterate(fn func(pg *Page) bool) {
-	fks := c.files.appendKeys(make([]FileKey, 0, c.files.len()))
+	fks := c.files.AppendKeys(make([]FileKey, 0, c.files.Len()))
 	sort.Slice(fks, func(i, j int) bool { return fileKeyLess(fks[i], fks[j]) })
 	keys := make([]PageKey, 0, c.n)
 	for _, fk := range fks {
-		for _, pg := range c.files.get(fk).pages {
+		for _, pg := range c.files.Get(fk).pages {
 			if pg != nil {
 				keys = append(keys, pg.Key)
 			}
