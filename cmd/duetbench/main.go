@@ -5,7 +5,7 @@
 // Usage:
 //
 //	duetbench [-scale tiny|small|medium|full] [-seeds N] [-j N] [-experiment id[,id...]]
-//	          [-list] [-bench-out file] [-cpuprofile file] [-memprofile file] [-trace file] [-metrics file]
+//	          [-list] [-cpuprofile file] [-memprofile file] [-trace file] [-metrics file]
 //
 // The default small scale reproduces the paper's ratios at laptop cost
 // (see internal/experiments); -scale full approximates the paper's
@@ -15,14 +15,11 @@
 // Output — stdout, traces, and metrics alike — is byte-identical at any
 // -j: each cell is one serial simulation, cells are reassembled in input
 // order and trace slots are reserved in input order, so parallelism
-// only changes wall-clock time. Alongside the text output, a
-// machine-readable BENCH_<scale>.json records per-experiment wall-clock
-// seconds, cells run, and the worker counts, so the performance
-// trajectory is trackable across changes.
+// only changes wall-clock time. Each experiment's wall-clock time goes
+// to stderr.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -32,32 +29,8 @@ import (
 	"time"
 
 	"duet/internal/experiments"
-	"duet/internal/machine"
 	"duet/internal/obs"
 )
-
-// benchRecord is one experiment's entry in the BENCH json.
-type benchRecord struct {
-	ID      string  `json:"id"`
-	Seconds float64 `json:"seconds"`
-	Cells   int64   `json:"cells"`
-}
-
-// benchFile is the machine-readable timing summary. GoMaxProcs and Cpus
-// are provenance for the grid worker count.
-type benchFile struct {
-	Scale        string        `json:"scale"`
-	Seeds        int           `json:"seeds"`
-	Workers      int           `json:"workers"`
-	GoMaxProcs   int           `json:"gomaxprocs"`
-	Cpus         int           `json:"cpus"`
-	Experiments  []benchRecord `json:"experiments"`
-	TotalSeconds float64       `json:"total_seconds"`
-	TotalCells   int64         `json:"total_cells"`
-	// Robustness aggregates the fault-injection sweep's counters (absent
-	// when the faults experiment did not run).
-	Robustness *machine.Robustness `json:"robustness,omitempty"`
-}
 
 func main() {
 	scaleName := flag.String("scale", "small", "experiment scale: tiny, small, medium, or full")
@@ -65,7 +38,6 @@ func main() {
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "grid worker count (output is identical at any value)")
 	expFlag := flag.String("experiment", "", "comma-separated experiment IDs (default: all)")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
-	benchOut := flag.String("bench-out", "", "timing json path (default BENCH_<scale>.json, \"-\" to disable)")
 	quiet := flag.Bool("q", false, "suppress the progress line on stderr")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -132,14 +104,6 @@ func main() {
 		ids = strings.Split(*expFlag, ",")
 	}
 
-	bench := benchFile{
-		Scale:      scale.Name,
-		Seeds:      scale.Seeds,
-		Workers:    *workers,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Cpus:       runtime.NumCPU(),
-	}
-	totalStart := time.Now()
 	for _, id := range ids {
 		e, ok := experiments.Lookup(strings.TrimSpace(id))
 		if !ok {
@@ -148,42 +112,14 @@ func main() {
 		}
 		fmt.Printf("==> %s: %s (scale %s, %d seed(s))\n", e.ID, e.Title, scale.Name, scale.Seeds)
 		start := time.Now()
-		cellsBefore := experiments.CellsRun()
 		if err := e.Run(scale, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "duetbench: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
-		elapsed := time.Since(start)
-		bench.Experiments = append(bench.Experiments, benchRecord{
-			ID:      e.ID,
-			Seconds: elapsed.Seconds(),
-			Cells:   experiments.CellsRun() - cellsBefore,
-		})
-		// Timing goes to stderr (and the BENCH json): stdout must be
-		// byte-identical across runs and worker counts.
-		fmt.Fprintf(os.Stderr, "duetbench: %s done in %s\n", e.ID, elapsed.Round(time.Millisecond))
+		// Timing goes to stderr: stdout must be byte-identical across
+		// runs and worker counts.
+		fmt.Fprintf(os.Stderr, "duetbench: %s done in %s\n", e.ID, time.Since(start).Round(time.Millisecond))
 		fmt.Println()
-	}
-	bench.TotalSeconds = time.Since(totalStart).Seconds()
-	bench.TotalCells = experiments.CellsRun()
-	bench.Robustness = experiments.RobustnessSummary()
-
-	if *benchOut != "-" {
-		path := *benchOut
-		if path == "" {
-			path = fmt.Sprintf("BENCH_%s.json", scale.Name)
-		}
-		buf, err := json.MarshalIndent(bench, "", "  ")
-		if err == nil {
-			buf = append(buf, '\n')
-			err = os.WriteFile(path, buf, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "duetbench: writing %s: %v\n", path, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "duetbench: wrote %s (%.1fs over %d cells, %d workers)\n",
-			path, bench.TotalSeconds, bench.TotalCells, bench.Workers)
 	}
 
 	if *traceOut != "" {

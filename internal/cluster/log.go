@@ -96,10 +96,6 @@ func (l *Log) Append(r Record) {
 // log and the durable content model move together.
 func (l *Log) Commit() { l.durable = len(l.buf) }
 
-// Size and DurableSize report total and committed bytes.
-func (l *Log) Size() int        { return len(l.buf) }
-func (l *Log) DurableSize() int { return l.durable }
-
 // Crash models the power cut: the uncommitted tail vanishes, and the
 // fault stream may tear bytes off the committed tail (a partially
 // persisted final sector) or flip one byte inside the prefix. The

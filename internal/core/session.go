@@ -184,9 +184,6 @@ func (s *Session) Close() error {
 	return nil
 }
 
-// Active reports whether the session is open.
-func (s *Session) Active() bool { return s.active }
-
 // ID returns the session slot (0..MaxSessions-1), the paper's session id.
 func (s *Session) ID() int { return s.id }
 
@@ -501,9 +498,6 @@ func (s *Session) SetDone(id uint64) {
 // UnsetDone re-enables tracking for an item (duet_unset_done) — e.g. the
 // scrubber unmarks a block when it is re-dirtied (§5.1).
 func (s *Session) UnsetDone(id uint64) { s.done.Unset(id) }
-
-// DoneCount returns the number of done-marked items.
-func (s *Session) DoneCount() uint64 { return s.done.Count() }
 
 // GetPath translates an inode into a path relative to the registered
 // directory (duet_get_path). As in §3.2, it fails when the file has no

@@ -325,6 +325,10 @@ func TestCowHotPathAllocFree(t *testing.T) {
 	t.Run("delete", func(t *testing.T) {
 		inProc(t, func(p *sim.Proc, v *env) {
 			f := benchFile(p, v)
+			// Measure the way testing.AllocsPerRun does, on one P: with
+			// more, another goroutine's allocation inside the window
+			// (MemStats.Mallocs is process-wide) is charged to the delete.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			var ms runtime.MemStats
 			var mallocs uint64
 			for i := 0; i < 164; i++ {

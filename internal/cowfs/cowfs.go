@@ -357,9 +357,6 @@ func (fs *FS) create(path string, dir bool) (*Inode, error) {
 // Create makes an empty file.
 func (fs *FS) Create(path string) (*Inode, error) { return fs.create(path, false) }
 
-// Mkdir makes a directory.
-func (fs *FS) Mkdir(path string) (*Inode, error) { return fs.create(path, true) }
-
 // MkdirAll makes a directory and any missing parents.
 func (fs *FS) MkdirAll(path string) (*Inode, error) {
 	parts := splitPath(path)

@@ -91,15 +91,3 @@ func (fs *FS) FragmentedFiles(dir Ino) []*Inode {
 	}
 	return out
 }
-
-// TotalDataBlocks returns the number of file-data blocks under dir
-// (without double-counting snapshot sharing; it sums live extent lengths).
-func (fs *FS) TotalDataBlocks(dir Ino) int64 {
-	var n int64
-	for _, f := range fs.FilesUnder(dir) {
-		for _, e := range f.Extents {
-			n += e.Len
-		}
-	}
-	return n
-}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"duet/internal/faults"
 	"duet/internal/machine"
@@ -51,33 +50,6 @@ func (c *faultCell) add(o faultCell) {
 	c.rob.Add(o.rob)
 }
 
-// Robustness summary shared with cmd/duetbench's BENCH json.
-var (
-	robustMu  sync.Mutex
-	robustAgg *machine.Robustness
-)
-
-func recordRobustness(r machine.Robustness) {
-	robustMu.Lock()
-	defer robustMu.Unlock()
-	if robustAgg == nil {
-		robustAgg = &machine.Robustness{}
-	}
-	robustAgg.Add(r)
-}
-
-// RobustnessSummary returns the fault counters aggregated over every
-// robustness cell run so far, or nil when the sweep has not run.
-func RobustnessSummary() *machine.Robustness {
-	robustMu.Lock()
-	defer robustMu.Unlock()
-	if robustAgg == nil {
-		return nil
-	}
-	cp := *robustAgg
-	return &cp
-}
-
 func runFaultsSweep(s Scale, w io.Writer) error {
 	window := s.Window / 2 // the fault phase; scrub-to-completion follows
 	rows := []faultRow{
@@ -114,7 +86,6 @@ func runFaultsSweep(s Scale, w io.Writer) error {
 		fmt.Fprintf(w, "%-16s %9d %9d %9d %6d %7d %9d %9d %8d\n",
 			row.name, injected, agg.detected, agg.repaired, agg.lost,
 			agg.aborts, agg.degraded, agg.rescans, agg.rob.Commits)
-		recordRobustness(agg.rob)
 		if agg.lost != 0 {
 			return fmt.Errorf("faults %s: %d blocks lost (want 0)", row.name, agg.lost)
 		}

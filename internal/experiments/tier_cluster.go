@@ -114,49 +114,40 @@ func clusterConfig(s Scale, seed int64, mode cluster.RepairMode,
 // clusterCell runs one (row, mode, seed) cell to completion and checks
 // its safety assertions.
 func clusterCell(s Scale, seed int64, row clusterRow,
-	mode cluster.RepairMode) (cluster.Stats, machine.Robustness, error) {
+	mode cluster.RepairMode) (cluster.Stats, error) {
 	o := newCellObs()
 	cfg := clusterConfig(s, seed, mode, row.plan(s.Window), o)
 	c, err := cluster.New(cfg)
 	if err != nil {
-		return cluster.Stats{}, machine.Robustness{}, err
+		return cluster.Stats{}, err
 	}
 	if err := c.Eng.RunFor(cfg.Window); err != nil {
-		return cluster.Stats{}, machine.Robustness{}, err
+		return cluster.Stats{}, err
 	}
 	st := c.Stats()
 	rep := c.Audit()
 
-	var rob machine.Robustness
-	for _, n := range c.Nodes {
-		rob.Add(n.Stack().Robustness())
-	}
-	rob.Kills = st.Kills
-	rob.Repairs = st.ShardRepairs
-	rob.DegradedUs = st.DegradedUs
-	rob.ClusterLostBlocks = rep.LostBlocks
-
 	if len(rep.NodeErrors) > 0 {
-		return st, rob, fmt.Errorf("node failed to recover: %v", rep.NodeErrors[0])
+		return st, fmt.Errorf("node failed to recover: %v", rep.NodeErrors[0])
 	}
 	if rep.LostBlocks != 0 {
-		return st, rob, fmt.Errorf("%d acked blocks lost (want 0)", rep.LostBlocks)
+		return st, fmt.Errorf("%d acked blocks lost (want 0)", rep.LostBlocks)
 	}
 	if rep.UnsyncedReplicas != 0 || rep.DeadNodes != 0 {
-		return st, rob, fmt.Errorf("not fully re-replicated: %d unsynced, %d dead",
+		return st, fmt.Errorf("not fully re-replicated: %d unsynced, %d dead",
 			rep.UnsyncedReplicas, rep.DeadNodes)
 	}
 	if rep.MediumErrors != 0 {
-		return st, rob, fmt.Errorf("%d medium checksum failures", rep.MediumErrors)
+		return st, fmt.Errorf("%d medium checksum failures", rep.MediumErrors)
 	}
 	if st.ConsistencyViolations != 0 {
-		return st, rob, fmt.Errorf("%d stale primary reads", st.ConsistencyViolations)
+		return st, fmt.Errorf("%d stale primary reads", st.ConsistencyViolations)
 	}
 
 	// Cells run sequentially, so trace collection order is the
 	// deterministic row × mode × seed input order.
 	foldCell(o, c, -1, c.TraceProcesses(fmt.Sprintf("cluster %s %v seed%d", row.name, mode, seed))...)
-	return st, rob, nil
+	return st, nil
 }
 
 func runClusterTier(s Scale, w io.Writer) error {
@@ -167,21 +158,18 @@ func runClusterTier(s Scale, w io.Writer) error {
 		var disk [2]int64
 		for mi, mode := range []cluster.RepairMode{cluster.RepairNaive, cluster.RepairDuet} {
 			var agg cluster.Stats
-			var rob machine.Robustness
 			for _, seed := range seeds(s) {
-				st, cellRob, err := clusterCell(s, seed, row, mode)
+				st, err := clusterCell(s, seed, row, mode)
 				if err != nil {
 					return fmt.Errorf("cluster %s %v seed %d: %w", row.name, mode, seed, err)
 				}
 				addClusterStats(&agg, st)
-				rob.Add(cellRob)
 			}
 			disk[mi] = agg.RepairDiskReads
 			fmt.Fprintf(w, "%-14s %-6v %7d %6d %8d %9d %9d %8d %9d %6d\n",
 				row.name, mode, agg.WritesAcked, agg.Kills, agg.ShardRepairs,
 				agg.DegradedUs/1000, agg.RepairWindowUs/1000,
 				agg.PagesShipped, agg.RepairDiskReads, agg.RepairCacheHits)
-			recordRobustness(rob)
 		}
 		if row.kills && disk[1] >= disk[0] {
 			return fmt.Errorf("cluster %s: duet repair read %d disk blocks, naive %d (want strictly fewer)",

@@ -6,8 +6,8 @@ import "fmt"
 // structures. It cross-checks the inode block maps against the segment
 // slot tables, valid counts, state machine, valid-count buckets, and the
 // free/partial bitmaps, so a leaked slot, stale bucket entry, or
-// double-claimed block cannot hide. Tests and crash recovery call it; it
-// is O(blocks) and allocates, so it must never run on a simulation hot
+// double-claimed block cannot hide. Tests and audits call it; it is
+// O(blocks) and allocates, so it must never run on a simulation hot
 // path.
 func (fs *FS) CheckInvariants() error {
 	nb := fs.disk.Blocks()
@@ -45,13 +45,6 @@ func (fs *FS) CheckInvariants() error {
 
 	// Pass 2: per-segment — valid counts match the slot tables, no valid
 	// slot is orphaned, and each state agrees with the bitmaps.
-	pinned := make(map[int]bool, len(fs.pinnedSegs))
-	for _, si := range fs.pinnedSegs {
-		if pinned[si] {
-			return fmt.Errorf("lfs: segment %d pinned twice", si)
-		}
-		pinned[si] = true
-	}
 	for si, seg := range fs.segs {
 		valid := 0
 		for k, s := range seg.slots {
@@ -88,17 +81,8 @@ func (fs *FS) CheckInvariants() error {
 			if free {
 				return fmt.Errorf("lfs: full segment %d in free set", si)
 			}
-			if pinned[si] {
-				if seg.Valid != 0 && !fs.segPinned(si) {
-					return fmt.Errorf("lfs: segment %d pinned but revived without checkpoint references", si)
-				}
-				if fs.partial.Test(uint64(si)) && seg.Valid == 0 {
-					return fmt.Errorf("lfs: pinned segment %d marked partial", si)
-				}
-				continue
-			}
 			if seg.Valid == 0 {
-				return fmt.Errorf("lfs: full segment %d has no valid blocks and is not pinned", si)
+				return fmt.Errorf("lfs: full segment %d has no valid blocks", si)
 			}
 			wantPartial := seg.Valid < fs.cfg.SegBlocks
 			if fs.partial.Test(uint64(si)) != wantPartial {
@@ -110,8 +94,8 @@ func (fs *FS) CheckInvariants() error {
 		return fmt.Errorf("lfs: curSeg=%d but its state is %d", fs.curSeg, fs.segs[fs.curSeg].State)
 	}
 
-	// Pass 3: bucket lists — every linked segment is SegFull, unpinned,
-	// with matching Valid; every such segment is linked exactly once.
+	// Pass 3: bucket lists — every linked segment is SegFull with
+	// matching Valid; every such segment is linked exactly once.
 	linked := make(map[int]bool, len(fs.segs))
 	for v, head := range fs.validBkt {
 		for si := head; si >= 0; si = fs.segs[si].bktNext {
@@ -120,36 +104,15 @@ func (fs *FS) CheckInvariants() error {
 				return fmt.Errorf("lfs: segment %d linked into buckets twice", si)
 			}
 			linked[int(si)] = true
-			if seg.State != SegFull || seg.Valid != v || pinned[int(si)] {
-				return fmt.Errorf("lfs: bucket %d holds segment %d (state %d, Valid=%d, pinned %v)",
-					v, si, seg.State, seg.Valid, pinned[int(si)])
+			if seg.State != SegFull || seg.Valid != v {
+				return fmt.Errorf("lfs: bucket %d holds segment %d (state %d, Valid=%d)",
+					v, si, seg.State, seg.Valid)
 			}
 		}
 	}
 	for si, seg := range fs.segs {
-		if seg.State == SegFull && !pinned[si] && !linked[si] {
+		if seg.State == SegFull && !linked[si] {
 			return fmt.Errorf("lfs: full segment %d (Valid=%d) missing from buckets", si, seg.Valid)
-		}
-	}
-
-	// Pass 4 (durability): checkpoint-referenced blocks must exist on the
-	// device, and pinned segments must actually hold at least one.
-	if fs.durable != nil {
-		bad := error(nil)
-		fs.cpRef.IterateSet(func(b uint64) bool {
-			if int64(b) >= nb {
-				bad = fmt.Errorf("lfs: checkpoint references block %d outside device", b)
-				return false
-			}
-			return true
-		})
-		if bad != nil {
-			return bad
-		}
-		for _, si := range fs.pinnedSegs {
-			if fs.segs[si].Valid == 0 && !fs.segPinned(si) {
-				return fmt.Errorf("lfs: segment %d pinned without checkpoint references", si)
-			}
 		}
 	}
 	return nil

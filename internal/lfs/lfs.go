@@ -98,9 +98,6 @@ type Stats struct {
 	InPlaceWrites   int64 // writes forced into scattered invalid slots
 	GCSyncErrors    int64 // cleaner urgent-sync failures (data left dirty)
 	GCReadErrors    int64 // cleaner device-read failures (pass abandoned)
-	Commits         int64 // durability barriers completed
-	SegsPinned      int64 // zero-valid segments parked for checkpoint safety
-	RolledForward   int64 // pages recovered from the summary log at remount
 }
 
 // Config holds filesystem geometry.
@@ -147,14 +144,6 @@ type FS struct {
 	// block on device I/O, so several can be live in virtual time).
 	missBufs   *missBuf
 	placedBufs *placedBuf
-
-	// Durability state (nil/empty unless EnableDurability; see durable.go).
-	durable     *lfsCheckpoint
-	durLog      []durRec
-	durSeq      uint64
-	cpRef       *bitmap.Sparse // blocks the last checkpoint references
-	pinnedSegs  []int          // zero-valid segments kept unfree (cpRef inside)
-	quarScratch []pagecache.PageKey
 }
 
 // New creates a log-structured filesystem spanning the device.
@@ -512,12 +501,6 @@ func (fs *FS) invalidate(b int64) {
 }
 
 func (fs *FS) freeSegment(si int) {
-	if fs.durable != nil && fs.segPinned(si) {
-		// The last checkpoint still references blocks in this segment:
-		// park it instead of recycling (durable.go drains at commit).
-		fs.pinSegment(si)
-		return
-	}
 	seg := fs.segs[si]
 	seg.State = SegFree
 	for k := range seg.slots {
@@ -572,27 +555,17 @@ func (fs *FS) logAlloc() int64 {
 // straight at the lowest-numbered full segment with a hole, replacing the
 // full-device scan.
 func (fs *FS) inPlaceAlloc() int64 {
-	for si64, ok := fs.partial.NextSet(0); ok; si64, ok = fs.partial.NextSet(si64 + 1) {
-		si := int(si64)
-		base := si * fs.cfg.SegBlocks
-		for k, s := range fs.segs[si].slots {
-			if s.valid {
-				continue
-			}
-			b := int64(base + k)
-			if fs.durable != nil && fs.cpRef.Test(uint64(b)) {
-				// Invalid, but the last checkpoint still references it:
-				// overwriting would destroy committed data.
-				continue
-			}
+	si, ok := fs.partial.NextSet(0)
+	if !ok {
+		return NoBlock
+	}
+	for k, s := range fs.segs[si].slots {
+		if !s.valid {
 			fs.stats.InPlaceWrites++
-			return b
-		}
-		if fs.durable == nil {
-			panic("lfs: partial segment with no invalid slot")
+			return int64(int(si)*fs.cfg.SegBlocks + k)
 		}
 	}
-	return NoBlock
+	panic("lfs: partial segment with no invalid slot")
 }
 
 // WritebackPages implements pagecache.Backend: dirty pages are appended
@@ -680,7 +653,6 @@ func (fs *FS) WritebackPages(p *sim.Proc, inoN uint64, indices []uint64) (int, e
 		applied++
 		if i.blocks[pl.idx] == pl.block {
 			fs.diskVer[pl.block] = pl.ver
-			fs.logDurable(ino, pl.idx, pl.block, pl.ver)
 		}
 	}
 	persisted := len(indices)
@@ -698,19 +670,3 @@ func (fs *FS) WritebackPages(p *sim.Proc, inoN uint64, indices []uint64) (int, e
 
 // Sync writes back all dirty pages.
 func (fs *FS) Sync(p *sim.Proc) { fs.cache.Sync(p) }
-
-// Utilization returns the fraction of non-free segments' blocks that are
-// valid (a space-efficiency view used by tests).
-func (fs *FS) Utilization() float64 {
-	var used, valid int
-	for _, s := range fs.segs {
-		if s.State != SegFree {
-			used += fs.cfg.SegBlocks
-			valid += s.Valid
-		}
-	}
-	if used == 0 {
-		return 0
-	}
-	return float64(valid) / float64(used)
-}

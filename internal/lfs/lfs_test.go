@@ -420,3 +420,53 @@ func TestValidBlockAccounting(t *testing.T) {
 		}
 	})
 }
+
+// With no cleaner and no free segment left, writeback falls back to
+// scattered in-place writes into invalid slots; the result must stay
+// consistent and read back the latest version of every page.
+func TestInPlaceFallbackWhenLogFull(t *testing.T) {
+	v := newEnv(1024)
+	f, _ := v.fs.Create("f")
+	const pages = (testSegs - 2) * testSegBlocks
+	v.in(t, func(p *sim.Proc) {
+		if err := v.fs.Write(p, f.Ino, 0, pages); err != nil {
+			t.Fatal(err)
+		}
+		v.fs.Sync(p)
+		// Two segments' worth of scattered overwrites fill the last two
+		// free segments; the stride leaves every old segment partly valid.
+		for idx := int64(0); idx < 2*testSegBlocks; idx++ {
+			if err := v.fs.Write(p, f.Ino, idx*(testSegBlocks-1), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v.fs.Sync(p)
+		if n := v.fs.FreeSegments(); n != 0 {
+			t.Fatalf("%d free segments after filling the log, want 0", n)
+		}
+		for round := int64(0); round < 3; round++ {
+			for idx := round; idx < pages; idx += 7 + round {
+				if err := v.fs.Write(p, f.Ino, idx, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			v.fs.Sync(p)
+		}
+		if v.fs.Stats().InPlaceWrites == 0 {
+			t.Fatal("no in-place writes with the log full")
+		}
+		if err := v.fs.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		v.cache.RemoveFile(v.fs.ID(), uint64(f.Ino))
+		if err := v.fs.ReadFile(p, f.Ino, storage.ClassNormal, "t"); err != nil {
+			t.Fatal(err)
+		}
+		for idx := int64(0); idx < pages; idx++ {
+			pg, ok := v.cache.Peek(v.fs.pageKey(f.Ino, idx))
+			if !ok || pg.Version != f.vers[idx] {
+				t.Fatalf("page %d: cached=%v, want version %d", idx, ok, f.vers[idx])
+			}
+		}
+	})
+}

@@ -48,8 +48,5 @@ func (fs *FS) PublishMetrics(r *obs.Registry) {
 	r.SetCounter("lfs.in_place_writes", s.InPlaceWrites)
 	r.SetCounter("lfs.gc_sync_errors", s.GCSyncErrors)
 	r.SetCounter("lfs.gc_read_errors", s.GCReadErrors)
-	r.SetCounter("lfs.commits", s.Commits)
-	r.SetCounter("lfs.segs_pinned", s.SegsPinned)
-	r.SetCounter("lfs.rolled_forward", s.RolledForward)
 	r.Gauge("lfs.free_segments").Set(int64(fs.FreeSegments()))
 }

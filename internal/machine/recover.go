@@ -35,30 +35,21 @@ func (m *Machine) Recover() (*Machine, error) {
 }
 
 // Robustness aggregates the fault, retry, and recovery counters of one
-// machine into the flat record duetbench exports (the "robustness"
-// object of BENCH_<scale>.json).
+// machine into a flat record the fault sweep sums over its cells. Each
+// field is also a registry counter (see Stack.CollectMetrics).
 type Robustness struct {
-	TransientFaults int64 `json:"transient_faults"`
-	PermanentFaults int64 `json:"permanent_faults"`
-	TornWrites      int64 `json:"torn_writes"`
-	Stalls          int64 `json:"stalls"`
-	Retries         int64 `json:"retries"`
-	Timeouts        int64 `json:"timeouts"`
-	WritebackErrors int64 `json:"writeback_errors"`
-	Quarantined     int64 `json:"quarantined_pages"`
-	Requeued        int64 `json:"requeued_pages"`
-	LostPages       int64 `json:"lost_pages"`
-	DegradedSess    int64 `json:"degraded_sessions"`
-	Commits         int64 `json:"commits"`
-
-	// Cluster-tier counters, zero for single-machine runs: machine
-	// kills injected, shard repairs completed, shard-time spent below
-	// full replication, and acknowledged blocks missing from any
-	// replica after repair (the invariant — must stay zero).
-	Kills             int64 `json:"kills"`
-	Repairs           int64 `json:"repairs"`
-	DegradedUs        int64 `json:"degraded_us"`
-	ClusterLostBlocks int64 `json:"cluster_lost_blocks"`
+	TransientFaults int64
+	PermanentFaults int64
+	TornWrites      int64
+	Stalls          int64
+	Retries         int64
+	Timeouts        int64
+	WritebackErrors int64
+	Quarantined     int64
+	Requeued        int64
+	LostPages       int64
+	DegradedSess    int64
+	Commits         int64
 }
 
 // Robustness reports the stack's fault and recovery counters.
@@ -95,8 +86,4 @@ func (r *Robustness) Add(o Robustness) {
 	r.LostPages += o.LostPages
 	r.DegradedSess += o.DegradedSess
 	r.Commits += o.Commits
-	r.Kills += o.Kills
-	r.Repairs += o.Repairs
-	r.DegradedUs += o.DegradedUs
-	r.ClusterLostBlocks += o.ClusterLostBlocks
 }

@@ -95,7 +95,7 @@ func BenchmarkTimerChurn(b *testing.B) {
 }
 
 // BenchmarkWaitQueue measures the blocking-primitive path (park with a
-// static reason + FIFO wake), the pattern every Chan/Semaphore/WaitGroup
+// static reason + FIFO wake), the pattern every Chan/WaitGroup
 // operation reduces to.
 func BenchmarkWaitQueue(b *testing.B) {
 	b.ReportAllocs()

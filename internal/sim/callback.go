@@ -76,9 +76,6 @@ func (cb *Callback) Name() string { return cb.name }
 // Dom returns the domain the callback runs on.
 func (cb *Callback) Dom() *Domain { return cb.dom }
 
-// Armed reports how many timer-heap entries the callback has in flight.
-func (cb *Callback) Armed() int { return cb.armed }
-
 // Arm schedules the callback to fire after delay, drawing the next
 // sequence number now — the slot a proc calling Sleep(delay) at this
 // point would occupy. delay must be positive (a callback cannot "yield";

@@ -260,51 +260,9 @@ func TestCallbackZeroGoroutines(t *testing.T) {
 	}
 }
 
-// TestFutureOnDone covers the completion-callback side: subscribers
-// registered before completion run after the parked waiters in
-// registration order; a subscriber registered after completion is
-// scheduled immediately; Value returns the completed payload.
-func TestFutureOnDone(t *testing.T) {
-	e := New(9)
-	f := NewFuture[int](e)
-	var order []string
-	mk := func(name string) *Callback {
-		return NewCallback(e, name, func(now Time) Time {
-			v, err := f.Value()
-			if err != nil || v != 77 {
-				t.Errorf("%s: Value = (%d, %v), want (77, nil)", name, v, err)
-			}
-			order = append(order, name)
-			return 0
-		})
-	}
-	f.OnDone(mk("cb1"))
-	f.OnDone(mk("cb2"))
-	e.Go("waiter", func(p *Proc) {
-		if v, _ := f.Wait(p); v != 77 {
-			t.Errorf("waiter: Wait = %d, want 77", v)
-		}
-		order = append(order, "waiter")
-	})
-	e.Go("completer", func(p *Proc) {
-		p.Sleep(Millisecond)
-		f.Complete(77, nil)
-		// Late subscriber: the future is already done, so OnDone schedules
-		// the callback directly instead of recording it.
-		f.OnDone(mk("late"))
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := "waiter,cb1,cb2,late"
-	if got := strings.Join(order, ","); got != want {
-		t.Errorf("completion order = %s, want %s", got, want)
-	}
-}
-
 // TestFutureValuePanicsBeforeDone pins the contract that Value is only
-// legal on a completed future — callbacks must check Done (or only be
-// scheduled via OnDone) rather than poll.
+// legal on a completed future — callbacks must check Done rather than
+// poll.
 func TestFutureValuePanicsBeforeDone(t *testing.T) {
 	e := New(1)
 	f := NewFuture[int](e)

@@ -264,42 +264,29 @@ func TestChanTryOps(t *testing.T) {
 	if _, ok := c.TryRecv(); ok {
 		t.Error("TryRecv on empty should fail")
 	}
-	if !c.TrySend(1) {
-		t.Error("TrySend should succeed")
-	}
-	if c.TrySend(2) {
-		t.Error("TrySend on full should fail")
-	}
-	if v, ok := c.TryRecv(); !ok || v != 1 {
-		t.Errorf("TryRecv = %d,%v", v, ok)
-	}
-	c.Close()
-	if c.TrySend(3) {
-		t.Error("TrySend on closed should fail")
-	}
-}
-
-func TestSemaphoreLimitsConcurrency(t *testing.T) {
-	e := New(1)
-	s := NewSemaphore(e, 2)
-	active, maxActive := 0, 0
-	for i := 0; i < 6; i++ {
-		e.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
-			s.Acquire(p)
-			active++
-			if active > maxActive {
-				maxActive = active
-			}
-			p.Sleep(Millisecond)
-			active--
-			s.Release()
-		})
-	}
+	sent := false
+	e.Go("sender", func(p *Proc) {
+		c.Send(p, 1)
+		c.Send(p, 2) // blocks until TryRecv makes room
+		sent = true
+	})
+	e.Go("receiver", func(p *Proc) {
+		p.Sleep(Millisecond)
+		if v, ok := c.TryRecv(); !ok || v != 1 {
+			t.Errorf("TryRecv = %d,%v, want 1,true", v, ok)
+		}
+	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if maxActive != 2 {
-		t.Errorf("maxActive = %d, want 2", maxActive)
+	if !sent {
+		t.Error("TryRecv did not wake the blocked sender")
+	}
+	if v, ok := c.TryRecv(); !ok || v != 2 {
+		t.Errorf("TryRecv = %d,%v, want 2,true", v, ok)
+	}
+	if _, ok := c.TryRecv(); ok {
+		t.Error("TryRecv on drained should fail")
 	}
 }
 

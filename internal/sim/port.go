@@ -98,9 +98,6 @@ func NewPort[T any](from, to Host, name string, latency Time) *Port[T] {
 // Name returns the port's name.
 func (pt *Port[T]) Name() string { return pt.name }
 
-// Latency returns the port's fixed delivery latency.
-func (pt *Port[T]) Latency() Time { return pt.latency }
-
 // Send timestamps v at the current time plus the port latency and
 // queues it for delivery. It never blocks: ports are unbounded,
 // modeling an asynchronous link. The caller is anything that names its

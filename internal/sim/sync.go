@@ -82,10 +82,6 @@ type Future[T any] struct {
 	val  T
 	err  error
 	q    WaitQueue
-	// subs holds OnDone completion callbacks; Complete schedules them
-	// after waking blocked processes and recycles the backing array, so
-	// a pooled future pays no allocation per round trip.
-	subs []*Callback
 }
 
 // NewFuture returns an incomplete future bound to h's domain.
@@ -93,10 +89,7 @@ func NewFuture[T any](h Host) *Future[T] {
 	return &Future[T]{}
 }
 
-// Complete resolves the future, wakes all waiters, then schedules every
-// OnDone callback (in registration order, after the waiters' run-queue
-// slots — the order a re-woken proc and a callback would interleave in
-// anyway).
+// Complete resolves the future and wakes all waiters.
 func (f *Future[T]) Complete(v T, err error) {
 	if f.done {
 		panic("sim: Future completed twice")
@@ -105,33 +98,13 @@ func (f *Future[T]) Complete(v T, err error) {
 	f.val = v
 	f.err = err
 	f.q.WakeAll()
-	if len(f.subs) > 0 {
-		for i, cb := range f.subs {
-			cb.schedule()
-			f.subs[i] = nil
-		}
-		f.subs = f.subs[:0]
-	}
-}
-
-// OnDone registers a completion callback: when the future completes,
-// cb's handler is scheduled through the run queue with no parked waiter
-// goroutine. On an already-completed future the handler is scheduled
-// immediately. The registration is one-shot; the handler reads the
-// result via Value.
-func (f *Future[T]) OnDone(cb *Callback) {
-	if f.done {
-		cb.schedule()
-		return
-	}
-	f.subs = append(f.subs, cb)
 }
 
 // Done reports whether the future has been completed.
 func (f *Future[T]) Done() bool { return f.done }
 
 // Value returns the completed future's value and error; it panics on an
-// incomplete future (use Wait to block, or OnDone to be notified).
+// incomplete future (use Wait to block).
 func (f *Future[T]) Value() (T, error) {
 	if !f.done {
 		panic("sim: Future.Value before completion")
@@ -151,7 +124,6 @@ func (f *Future[T]) Reset() {
 	f.done = false
 	f.val = zero
 	f.err = nil
-	f.subs = f.subs[:0]
 }
 
 // Wait blocks until the future completes and returns its value and error.
@@ -201,17 +173,6 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 	c.recvQ.WakeOne()
 }
 
-// TrySend enqueues v without blocking; it reports whether the value was
-// accepted (false if the channel is full or closed).
-func (c *Chan[T]) TrySend(v T) bool {
-	if c.closed || (c.cap > 0 && len(c.buf) >= c.cap) {
-		return false
-	}
-	c.buf = append(c.buf, v)
-	c.recvQ.WakeOne()
-	return true
-}
-
 // Recv dequeues a value, blocking while the channel is empty. The second
 // result is false when the channel is closed and drained.
 func (c *Chan[T]) Recv(p *Proc) (T, bool) {
@@ -249,36 +210,8 @@ func (c *Chan[T]) Close() {
 	c.recvQ.WakeAll()
 }
 
-// Closed reports whether Close has been called.
-func (c *Chan[T]) Closed() bool { return c.closed }
-
 // Len returns the number of buffered values.
 func (c *Chan[T]) Len() int { return len(c.buf) }
-
-// Semaphore is a counting semaphore over virtual time.
-type Semaphore struct {
-	avail int
-	q     WaitQueue
-}
-
-// NewSemaphore returns a semaphore with n initial permits.
-func NewSemaphore(h Host, n int) *Semaphore {
-	return &Semaphore{avail: n}
-}
-
-// Acquire takes a permit, blocking until one is available.
-func (s *Semaphore) Acquire(p *Proc) {
-	for s.avail <= 0 {
-		s.q.Wait(p, "semaphore")
-	}
-	s.avail--
-}
-
-// Release returns a permit and wakes one waiter.
-func (s *Semaphore) Release() {
-	s.avail++
-	s.q.WakeOne()
-}
 
 // WaitGroup tracks completion of a set of processes over virtual time.
 type WaitGroup struct {

@@ -42,18 +42,6 @@ type Report struct {
 	Start, End sim.Time
 }
 
-// Fraction returns WorkDone/WorkTotal in [0,1].
-func (r Report) Fraction() float64 {
-	if r.WorkTotal == 0 {
-		return 1
-	}
-	f := float64(r.WorkDone) / float64(r.WorkTotal)
-	if f > 1 {
-		return 1
-	}
-	return f
-}
-
 // SavedFraction returns Saved/WorkTotal in [0,1].
 func (r Report) SavedFraction() float64 {
 	if r.WorkTotal == 0 {

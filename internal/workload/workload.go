@@ -154,10 +154,6 @@ func NewLFS(e sim.Host, fs *lfs.FS, files []*lfs.Inode, cfg Config) (*Generator,
 // Stats returns live statistics.
 func (g *Generator) Stats() *Stats { return &g.stats }
 
-// Target returns the generator's target (e.g. to inspect the covered
-// subset via CowTarget.Files).
-func (g *Generator) Target() Target { return g.target }
-
 // CoveredFiles returns the covered cowfs subset (nil for lfs targets).
 func (g *Generator) CoveredFiles() []*cowfs.Inode {
 	if ct, ok := g.target.(*CowTarget); ok {
