@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"duet/internal/faults"
 	"duet/internal/machine"
@@ -259,7 +260,8 @@ func New(cfg Config) (*Cluster, error) {
 		if plan := cfg.Plan.NodeDiskPlan(n.idx); !plan.Zero() {
 			n.st.AttachFaults(plan)
 		}
-		n.tick = sim.NewCallback(n.dom, fmt.Sprintf("server%d.tick", n.idx), n.poll)
+		n.tick = gridTick{every: cfg.Tick,
+			cb: sim.NewCallback(n.dom, fmt.Sprintf("server%d.tick", n.idx), n.poll)}
 		n.dom.Go(fmt.Sprintf("server%d", n.idx), n.run)
 	}
 
@@ -269,10 +271,71 @@ func New(cfg Config) (*Cluster, error) {
 		e.SetTracer(o.Trace)
 	}
 	d0 := e.Dom()
-	sim.NewCallback(e, "coordinator", func(sim.Time) sim.Time {
-		return c.Coord.step(d0)
-	}).Wake()
+	co := c.Coord
+	co.tick = gridTick{every: cfg.Tick, cb: sim.NewCallback(e, "coordinator", func(sim.Time) sim.Time {
+		co.step(d0)
+		return 0
+	})}
+	co.tick.cb.Wake()
+	for _, n := range c.Nodes {
+		n.toCoord.OnDeliver(co.delivered)
+		for _, pt := range n.inbound {
+			pt.OnDeliver(n.delivered)
+		}
+	}
 	return c, nil
+}
+
+// never is a deadline that never comes.
+const never = sim.Time(math.MaxInt64)
+
+// gridTick runs a callback at chosen ticks of the grid
+// {base + k·every : k >= 1}: node servers and the coordinator wake only
+// on their grids, at the first tick where they have work, so the grid
+// ticks they skip are ones at which they would have done nothing.
+type gridTick struct {
+	cb          *sim.Callback
+	base, every sim.Time
+	// at is the live tick (0: none armed). spare is a tick that an
+	// earlier one superseded, still in the timer heap (0: none known):
+	// arming its time again reuses it.
+	at, spare sim.Time
+}
+
+// arm makes the first grid tick at or after due live, unless an
+// earlier tick is live already. A due of never arms nothing; a due at
+// or before now counts as now+1, since the tick at now has run.
+func (g *gridTick) arm(now, due sim.Time) {
+	if due == never {
+		return
+	}
+	due = max(due, now+1)
+	at := g.base + (due-g.base+g.every-1)/g.every*g.every
+	if g.at != 0 && g.at <= at {
+		return
+	}
+	if at == g.spare {
+		g.spare = 0
+	} else {
+		g.cb.Arm(at - now)
+	}
+	if g.at != 0 {
+		g.spare = g.at
+	}
+	g.at = at
+}
+
+// fire reports whether the timer firing at now is the live tick, which
+// it retires; any other is superseded and its handler does nothing.
+func (g *gridTick) fire(now sim.Time) bool {
+	if now == g.spare {
+		g.spare = 0
+	}
+	if now != g.at {
+		return false
+	}
+	g.at = 0
+	return true
 }
 
 func contains(s []int, v int) bool {

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -300,22 +302,21 @@ func TestClusterServerProcs(t *testing.T) {
 	}
 }
 
-// onFileConfig is bench's cluster-repair configuration (4 nodes, R=3,
-// 4 shards, Duet repair, node 1 killed at w/5 and recovered a quarter
-// window later, transient+stall disk faults) on a bigger device and a
-// 300 s window, at the given cache and shard geometry.
-func onFileConfig(seed int64, cachePages int, shardPages int64) Config {
-	w := 300 * sim.Second
+// repairConfig is bench's cluster-repair configuration (4 nodes, R=3,
+// 4 shards of 256 pages, 256-page caches, Duet repair, node 1 killed at
+// w/5 and recovered a quarter window later, transient+stall disk
+// faults) over a window of w.
+func repairConfig(seed int64, w sim.Time) Config {
 	return Config{
 		Config: machine.Config{
 			Seed:         seed,
-			DeviceBlocks: 65536,
-			CachePages:   cachePages,
+			DeviceBlocks: 16384,
+			CachePages:   256,
 		},
 		Nodes:      4,
 		Replicas:   3,
 		Shards:     4,
-		ShardPages: shardPages,
+		ShardPages: 256,
 		Window:     w,
 		Mode:       RepairDuet,
 		Plan: faults.ClusterPlan{
@@ -329,6 +330,69 @@ func onFileConfig(seed int64, cachePages int, shardPages int64) Config {
 			},
 		},
 	}
+}
+
+// onFileConfig is repairConfig on a bigger device and a 300 s window,
+// at the given cache and shard geometry.
+func onFileConfig(seed int64, cachePages int, shardPages int64) Config {
+	cfg := repairConfig(seed, 300*sim.Second)
+	cfg.DeviceBlocks = 65536
+	cfg.CachePages = cachePages
+	cfg.ShardPages = shardPages
+	return cfg
+}
+
+// TestClusterOutcomesPinned pins what a run decides, not how many
+// events it took: the Stats and Audit of bench's cluster-repair
+// configuration over a 120 s window at three seeds, of one run that adds
+// a partition and tears every log at the kill, and of four runs that
+// kill a primary shortly before the quiesce point, so client RPCs to it
+// hold every in-flight slot from before the point until their retries
+// land after it. The hashes were recorded before node and coordinator
+// ticks became deadline driven; a scheduling change that keeps the
+// simulation event for event must keep them.
+func TestClusterOutcomesPinned(t *testing.T) {
+	tornPartition := repairConfig(1, 120*sim.Second)
+	tornPartition.Plan.TornLogRate = 1
+	tornPartition.Plan.Partitions = []faults.Partition{
+		{A: 2, B: 3, From: 30 * sim.Second, To: 50 * sim.Second},
+	}
+	killAtQuiesce := func(before sim.Time) Config {
+		cfg := testConfig(RepairDuet, faults.ClusterPlan{Seed: 7})
+		q := cfg.Window - 3*sim.Second // the default QuiesceBefore
+		cfg.Plan.Kills = []faults.KillEvent{
+			{Node: 0, At: q - before, RecoverAt: q + sim.Second},
+		}
+		return cfg
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"seed1", repairConfig(1, 120*sim.Second), "ce942e99e095ae87"},
+		{"seed2", repairConfig(2, 120*sim.Second), "eacb5a08ad4edebd"},
+		{"seed3", repairConfig(3, 120*sim.Second), "02f59a2d53d5bec1"},
+		{"torn-partition", tornPartition, "584145e47246b621"},
+		{"kill-50ms-before-quiesce", killAtQuiesce(50 * sim.Millisecond), "49271eded39ca1be"},
+		{"kill-100ms-before-quiesce", killAtQuiesce(100 * sim.Millisecond), "fb28b33211613ff3"},
+		{"kill-150ms-before-quiesce", killAtQuiesce(150 * sim.Millisecond), "53196fd38244cbf9"},
+		{"kill-200ms-before-quiesce", killAtQuiesce(200 * sim.Millisecond), "148f6ce08ee2be57"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, s, rep := runCluster(t, tc.cfg, 1)
+			if got := outcomeHash(s, rep); got != tc.want {
+				t.Errorf("outcome hash %s, want %s:\n%+v\n%+v", got, tc.want, s, rep)
+			}
+		})
+	}
+}
+
+// outcomeHash is the first 8 bytes of the SHA-256 of a run's Stats and
+// Audit, printed with field names.
+func outcomeHash(s Stats, rep AuditReport) string {
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v\n%+v", s, rep)))
+	return hex.EncodeToString(sum[:8])
 }
 
 // TestClusterOnFileCases runs the nine cluster cases on file in ROADMAP
@@ -381,11 +445,11 @@ func TestClusterOnFileCases(t *testing.T) {
 	}
 }
 
-// BenchmarkClusterIdle is the cost of one virtual millisecond — one
-// tick of the coordinator and each of the four node servers — of a
+// BenchmarkClusterIdle is the cost of one virtual millisecond of a
 // cluster with nothing to do: fault-free and QuiesceBefore = Window,
 // so no client op is ever issued and only heartbeats (every HBEvery)
-// and commits (every CommitEvery) make a tick busy.
+// and commits (every CommitEvery) give the coordinator and the four
+// node servers a tick to run.
 func BenchmarkClusterIdle(b *testing.B) {
 	cfg := testConfig(RepairNaive, faults.ClusterPlan{})
 	cfg.Window = sim.Time(b.N) * sim.Millisecond

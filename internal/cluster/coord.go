@@ -48,6 +48,10 @@ type repairJob struct {
 type Coordinator struct {
 	c *Cluster
 
+	// tick runs step on the grid {k·Tick}; the first step, at 0, finds
+	// no tick armed and counts as live.
+	tick gridTick
+
 	alive    []bool
 	lastPong []sim.Time
 	deadAt   []sim.Time
@@ -84,6 +88,9 @@ func newCoordinator(c *Cluster) *Coordinator {
 		stream:     faults.NewStream(c.Cfg.Plan.Seed ^ 0xc0ffee),
 		shardState: make([]int, c.Cfg.Shards),
 		stateSince: make([]sim.Time, c.Cfg.Shards),
+		// The first pings and the first op are due at 0.
+		lastHB: -c.Cfg.HBEvery,
+		lastOp: -c.Cfg.OpEvery,
 	}
 	for i := range co.alive {
 		co.alive[i] = true
@@ -100,22 +107,89 @@ func newCoordinator(c *Cluster) *Coordinator {
 }
 
 // step is one tick of the control loop, run inline as the coordinator
-// callback's handler. It never blocks, so it is not a proc: returning
-// Tick re-arms it in the slot a polling proc's Sleep(Tick) drew.
-func (co *Coordinator) step(d *sim.Domain) sim.Time {
+// callback's handler. It never blocks, so it is not a proc. It runs
+// only at grid ticks where it may have work: the live tick re-arms at
+// the next deadline (see nextDue), delivered arms one after each
+// message, and a superseded tick returns at once.
+func (co *Coordinator) step(d *sim.Domain) {
+	now := d.Now()
+	if !co.tick.fire(now) {
+		return
+	}
 	if co.epoch == 0 {
 		co.recompute(d) // first call: epoch 1, everyone in service
 	}
 	if d.Engine().Stopping() {
-		return 0
+		return
 	}
 	co.drain(d)
 	co.detect(d)
 	co.heartbeat(d)
 	co.timeouts(d)
 	co.issueOps(d)
-	return co.c.Cfg.Tick
+	co.tick.arm(now, co.nextDue(now))
 }
+
+// nextDue returns the earliest time after now at which a step would act
+// with no new message. Each rule has one deadline function, which the
+// step's checks read too.
+func (co *Coordinator) nextDue(now sim.Time) sim.Time {
+	due := min(co.hbAt(), co.opAt(now+1))
+	for i := range co.alive {
+		due = min(due, co.pongAt(i))
+	}
+	for _, r := range co.pending {
+		due = min(due, r.timeoutAt())
+	}
+	return due
+}
+
+// hbAt is when the next round of pings is due.
+func (co *Coordinator) hbAt() sim.Time { return co.lastHB + co.c.Cfg.HBEvery }
+
+// pongAt is when a live node i that stays silent is declared dead;
+// never for a node already dead.
+func (co *Coordinator) pongAt(i int) sim.Time {
+	if !co.alive[i] {
+		return never
+	}
+	return co.lastPong[i] + co.c.Cfg.HBTimeout + 1
+}
+
+// timeoutAt is when an RPC's current attempt times out; never once the
+// call is done.
+func (r *rpcCall) timeoutAt() sim.Time {
+	if r.done {
+		return never
+	}
+	return r.deadline
+}
+
+// opAt is the first time at or after now at which issueOps issues a
+// client op: OpEvery after the last one, while fewer than maxInflight
+// calls are pending and before the quiesce point; never otherwise.
+func (co *Coordinator) opAt(now sim.Time) sim.Time {
+	cfg := &co.c.Cfg
+	at := max(co.lastOp+cfg.OpEvery, now)
+	if at >= cfg.Window-cfg.QuiesceBefore {
+		return never
+	}
+	inflight := 0
+	for _, r := range co.pending {
+		if !r.done {
+			inflight++
+		}
+	}
+	if inflight >= maxInflight {
+		return never
+	}
+	return at
+}
+
+// delivered is the n2c ports' delivery hook: a message that lands at
+// now is handled at the first grid tick after now (a grid tick at now
+// itself already ran, before the delivery).
+func (co *Coordinator) delivered(now sim.Time) { co.tick.arm(now, now+1) }
 
 func (co *Coordinator) drain(d *sim.Domain) {
 	for _, n := range co.c.Nodes {
@@ -134,7 +208,7 @@ func (co *Coordinator) detect(d *sim.Domain) {
 	now := d.Now()
 	changed := false
 	for i := range co.alive {
-		if !co.alive[i] || now-co.lastPong[i] <= co.c.Cfg.HBTimeout {
+		if now < co.pongAt(i) {
 			continue
 		}
 		co.alive[i] = false
@@ -168,7 +242,7 @@ func (co *Coordinator) detect(d *sim.Domain) {
 
 func (co *Coordinator) heartbeat(d *sim.Domain) {
 	now := d.Now()
-	if now-co.lastHB < co.c.Cfg.HBEvery && now != 0 {
+	if now < co.hbAt() {
 		return
 	}
 	co.lastHB = now
@@ -366,7 +440,7 @@ func (co *Coordinator) handleSynced(d *sim.Domain, m Msg) {
 func (co *Coordinator) timeouts(d *sim.Domain) {
 	now := d.Now()
 	for _, r := range co.pending {
-		if r.done || now < r.deadline {
+		if now < r.timeoutAt() {
 			continue
 		}
 		co.s.RPCTimeouts++
@@ -392,16 +466,7 @@ func (co *Coordinator) timeouts(d *sim.Domain) {
 func (co *Coordinator) issueOps(d *sim.Domain) {
 	now := d.Now()
 	cfg := &co.c.Cfg
-	if now >= cfg.Window-cfg.QuiesceBefore || now-co.lastOp < cfg.OpEvery && now != 0 {
-		return
-	}
-	inflight := 0
-	for _, r := range co.pending {
-		if !r.done {
-			inflight++
-		}
-	}
-	if inflight >= maxInflight {
+	if co.opAt(now) != now {
 		return
 	}
 	co.lastOp = now

@@ -91,9 +91,10 @@ type Node struct {
 	repairSeq  int
 	lastCommit sim.Time
 
-	// tick polls due on the server's behalf while it is parked on idle,
-	// so an idle tick runs inline instead of resuming the server proc.
-	tick *sim.Callback
+	// The server parks on idle between busy iterations until tick wakes
+	// it; the tick grid is anchored where the last iteration ended (see
+	// sleep).
+	tick gridTick
 	idle sim.WaitQueue
 
 	stats nodeStats
@@ -115,9 +116,10 @@ func (n *Node) rep(s int) *replica {
 
 // run is the server loop: act on the kill schedule, drain inbound
 // ports in fixed order, retry outstanding replication, checkpoint. It
-// is a proc because FS.Write and FS.Commit block. Between busy ticks it
-// parks on idle while the tick callback polls due; DESIGN.md ("Procs
-// and callbacks") gives why every event keeps its (time, seq) slot.
+// is a proc because FS.Write and FS.Commit block. Between busy
+// iterations it parks on idle until the tick wakes it; DESIGN.md
+// ("Procs and callbacks") gives why the grid ticks it skips leave the
+// simulation unchanged.
 func (n *Node) run(p *sim.Proc) {
 	for !p.Engine().Stopping() {
 		n.checkKills(p)
@@ -126,75 +128,98 @@ func (n *Node) run(p *sim.Proc) {
 			n.checkPending(p)
 			n.maybeCommit(p)
 		}
-		n.tick.Arm(n.c.Cfg.Tick)
+		n.sleep(p.Now())
 		n.idle.Wait(p, "idle")
 	}
 }
 
-// poll is the tick callback's handler: wake the server for a busy
-// tick, or re-arm past an idle one.
-func (n *Node) poll(now sim.Time) sim.Time {
-	if n.due(now) {
-		n.idle.WakeOne()
-		return 0
-	}
-	return n.c.Cfg.Tick
-}
-
-// due reports whether a server iteration at now would do anything. A
-// tick where it is false is idle: every step of the loop body is a
-// no-op, so skipping it is invisible to the simulation.
-func (n *Node) due(now sim.Time) bool {
-	if n.c.Eng.Stopping() || n.killDue(now) || n.recoverDue(now) {
-		return true
-	}
+// sleep anchors the tick grid where an iteration ended and arms the
+// first grid tick at which the next one has work: the next tick if a
+// message already waits, else the first at or after the earliest
+// deadline.
+func (n *Node) sleep(now sim.Time) {
+	n.tick.base = now
+	due := n.nextDue()
 	for _, pt := range n.inbound {
 		if pt.Len() > 0 {
-			return true
+			due = now + 1
+			break
 		}
 	}
-	if !n.alive {
-		return false
+	n.tick.arm(now, due)
+}
+
+// delivered is the inbound ports' delivery hook. A message that lands
+// at now on a parked server makes the first grid tick after now busy;
+// a grid tick at now itself already ran, since local timers sort before
+// deliveries at equal times. A busy server's iteration end looks at the
+// inbox itself.
+func (n *Node) delivered(now sim.Time) {
+	if n.idle.Len() > 0 {
+		n.tick.arm(now, now+1)
 	}
-	if n.commitDue(now) {
-		return true
+}
+
+// poll is the tick callback's handler: the live tick wakes the server.
+func (n *Node) poll(now sim.Time) sim.Time {
+	if n.tick.fire(now) {
+		n.idle.WakeOne()
 	}
+	return 0
+}
+
+// nextDue returns the earliest time at which the loop body would act
+// with no new message (never if there is none). Each rule has one
+// deadline function, which the loop body's checks read too.
+func (n *Node) nextDue() sim.Time {
+	due := min(n.killAt(), n.recoverAt(), n.commitAt())
 	for _, pw := range n.pend {
-		if pw.overdue(now) {
-			return true
-		}
+		due = min(due, pw.retryAt())
 	}
-	return false
+	return due
 }
 
-// killDue reports whether the next scheduled power cut has arrived.
-func (n *Node) killDue(now sim.Time) bool {
-	return n.alive && n.killIx < len(n.kills) && now >= n.kills[n.killIx].At
+// killAt is when the next scheduled power cut hits a live node; never
+// on a dead one or past the schedule.
+func (n *Node) killAt() sim.Time {
+	if !n.alive || n.killIx >= len(n.kills) {
+		return never
+	}
+	return n.kills[n.killIx].At
 }
 
-// recoverDue reports whether a dead node's scheduled restart has
-// arrived. A node whose remount failed stays down.
-func (n *Node) recoverDue(now sim.Time) bool {
-	return !n.alive && n.fatal == nil && n.killIx < len(n.kills) &&
-		now >= n.kills[n.killIx].RecoverAt
+// recoverAt is when a dead node's scheduled restart arrives; never on a
+// live node or one whose remount failed, which stays down.
+func (n *Node) recoverAt() sim.Time {
+	if n.alive || n.fatal != nil || n.killIx >= len(n.kills) {
+		return never
+	}
+	return n.kills[n.killIx].RecoverAt
 }
 
-// commitDue reports whether the checkpoint cadence has elapsed.
-func (n *Node) commitDue(now sim.Time) bool {
-	return now-n.lastCommit >= n.c.Cfg.CommitEvery
+// commitAt is when a live node's next checkpoint is due; never on a
+// dead one.
+func (n *Node) commitAt() sim.Time {
+	if !n.alive {
+		return never
+	}
+	return n.lastCommit + n.c.Cfg.CommitEvery
 }
 
-// overdue reports whether a replication round needs a retry.
-func (pw *pendWrite) overdue(now sim.Time) bool {
-	return !pw.done && now >= pw.deadline
+// retryAt is when a replication round needs a retry; never once done.
+func (pw *pendWrite) retryAt() sim.Time {
+	if pw.done {
+		return never
+	}
+	return pw.deadline
 }
 
 // checkKills powers the node down and back up per the fault plan.
 func (n *Node) checkKills(p *sim.Proc) {
-	if n.killDue(p.Now()) {
+	if p.Now() >= n.killAt() {
 		n.die()
 	}
-	if n.recoverDue(p.Now()) {
+	if p.Now() >= n.recoverAt() {
 		n.recover(p)
 		n.killIx++
 	}
@@ -522,7 +547,7 @@ func (n *Node) handleRepairData(p *sim.Proc, m Msg) {
 func (n *Node) checkPending(p *sim.Proc) {
 	now := p.Now()
 	for _, pw := range n.pend {
-		if !pw.overdue(now) {
+		if now < pw.retryAt() {
 			continue
 		}
 		pw.attempt++
@@ -560,7 +585,7 @@ func (n *Node) compactPend() {
 // every replication log's durable watermark — the durable log and the
 // durable content model always move together.
 func (n *Node) maybeCommit(p *sim.Proc) {
-	if !n.commitDue(p.Now()) {
+	if p.Now() < n.commitAt() {
 		return
 	}
 	n.lastCommit = p.Now()

@@ -5,18 +5,18 @@ import (
 	"testing"
 )
 
-// The kernel's hot paths: the context-switch handshake (park/resume),
-// the timer path (Sleep → heap push → pop → ready), and the port path
-// between domains. Every simulated I/O pays the first two, so allocs/op
-// here multiply into every experiment.
+// The kernel's hot paths: the context switch (park/resume), the timer
+// path (Sleep → heap push → pop → ready), and the port path between
+// domains. Every simulated I/O pays the first two, so allocs/op here
+// multiply into every experiment.
 // BenchmarkProcHandoff vs BenchmarkCallbackTimer is the A/B the
 // goroutine-free executor exists for: the same periodic event with and
-// without the park/resume channel handshake.
+// without the coroutine switch to a parked proc.
 
-// BenchmarkProcHandoff measures the goroutine-proc timer round trip:
-// one process repeatedly sleeping a positive duration, so each
-// iteration pays a heap push, a quiescent pop, and the park/resume
-// handshake (two channel operations and a goroutine switch).
+// BenchmarkProcHandoff measures the proc timer round trip: one process
+// repeatedly sleeping a positive duration, so each iteration pays a
+// heap push, a quiescent pop, and a park/resume (two coroutine
+// switches).
 func BenchmarkProcHandoff(b *testing.B) {
 	b.ReportAllocs()
 	e := New(1)
@@ -33,8 +33,8 @@ func BenchmarkProcHandoff(b *testing.B) {
 
 // BenchmarkCallbackTimer measures the same periodic event on the
 // inline executor: a self-re-arming callback pays the heap push and
-// pop but runs on the scheduler's own goroutine — no channels, no
-// goroutine switch, no allocation. The gap to BenchmarkProcHandoff is
+// pop but runs on the scheduler's own goroutine — no coroutine switch,
+// no allocation. The gap to BenchmarkProcHandoff is
 // the per-event saving of every converted component.
 func BenchmarkCallbackTimer(b *testing.B) {
 	b.ReportAllocs()
@@ -54,7 +54,7 @@ func BenchmarkCallbackTimer(b *testing.B) {
 	}
 }
 
-// BenchmarkContextSwitch measures the pure handshake: two processes
+// BenchmarkContextSwitch measures the pure switch: two processes
 // alternating via Yield (Sleep(0)), which exercises the run queue without
 // the timer heap.
 func BenchmarkContextSwitch(b *testing.B) {

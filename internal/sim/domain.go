@@ -87,32 +87,14 @@ func (d *Domain) DeriveRand(name string) *rand.Rand {
 func (d *Domain) Go(name string, fn func(*Proc)) *Proc {
 	d.own("Go")
 	e := d.eng
-	p := &Proc{
-		eng:  e,
-		dom:  d,
-		name: name,
-		pid:  d.nextPID,
-		wake: make(chan struct{}, 1),
-	}
+	p := &Proc{eng: e, dom: d, name: name, pid: d.nextPID}
 	d.nextPID++
 	d.procs = append(d.procs, p)
 	if e.stopping {
 		p.done = true
 		return p
 	}
-	go func() {
-		<-p.wake
-		// The completion handshake runs in a defer so it fires even when
-		// the body exits via runtime.Goexit (e.g. t.Fatal inside a test
-		// process) — otherwise the scheduler would block forever.
-		defer func() {
-			p.done = true
-			e.yield <- struct{}{}
-		}()
-		if !e.stopping {
-			runProc(p, fn)
-		}
-	}()
+	p.start(fn)
 	d.ready(p)
 	return p
 }
@@ -137,15 +119,6 @@ func (d *Domain) ready(p *Proc) {
 		return
 	}
 	d.eng.runq.push(runnable{p: p})
-}
-
-// resume hands the processor to p until it parks or exits.
-func (e *Engine) resume(p *Proc) {
-	if p.done {
-		return
-	}
-	p.wake <- struct{}{}
-	<-e.yield
 }
 
 // Go spawns a process on the calling process's own domain — the safe

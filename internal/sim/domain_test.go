@@ -384,6 +384,64 @@ func TestCrossDomainMisusePanics(t *testing.T) {
 	}
 }
 
+// TestPortDeliveryHook: OnDeliver runs once per delivery, on the
+// receiving domain, after the delivered messages are in the inbox, so
+// it may arm the receiver's own callbacks; a quiet stretch calls it
+// never.
+func TestPortDeliveryHook(t *testing.T) {
+	e := New(1)
+	rx := e.NewDomain("rx")
+	pt := NewPort[int](e, rx, "p", Millisecond)
+	var hooks, got []string
+	drain := NewCallback(rx, "drain", func(now Time) Time {
+		for v, ok := pt.TryRecv(); ok; v, ok = pt.TryRecv() {
+			got = append(got, fmt.Sprintf("%d@%v", v, now))
+		}
+		return 0
+	})
+	pt.OnDeliver(func(now Time) {
+		hooks = append(hooks, fmt.Sprintf("%d@%v", pt.Len(), now))
+		drain.Arm(Microsecond)
+	})
+	e.Go("sender", func(p *Proc) {
+		pt.Send(p, 1)
+		pt.Send(p, 2) // same send time: one delivery with 1
+		p.Sleep(Millisecond / 2)
+		pt.Send(p, 3)
+		p.Sleep(5 * Millisecond)
+		pt.Send(p, 4)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := "2@1ms 1@1.5ms 1@6.5ms"; strings.Join(hooks, " ") != want {
+		t.Errorf("hooks (inbox length@time) %q, want %q", strings.Join(hooks, " "), want)
+	}
+	if want := "1@1.001ms 2@1.001ms 3@1.501ms 4@6.501ms"; strings.Join(got, " ") != want {
+		t.Errorf("drained %q, want %q", strings.Join(got, " "), want)
+	}
+}
+
+// TestPortDeliveryHookCrossDomainPanics: the hook runs as the receiving
+// domain, so reaching into the sender's domain from it trips the
+// cross-domain guard.
+func TestPortDeliveryHookCrossDomainPanics(t *testing.T) {
+	e := New(1)
+	rx := e.NewDomain("rx")
+	pt := NewPort[int](e, rx, "p", Millisecond)
+	victim := NewCallback(e, "victim", func(Time) Time { return 0 })
+	pt.OnDeliver(func(Time) { victim.Arm(Millisecond) })
+	e.Go("sender", func(p *Proc) { pt.Send(p, 1) })
+	want := `Callback.Arm on domain "main" from domain "rx"`
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+			t.Errorf("Run panicked with %v, want a panic containing %q", r, want)
+		}
+	}()
+	err := e.Run()
+	t.Errorf("Run returned %v, want the guard's panic", err)
+}
+
 // TestDomainRandIndependence: identical component names on different
 // domains must get independent rand streams, while the default domain's
 // streams stay identical to the engine-level derivation (golden

@@ -8,11 +8,11 @@ import (
 	"strings"
 )
 
-// Engine is a discrete-event scheduler. Processes (Proc) are goroutines
-// that cooperate with the engine, and callbacks (Callback) are handlers
-// it invokes inline. Every process and callback belongs to exactly one
-// event Domain. Exactly one of them runs at a time in the whole
-// simulation, so simulated code needs no locking.
+// Engine is a discrete-event scheduler. Processes (Proc) are coroutines
+// the engine switches to directly (see coro.go), and callbacks
+// (Callback) are handlers it invokes inline. Every process and callback
+// belongs to exactly one event Domain. Exactly one of them runs at a
+// time in the whole simulation, so simulated code needs no locking.
 //
 // Run is one serial event loop (see loop) for any number of domains:
 // the run queue first, then the earliest timer of any domain. Domains
@@ -21,7 +21,7 @@ import (
 //
 // Engines are not safe for concurrent use from outside the simulation:
 // the only goroutines that may touch engine state are the one that
-// calls Run and the processes the engine itself resumes.
+// calls Run and the process coroutines the engine itself resumes.
 type Engine struct {
 	seed     int64
 	running  bool
@@ -34,8 +34,9 @@ type Engine struct {
 	// during shutdown); the cross-domain guard compares against it.
 	cur *Domain
 	// runq holds everything runnable at now, of any domain, in one FIFO.
-	runq  procRing
-	yield chan struct{}
+	runq procRing
+	// switches counts proc resumes, for the Gosched cadence (coro.go).
+	switches uint32
 
 	domains []*Domain
 	d0      *Domain // the default domain
@@ -69,7 +70,7 @@ type Host interface {
 // built with the same seed and driven by the same code produce identical
 // event sequences.
 func New(seed int64) *Engine {
-	e := &Engine{seed: seed, yield: make(chan struct{})}
+	e := &Engine{seed: seed}
 	e.d0 = &Domain{id: 0, name: "main", eng: e}
 	e.domains = []*Domain{e.d0}
 	return e
@@ -277,14 +278,17 @@ func (e *Engine) DumpWaiters() string {
 type procKilled struct{}
 
 // Proc is a simulated process. Every Proc method must be called from the
-// process's own goroutine while it is the running process.
+// process's own coroutine while it is the running process.
 type Proc struct {
 	eng  *Engine
 	dom  *Domain
 	name string
 	pid  int
-	wake chan struct{}
-	done bool
+	// next resumes the process's coroutine until it parks or exits;
+	// yield, called from inside it, parks it (see coro.go).
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	done  bool
 	// Wait state is kept cheap to record: reasons are static strings and
 	// sleeps store only the wake time; DumpWaiters formats on demand, so
 	// the hot park/Sleep paths never build strings.
@@ -342,8 +346,7 @@ func (p *Proc) park(reason string) {
 	if d.tracer != nil {
 		parkAt = e.now
 	}
-	e.yield <- struct{}{}
-	<-p.wake
+	p.yield(struct{}{})
 	if t := d.tracer; t != nil {
 		// The parked interval, named by its wait reason, becomes one
 		// virtual-time slice on the process's track. Reasons are static

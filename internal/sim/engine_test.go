@@ -520,22 +520,67 @@ func TestProcRandMemoized(t *testing.T) {
 }
 
 func TestGoexitInProcDoesNotWedgeScheduler(t *testing.T) {
-	// t.Fatal inside a simulated process exits the goroutine via
-	// runtime.Goexit; the engine must still receive the completion
-	// handshake instead of blocking forever.
+	// t.Fatal inside a simulated process ends its coroutine through
+	// runtime.Goexit. The engine must neither wedge nor re-raise the
+	// Goexit on the goroutine that called Run (here the test's own):
+	// the proc counts as done, the others run on, and Run returns nil.
 	e := New(1)
 	e.Go("fatal-ish", func(p *Proc) {
 		p.Sleep(Millisecond)
 		runtime.Goexit()
 	})
-	done := make(chan error, 1)
-	go func() { done <- e.Run() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
+	survived := false
+	e.Go("survivor", func(p *Proc) {
+		p.Sleep(2 * Millisecond)
+		survived = true
+	})
+	returned := false
+	t.Cleanup(func() {
+		if !returned {
+			t.Error("the Goexit in a proc ended the goroutine that called Run")
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("engine wedged after Goexit in proc")
+	})
+	wedged := time.AfterFunc(5*time.Second, func() { panic("engine wedged after Goexit in proc") })
+	defer wedged.Stop()
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	returned = true
+	if !survived {
+		t.Error("a proc sleeping past the Goexit did not complete")
+	}
+	if e.Now() != 2*Millisecond {
+		t.Errorf("now = %v, want 2ms", e.Now())
+	}
+}
+
+// TestProcCoroutinesDoNotLeak: Run unwinds every proc coroutine, whatever
+// it is blocked on and whether or not it ever ran, so no goroutine
+// outlives the run.
+func TestProcCoroutinesDoNotLeak(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := New(1)
+	q := NewWaitQueue(e)
+	c := NewChan[int](e, 0, "never-sent")
+	f := NewFuture[int](e)
+	e.Go("sleep", func(p *Proc) { p.Sleep(Hour) })
+	e.Go("waitqueue", func(p *Proc) { q.Wait(p, "never woken") })
+	e.Go("chan", func(p *Proc) { c.Recv(p) })
+	e.Go("future", func(p *Proc) { f.Wait(p) })
+	e.Go("stopper", func(p *Proc) {
+		p.Sleep(Millisecond)
+		p.Go("never-started", func(*Proc) { t.Error("a proc spawned before Stop ran after it") })
+		p.Engine().Stop()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("%d goroutines before the run, %d after", before, after)
+	}
+	for _, p := range e.d0.procs {
+		if !p.done {
+			t.Errorf("proc %q still live after Run", p.name)
+		}
 	}
 }

@@ -65,6 +65,7 @@ type Port[T any] struct {
 	ihead      int
 	recvQ      WaitQueue
 	recvReason string
+	onDeliver  func(now Time)
 }
 
 // NewPort creates a port carrying T from one domain to another with the
@@ -150,6 +151,15 @@ func (pt *Port[T]) TryRecv() (v T, ok bool) {
 	return v, true
 }
 
+// OnDeliver sets fn to run once per delivery on the receiving domain,
+// after the delivery has moved its ripe messages into the inbox and
+// woken their receivers; a delivery that moves nothing does not call
+// it. It serves a receiver that polls the inbox instead of blocking in
+// Recv, such as a server that wakes on a tick grid. fn runs inline in
+// the delivery event, so the cross-domain guard applies to whatever it
+// touches. Set it before Run.
+func (pt *Port[T]) OnDeliver(fn func(now Time)) { pt.onDeliver = fn }
+
 // Len returns the number of ripe, undelivered messages.
 func (pt *Port[T]) Len() int { return len(pt.inbox) - pt.ihead }
 
@@ -163,11 +173,11 @@ func (pt *Port[T]) arm() {
 	pt.armed = true
 }
 
-// deliverRipe moves every pending message with at <= now into the inbox
-// and wakes one receiver per message. The ripe messages are a prefix of
-// pending; the rest shift to the front, so a stream that never fully
-// drains reuses one bounded array, and the timer re-arms at the new
-// head.
+// deliverRipe moves every pending message with at <= now into the inbox,
+// wakes one receiver per message and runs the OnDeliver hook. The ripe
+// messages are a prefix of pending; the rest shift to the front, so a
+// stream that never fully drains reuses one bounded array, and the
+// timer re-arms at the new head.
 func (pt *Port[T]) deliverRipe(d *Domain) {
 	pt.armed = false
 	now := d.eng.now
@@ -182,5 +192,8 @@ func (pt *Port[T]) deliverRipe(d *Domain) {
 	pt.pending = pt.pending[:n]
 	if n > 0 {
 		pt.arm()
+	}
+	if k > 0 && pt.onDeliver != nil {
+		pt.onDeliver(now)
 	}
 }
