@@ -32,10 +32,10 @@ func runExperiment(b *testing.B, id string) {
 	if !ok {
 		b.Fatalf("experiment %q not registered", id)
 	}
-	s := benchScale()
+	cfg := &experiments.RunConfig{Scale: benchScale()}
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := e.Run(s, &buf); err != nil {
+		if err := e.Exec(cfg, &buf); err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {

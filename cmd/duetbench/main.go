@@ -13,10 +13,10 @@
 //
 // -j sets the worker count for the experiment grid (default: all CPUs).
 // Output — stdout, traces, and metrics alike — is byte-identical at any
-// -j: each cell is one serial simulation, cells are reassembled in input
-// order and trace slots are reserved in input order, so parallelism
-// only changes wall-clock time. Each experiment's wall-clock time goes
-// to stderr.
+// -j: each cell is one serial simulation, and every cell's results,
+// metrics and traces are folded in input order, so parallelism only
+// changes wall-clock time. Each experiment's wall-clock time goes to
+// stderr.
 package main
 
 import (
@@ -60,12 +60,12 @@ func main() {
 	if *seeds > 0 {
 		scale.Seeds = *seeds
 	}
-	experiments.Workers = *workers
+	cfg := &experiments.RunConfig{Scale: scale, Workers: *workers}
 	if !*quiet {
-		experiments.Progress = os.Stderr
+		cfg.Progress = os.Stderr
 	}
 	if *traceOut != "" || *metricsOut != "" {
-		experiments.EnableObs(*traceOut != "")
+		cfg.Obs = experiments.NewCollector(*traceOut != "")
 	}
 
 	if *cpuProfile != "" {
@@ -112,7 +112,7 @@ func main() {
 		}
 		fmt.Printf("==> %s: %s (scale %s, %d seed(s))\n", e.ID, e.Title, scale.Name, scale.Seeds)
 		start := time.Now()
-		if err := e.Run(scale, os.Stdout); err != nil {
+		if err := e.Exec(cfg, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "duetbench: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
@@ -125,7 +125,7 @@ func main() {
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err == nil {
-			err = obs.WriteTraceMulti(f, experiments.CellTraces())
+			err = obs.WriteTraceMulti(f, cfg.Obs.Traces)
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
@@ -134,16 +134,15 @@ func main() {
 			fmt.Fprintf(os.Stderr, "duetbench: -trace: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "duetbench: wrote %s (%d cells)\n", *traceOut, len(experiments.CellTraces()))
+		fmt.Fprintf(os.Stderr, "duetbench: wrote %s (%d cells)\n", *traceOut, len(cfg.Obs.Traces))
 	}
 	if *metricsOut != "" {
 		f, err := os.Create(*metricsOut)
 		if err == nil {
-			reg := experiments.ObsRegistry()
 			if strings.HasSuffix(*metricsOut, ".json") {
-				err = obs.WriteMetricsJSON(f, reg)
+				err = obs.WriteMetricsJSON(f, cfg.Obs.Metrics)
 			} else {
-				err = obs.WriteMetricsText(f, reg)
+				err = obs.WriteMetricsText(f, cfg.Obs.Metrics)
 			}
 			if cerr := f.Close(); err == nil {
 				err = cerr

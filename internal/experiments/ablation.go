@@ -18,20 +18,20 @@ import (
 // Deadline scheduler that cannot prioritize (§6.5 "I/O prioritization"):
 // without prioritization, maintenance finishes faster but slows the
 // workload, which then generates fewer events, reducing I/O saved.
-func runAbSched(s Scale, w io.Writer) error {
+func runAbSched(c *RunConfig, w io.Writer) error {
 	fmt.Fprintln(w, "# Ablation: I/O prioritization (§6.5) — scrubbing + webserver at 50% target util")
 	headers := []string{"Scheduler", "I/O saved", "Workload mean latency", "Workload ops", "Scrub done"}
 	scheds := []string{"cfq", "deadline"}
 	var cells []RunSpec
 	for _, sched := range scheds {
 		cells = append(cells, RunSpec{
-			Env: EnvSpec{Scale: s, Seed: 1, Personality: workload.Webserver,
+			Env: EnvSpec{Scale: c.Scale, Seed: 1, Personality: workload.Webserver,
 				TargetUtil: 0.5, Sched: sched},
 			Tasks: []TaskName{TaskScrub},
 			Duet:  true,
 		})
 	}
-	results := RunGrid(cells, Workers)
+	results := c.RunGrid(cells)
 	if err := FirstErr(results); err != nil {
 		return err
 	}
@@ -53,13 +53,13 @@ func runAbSched(s Scale, w io.Writer) error {
 // runAbFetch shows why tasks must poll regularly (§4.2): with infrequent
 // fetches, descriptors back up and — once the per-session limit is hit —
 // events are dropped.
-func runAbFetch(s Scale, w io.Writer) error {
+func runAbFetch(c *RunConfig, w io.Writer) error {
 	fmt.Fprintln(w, "# Ablation: fetch frequency vs descriptor backlog (per-session limit 4096)")
 	headers := []string{"Fetch interval", "Peak queue", "Dropped events", "Items fetched"}
 	var rows [][]string
 	for _, intervalMS := range []int{5, 50, 500, 5000} {
-		spec := EnvSpec{Scale: s, Seed: 1, Personality: workload.Webserver, TargetUtil: 1}
-		e, err := build(spec, 0)
+		spec := EnvSpec{Scale: c.Scale, Seed: 1, Personality: workload.Webserver, TargetUtil: 1}
+		e, err := build(spec, 0, c.newObs())
 		if err != nil {
 			return err
 		}
@@ -95,7 +95,7 @@ func runAbFetch(s Scale, w io.Writer) error {
 		if err := e.m.Eng.RunFor(20 * sim.Second); err != nil {
 			return err
 		}
-		foldCell(e.obs, e.m, -1, cellTrace(e.obs, fmt.Sprintf("ab-fetch %dms", intervalMS)))
+		c.fold(observe(e.obs, e.m, cellTrace(e.obs, fmt.Sprintf("ab-fetch %dms", intervalMS))))
 		rows = append(rows, []string{
 			fmt.Sprintf("%d ms", intervalMS),
 			fmt.Sprint(peak),
@@ -109,17 +109,17 @@ func runAbFetch(s Scale, w io.Writer) error {
 
 // runAbPolicy compares the paper's most-cached-first priority queue with
 // plain event-order processing for the defragmenter.
-func runAbPolicy(s Scale, w io.Writer) error {
+func runAbPolicy(c *RunConfig, w io.Writer) error {
 	fmt.Fprintln(w, "# Ablation: defragmenter queue policy (most-cached-fraction vs event order)")
 	headers := []string{"Policy", "I/O saved", "Pages read", "Completed"}
 	var rows [][]string
 	for _, fifo := range []bool{false, true} {
-		spec := EnvSpec{Scale: s, Seed: 1, Personality: workload.Webserver, TargetUtil: 0.6}
+		spec := EnvSpec{Scale: c.Scale, Seed: 1, Personality: workload.Webserver, TargetUtil: 0.6}
 		rate, err := calibrateRate(spec)
 		if err != nil {
 			return err
 		}
-		e, err := build(spec, rate)
+		e, err := build(spec, rate, c.newObs())
 		if err != nil {
 			return err
 		}
@@ -136,14 +136,14 @@ func runAbPolicy(s Scale, w io.Writer) error {
 				e.m.Eng.Stop()
 			}
 		})
-		if err := e.m.Eng.RunFor(s.Window); err != nil {
+		if err := e.m.Eng.RunFor(c.Scale.Window); err != nil {
 			return err
 		}
 		name := "most-cached-first"
 		if fifo {
 			name = "event order"
 		}
-		foldCell(e.obs, e.m, -1, cellTrace(e.obs, "ab-policy "+name))
+		c.fold(observe(e.obs, e.m, cellTrace(e.obs, "ab-policy "+name)))
 		saved := 0.0
 		if d.Report.WorkTotal > 0 {
 			saved = float64(d.Report.Saved) / float64(2*d.Report.WorkTotal)
@@ -162,10 +162,10 @@ func runAbPolicy(s Scale, w io.Writer) error {
 // runAbDone quantifies the framework-side done filtering of §4.1: marking
 // items done inside Duet suppresses event processing for completed work,
 // which a task-side-only design would keep paying for.
-func runAbDone(s Scale, w io.Writer) error {
+func runAbDone(c *RunConfig, w io.Writer) error {
 	fmt.Fprintln(w, "# Ablation: framework-side done filtering (events suppressed for done items)")
-	out, err := runTasks(RunSpec{
-		Env: EnvSpec{Scale: s, Seed: 1, Personality: workload.Webserver,
+	out, err := runTasks(c, RunSpec{
+		Env: EnvSpec{Scale: c.Scale, Seed: 1, Personality: workload.Webserver,
 			TargetUtil: 0.7},
 		Tasks: []TaskName{TaskScrub},
 		Duet:  true,
@@ -173,14 +173,15 @@ func runAbDone(s Scale, w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	c.fold(out.obs)
 	// The scrubber's session is closed after the run; its counters were
 	// accumulated in the Duet stats. Re-derive from a live observer run.
-	spec := EnvSpec{Scale: s, Seed: 1, Personality: workload.Webserver, TargetUtil: 0.7}
+	spec := EnvSpec{Scale: c.Scale, Seed: 1, Personality: workload.Webserver, TargetUtil: 0.7}
 	rate, err := calibrateRate(spec)
 	if err != nil {
 		return err
 	}
-	e, err := build(spec, rate)
+	e, err := build(spec, rate, c.newObs())
 	if err != nil {
 		return err
 	}
@@ -208,7 +209,7 @@ func runAbDone(s Scale, w io.Writer) error {
 	if err := e.m.Eng.RunFor(30 * sim.Second); err != nil {
 		return err
 	}
-	foldCell(e.obs, e.m, -1, cellTrace(e.obs, "ab-done observer"))
+	c.fold(observe(e.obs, e.m, cellTrace(e.obs, "ab-done observer")))
 	rows := [][]string{
 		{"events delivered", fmt.Sprint(sess.EventsSeen)},
 		{"events suppressed by done bitmap", fmt.Sprint(sess.SuppressedDone)},
@@ -220,17 +221,18 @@ func runAbDone(s Scale, w io.Writer) error {
 }
 
 func init() {
-	register(Experiment{ID: "ab-sched", Title: "Ablation: I/O prioritization", Run: runAbSched})
-	register(Experiment{ID: "ab-fetch", Title: "Ablation: fetch frequency vs backlog", Run: runAbFetch})
-	register(Experiment{ID: "ab-policy", Title: "Ablation: defrag queue policy", Run: runAbPolicy})
-	register(Experiment{ID: "ab-done", Title: "Ablation: done-bitmap filtering", Run: runAbDone})
+	register(Experiment{ID: "ab-sched", Title: "Ablation: I/O prioritization", Exec: runAbSched})
+	register(Experiment{ID: "ab-fetch", Title: "Ablation: fetch frequency vs backlog", Exec: runAbFetch})
+	register(Experiment{ID: "ab-policy", Title: "Ablation: defrag queue policy", Exec: runAbPolicy})
+	register(Experiment{ID: "ab-done", Title: "Ablation: done-bitmap filtering", Exec: runAbDone})
 }
 
 // runAbEvict measures the informed-cache-replacement extension (the
 // PACMan-inspired future work of §2): reclaim defers evicting pages whose
 // Duet hints no task has consumed yet. Compared at a cache-thrashing
 // utilization with scrubbing + backup running concurrently.
-func runAbEvict(s Scale, w io.Writer) error {
+func runAbEvict(c *RunConfig, w io.Writer) error {
+	s := c.Scale
 	fmt.Fprintln(w, "# Ablation: informed cache replacement (keep pages with unconsumed hints)")
 	headers := []string{"Eviction policy", "I/O saved", "Work completed", "Reclaim deferrals"}
 	var rows [][]string
@@ -239,7 +241,7 @@ func runAbEvict(s Scale, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		e, err := build(EnvSpec{Scale: s, Seed: 1, Personality: workload.Webserver, TargetUtil: 0.6}, rate)
+		e, err := build(EnvSpec{Scale: s, Seed: 1, Personality: workload.Webserver, TargetUtil: 0.6}, rate, c.newObs())
 		if err != nil {
 			return err
 		}
@@ -250,6 +252,7 @@ func runAbEvict(s Scale, w io.Writer) error {
 		if err != nil {
 			return err
 		}
+		c.fold(out.obs)
 		name := "LRU"
 		if informed {
 			name = "LRU + Duet advice"
@@ -266,5 +269,5 @@ func runAbEvict(s Scale, w io.Writer) error {
 }
 
 func init() {
-	register(Experiment{ID: "ab-evict", Title: "Ablation: informed cache replacement", Run: runAbEvict})
+	register(Experiment{ID: "ab-evict", Title: "Ablation: informed cache replacement", Exec: runAbEvict})
 }

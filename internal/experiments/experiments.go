@@ -173,24 +173,13 @@ type env struct {
 	files []*cowfs.Inode
 	gen   *workload.Generator // nil when TargetUtil <= 0
 	spec  EnvSpec             // resolved spec (labels the cell's trace)
-	obs   *obs.Obs            // nil unless EnableObs is active
-	// traceSlot is the cell's reserved position in the run-level trace
-	// list (-1 to append): grid cells get input-order slots so the trace
-	// file is byte-identical at any worker count.
-	traceSlot int
+	obs   *obs.Obs            // nil when the run has no collector
 }
 
 // build constructs the machine, population and (rate-resolved) workload
-// for one experiment cell, attaching per-cell observability when
-// enabled.
-func build(spec EnvSpec, rate float64) (*env, error) {
-	return buildWith(spec, rate, newCellObs())
-}
-
-// buildWith is build with an explicit obs handle (nil disables;
-// calibration probes pass nil so shared probes are never charged to a
-// cell).
-func buildWith(spec EnvSpec, rate float64, o *obs.Obs) (*env, error) {
+// for one experiment cell, recording into o (nil disables; calibration
+// probes pass nil so shared probes are never charged to a cell).
+func build(spec EnvSpec, rate float64, o *obs.Obs) (*env, error) {
 	spec = spec.withDefaults()
 	m, err := machine.New(machine.Config{
 		Seed:         spec.Seed,
@@ -221,7 +210,7 @@ func buildWith(spec EnvSpec, rate float64, o *obs.Obs) (*env, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &env{m: m, files: files, spec: spec, obs: o, traceSlot: -1}
+	e := &env{m: m, files: files, spec: spec, obs: o}
 	if spec.TargetUtil > 0 {
 		gen, err := workload.New(m.Eng, m.FS, files, workload.Config{
 			Personality: spec.Personality,
@@ -256,60 +245,70 @@ type calKey struct {
 	decile      int
 }
 
-// The calibration cache is the only state shared between grid cells, so
-// it is guarded for RunGrid's worker pool. In-flight calibrations are
-// deduplicated: concurrent cells that need the same key wait for the
-// first one instead of bisecting redundantly. Calibration is seeded with
-// the fixed calSeed, so results are identical no matter which worker
-// computes them.
-var (
-	calMu       sync.Mutex
-	calCache    = map[calKey]float64{}
-	calInflight = map[calKey]*calCall{}
-)
+// calMemo holds one *calEntry per calibration key, for the whole
+// process: a calibration is a pure function of its key (probes run on
+// the fixed calSeed), so experiments and grid workers share them, and
+// concurrent cells that need the same key wait for the first instead of
+// bisecting again.
+var calMemo sync.Map
 
-type calCall struct {
-	done chan struct{}
+type calEntry struct {
+	once sync.Once
 	rate float64
 	err  error
 }
 
-// calLookup resolves a calibration through the cache, deduplicating
-// concurrent computations of the same key.
-func calLookup(key calKey, compute func() (float64, error)) (float64, error) {
-	calMu.Lock()
-	if r, ok := calCache[key]; ok {
-		calMu.Unlock()
-		return r, nil
-	}
-	if c, ok := calInflight[key]; ok {
-		calMu.Unlock()
-		<-c.done
-		return c.rate, c.err
-	}
-	c := &calCall{done: make(chan struct{})}
-	calInflight[key] = c
-	calMu.Unlock()
+const calSeed = 424242
 
-	c.rate, c.err = compute()
-	calMu.Lock()
-	if c.err == nil {
-		calCache[key] = c.rate
-	}
-	delete(calInflight, key)
-	calMu.Unlock()
-	close(c.done)
-	return c.rate, c.err
+// calibrate returns the memoized rate for key, running bisectRate over
+// measure on first use.
+func calibrate(key any, target float64, measure func(rate float64) (float64, error)) (float64, error) {
+	v, _ := calMemo.LoadOrStore(key, &calEntry{})
+	ent := v.(*calEntry)
+	ent.once.Do(func() { ent.rate, ent.err = bisectRate(target, measure) })
+	return ent.rate, ent.err
 }
 
-const calSeed = 424242
+// bisectRate finds the ops/sec at which measure reaches the target
+// utilization: it doubles from 16 to bound the rate, then halves the
+// bracket ten times. A device that cannot reach the target below 65536
+// ops/sec gets 0, unthrottled.
+func bisectRate(target float64, measure func(rate float64) (float64, error)) (float64, error) {
+	lo, hi := 0.0, 16.0
+	for {
+		u, err := measure(hi)
+		if err != nil {
+			return 0, err
+		}
+		if u >= target {
+			break
+		}
+		lo, hi = hi, hi*2
+		if hi > 65536 {
+			return 0, nil
+		}
+	}
+	for i := 0; i < 10; i++ {
+		mid := (lo + hi) / 2
+		u, err := measure(mid)
+		if err != nil {
+			return 0, err
+		}
+		if u < target {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2, nil
+}
 
 // measureUtil runs the workload alone at the given rate and returns the
 // steady-state device utilization.
 func measureUtil(spec EnvSpec, rate float64) (float64, error) {
 	probe := spec
 	probe.Seed = calSeed
-	e, err := buildWith(probe, rate, nil)
+	e, err := build(probe, rate, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -345,38 +344,8 @@ func calibrateRate(spec EnvSpec) (float64, error) {
 		coverage: round2(spec.Coverage), device: spec.Device, sched: spec.Sched,
 		decile: int(spec.TargetUtil*100 + 0.5),
 	}
-	return calLookup(key, func() (float64, error) {
-		// Find an upper bound by doubling, then bisect.
-		lo, hi := 0.0, 16.0
-		for {
-			u, err := measureUtil(spec, hi)
-			if err != nil {
-				return 0, err
-			}
-			if u >= spec.TargetUtil {
-				break
-			}
-			lo = hi
-			hi *= 2
-			if hi > 65536 {
-				// The device cannot be pushed to the target at this scale;
-				// fall back to unthrottled.
-				return 0, nil
-			}
-		}
-		for i := 0; i < 10; i++ {
-			mid := (lo + hi) / 2
-			u, err := measureUtil(spec, mid)
-			if err != nil {
-				return 0, err
-			}
-			if u < spec.TargetUtil {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		return (lo + hi) / 2, nil
+	return calibrate(key, spec.TargetUtil, func(rate float64) (float64, error) {
+		return measureUtil(spec, rate)
 	})
 }
 
@@ -412,6 +381,8 @@ type Outcome struct {
 	// Elapsed is how long the run lasted (≤ window; shorter when all
 	// tasks finished early).
 	Elapsed sim.Time
+	// obs is the cell's observations, for the caller to fold.
+	obs cellObs
 }
 
 // Reports returns the task reports in a stable order.
@@ -479,16 +450,10 @@ func (o *Outcome) Completed() bool {
 	return true
 }
 
-// runTasks executes one experiment run: populate, snapshot (for backup),
-// start the workload, run the tasks concurrently, stop at the window (or
-// when all tasks finish).
-func runTasks(spec RunSpec) (*Outcome, error) {
-	return runTasksSlot(spec, -1)
-}
-
-// runTasksSlot is runTasks with an explicit trace slot (RunGrid reserves
-// input-order slots so parallel completion cannot reorder the trace).
-func runTasksSlot(spec RunSpec, slot int) (*Outcome, error) {
+// runTasks executes one experiment cell: populate, snapshot (for
+// backup), start the workload, run the tasks concurrently, stop at the
+// window (or when all tasks finish).
+func runTasks(c *RunConfig, spec RunSpec) (*Outcome, error) {
 	rate, err := calibrateRate(spec.Env)
 	if err != nil {
 		return nil, err
@@ -497,16 +462,16 @@ func runTasksSlot(spec RunSpec, slot int) (*Outcome, error) {
 	if rate < 0 {
 		envSpec.TargetUtil = 0 // no workload
 	}
-	e, err := build(envSpec, rate)
+	e, err := build(envSpec, rate, c.newObs())
 	if err != nil {
 		return nil, err
 	}
-	e.traceSlot = slot
 	return runTasksOn(e, spec.Tasks, spec.Duet, spec.Env.Scale.Window)
 }
 
 // runTasksOn runs the task set on a pre-built environment (ablations use
-// this to customise the machine first).
+// this to customise the machine first). The outcome carries the cell's
+// observations for the caller to fold.
 func runTasksOn(e *env, taskNames []TaskName, duet bool, window sim.Time) (*Outcome, error) {
 	eng := e.m.Eng
 	out := &Outcome{}
@@ -614,7 +579,7 @@ func runTasksOn(e *env, taskNames []TaskName, duet bool, window sim.Time) (*Outc
 	if duet {
 		name += " duet"
 	}
-	foldCell(e.obs, e.m, e.traceSlot, cellTrace(e.obs, name))
+	out.obs = observe(e.obs, e.m, cellTrace(e.obs, name))
 	return out, nil
 }
 
@@ -624,8 +589,19 @@ type Experiment struct {
 	ID string
 	// Title describes the item.
 	Title string
-	// Run executes at the given scale and writes the rows/series.
-	Run func(s Scale, w io.Writer) error
+	// Exec runs the experiment under cfg and writes the rows/series.
+	Exec func(cfg *RunConfig, w io.Writer) error
+}
+
+// Workers is the worker count Experiment.Run uses. <= 0 means
+// runtime.GOMAXPROCS(0). cmd/duetbench passes its -j flag in a RunConfig
+// instead; the benchmark module still sets this.
+var Workers int
+
+// Run executes at scale s on Workers workers with no collector. The
+// benchmark module compiles against it.
+func (e Experiment) Run(s Scale, w io.Writer) error {
+	return e.Exec(&RunConfig{Scale: s, Workers: Workers}, w)
 }
 
 // All lists every experiment, in paper order.

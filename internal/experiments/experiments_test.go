@@ -3,10 +3,16 @@ package experiments
 import (
 	"bytes"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"duet/internal/workload"
 )
+
+// tinyRun is a tiny-scale run with default workers and no collector.
+func tinyRun() *RunConfig { return &RunConfig{Scale: ScaleTiny} }
 
 func TestScaleByName(t *testing.T) {
 	for _, name := range []string{"tiny", "small", "full", ""} {
@@ -71,8 +77,46 @@ func TestCalibrationConverges(t *testing.T) {
 	}
 }
 
+// TestCalibrateOncePerKey: concurrent cells that need one calibration
+// share a single bisection, and every one of them gets its rate.
+func TestCalibrateOncePerKey(t *testing.T) {
+	measure := func(calls *atomic.Int64) func(float64) (float64, error) {
+		return func(rate float64) (float64, error) {
+			calls.Add(1)
+			time.Sleep(100 * time.Microsecond) // let the other callers arrive
+			return rate / 1000, nil
+		}
+	}
+	var solo atomic.Int64
+	want, err := bisectRate(0.5, measure(&solo))
+	if err != nil || solo.Load() == 0 {
+		t.Fatalf("bisectRate = %v, %v after %d probes", want, err, solo.Load())
+	}
+	type testKey struct{ name string }
+	var calls atomic.Int64
+	rates := make([]float64, 16)
+	errs := make([]error, len(rates))
+	var wg sync.WaitGroup
+	for i := range rates {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rates[i], errs[i] = calibrate(testKey{t.Name()}, 0.5, measure(&calls))
+		}(i)
+	}
+	wg.Wait()
+	if calls.Load() != solo.Load() {
+		t.Errorf("%d callers ran %d probes, one bisection is %d", len(rates), calls.Load(), solo.Load())
+	}
+	for i := range rates {
+		if errs[i] != nil || rates[i] != want {
+			t.Errorf("caller %d: rate %v, err %v; want %v", i, rates[i], errs[i], want)
+		}
+	}
+}
+
 func TestRunScrubIdleCompletes(t *testing.T) {
-	out, err := runTasks(RunSpec{
+	out, err := runTasks(tinyRun(), RunSpec{
 		Env:   EnvSpec{Scale: ScaleTiny, Seed: 1, TargetUtil: 0},
 		Tasks: []TaskName{TaskScrub},
 		Duet:  false,
@@ -95,7 +139,7 @@ func TestRunScrubIdleCompletes(t *testing.T) {
 }
 
 func TestRunScrubDuetSavesUnderWorkload(t *testing.T) {
-	out, err := runTasks(RunSpec{
+	out, err := runTasks(tinyRun(), RunSpec{
 		Env: EnvSpec{Scale: ScaleTiny, Seed: 1, Personality: workload.Webserver,
 			Coverage: 1.0, TargetUtil: 0.5},
 		Tasks: []TaskName{TaskScrub},
@@ -119,7 +163,7 @@ func TestConcurrentTasksShareOnePass(t *testing.T) {
 	// The Figure 5 mechanism: scrub + backup with Duet and NO workload
 	// save a large fraction because whichever task reads a block first
 	// covers the other.
-	out, err := runTasks(RunSpec{
+	out, err := runTasks(tinyRun(), RunSpec{
 		Env:   EnvSpec{Scale: ScaleTiny, Seed: 1, TargetUtil: 0},
 		Tasks: []TaskName{TaskScrub, TaskBackup},
 		Duet:  true,
@@ -134,7 +178,7 @@ func TestConcurrentTasksShareOnePass(t *testing.T) {
 		t.Error("tasks did not complete on an idle device")
 	}
 	// Baseline comparison: two full passes, nothing saved.
-	base, err := runTasks(RunSpec{
+	base, err := runTasks(tinyRun(), RunSpec{
 		Env:   EnvSpec{Scale: ScaleTiny, Seed: 1, TargetUtil: 0},
 		Tasks: []TaskName{TaskScrub, TaskBackup},
 		Duet:  false,
@@ -152,7 +196,7 @@ func TestConcurrentTasksShareOnePass(t *testing.T) {
 
 func TestFig1Renders(t *testing.T) {
 	var b bytes.Buffer
-	if err := runFig1(ScaleTiny, &b); err != nil {
+	if err := runFig1(tinyRun(), &b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -170,11 +214,11 @@ func TestGCCleanStatsDuetReadsLess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bt, br, err := gcCleanStats(g, 1, rate, false)
+	bt, br, err := gcCleanStats(tinyRun(), g, 1, rate, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dt, dr, err := gcCleanStats(g, 1, rate, true)
+	dt, dr, err := gcCleanStats(tinyRun(), g, 1, rate, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +232,11 @@ func TestGCCleanStatsDuetReadsLess(t *testing.T) {
 
 func TestMaxUtilizationDuetAtLeastBaseline(t *testing.T) {
 	row := tab5Row{personality: workload.Webserver, overlap: 1.0, dist: "uniform"}
-	base, err := maxUtilization(ScaleTiny, row, TaskScrub, false)
+	base, _, err := maxUtilization(tinyRun(), row, TaskScrub, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	duet, err := maxUtilization(ScaleTiny, row, TaskScrub, true)
+	duet, _, err := maxUtilization(tinyRun(), row, TaskScrub, true)
 	if err != nil {
 		t.Fatal(err)
 	}

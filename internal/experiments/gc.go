@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"duet/internal/lfs"
 	"duet/internal/machine"
@@ -55,8 +54,8 @@ func gcScaleFor(s Scale) gcScale {
 
 // newLFSMachine builds the bare machine for the GC experiments. o is
 // the cell's observability handle (nil when off, and for calibration
-// probes — they are shared through the calibration cache, so charging
-// them to a cell would make the registry depend on cache state).
+// probes — they are shared through the calibration memo, so charging
+// them to a cell would make the registry depend on memo state).
 func newLFSMachine(g gcScale, seed int64, o *obs.Obs) (*machine.LFSMachine, error) {
 	return machine.NewLFS(machine.Config{
 		Seed:         seed,
@@ -108,9 +107,9 @@ func setupLFS(p *sim.Proc, m *machine.LFSMachine, g gcScale) ([]*lfs.Inode, erro
 // gcRun executes one GC measurement: build, set up, start the workload
 // (rate 0 = unthrottled, negative = none) and the cleaner, run for the
 // window, and hand the cleaner records to collect.
-func gcRun(g gcScale, seed int64, rate float64, duet bool,
+func gcRun(c *RunConfig, g gcScale, seed int64, rate float64, duet bool,
 	collect func(gc *lfs.GC, gen *workload.Generator, m *machine.LFSMachine)) error {
-	o := newCellObs()
+	o := c.newObs()
 	m, err := newLFSMachine(g, seed, o)
 	if err != nil {
 		return err
@@ -172,16 +171,16 @@ func gcRun(g gcScale, seed int64, rate float64, duet bool,
 	if duet {
 		mode = "duet"
 	}
-	foldCell(o, m, -1, cellTrace(o, fmt.Sprintf("gc %s r%.2f seed%d", mode, rate, seed)))
+	c.fold(observe(o, m, cellTrace(o, fmt.Sprintf("gc %s r%.2f seed%d", mode, rate, seed))))
 	return nil
 }
 
 // gcCleanStats returns the mean cleaning time and mean blocks read per
 // cleaned segment for one run.
-func gcCleanStats(g gcScale, seed int64, rate float64, duet bool) (sim.Time, float64, error) {
+func gcCleanStats(c *RunConfig, g gcScale, seed int64, rate float64, duet bool) (sim.Time, float64, error) {
 	var mean sim.Time
 	var reads float64
-	err := gcRun(g, seed, rate, duet, func(gc *lfs.GC, _ *workload.Generator, _ *machine.LFSMachine) {
+	err := gcRun(c, g, seed, rate, duet, func(gc *lfs.GC, _ *workload.Generator, _ *machine.LFSMachine) {
 		if len(gc.Records) == 0 {
 			return
 		}
@@ -195,8 +194,8 @@ func gcCleanStats(g gcScale, seed int64, rate float64, duet bool) (sim.Time, flo
 	return mean, reads, err
 }
 
-func runTab6(s Scale, w io.Writer) error {
-	g := gcScaleFor(s)
+func runTab6(c *RunConfig, w io.Writer) error {
+	g := gcScaleFor(c.Scale)
 	fmt.Fprintln(w, "# Table 6: segment cleaning time with and without Duet (fileserver workload)")
 	headers := []string{"Utilization", "Baseline clean (ms)", "Duet clean (ms)", "Baseline reads/seg", "Duet reads/seg"}
 	var rows [][]string
@@ -206,12 +205,12 @@ func runTab6(s Scale, w io.Writer) error {
 			return err
 		}
 		var bTimes, dTimes, bReads, dReads []float64
-		for _, seed := range seeds(s) {
-			bt, br, err := gcCleanStats(g, seed, rate, false)
+		for _, seed := range seeds(c.Scale) {
+			bt, br, err := gcCleanStats(c, g, seed, rate, false)
 			if err != nil {
 				return err
 			}
-			dt, dr, err := gcCleanStats(g, seed, rate, true)
+			dt, dr, err := gcCleanStats(c, g, seed, rate, true)
 			if err != nil {
 				return err
 			}
@@ -245,96 +244,52 @@ type lfsCalKey struct {
 	decile int
 }
 
-// Guarded like calCache so gc experiments stay safe under RunGrid-style
-// concurrency.
-var (
-	lfsCalMu    sync.Mutex
-	lfsCalCache = map[lfsCalKey]float64{}
-)
-
 // calibrateLFSRate finds the fileserver ops/sec producing the target
 // utilization on the aged lfs, measured without any cleaner running.
 func calibrateLFSRate(g gcScale, target float64) (float64, error) {
-	key := lfsCalKey{g.deviceBlocks, int(target*100 + 0.5)}
-	lfsCalMu.Lock()
-	r, ok := lfsCalCache[key]
-	lfsCalMu.Unlock()
-	if ok {
-		return r, nil
+	return calibrate(lfsCalKey{g.deviceBlocks, int(target*100 + 0.5)}, target,
+		func(rate float64) (float64, error) { return measureLFSUtil(g, rate) })
+}
+
+// measureLFSUtil runs the fileserver workload alone on a freshly aged lfs
+// at the given rate and returns the steady-state device utilization.
+func measureLFSUtil(g gcScale, rate float64) (float64, error) {
+	m, err := newLFSMachine(g, calSeed, nil)
+	if err != nil {
+		return 0, err
 	}
-	measure := func(rate float64) (float64, error) {
-		m, err := newLFSMachine(g, calSeed, nil)
+	var util float64
+	var setupErr error
+	m.Eng.Go("probe", func(p *sim.Proc) {
+		files, err := setupLFS(p, m, g)
 		if err != nil {
-			return 0, err
-		}
-		var util float64
-		var setupErr error
-		m.Eng.Go("probe", func(p *sim.Proc) {
-			files, err := setupLFS(p, m, g)
-			if err != nil {
-				setupErr = err
-				m.Eng.Stop()
-				return
-			}
-			gen, err := workload.NewLFS(m.Eng, m.FS, files, workload.Config{
-				Personality: workload.Fileserver,
-				OpsPerSec:   rate,
-				Name:        "fileserver-lfs",
-			})
-			if err != nil {
-				setupErr = err
-				m.Eng.Stop()
-				return
-			}
-			gen.Start(m.Eng)
-			p.Sleep(5 * sim.Second)
-			before := m.Disk.Snapshot()
-			p.Sleep(20 * sim.Second)
-			util = storage.UtilBetween(before, m.Disk.Snapshot())
+			setupErr = err
 			m.Eng.Stop()
+			return
+		}
+		gen, err := workload.NewLFS(m.Eng, m.FS, files, workload.Config{
+			Personality: workload.Fileserver,
+			OpsPerSec:   rate,
+			Name:        "fileserver-lfs",
 		})
-		if err := m.Eng.Run(); err != nil {
-			return 0, err
-		}
-		return util, setupErr
-	}
-	lo, hi := 0.0, 16.0
-	for {
-		u, err := measure(hi)
 		if err != nil {
-			return 0, err
+			setupErr = err
+			m.Eng.Stop()
+			return
 		}
-		if u >= target {
-			break
-		}
-		lo = hi
-		hi *= 2
-		if hi > 65536 {
-			lfsCalMu.Lock()
-			lfsCalCache[key] = 0
-			lfsCalMu.Unlock()
-			return 0, nil
-		}
+		gen.Start(m.Eng)
+		p.Sleep(5 * sim.Second)
+		before := m.Disk.Snapshot()
+		p.Sleep(20 * sim.Second)
+		util = storage.UtilBetween(before, m.Disk.Snapshot())
+		m.Eng.Stop()
+	})
+	if err := m.Eng.Run(); err != nil {
+		return 0, err
 	}
-	for i := 0; i < 10; i++ {
-		mid := (lo + hi) / 2
-		u, err := measure(mid)
-		if err != nil {
-			return 0, err
-		}
-		if u < target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	rate := (lo + hi) / 2
-	lfsCalMu.Lock()
-	lfsCalCache[key] = rate
-	lfsCalMu.Unlock()
-	return rate, nil
+	return util, setupErr
 }
 
 func init() {
-	register(Experiment{ID: "tab6", Title: "GC segment cleaning time (fileserver on lfs)", Run: runTab6})
+	register(Experiment{ID: "tab6", Title: "GC segment cleaning time (fileserver on lfs)", Exec: runTab6})
 }

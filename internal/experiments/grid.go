@@ -10,38 +10,36 @@ import (
 
 // The experiment grids — overlap × utilization × seed × {baseline, Duet}
 // — are embarrassingly parallel: every cell builds its own deterministic
-// sim.Engine and shares nothing with its neighbours except the guarded
-// calibration cache. RunGrid fans cells out across a worker pool and
-// reassembles results in input order, so a sweep renders byte-identical
-// output at any worker count.
+// sim.Engine and shares nothing with its neighbours except the
+// calibration memo. gridEach fans work out across a worker pool, and
+// callers consume and fold results in input order, so a run renders
+// byte-identical output, metrics and traces at any worker count.
 //
 // Parallelism exists only BETWEEN engines: inside one engine exactly one
 // simulated process runs at a time (see internal/sim), and that
 // invariant is untouched here.
 
-// Workers is the worker count the sweep helpers use. <= 0 means
-// runtime.GOMAXPROCS(0). cmd/duetbench sets it from its -j flag.
-var Workers int
+// RunConfig is one run of the experiments: everything a cell needs to
+// know besides its own spec.
+type RunConfig struct {
+	Scale Scale
+	// Workers is the grid worker count; <= 0 means runtime.GOMAXPROCS(0).
+	Workers int
+	// Progress, when non-nil, receives a one-line progress report as grid
+	// cells complete. It must not share a stream with experiment output:
+	// figures are rendered to stdout and must stay byte-identical across
+	// worker counts.
+	Progress io.Writer
+	// Obs, when non-nil, collects every cell's metrics and traces.
+	Obs *Collector
+}
 
-// Progress, when non-nil, receives a one-line progress report as grid
-// cells complete (cmd/duetbench points it at stderr). It must not share
-// a stream with experiment output: figures are rendered to stdout and
-// must stay byte-identical across worker counts.
-var Progress io.Writer
-
-// cellsRun counts grid cells executed process-wide, for the benchmark
-// trajectory file cmd/duetbench emits.
+// cellsRun counts cells folded process-wide, for the benchmark's
+// per-layer "experiments.cells" figure.
 var cellsRun atomic.Int64
 
-// CellsRun returns the total number of grid cells executed so far.
+// CellsRun returns the total number of cells executed so far.
 func CellsRun() int64 { return cellsRun.Load() }
-
-// countCell records one completed simulation cell. Every site that runs
-// a full experiment machine — grid cells via runTasksOn, the ablations'
-// hand-driven engines, the GC and fault sweeps, rsync — must call it
-// exactly once per cell, so the benchmark trajectory's per-experiment
-// "cells" field reflects the work that actually ran.
-func countCell() { cellsRun.Add(1) }
 
 // CellResult is one grid cell's outcome, tagged with the index of the
 // RunSpec that produced it.
@@ -51,23 +49,21 @@ type CellResult struct {
 	Err     error
 }
 
-// RunGrid executes every cell on a pool of workers and returns the
-// results in input order: results[i] corresponds to cells[i] regardless
-// of completion order. workers <= 0 uses runtime.GOMAXPROCS(0). Errors
-// are aggregated per cell rather than aborting the grid; FirstErr
-// collapses them for callers that want fail-fast semantics.
-func RunGrid(cells []RunSpec, workers int) []CellResult {
-	// Trace slots are reserved up front in input order, so the trace file
-	// lists cells by grid position no matter which worker finishes first —
-	// the trace-side analogue of the results reordering below.
-	base := reserveTraceSlots(len(cells))
-	return runCells(len(cells), workers, func(i int) (*Outcome, error) {
-		slot := -1
-		if base >= 0 {
-			slot = base + i
-		}
-		return runTasksSlot(cells[i], slot)
+// RunGrid executes every cell on c's workers and returns the results in
+// input order: results[i] corresponds to cells[i] regardless of
+// completion order. Errors are aggregated per cell rather than aborting
+// the grid; FirstErr collapses them for callers that want fail-fast
+// semantics. The successful cells are folded into c in input order.
+func (c *RunConfig) RunGrid(cells []RunSpec) []CellResult {
+	results := c.runCells(len(cells), func(i int) (*Outcome, error) {
+		return runTasks(c, cells[i])
 	})
+	for _, r := range results {
+		if r.Err == nil {
+			c.fold(r.Outcome.obs)
+		}
+	}
+	return results
 }
 
 // FirstErr returns the error of the lowest-indexed failed cell, or nil.
@@ -82,88 +78,45 @@ func FirstErr(results []CellResult) error {
 	return nil
 }
 
-// Engine slots bound how many cells may run a machine at once across
-// ALL grids in flight. Nested fan-out (runTab5 grids whole scans, each
-// of which grids its seeds) would otherwise multiply concurrency — and
-// each running cell holds a populated machine's memory.
-var slots = struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	used int
-}{}
-
-func acquireSlot(limit int) {
-	slots.mu.Lock()
-	if slots.cond == nil {
-		slots.cond = sync.NewCond(&slots.mu)
-	}
-	for slots.used >= limit {
-		slots.cond.Wait()
-	}
-	slots.used++
-	slots.mu.Unlock()
-}
-
-func releaseSlot() {
-	slots.mu.Lock()
-	slots.used--
-	slots.cond.Broadcast()
-	slots.mu.Unlock()
-}
-
-// runCells is the generic executor behind RunGrid; tests inject run
-// functions with shuffled completion times to check result ordering.
-func runCells(n, workers int, run func(int) (*Outcome, error)) []CellResult {
-	limit := workers
-	if limit <= 0 {
-		limit = runtime.GOMAXPROCS(0)
-	}
+// runCells is the executor behind RunGrid; tests inject run functions
+// with shuffled completion times to check result ordering.
+func (c *RunConfig) runCells(n int, run func(int) (*Outcome, error)) []CellResult {
 	results := make([]CellResult, n)
-	var done atomic.Int64
-	var progressMu sync.Mutex
-	gridEach(n, workers, func(i int) {
-		acquireSlot(limit)
+	c.gridEach(n, func(i int) {
 		out, err := run(i)
-		releaseSlot()
 		results[i] = CellResult{Index: i, Outcome: out, Err: err}
-		d := done.Add(1)
-		if Progress != nil && n > 1 {
-			progressMu.Lock()
-			fmt.Fprintf(Progress, "\r    grid: %d/%d cells", d, int64(n))
-			if d == int64(n) {
-				fmt.Fprintf(Progress, "\r%*s\r", 30+2*len(fmt.Sprint(n)), "")
-			}
-			progressMu.Unlock()
-		}
 	})
 	return results
 }
 
-// gridEach runs fn(i) for every i in [0, n) across a worker pool. It is
-// the bare parallel-for under RunGrid; runTab5 uses it directly because
-// its unit of work is a whole adaptive scan, not a single RunSpec.
-func gridEach(n, workers int, fn func(int)) {
+// gridEach runs fn(i) for every i in [0, n) on c.Workers goroutines and
+// returns when all calls have. It is the package's only parallel-for:
+// RunGrid runs one RunSpec per call, runTab5 one adaptive scan.
+func (c *RunConfig) gridEach(n int, fn func(int)) {
+	workers := c.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if n == 0 {
-		return
-	}
-	var next atomic.Int64
+	workers = min(workers, n)
+	var next, done atomic.Int64
+	var progressMu sync.Mutex
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 				fn(i)
+				d := done.Add(1)
+				if c.Progress == nil || n < 2 {
+					continue
+				}
+				progressMu.Lock()
+				fmt.Fprintf(c.Progress, "\r    grid: %d/%d cells", d, n)
+				if d == int64(n) {
+					fmt.Fprintf(c.Progress, "\r%*s\r", 30+2*len(fmt.Sprint(n)), "")
+				}
+				progressMu.Unlock()
 			}
 		}()
 	}

@@ -18,11 +18,8 @@ func TestGridDeterminism(t *testing.T) {
 		t.Skip("full fig2 sweep in -short mode")
 	}
 	render := func(workers int) string {
-		old := Workers
-		Workers = workers
-		defer func() { Workers = old }()
 		var b bytes.Buffer
-		if err := runFig2(ScaleTiny, &b); err != nil {
+		if err := runFig2(&RunConfig{Scale: ScaleTiny, Workers: workers}, &b); err != nil {
 			t.Fatalf("fig2 with %d workers: %v", workers, err)
 		}
 		return b.String()
@@ -50,7 +47,8 @@ func TestGridOrderProperty(t *testing.T) {
 		for i := range delays {
 			delays[i] = time.Duration(rng.Intn(3)) * time.Millisecond
 		}
-		results := runCells(n, workers, func(i int) (*Outcome, error) {
+		c := &RunConfig{Scale: ScaleTiny, Workers: workers}
+		results := c.runCells(n, func(i int) (*Outcome, error) {
 			time.Sleep(delays[i]) // shuffle completion order
 			return &Outcome{Util: float64(i)}, nil
 		})
@@ -73,7 +71,8 @@ func TestGridOrderProperty(t *testing.T) {
 // failure no matter which cell failed first in real time.
 func TestGridErrorAggregation(t *testing.T) {
 	boom := errors.New("boom")
-	results := runCells(10, 4, func(i int) (*Outcome, error) {
+	c := &RunConfig{Scale: ScaleTiny, Workers: 4}
+	results := c.runCells(10, func(i int) (*Outcome, error) {
 		if i%3 == 1 { // cells 1, 4, 7 fail
 			return nil, fmt.Errorf("cell %d: %w", i, boom)
 		}
@@ -98,13 +97,14 @@ func TestGridErrorAggregation(t *testing.T) {
 }
 
 func TestGridEmptyAndSingle(t *testing.T) {
-	if got := runCells(0, 4, func(int) (*Outcome, error) { return nil, nil }); len(got) != 0 {
+	c := &RunConfig{Scale: ScaleTiny, Workers: 3}
+	if got := c.runCells(0, func(int) (*Outcome, error) { return nil, nil }); len(got) != 0 {
 		t.Errorf("empty grid returned %d results", len(got))
 	}
-	got := RunGrid([]RunSpec{{
+	got := c.RunGrid([]RunSpec{{
 		Env:   EnvSpec{Scale: ScaleTiny, Seed: 1, TargetUtil: 0},
 		Tasks: []TaskName{TaskScrub},
-	}}, 3)
+	}})
 	if len(got) != 1 || got[0].Err != nil || got[0].Outcome == nil {
 		t.Fatalf("single-cell grid: %+v", got)
 	}

@@ -12,24 +12,24 @@ import (
 // Duet lets them share one pass over the common data, so savings appear
 // even with no foreground workload at all.
 
-// multiSweep runs a task set across utilizations, once with Duet and once
-// baseline, collecting a metric from each outcome. The util × {duet,
-// baseline} × seed grid runs on the worker pool; results are consumed in
-// cell order, so the rendered series are identical at any worker count.
-func multiSweep(s Scale, taskSet []TaskName, overlap float64,
-	metric func(*Outcome) float64) (duet, base metrics.Series, err error) {
-	duet.Name = "duet"
-	base.Name = "baseline"
-	utils := s.Utils()
-	sds := seeds(s)
+// workSweep renders the fraction of maintenance work completed in the
+// window by a task set across utilizations (100% overlap), once with
+// Duet and once baseline. The util × {duet, baseline} × seed grid runs
+// on the worker pool; results are consumed in cell order, so the
+// rendered series are identical at any worker count.
+func workSweep(c *RunConfig, w io.Writer, title string, taskSet []TaskName) error {
+	duet := metrics.Series{Name: "duet"}
+	base := metrics.Series{Name: "baseline"}
+	utils := c.Scale.Utils()
+	sds := seeds(c.Scale)
 	var cells []RunSpec
 	for _, util := range utils {
 		for _, isDuet := range []bool{true, false} {
 			for _, seed := range sds {
 				cells = append(cells, RunSpec{
 					Env: EnvSpec{
-						Scale: s, Seed: seed, Personality: workload.Webserver,
-						Coverage: overlap, TargetUtil: util, Device: machine.HDD,
+						Scale: c.Scale, Seed: seed, Personality: workload.Webserver,
+						Coverage: 1, TargetUtil: util, Device: machine.HDD,
 					},
 					Tasks: taskSet,
 					Duet:  isDuet,
@@ -37,16 +37,16 @@ func multiSweep(s Scale, taskSet []TaskName, overlap float64,
 			}
 		}
 	}
-	results := RunGrid(cells, Workers)
+	results := c.RunGrid(cells)
 	if err := FirstErr(results); err != nil {
-		return duet, base, err
+		return err
 	}
 	i := 0
 	for _, util := range utils {
 		for _, isDuet := range []bool{true, false} {
 			var vals []float64
 			for range sds {
-				vals = append(vals, metric(results[i].Outcome))
+				vals = append(vals, results[i].Outcome.WorkCompleted())
 				i++
 			}
 			mean, ci := metrics.CI95(vals)
@@ -58,105 +58,46 @@ func multiSweep(s Scale, taskSet []TaskName, overlap float64,
 			}
 		}
 	}
-	return duet, base, nil
-}
-
-// ioSavedMulti renders an I/O-saved figure for concurrent tasks at
-// several overlaps (Duet only: the baseline saves nothing by
-// definition of the metric).
-func ioSavedMulti(s Scale, w io.Writer, title string, taskSet []TaskName) error {
 	fig := &metrics.Figure{
 		Title:  title,
 		XLabel: "util",
-		YLabel: "fraction of combined maintenance I/O saved",
-	}
-	overlaps := []float64{0.25, 0.50, 0.75, 1.00}
-	utils := s.Utils()
-	sds := seeds(s)
-	var cells []RunSpec
-	for _, ov := range overlaps {
-		for _, util := range utils {
-			for _, seed := range sds {
-				cells = append(cells, RunSpec{
-					Env: EnvSpec{
-						Scale: s, Seed: seed, Personality: workload.Webserver,
-						Coverage: ov, TargetUtil: util,
-					},
-					Tasks: taskSet,
-					Duet:  true,
-				})
-			}
-		}
-	}
-	results := RunGrid(cells, Workers)
-	if err := FirstErr(results); err != nil {
-		return err
-	}
-	i := 0
-	for _, ov := range overlaps {
-		series := metrics.Series{Name: "overlap=" + metrics.Pct(ov)}
-		for _, util := range utils {
-			var vals []float64
-			for range sds {
-				vals = append(vals, results[i].Outcome.IOSaved())
-				i++
-			}
-			mean, ci := metrics.CI95(vals)
-			series.Points = append(series.Points, metrics.Point{X: util, Y: mean, CI: ci})
-		}
-		fig.Series = append(fig.Series, series)
+		YLabel: "fraction of maintenance work completed in the window",
+		Series: []metrics.Series{duet, base},
 	}
 	fig.Render(w)
 	return nil
 }
 
-func runFig5(s Scale, w io.Writer) error {
-	return ioSavedMulti(s, w,
+// combinedLabel is the y-axis of the concurrent-task I/O-saved figures.
+const combinedLabel = "fraction of combined maintenance I/O saved"
+
+func runFig5(c *RunConfig, w io.Writer) error {
+	return ioSavedSweep(c, w,
 		"Figure 5: I/O saved, scrubbing + backup running together (webserver workload)",
+		combinedLabel, []TaskName{TaskScrub, TaskBackup}, machine.HDD)
+}
+
+func runFig6(c *RunConfig, w io.Writer) error {
+	return workSweep(c, w,
+		"Figure 6: maintenance work completed, scrubbing + backup (webserver workload)",
 		[]TaskName{TaskScrub, TaskBackup})
 }
 
-func runFig6(s Scale, w io.Writer) error {
-	duet, base, err := multiSweep(s, []TaskName{TaskScrub, TaskBackup}, 1.0,
-		(*Outcome).WorkCompleted)
-	if err != nil {
-		return err
-	}
-	fig := &metrics.Figure{
-		Title:  "Figure 6: maintenance work completed, scrubbing + backup (webserver workload)",
-		XLabel: "util",
-		YLabel: "fraction of maintenance work completed in the window",
-		Series: []metrics.Series{duet, base},
-	}
-	fig.Render(w)
-	return nil
+func runFig7(c *RunConfig, w io.Writer) error {
+	return ioSavedSweep(c, w,
+		"Figure 7: I/O saved, scrubbing + backup + defragmentation (webserver workload)",
+		combinedLabel, []TaskName{TaskScrub, TaskBackup, TaskDefrag}, machine.HDD)
 }
 
-func runFig7(s Scale, w io.Writer) error {
-	return ioSavedMulti(s, w,
-		"Figure 7: I/O saved, scrubbing + backup + defragmentation (webserver workload)",
+func runFig8(c *RunConfig, w io.Writer) error {
+	return workSweep(c, w,
+		"Figure 8: maintenance work completed, scrub + backup + defrag (webserver workload)",
 		[]TaskName{TaskScrub, TaskBackup, TaskDefrag})
 }
 
-func runFig8(s Scale, w io.Writer) error {
-	duet, base, err := multiSweep(s, []TaskName{TaskScrub, TaskBackup, TaskDefrag}, 1.0,
-		(*Outcome).WorkCompleted)
-	if err != nil {
-		return err
-	}
-	fig := &metrics.Figure{
-		Title:  "Figure 8: maintenance work completed, scrub + backup + defrag (webserver workload)",
-		XLabel: "util",
-		YLabel: "fraction of maintenance work completed in the window",
-		Series: []metrics.Series{duet, base},
-	}
-	fig.Render(w)
-	return nil
-}
-
 func init() {
-	register(Experiment{ID: "fig5", Title: "I/O saved: scrub + backup together", Run: runFig5})
-	register(Experiment{ID: "fig6", Title: "Work completed: scrub + backup", Run: runFig6})
-	register(Experiment{ID: "fig7", Title: "I/O saved: scrub + backup + defrag", Run: runFig7})
-	register(Experiment{ID: "fig8", Title: "Work completed: three tasks", Run: runFig8})
+	register(Experiment{ID: "fig5", Title: "I/O saved: scrub + backup together", Exec: runFig5})
+	register(Experiment{ID: "fig6", Title: "Work completed: scrub + backup", Exec: runFig6})
+	register(Experiment{ID: "fig7", Title: "I/O saved: scrub + backup + defrag", Exec: runFig7})
+	register(Experiment{ID: "fig8", Title: "Work completed: three tasks", Exec: runFig8})
 }

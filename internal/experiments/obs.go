@@ -1,159 +1,80 @@
 package experiments
 
 import (
-	"sync"
-
 	"duet/internal/obs"
 )
 
-// Per-cell observability. Grid cells run concurrently, so a single
-// shared registry would interleave nondeterministically; instead every
-// cell records into its own obs handle, and the cell's registry is
-// merged into the run-level registry when the cell completes. The merge
-// is commutative (counters sum, gauges take maxima, histograms add
-// bucket-wise), so the merged result is identical no matter how the
-// worker pool interleaves completions — mirroring the stdout
-// determinism guarantee the grid already makes.
-//
-// Traces cannot be merged commutatively (they are ordered streams), so
-// per-cell tracers are exported as separate trace processes. Grid cells
-// reserve their position in the trace list up front, in input order
-// (reserveTraceSlots), and serially-driven cells append as they finish;
-// either way the trace file is a pure function of the run's inputs, so
-// -trace no longer needs a single worker.
+// Per-cell observability. Every cell records into its own obs handle,
+// built from the run's Collector, and hands its registry and tracers
+// back to its caller when it finishes. The caller folds them into the
+// Collector on its own goroutine, in input order: grid callers after
+// the grid returns, serial callers as each cell returns. So the merged
+// registry and the trace list are pure functions of the run's inputs,
+// at any worker count.
 
-var obsCfg struct {
-	mu      sync.Mutex
-	enabled bool
+// Collector gathers a run's observations: the run-level metrics registry
+// that cell registries merge into and, when tracing, every cell's trace
+// processes in fold order. Calibration probes are excluded: they are
+// shared across cells through the calibration memo, so charging their
+// activity to any one cell would make the registry depend on memo state.
+type Collector struct {
+	Metrics *obs.Registry
+	Traces  []obs.TraceProcess
 	tracing bool
-	reg     *obs.Registry
-	cells   []obs.TraceProcess
 }
 
-// EnableObs switches subsequent experiment cells to record
-// observability data, returning the run-level registry that cell
-// metrics merge into. With tracing true, each cell also fills its own
-// bounded trace ring, collected via CellTraces. Calibration probes are
-// excluded — they are shared across cells through the calibration
-// cache, so charging their activity to any one cell would make the
-// merged registry depend on cache state.
-func EnableObs(tracing bool) *obs.Registry {
-	obsCfg.mu.Lock()
-	defer obsCfg.mu.Unlock()
-	obsCfg.enabled = true
-	obsCfg.tracing = tracing
-	obsCfg.reg = obs.NewRegistry()
-	obsCfg.cells = nil
-	return obsCfg.reg
+// NewCollector returns an empty collector. With tracing, each cell also
+// fills its own bounded trace ring.
+func NewCollector(tracing bool) *Collector {
+	return &Collector{Metrics: obs.NewRegistry(), tracing: tracing}
 }
 
-// DisableObs turns per-cell observability back off (tests use this to
-// restore the package default).
-func DisableObs() {
-	obsCfg.mu.Lock()
-	defer obsCfg.mu.Unlock()
-	obsCfg.enabled = false
-	obsCfg.tracing = false
-	obsCfg.reg = nil
-	obsCfg.cells = nil
-}
-
-// ObsRegistry returns the run-level registry (nil unless EnableObs was
-// called).
-func ObsRegistry() *obs.Registry {
-	obsCfg.mu.Lock()
-	defer obsCfg.mu.Unlock()
-	return obsCfg.reg
-}
-
-// CellTraces returns the per-cell tracers collected so far, in
-// deterministic order: grid cells at their reserved input-order slots,
-// serially-driven cells in completion (= program) order. Slots whose
-// cell errored out (or recorded nothing) are skipped.
-func CellTraces() []obs.TraceProcess {
-	obsCfg.mu.Lock()
-	defer obsCfg.mu.Unlock()
-	var out []obs.TraceProcess
-	for _, c := range obsCfg.cells {
-		if c.T != nil {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// obsTracing reports whether per-cell tracing is active. The one
-// remaining nondeterministic ordering — tab5's scan-level fan-out, which
-// issues whole grids concurrently — consults this to fall back to serial
-// scans while tracing.
-func obsTracing() bool {
-	obsCfg.mu.Lock()
-	defer obsCfg.mu.Unlock()
-	return obsCfg.tracing
-}
-
-// reserveTraceSlots claims n consecutive positions in the trace list and
-// returns the first index, or -1 when tracing is off. Reserving before
-// the cells run pins the export order to grid input order.
-func reserveTraceSlots(n int) int {
-	obsCfg.mu.Lock()
-	defer obsCfg.mu.Unlock()
-	if !obsCfg.tracing {
-		return -1
-	}
-	base := len(obsCfg.cells)
-	obsCfg.cells = append(obsCfg.cells, make([]obs.TraceProcess, n)...)
-	return base
-}
-
-// putCellTrace stores a finished cell's tracer at its reserved slot, or
-// appends when the cell had none (serially-driven cells).
-func putCellTrace(slot int, tp obs.TraceProcess) {
-	if slot >= 0 && slot < len(obsCfg.cells) {
-		obsCfg.cells[slot] = tp
-		return
-	}
-	obsCfg.cells = append(obsCfg.cells, tp)
-}
-
-// newCellObs builds the obs handle for one cell, or nil when
-// observability is off (the default: every machine hot path keeps its
-// probe-free branch).
-func newCellObs() *obs.Obs {
-	obsCfg.mu.Lock()
-	defer obsCfg.mu.Unlock()
-	if !obsCfg.enabled {
+// newObs builds the obs handle for one cell, or nil when the run has no
+// collector (the default: every machine hot path keeps its probe-free
+// branch).
+func (c *RunConfig) newObs() *obs.Obs {
+	if c.Obs == nil {
 		return nil
 	}
 	o := &obs.Obs{Metrics: obs.NewRegistry()}
-	if obsCfg.tracing {
+	if c.Obs.tracing {
 		o.Trace = obs.NewTracer(obs.DefaultTraceEvents)
 	}
 	return o
 }
 
-// foldCell folds one finished cell into the run-level state and counts
-// it: c's counters are absorbed into the cell's registry, which merges
-// into the run registry, and the cell's tracers join the trace list —
-// at the cell's reserved slot when slot >= 0 (grid cells), else
-// appended. Cells without a slot run serially inside their experiment,
-// so appending preserves determinism. Tracers with a nil T (tracing
-// off) are skipped.
-func foldCell(o *obs.Obs, c interface{ CollectMetrics(*obs.Registry) }, slot int, traces ...obs.TraceProcess) {
-	countCell()
+// cellObs is what a finished cell hands back to its caller: its
+// registry, holding the machine's counters, and its named tracers. It is
+// zero when the run has no collector.
+type cellObs struct {
+	reg    *obs.Registry
+	traces []obs.TraceProcess
+}
+
+// observe closes a cell: m's counters are collected into the cell's
+// registry, and the registry and tracers are bundled for the caller.
+func observe(o *obs.Obs, m interface{ CollectMetrics(*obs.Registry) }, traces ...obs.TraceProcess) cellObs {
 	if o == nil {
+		return cellObs{}
+	}
+	m.CollectMetrics(o.Metrics)
+	return cellObs{reg: o.Metrics, traces: traces}
+}
+
+// fold counts one finished cell and merges its observations into the
+// run's collector; tracers with a nil T (tracing off) are skipped. It is
+// the one place cells reach run-level state, and it must be called on
+// the goroutine that runs the experiment, in input order.
+func (c *RunConfig) fold(co cellObs) {
+	cellsRun.Add(1)
+	if c.Obs == nil || co.reg == nil {
 		return
 	}
-	c.CollectMetrics(o.Metrics)
-	obsCfg.mu.Lock()
-	defer obsCfg.mu.Unlock()
-	if obsCfg.reg != nil {
-		obsCfg.reg.Merge(o.Metrics)
-		obsCfg.reg.Counter("grid.cells").Inc()
-	}
-	for _, tp := range traces {
+	c.Obs.Metrics.Merge(co.reg)
+	c.Obs.Metrics.Counter("grid.cells").Inc()
+	for _, tp := range co.traces {
 		if tp.T != nil {
-			putCellTrace(slot, tp)
+			c.Obs.Traces = append(c.Obs.Traces, tp)
 		}
 	}
 }

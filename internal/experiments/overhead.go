@@ -33,7 +33,7 @@ const (
 	fig9FetchCost = 900 // ns per duet_fetch invocation
 )
 
-func runFig9(s Scale, w io.Writer) error {
+func runFig9(c *RunConfig, w io.Writer) error {
 	fig := &metrics.Figure{
 		Title:  "Figure 9: CPU overhead of Duet (unthrottled webserver generating events)",
 		XLabel: "fetch-ms",
@@ -50,8 +50,8 @@ func runFig9(s Scale, w io.Writer) error {
 	for _, mk := range masks {
 		series := metrics.Series{Name: mk.name}
 		for _, fetchMS := range []int{10, 20, 40} {
-			spec := EnvSpec{Scale: s, Seed: 1, Personality: workload.Webserver, TargetUtil: 1}
-			e, err := build(spec, 0)
+			spec := EnvSpec{Scale: c.Scale, Seed: 1, Personality: workload.Webserver, TargetUtil: 1}
+			e, err := build(spec, 0, c.newObs())
 			if err != nil {
 				return err
 			}
@@ -77,7 +77,7 @@ func runFig9(s Scale, w io.Writer) error {
 			if err := e.m.Eng.RunFor(runFor); err != nil {
 				return err
 			}
-			foldCell(e.obs, e.m, -1, cellTrace(e.obs, fmt.Sprintf("fig9 %s fetch%dms", mk.name, fetchMS)))
+			c.fold(observe(e.obs, e.m, cellTrace(e.obs, fmt.Sprintf("fig9 %s fetch%dms", mk.name, fetchMS))))
 			st := e.m.Duet.Stats()
 			modelNanos := st.HookCalls*fig9HookCost + st.ItemsFetched*fig9ItemCost + st.FetchCalls*fig9FetchCost
 			overhead := float64(modelNanos) / float64(runFor) * 100
@@ -100,16 +100,16 @@ func runFig9(s Scale, w io.Writer) error {
 // runMem reports Duet's memory overhead while scrubbing with 100% overlap
 // (§6.4's worst-case measurement: item descriptors bounded by 2× cache
 // pages, bitmaps ~1 bit/block).
-func runMem(s Scale, w io.Writer) error {
+func runMem(c *RunConfig, w io.Writer) error {
 	// A dedicated state session plays the scrubber's role so the sampler
 	// can observe live descriptor and bitmap sizes mid-run (runTasks
 	// closes its sessions on completion).
-	spec := EnvSpec{Scale: s, Seed: 1, Personality: workload.Webserver, TargetUtil: 0.5}
+	spec := EnvSpec{Scale: c.Scale, Seed: 1, Personality: workload.Webserver, TargetUtil: 0.5}
 	rate, err := calibrateRate(spec)
 	if err != nil {
 		return err
 	}
-	e, err := build(spec, rate)
+	e, err := build(spec, rate, c.newObs())
 	if err != nil {
 		return err
 	}
@@ -123,10 +123,12 @@ func runMem(s Scale, w io.Writer) error {
 		buf := make([]core.Item, 256)
 		for {
 			p.Sleep(20 * sim.Millisecond)
+			// Drain the queue without marking anything done: the done
+			// bitmap stays empty and a block session has no relevance
+			// bitmap, so the sampled memory is item descriptors only
+			// (EXPERIMENTS.md, "Known deviations").
 			for sess.FetchInto(buf) == len(buf) {
 			}
-			// Mark everything done as a scrubber would, exercising the
-			// bitmap's growth.
 			if m := e.m.Duet.MemBytes(); m > peakMem {
 				peakMem = m
 			}
@@ -138,9 +140,9 @@ func runMem(s Scale, w io.Writer) error {
 	if err := e.m.Eng.RunFor(30 * sim.Second); err != nil {
 		return err
 	}
-	foldCell(e.obs, e.m, -1, cellTrace(e.obs, "mem sampler"))
+	c.fold(observe(e.obs, e.m, cellTrace(e.obs, "mem sampler")))
 	st := e.m.Duet.Stats()
-	descBound := 2 * s.CachePages
+	descBound := 2 * c.Scale.CachePages
 	fmt.Fprintln(w, "# Memory overhead (§6.4)")
 	rows := [][]string{
 		{"peak item descriptors", fmt.Sprint(st.PeakDescs), fmt.Sprintf("bound 2×cache = %d", descBound)},
@@ -158,7 +160,7 @@ func runMem(s Scale, w io.Writer) error {
 // runLat verifies the §6.1.3 claim that idle-priority maintenance has an
 // insignificant impact on workload latency (webserver at 50% util; the
 // paper saw 11.67 ms alone, 11.60 with scrubbing, 11.82 with backup).
-func runLat(s Scale, w io.Writer) error {
+func runLat(c *RunConfig, w io.Writer) error {
 	type cfg struct {
 		name  string
 		tasks []TaskName
@@ -171,51 +173,52 @@ func runLat(s Scale, w io.Writer) error {
 	fmt.Fprintln(w, "# Workload latency at 50% utilization with idle-priority maintenance (§6.1.3)")
 	var rows [][]string
 	var baseLat sim.Time
-	for _, c := range cases {
+	for _, cs := range cases {
 		var lat sim.Time
-		if c.tasks == nil {
-			spec := EnvSpec{Scale: s, Seed: 1, Personality: workload.Webserver, TargetUtil: 0.5}
+		if cs.tasks == nil {
+			spec := EnvSpec{Scale: c.Scale, Seed: 1, Personality: workload.Webserver, TargetUtil: 0.5}
 			rate, err := calibrateRate(spec)
 			if err != nil {
 				return err
 			}
-			e, err := build(spec, rate)
+			e, err := build(spec, rate, c.newObs())
 			if err != nil {
 				return err
 			}
 			e.gen.Start(e.m.Eng)
-			if err := e.m.Eng.RunFor(s.Window); err != nil {
+			if err := e.m.Eng.RunFor(c.Scale.Window); err != nil {
 				return err
 			}
-			foldCell(e.obs, e.m, -1, cellTrace(e.obs, "latency baseline"))
+			c.fold(observe(e.obs, e.m, cellTrace(e.obs, "latency baseline")))
 			lat = e.gen.Stats().MeanLatency()
 		} else {
-			out, err := runTasks(RunSpec{
-				Env: EnvSpec{Scale: s, Seed: 1, Personality: workload.Webserver,
+			out, err := runTasks(c, RunSpec{
+				Env: EnvSpec{Scale: c.Scale, Seed: 1, Personality: workload.Webserver,
 					TargetUtil: 0.5},
-				Tasks: c.tasks,
+				Tasks: cs.tasks,
 				Duet:  true,
 			})
 			if err != nil {
 				return err
 			}
+			c.fold(out.obs)
 			lat = out.Workload.MeanLatency()
 		}
-		if c.tasks == nil {
+		if cs.tasks == nil {
 			baseLat = lat
 		}
 		delta := ""
 		if baseLat > 0 {
 			delta = fmt.Sprintf("%+.1f%%", (float64(lat)/float64(baseLat)-1)*100)
 		}
-		rows = append(rows, []string{c.name, fmt.Sprintf("%.2f ms", lat.Milliseconds()), delta})
+		rows = append(rows, []string{cs.name, fmt.Sprintf("%.2f ms", lat.Milliseconds()), delta})
 	}
 	metrics.RenderTable(w, []string{"configuration", "mean latency", "vs alone"}, rows)
 	return nil
 }
 
 func init() {
-	register(Experiment{ID: "fig9", Title: "CPU overhead of Duet", Run: runFig9})
-	register(Experiment{ID: "mem", Title: "Memory overhead of Duet", Run: runMem})
-	register(Experiment{ID: "lat", Title: "Workload latency impact", Run: runLat})
+	register(Experiment{ID: "fig9", Title: "CPU overhead of Duet", Exec: runFig9})
+	register(Experiment{ID: "mem", Title: "Memory overhead of Duet", Exec: runMem})
+	register(Experiment{ID: "lat", Title: "Workload latency impact", Exec: runLat})
 }

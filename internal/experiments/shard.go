@@ -27,7 +27,8 @@ const shardCount = 4
 // bisected, keeping the cell cheap and the cross-shard load identical.
 const shardWorkloadRate = 24
 
-func runShardExp(s Scale, w io.Writer) error {
+func runShardExp(c *RunConfig, w io.Writer) error {
+	s := c.Scale
 	fmt.Fprintf(w, "# Sharded machine: %d device stacks on %d event domains, scrubbing + webserver per shard\n",
 		shardCount, shardCount+1)
 	headers := []string{"Mode", "I/O saved", "Work completed", "Shards finished", "Reports"}
@@ -36,7 +37,7 @@ func runShardExp(s Scale, w io.Writer) error {
 		var ioSaved, workDone []float64
 		finished, reports := 0, int64(0)
 		for _, seed := range seeds(s) {
-			r, err := runShardCell(s, seed, duet)
+			r, err := runShardCell(c, seed, duet)
 			if err != nil {
 				return err
 			}
@@ -74,8 +75,9 @@ type shardCellResult struct {
 // start command from the coordinator, then runs a webserver workload
 // plus a scrubber; shards stream progress reports back, and the
 // coordinator stops the run early once every shard reports done.
-func runShardCell(s Scale, seed int64, duet bool) (*shardCellResult, error) {
-	o := newCellObs()
+func runShardCell(c *RunConfig, seed int64, duet bool) (*shardCellResult, error) {
+	s := c.Scale
+	o := c.newObs()
 	m, err := machine.NewSharded(machine.ShardedConfig{
 		Config: machine.Config{
 			Seed:         seed,
@@ -204,10 +206,10 @@ func runShardCell(s Scale, seed int64, duet bool) (*shardCellResult, error) {
 	if duet {
 		mode = "duet"
 	}
-	foldCell(o, m, -1, m.TraceProcesses(fmt.Sprintf("shard-cell %s seed%d", mode, seed))...)
+	c.fold(observe(o, m, m.TraceProcesses(fmt.Sprintf("shard-cell %s seed%d", mode, seed))...))
 	return res, nil
 }
 
 func init() {
-	register(Experiment{ID: "shard", Title: "Sharded multi-device machine (domain-parallel engine)", Run: runShardExp})
+	register(Experiment{ID: "shard", Title: "Sharded multi-device machine (domain-parallel engine)", Exec: runShardExp})
 }

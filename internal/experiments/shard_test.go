@@ -9,7 +9,7 @@ func TestShardCellProgress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sharded cell at tiny scale is a full simulation")
 	}
-	r, err := runShardCell(ScaleTiny, 1, true)
+	r, err := runShardCell(tinyRun(), 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}

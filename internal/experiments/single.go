@@ -14,13 +14,13 @@ import (
 
 // --- Figure 1: file access distributions -----------------------------------
 
-func runFig1(s Scale, w io.Writer) error {
+func runFig1(c *RunConfig, w io.Writer) error {
 	fig := &metrics.Figure{
 		Title:  "Figure 1: file access distributions (CDF of accesses over file ranks)",
 		XLabel: "frac-files",
 		YLabel: "fraction of accesses to the top frac-files most popular files",
 	}
-	n := int(s.DataPages / 32) // population size at this scale
+	n := int(c.Scale.DataPages / 32) // population size at this scale
 	dists := append([]trace.Distribution{}, trace.MSDevices()...)
 	dists = append(dists, trace.Uniform{})
 	for _, d := range dists {
@@ -36,31 +36,28 @@ func runFig1(s Scale, w io.Writer) error {
 	return nil
 }
 
-// --- I/O-saved sweeps (Figures 2, 3, 10) ------------------------------------
+// --- I/O-saved sweeps (Figures 2, 3, 5, 7, 10) ------------------------------
 
 // ioSavedSweep runs the task set with Duet across utilizations for each
-// overlap value and returns one series per overlap. The overlap × util ×
-// seed grid is executed on the RunGrid worker pool; results are consumed
-// in cell order so rendering is independent of the worker count.
-func ioSavedSweep(s Scale, w io.Writer, title string, taskSet []TaskName,
-	personality workload.Personality, dist string, overlaps []float64,
+// data overlap (webserver workload, uniform distribution) and renders one
+// series per overlap; the baseline saves nothing by definition of the
+// metric. The overlap × util × seed grid runs on the worker pool, and
+// results are consumed in cell order, so rendering is independent of the
+// worker count.
+func ioSavedSweep(c *RunConfig, w io.Writer, title, yLabel string, taskSet []TaskName,
 	device machine.DeviceKind) error {
-	fig := &metrics.Figure{
-		Title:  title,
-		XLabel: "util",
-		YLabel: "fraction of maintenance I/O saved",
-	}
-	utils := s.Utils()
-	sds := seeds(s)
+	fig := &metrics.Figure{Title: title, XLabel: "util", YLabel: yLabel}
+	overlaps := []float64{0.25, 0.50, 0.75, 1.00}
+	utils := c.Scale.Utils()
+	sds := seeds(c.Scale)
 	var cells []RunSpec
 	for _, ov := range overlaps {
 		for _, util := range utils {
 			for _, seed := range sds {
 				cells = append(cells, RunSpec{
 					Env: EnvSpec{
-						Scale: s, Seed: seed, Personality: personality,
-						Dist: dist, Coverage: ov, TargetUtil: util,
-						Device: device,
+						Scale: c.Scale, Seed: seed, Personality: workload.Webserver,
+						Coverage: ov, TargetUtil: util, Device: device,
 					},
 					Tasks: taskSet,
 					Duet:  true,
@@ -68,7 +65,7 @@ func ioSavedSweep(s Scale, w io.Writer, title string, taskSet []TaskName,
 			}
 		}
 	}
-	results := RunGrid(cells, Workers)
+	results := c.RunGrid(cells)
 	if err := FirstErr(results); err != nil {
 		return err
 	}
@@ -90,30 +87,27 @@ func ioSavedSweep(s Scale, w io.Writer, title string, taskSet []TaskName,
 	return nil
 }
 
-func runFig2(s Scale, w io.Writer) error {
-	return ioSavedSweep(s, w,
-		"Figure 2: I/O saved, scrubbing + webserver workload",
-		[]TaskName{TaskScrub}, workload.Webserver, "uniform",
-		[]float64{0.25, 0.50, 0.75, 1.00}, machine.HDD)
+// ioSavedLabel is the y-axis of the single-task I/O-saved figures.
+const ioSavedLabel = "fraction of maintenance I/O saved"
+
+func runFig2(c *RunConfig, w io.Writer) error {
+	return ioSavedSweep(c, w, "Figure 2: I/O saved, scrubbing + webserver workload",
+		ioSavedLabel, []TaskName{TaskScrub}, machine.HDD)
 }
 
-func runFig3(s Scale, w io.Writer) error {
-	return ioSavedSweep(s, w,
-		"Figure 3: I/O saved, backup + webserver workload",
-		[]TaskName{TaskBackup}, workload.Webserver, "uniform",
-		[]float64{0.25, 0.50, 0.75, 1.00}, machine.HDD)
+func runFig3(c *RunConfig, w io.Writer) error {
+	return ioSavedSweep(c, w, "Figure 3: I/O saved, backup + webserver workload",
+		ioSavedLabel, []TaskName{TaskBackup}, machine.HDD)
 }
 
-func runFig10(s Scale, w io.Writer) error {
-	return ioSavedSweep(s, w,
-		"Figure 10: I/O saved on a solid-state drive (scrubbing + webserver)",
-		[]TaskName{TaskScrub}, workload.Webserver, "uniform",
-		[]float64{0.25, 0.50, 0.75, 1.00}, machine.SSD)
+func runFig10(c *RunConfig, w io.Writer) error {
+	return ioSavedSweep(c, w, "Figure 10: I/O saved on a solid-state drive (scrubbing + webserver)",
+		ioSavedLabel, []TaskName{TaskScrub}, machine.SSD)
 }
 
 // --- Figure 4: rsync speedup -------------------------------------------------
 
-func runFig4(s Scale, w io.Writer) error {
+func runFig4(c *RunConfig, w io.Writer) error {
 	fig := &metrics.Figure{
 		Title:  "Figure 4: rsync runtime speedup vs data overlap (unthrottled webserver)",
 		XLabel: "overlap",
@@ -123,12 +117,12 @@ func runFig4(s Scale, w io.Writer) error {
 	saved := metrics.Series{Name: "io-saved"}
 	for _, ov := range []float64{0.25, 0.50, 0.75, 1.00} {
 		var speedups, savs []float64
-		for _, seed := range seeds(s) {
-			base, _, err := runRsync(s, seed, ov, false)
+		for _, seed := range seeds(c.Scale) {
+			base, _, err := runRsync(c, seed, ov, false)
 			if err != nil {
 				return err
 			}
-			duet, sv, err := runRsync(s, seed, ov, true)
+			duet, sv, err := runRsync(c, seed, ov, true)
 			if err != nil {
 				return err
 			}
@@ -150,12 +144,13 @@ func runFig4(s Scale, w io.Writer) error {
 // runRsync copies the populated tree to a second device while an
 // unthrottled webserver workload runs on the source, returning the
 // transfer duration and the fraction of read I/O saved.
-func runRsync(s Scale, seed int64, overlap float64, duet bool) (sim.Time, float64, error) {
+func runRsync(c *RunConfig, seed int64, overlap float64, duet bool) (sim.Time, float64, error) {
+	s := c.Scale
 	spec := EnvSpec{
 		Scale: s, Seed: seed, Personality: workload.Webserver,
 		Coverage: overlap, TargetUtil: 1, // unthrottled (§6.2 rsync setup)
 	}
-	e, err := build(spec, 0)
+	e, err := build(spec, 0, c.newObs())
 	if err != nil {
 		return 0, 0, err
 	}
@@ -196,7 +191,7 @@ func runRsync(s Scale, seed int64, overlap float64, duet bool) (sim.Time, float6
 	if duet {
 		mode = "duet"
 	}
-	foldCell(e.obs, e.m, -1, cellTrace(e.obs, fmt.Sprintf("rsync %s ov%.2f seed%d", mode, overlap, seed)))
+	c.fold(observe(e.obs, e.m, cellTrace(e.obs, fmt.Sprintf("rsync %s ov%.2f seed%d", mode, overlap, seed))))
 	savedFrac := 0.0
 	if r.Report.WorkTotal > 0 {
 		savedFrac = float64(r.Report.Saved) / float64(r.Report.WorkTotal)
@@ -228,48 +223,44 @@ func tab5Rows() []tab5Row {
 }
 
 // maxUtilization finds the highest utilization (in UtilStep steps) at
-// which the task still completes within the window, scanning from high to
-// low (Table 5's metric). The scan stays serial (it early-exits at the
-// first passing level), but the seed repetitions at each level run as a
-// grid. Returns -1 when it fails even on an idle device.
-func maxUtilization(s Scale, row tab5Row, task TaskName, duet bool) (float64, error) {
-	utils := s.Utils()
+// which the task still completes within the window for every seed,
+// scanning from high to low (Table 5's metric) and stopping at the first
+// passing level. It returns -1 when the task fails even on an idle
+// device, and every cell it ran, in run order, for the caller to fold.
+func maxUtilization(c *RunConfig, row tab5Row, task TaskName, duet bool) (float64, []cellObs, error) {
+	var ran []cellObs
+	utils := c.Scale.Utils()
 	for i := len(utils) - 1; i >= 0; i-- {
-		util := utils[i]
-		var cells []RunSpec
-		for _, seed := range seeds(s) {
-			cells = append(cells, RunSpec{
+		completedAll := true
+		for _, seed := range seeds(c.Scale) {
+			out, err := runTasks(c, RunSpec{
 				Env: EnvSpec{
-					Scale: s, Seed: seed, Personality: row.personality,
-					Dist: row.dist, Coverage: row.overlap, TargetUtil: util,
+					Scale: c.Scale, Seed: seed, Personality: row.personality,
+					Dist: row.dist, Coverage: row.overlap, TargetUtil: utils[i],
 				},
 				Tasks: []TaskName{task},
 				Duet:  duet,
 			})
-		}
-		results := RunGrid(cells, Workers)
-		if err := FirstErr(results); err != nil {
-			return 0, err
-		}
-		completedAll := true
-		for _, r := range results {
-			if !r.Outcome.Completed() {
-				completedAll = false
-				break
+			if err != nil {
+				return 0, ran, err
 			}
+			ran = append(ran, out.obs)
+			completedAll = completedAll && out.Completed()
 		}
 		if completedAll {
-			return util, nil
+			return utils[i], ran, nil
 		}
 	}
-	return -1, nil
+	return -1, ran, nil
 }
 
-func runTab5(s Scale, w io.Writer) error {
+func runTab5(c *RunConfig, w io.Writer) error {
 	headers := []string{"Workload", "Overlap", "Distribution",
 		"Scrub base", "Scrub Duet", "Backup base", "Backup Duet", "Defrag base", "Defrag Duet"}
-	// Every (row, task, duet) scan is independent, so they all run
-	// concurrently; each scan additionally grids its per-seed repetitions.
+	// Every (row, task, duet) scan is independent, so the scans fan out
+	// across the workers; each runs its seed cells serially. Folding in
+	// scan order, then level order, then seed order makes the run's
+	// observations independent of the worker count.
 	type scan struct {
 		row  tab5Row
 		task TaskName
@@ -284,17 +275,16 @@ func runTab5(s Scale, w io.Writer) error {
 		}
 	}
 	utils := make([]float64, len(scans))
+	ran := make([][]cellObs, len(scans))
 	errs := make([]error, len(scans))
-	// Concurrent scans issue whole seed-grids in nondeterministic order;
-	// with tracing on, fall back to serial scans so trace slots are
-	// reserved in program order (the inner grids still parallelize).
-	scanWorkers := Workers
-	if obsTracing() {
-		scanWorkers = 1
-	}
-	gridEach(len(scans), scanWorkers, func(i int) {
-		utils[i], errs[i] = maxUtilization(s, scans[i].row, scans[i].task, scans[i].duet)
+	c.gridEach(len(scans), func(i int) {
+		utils[i], ran[i], errs[i] = maxUtilization(c, scans[i].row, scans[i].task, scans[i].duet)
 	})
+	for _, cells := range ran {
+		for _, co := range cells {
+			c.fold(co)
+		}
+	}
 	var rows [][]string
 	i := 0
 	for _, row := range tab5Rows() {
@@ -320,10 +310,10 @@ func runTab5(s Scale, w io.Writer) error {
 }
 
 func init() {
-	register(Experiment{ID: "fig1", Title: "File access distributions", Run: runFig1})
-	register(Experiment{ID: "fig2", Title: "I/O saved: scrubbing + webserver", Run: runFig2})
-	register(Experiment{ID: "fig3", Title: "I/O saved: backup + webserver", Run: runFig3})
-	register(Experiment{ID: "fig4", Title: "Rsync speedup vs overlap", Run: runFig4})
-	register(Experiment{ID: "tab5", Title: "Maximum utilization (scrub/backup/defrag)", Run: runTab5})
-	register(Experiment{ID: "fig10", Title: "I/O saved on SSD", Run: runFig10})
+	register(Experiment{ID: "fig1", Title: "File access distributions", Exec: runFig1})
+	register(Experiment{ID: "fig2", Title: "I/O saved: scrubbing + webserver", Exec: runFig2})
+	register(Experiment{ID: "fig3", Title: "I/O saved: backup + webserver", Exec: runFig3})
+	register(Experiment{ID: "fig4", Title: "Rsync speedup vs overlap", Exec: runFig4})
+	register(Experiment{ID: "tab5", Title: "Maximum utilization (scrub/backup/defrag)", Exec: runTab5})
+	register(Experiment{ID: "fig10", Title: "I/O saved on SSD", Exec: runFig10})
 }

@@ -50,7 +50,8 @@ func (c *faultCell) add(o faultCell) {
 	c.rob.Add(o.rob)
 }
 
-func runFaultsSweep(s Scale, w io.Writer) error {
+func runFaultsSweep(c *RunConfig, w io.Writer) error {
+	s := c.Scale
 	window := s.Window / 2 // the fault phase; scrub-to-completion follows
 	rows := []faultRow{
 		{name: "latent-sectors", latent: 8},
@@ -76,7 +77,7 @@ func runFaultsSweep(s Scale, w io.Writer) error {
 	for _, row := range rows {
 		var agg faultCell
 		for _, seed := range seeds(s) {
-			cell, err := runFaultCell(s, seed, row, window)
+			cell, err := runFaultCell(c, seed, row, window)
 			if err != nil {
 				return fmt.Errorf("faults %s seed %d: %w", row.name, seed, err)
 			}
@@ -260,10 +261,10 @@ func lostBlocks(m *machine.Machine) int64 {
 	return lost
 }
 
-func runFaultCell(s Scale, seed int64, row faultRow, window sim.Time) (faultCell, error) {
+func runFaultCell(c *RunConfig, seed int64, row faultRow, window sim.Time) (faultCell, error) {
 	var cell faultCell
-	o := newCellObs()
-	m, err := buildFaultMachine(s, seed, o)
+	o := c.newObs()
+	m, err := buildFaultMachine(c.Scale, seed, o)
 	if err != nil {
 		return cell, err
 	}
@@ -307,7 +308,7 @@ func runFaultCell(s Scale, seed int64, row faultRow, window sim.Time) (faultCell
 	}
 	cell.lost = lostBlocks(m)
 	cell.rob.Add(m.Robustness())
-	foldCell(o, m, -1, cellTrace(o, fmt.Sprintf("faults %s seed%d", row.name, seed)))
+	c.fold(observe(o, m, cellTrace(o, fmt.Sprintf("faults %s seed%d", row.name, seed))))
 	return cell, nil
 }
 
@@ -315,6 +316,6 @@ func init() {
 	register(Experiment{
 		ID:    "faults",
 		Title: "Fault injection: detection, repair, degraded Duet, crash recovery",
-		Run:   runFaultsSweep,
+		Exec:  runFaultsSweep,
 	})
 }

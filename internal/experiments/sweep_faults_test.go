@@ -17,10 +17,10 @@ func TestFaultsSweepDeterministic(t *testing.T) {
 		t.Fatal("tiny scale missing")
 	}
 	var a, b bytes.Buffer
-	if err := runFaultsSweep(s, &a); err != nil {
+	if err := runFaultsSweep(&RunConfig{Scale: s}, &a); err != nil {
 		t.Fatal(err)
 	}
-	if err := runFaultsSweep(s, &b); err != nil {
+	if err := runFaultsSweep(&RunConfig{Scale: s}, &b); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {

@@ -113,10 +113,10 @@ func clusterConfig(s Scale, seed int64, mode cluster.RepairMode,
 
 // clusterCell runs one (row, mode, seed) cell to completion and checks
 // its safety assertions.
-func clusterCell(s Scale, seed int64, row clusterRow,
+func clusterCell(rc *RunConfig, seed int64, row clusterRow,
 	mode cluster.RepairMode) (cluster.Stats, error) {
-	o := newCellObs()
-	cfg := clusterConfig(s, seed, mode, row.plan(s.Window), o)
+	o := rc.newObs()
+	cfg := clusterConfig(rc.Scale, seed, mode, row.plan(rc.Scale.Window), o)
 	c, err := cluster.New(cfg)
 	if err != nil {
 		return cluster.Stats{}, err
@@ -146,11 +146,11 @@ func clusterCell(s Scale, seed int64, row clusterRow,
 
 	// Cells run sequentially, so trace collection order is the
 	// deterministic row × mode × seed input order.
-	foldCell(o, c, -1, c.TraceProcesses(fmt.Sprintf("cluster %s %v seed%d", row.name, mode, seed))...)
+	rc.fold(observe(o, c, c.TraceProcesses(fmt.Sprintf("cluster %s %v seed%d", row.name, mode, seed))...))
 	return st, nil
 }
 
-func runClusterTier(s Scale, w io.Writer) error {
+func runClusterTier(c *RunConfig, w io.Writer) error {
 	fmt.Fprintf(w, "%-14s %-6s %7s %6s %8s %9s %9s %8s %9s %6s\n",
 		"plan", "mode", "acked", "kills", "repairs", "degr_ms", "repair_ms",
 		"shipped", "diskreads", "hits")
@@ -158,8 +158,8 @@ func runClusterTier(s Scale, w io.Writer) error {
 		var disk [2]int64
 		for mi, mode := range []cluster.RepairMode{cluster.RepairNaive, cluster.RepairDuet} {
 			var agg cluster.Stats
-			for _, seed := range seeds(s) {
-				st, err := clusterCell(s, seed, row, mode)
+			for _, seed := range seeds(c.Scale) {
+				st, err := clusterCell(c, seed, row, mode)
 				if err != nil {
 					return fmt.Errorf("cluster %s %v seed %d: %w", row.name, mode, seed, err)
 				}
@@ -179,55 +179,22 @@ func runClusterTier(s Scale, w io.Writer) error {
 	return nil
 }
 
-// addClusterStats sums the counter fields of two runs (the per-seed
-// aggregation; Epoch takes the max since it is a level, not a count).
+// addClusterStats sums, over seeds, the counters runClusterTier prints.
 func addClusterStats(a *cluster.Stats, o cluster.Stats) {
-	ep := a.Epoch
-	if o.Epoch > ep {
-		ep = o.Epoch
-	}
-	a.WritesIssued += o.WritesIssued
 	a.WritesAcked += o.WritesAcked
-	a.WriteRejects += o.WriteRejects
-	a.WriteFailures += o.WriteFailures
-	a.ReadsIssued += o.ReadsIssued
-	a.ReadsOK += o.ReadsOK
-	a.ReadFallbacks += o.ReadFallbacks
-	a.ReadFailures += o.ReadFailures
-	a.UnavailOps += o.UnavailOps
-	a.RPCRetries += o.RPCRetries
-	a.RPCTimeouts += o.RPCTimeouts
-	a.ConsistencyViolations += o.ConsistencyViolations
-	a.KillsDetected += o.KillsDetected
-	a.Joins += o.Joins
-	a.RepairsStarted += o.RepairsStarted
+	a.Kills += o.Kills
 	a.ShardRepairs += o.ShardRepairs
 	a.DegradedUs += o.DegradedUs
-	a.ReadOnlyUs += o.ReadOnlyUs
-	a.UnavailUs += o.UnavailUs
 	a.RepairWindowUs += o.RepairWindowUs
-	a.Kills += o.Kills
-	a.Recoveries += o.Recoveries
-	a.RecordsAppended += o.RecordsAppended
-	a.RecordsReplayed += o.RecordsReplayed
-	a.TornLogs += o.TornLogs
-	a.CorruptLogs += o.CorruptLogs
-	a.ApplyWrites += o.ApplyWrites
-	a.ResyncApplied += o.ResyncApplied
 	a.PagesShipped += o.PagesShipped
 	a.RepairDiskReads += o.RepairDiskReads
 	a.RepairCacheHits += o.RepairCacheHits
-	a.ReplRetries += o.ReplRetries
-	a.CommitErrors += o.CommitErrors
-	a.DroppedDead += o.DroppedDead
-	a.DroppedPartition += o.DroppedPartition
-	a.Epoch = ep
 }
 
 func init() {
 	register(Experiment{
 		ID:    "cluster",
 		Title: "Cluster tier: replicated shards, machine kills, Duet-assisted repair",
-		Run:   runClusterTier,
+		Exec:  runClusterTier,
 	})
 }
