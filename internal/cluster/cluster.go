@@ -507,12 +507,19 @@ func (c *Cluster) CollectMetrics(r *obs.Registry) {
 	r.SetCounter("cluster.consistency_violations", s.ConsistencyViolations)
 }
 
-// TraceProcesses returns the tracers in deterministic order —
-// coordinator first, then nodes by index — for WriteTraceMulti.
+// TraceProcesses returns the tracers in deterministic order for
+// WriteTraceMulti: the run-level tracer (the coordinator's domain) as
+// "<prefix> coord", then each node's own as "<prefix> node<index>".
+// Empty when tracing is off.
 func (c *Cluster) TraceProcesses(prefix string) []obs.TraceProcess {
-	stacks := make([]*machine.Stack, len(c.Nodes))
-	for i, n := range c.Nodes {
-		stacks[i] = n.st
+	var procs []obs.TraceProcess
+	if o := c.Cfg.Obs; o != nil && o.Trace != nil {
+		procs = append(procs, obs.TraceProcess{Name: prefix + " coord", T: o.Trace})
 	}
-	return machine.TraceProcesses(prefix, c.Cfg.Obs, "node", stacks)
+	for i, n := range c.Nodes {
+		if o := n.st.Obs; o != nil && o.Trace != nil {
+			procs = append(procs, obs.TraceProcess{Name: fmt.Sprintf("%s node%d", prefix, i), T: o.Trace})
+		}
+	}
+	return procs
 }

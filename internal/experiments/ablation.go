@@ -58,16 +58,11 @@ func runAbFetch(c *RunConfig, w io.Writer) error {
 	headers := []string{"Fetch interval", "Peak queue", "Dropped events", "Items fetched"}
 	var rows [][]string
 	for _, intervalMS := range []int{5, 50, 500, 5000} {
-		spec := EnvSpec{Scale: c.Scale, Seed: 1, Personality: workload.Webserver, TargetUtil: 1}
-		e, err := build(spec, 0, c.newObs())
+		e, err := c.cell(EnvSpec{Scale: c.Scale, Seed: 1, Personality: workload.Webserver, TargetUtil: 1})
 		if err != nil {
 			return err
 		}
-		root, err := e.m.FS.Lookup("/data")
-		if err != nil {
-			return err
-		}
-		sess, err := e.m.Duet.RegisterFile(e.m.Adapter, uint64(root.Ino), core.EventBits)
+		sess, err := e.m.Duet.RegisterFile(e.m.Adapter, uint64(e.root.Ino), core.EventBits)
 		if err != nil {
 			return err
 		}
@@ -95,7 +90,7 @@ func runAbFetch(c *RunConfig, w io.Writer) error {
 		if err := e.m.Eng.RunFor(20 * sim.Second); err != nil {
 			return err
 		}
-		c.fold(observe(e.obs, e.m, cellTrace(e.obs, fmt.Sprintf("ab-fetch %dms", intervalMS))))
+		c.fold(e.finish(fmt.Sprintf("ab-fetch %dms", intervalMS)))
 		rows = append(rows, []string{
 			fmt.Sprintf("%d ms", intervalMS),
 			fmt.Sprint(peak),
@@ -114,36 +109,30 @@ func runAbPolicy(c *RunConfig, w io.Writer) error {
 	headers := []string{"Policy", "I/O saved", "Pages read", "Completed"}
 	var rows [][]string
 	for _, fifo := range []bool{false, true} {
-		spec := EnvSpec{Scale: c.Scale, Seed: 1, Personality: workload.Webserver, TargetUtil: 0.6}
-		rate, err := calibrateRate(spec)
-		if err != nil {
-			return err
-		}
-		e, err := build(spec, rate, c.newObs())
-		if err != nil {
-			return err
-		}
-		root, err := e.m.FS.Lookup("/data")
+		e, err := c.cell(EnvSpec{Scale: c.Scale, Seed: 1, Personality: workload.Webserver, TargetUtil: 0.6})
 		if err != nil {
 			return err
 		}
 		cfg := defrag.DefaultConfig()
 		cfg.FIFOQueue = fifo
-		d := defrag.NewOpportunistic(e.m.FS, root.Ino, cfg, e.m.Duet, e.m.Adapter)
+		d := defrag.NewOpportunistic(e.m.FS, e.root.Ino, cfg, e.m.Duet, e.m.Adapter)
 		e.gen.Start(e.m.Eng)
+		var runErr error
 		e.m.Eng.Go("task:defrag", func(p *sim.Proc) {
-			if err := d.Run(p); err == nil {
-				e.m.Eng.Stop()
-			}
+			runErr = d.Run(p)
+			e.m.Eng.Stop()
 		})
 		if err := e.m.Eng.RunFor(c.Scale.Window); err != nil {
 			return err
+		}
+		if runErr != nil {
+			return runErr
 		}
 		name := "most-cached-first"
 		if fifo {
 			name = "event order"
 		}
-		c.fold(observe(e.obs, e.m, cellTrace(e.obs, "ab-policy "+name)))
+		c.fold(e.finish("ab-policy " + name))
 		saved := 0.0
 		if d.Report.WorkTotal > 0 {
 			saved = float64(d.Report.Saved) / float64(2*d.Report.WorkTotal)
@@ -176,12 +165,7 @@ func runAbDone(c *RunConfig, w io.Writer) error {
 	c.fold(out.obs)
 	// The scrubber's session is closed after the run; its counters were
 	// accumulated in the Duet stats. Re-derive from a live observer run.
-	spec := EnvSpec{Scale: c.Scale, Seed: 1, Personality: workload.Webserver, TargetUtil: 0.7}
-	rate, err := calibrateRate(spec)
-	if err != nil {
-		return err
-	}
-	e, err := build(spec, rate, c.newObs())
+	e, err := c.cell(EnvSpec{Scale: c.Scale, Seed: 1, Personality: workload.Webserver, TargetUtil: 0.7})
 	if err != nil {
 		return err
 	}
@@ -209,7 +193,7 @@ func runAbDone(c *RunConfig, w io.Writer) error {
 	if err := e.m.Eng.RunFor(30 * sim.Second); err != nil {
 		return err
 	}
-	c.fold(observe(e.obs, e.m, cellTrace(e.obs, "ab-done observer")))
+	c.fold(e.finish("ab-done observer"))
 	rows := [][]string{
 		{"events delivered", fmt.Sprint(sess.EventsSeen)},
 		{"events suppressed by done bitmap", fmt.Sprint(sess.SuppressedDone)},
@@ -237,11 +221,7 @@ func runAbEvict(c *RunConfig, w io.Writer) error {
 	headers := []string{"Eviction policy", "I/O saved", "Work completed", "Reclaim deferrals"}
 	var rows [][]string
 	for _, informed := range []bool{false, true} {
-		rate, err := calibrateRate(EnvSpec{Scale: s, Personality: workload.Webserver, TargetUtil: 0.6})
-		if err != nil {
-			return err
-		}
-		e, err := build(EnvSpec{Scale: s, Seed: 1, Personality: workload.Webserver, TargetUtil: 0.6}, rate, c.newObs())
+		e, err := c.cell(EnvSpec{Scale: s, Seed: 1, Personality: workload.Webserver, TargetUtil: 0.6})
 		if err != nil {
 			return err
 		}

@@ -169,11 +169,11 @@ func (s EnvSpec) model() storage.Model {
 
 // env is a built environment.
 type env struct {
-	m     *machine.Machine
-	files []*cowfs.Inode
-	gen   *workload.Generator // nil when TargetUtil <= 0
-	spec  EnvSpec             // resolved spec (labels the cell's trace)
-	obs   *obs.Obs            // nil when the run has no collector
+	m    *machine.Machine
+	root *cowfs.Inode        // the populated /data directory
+	gen  *workload.Generator // nil when TargetUtil <= 0
+	spec EnvSpec             // resolved spec (labels the cell's trace)
+	obs  *obs.Obs            // nil when the run has no collector
 }
 
 // build constructs the machine, population and (rate-resolved) workload
@@ -210,7 +210,11 @@ func build(spec EnvSpec, rate float64, o *obs.Obs) (*env, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &env{m: m, files: files, spec: spec, obs: o}
+	root, err := m.FS.Lookup("/data")
+	if err != nil {
+		return nil, err
+	}
+	e := &env{m: m, root: root, spec: spec, obs: o}
 	if spec.TargetUtil > 0 {
 		gen, err := workload.New(m.Eng, m.FS, files, workload.Config{
 			Personality: spec.Personality,
@@ -225,6 +229,26 @@ func build(spec EnvSpec, rate float64, o *obs.Obs) (*env, error) {
 		e.gen = gen
 	}
 	return e, nil
+}
+
+// cell builds one experiment cell's environment: the workload rate
+// calibrated for spec's target utilization, recording into a fresh obs
+// handle from c.
+func (c *RunConfig) cell(spec EnvSpec) (*env, error) {
+	rate, err := calibrateRate(spec)
+	if err != nil {
+		return nil, err
+	}
+	if rate < 0 {
+		spec.TargetUtil = 0 // no workload
+	}
+	return build(spec, rate, c.newObs())
+}
+
+// finish closes e's cell: the machine's counters and the tracer, named
+// name, bundled for the caller to fold.
+func (e *env) finish(name string) cellObs {
+	return observe(e.obs, e.m, cellTrace(e.obs, name))
 }
 
 // --- utilization calibration ------------------------------------------------
@@ -454,15 +478,7 @@ func (o *Outcome) Completed() bool {
 // backup), start the workload, run the tasks concurrently, stop at the
 // window (or when all tasks finish).
 func runTasks(c *RunConfig, spec RunSpec) (*Outcome, error) {
-	rate, err := calibrateRate(spec.Env)
-	if err != nil {
-		return nil, err
-	}
-	envSpec := spec.Env
-	if rate < 0 {
-		envSpec.TargetUtil = 0 // no workload
-	}
-	e, err := build(envSpec, rate, c.newObs())
+	e, err := c.cell(spec.Env)
 	if err != nil {
 		return nil, err
 	}
@@ -476,15 +492,21 @@ func runTasksOn(e *env, taskNames []TaskName, duet bool, window sim.Time) (*Outc
 	eng := e.m.Eng
 	out := &Outcome{}
 
-	dataRoot, err := e.m.FS.Lookup("/data")
-	if err != nil {
-		return nil, err
-	}
-
 	var taskErr error
 	wg := sim.NewWaitGroup(eng)
 	start := eng.Now()
 	var before storage.Snapshot
+	// spawn runs one task as the proc "task:<name>", keeping its first
+	// error.
+	spawn := func(t TaskName, run func(*sim.Proc) error) {
+		wg.Add(1)
+		eng.Go("task:"+string(t), func(tp *sim.Proc) {
+			defer wg.Done()
+			if err := run(tp); err != nil && taskErr == nil {
+				taskErr = err
+			}
+		})
+	}
 
 	eng.Go("exp-main", func(p *sim.Proc) {
 		// Snapshot first (backup works on a consistent snapshot).
@@ -505,53 +527,29 @@ func runTasksOn(e *env, taskNames []TaskName, duet bool, window sim.Time) (*Outc
 			e.gen.Start(eng)
 		}
 		for _, t := range taskNames {
-			t := t
-			wg.Add(1)
 			switch t {
 			case TaskScrub:
-				var s *scrub.Scrubber
 				if duet {
-					s = scrub.NewOpportunistic(e.m.FS, scrub.DefaultConfig(), e.m.Duet, e.m.Adapter)
+					out.Scrub = scrub.NewOpportunistic(e.m.FS, scrub.DefaultConfig(), e.m.Duet, e.m.Adapter)
 				} else {
-					s = scrub.New(e.m.FS, scrub.DefaultConfig())
+					out.Scrub = scrub.New(e.m.FS, scrub.DefaultConfig())
 				}
-				out.Scrub = s
-				eng.Go("task:scrub", func(tp *sim.Proc) {
-					defer wg.Done()
-					if err := s.Run(tp); err != nil && taskErr == nil {
-						taskErr = err
-					}
-				})
+				spawn(t, out.Scrub.Run)
 			case TaskBackup:
-				var b *backup.Backup
 				if duet {
-					b = backup.NewOpportunistic(e.m.FS, snap, backup.DefaultConfig(), e.m.Duet, e.m.Adapter)
+					out.Backup = backup.NewOpportunistic(e.m.FS, snap, backup.DefaultConfig(), e.m.Duet, e.m.Adapter)
 				} else {
-					b = backup.New(e.m.FS, snap, backup.DefaultConfig())
+					out.Backup = backup.New(e.m.FS, snap, backup.DefaultConfig())
 				}
-				out.Backup = b
-				eng.Go("task:backup", func(tp *sim.Proc) {
-					defer wg.Done()
-					if err := b.Run(tp); err != nil && taskErr == nil {
-						taskErr = err
-					}
-				})
+				spawn(t, out.Backup.Run)
 			case TaskDefrag:
-				var d *defrag.Defrag
 				if duet {
-					d = defrag.NewOpportunistic(e.m.FS, dataRoot.Ino, defrag.DefaultConfig(), e.m.Duet, e.m.Adapter)
+					out.Defrag = defrag.NewOpportunistic(e.m.FS, e.root.Ino, defrag.DefaultConfig(), e.m.Duet, e.m.Adapter)
 				} else {
-					d = defrag.New(e.m.FS, dataRoot.Ino, defrag.DefaultConfig())
+					out.Defrag = defrag.New(e.m.FS, e.root.Ino, defrag.DefaultConfig())
 				}
-				out.Defrag = d
-				eng.Go("task:defrag", func(tp *sim.Proc) {
-					defer wg.Done()
-					if err := d.Run(tp); err != nil && taskErr == nil {
-						taskErr = err
-					}
-				})
+				spawn(t, out.Defrag.Run)
 			default:
-				wg.Done()
 				taskErr = fmt.Errorf("experiments: unknown task %q", t)
 			}
 		}
@@ -579,7 +577,7 @@ func runTasksOn(e *env, taskNames []TaskName, duet bool, window sim.Time) (*Outc
 	if duet {
 		name += " duet"
 	}
-	out.obs = observe(e.obs, e.m, cellTrace(e.obs, name))
+	out.obs = e.finish(name)
 	return out, nil
 }
 

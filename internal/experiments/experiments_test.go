@@ -34,7 +34,7 @@ func TestUtilsSweep(t *testing.T) {
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-		"fig9", "fig10", "tab5", "tab6", "mem", "lat", "shard",
+		"fig9", "fig10", "tab5", "tab6", "mem", "lat",
 		"ab-sched", "ab-fetch", "ab-policy", "ab-done"}
 	for _, id := range want {
 		if _, ok := Lookup(id); !ok {
@@ -74,6 +74,57 @@ func TestCalibrationConverges(t *testing.T) {
 	}
 	if r, _ := calibrateRate(EnvSpec{Scale: ScaleTiny, TargetUtil: 1}); r != 0 {
 		t.Errorf("target 1 rate = %v", r)
+	}
+}
+
+// TestCellBuilder: the builder of hand-made cells resolves the workload
+// from the target utilization — none at or below 0, unthrottled at or
+// above 1 without a calibration probe, the memoized calibrated rate in
+// between — and every cell records the /data root.
+func TestCellBuilder(t *testing.T) {
+	memoKeys := func() (n int) {
+		calMemo.Range(func(any, any) bool { n++; return true })
+		return n
+	}
+	for _, tc := range []struct {
+		name      string
+		target    float64
+		gen       bool // a workload generator is built
+		calibrate bool // its rate comes from the calibration memo
+	}{
+		{"no workload", 0, false, false},
+		{"unthrottled", 1, true, false},
+		{"throttled", 0.5, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := EnvSpec{Scale: ScaleTiny, Seed: 1, Personality: workload.Webserver, TargetUtil: tc.target}
+			keys := memoKeys()
+			e, err := tinyRun().cell(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if path, err := e.m.FS.PathOf(e.root.Ino); err != nil || path != "/data" || !e.root.Dir {
+				t.Errorf("root = %q (%v), want the /data directory", path, err)
+			}
+			if !tc.calibrate && memoKeys() != keys {
+				t.Errorf("calibration memo grew from %d to %d keys", keys, memoKeys())
+			}
+			if (e.gen != nil) != tc.gen {
+				t.Fatalf("generator built = %v, want %v", e.gen != nil, tc.gen)
+			}
+			if e.gen == nil {
+				return
+			}
+			want := 0.0
+			if tc.calibrate {
+				if want, err = calibrateRate(spec); err != nil || want <= 0 {
+					t.Fatalf("calibrateRate = %v, %v", want, err)
+				}
+			}
+			if got := e.gen.Rate(); got != want {
+				t.Errorf("rate = %v, want %v", got, want)
+			}
+		})
 	}
 }
 

@@ -104,18 +104,17 @@ func setupLFS(p *sim.Proc, m *machine.LFSMachine, g gcScale) ([]*lfs.Inode, erro
 	return files, nil
 }
 
-// gcRun executes one GC measurement: build, set up, start the workload
-// (rate 0 = unthrottled, negative = none) and the cleaner, run for the
-// window, and hand the cleaner records to collect.
-func gcRun(c *RunConfig, g gcScale, seed int64, rate float64, duet bool,
-	collect func(gc *lfs.GC, gen *workload.Generator, m *machine.LFSMachine)) error {
+// gcCleanStats runs one GC measurement — build, set up, start the
+// workload (rate 0 = unthrottled, negative = none) and the cleaner, run
+// for the window — and returns the mean cleaning time and mean blocks
+// read per cleaned segment.
+func gcCleanStats(c *RunConfig, g gcScale, seed int64, rate float64, duet bool) (sim.Time, float64, error) {
 	o := c.newObs()
 	m, err := newLFSMachine(g, seed, o)
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
 	var gc *lfs.GC
-	var gen *workload.Generator
 	var setupErr error
 	m.Eng.Go("gc-main", func(p *sim.Proc) {
 		files, err := setupLFS(p, m, g)
@@ -125,7 +124,7 @@ func gcRun(c *RunConfig, g gcScale, seed int64, rate float64, duet bool,
 			return
 		}
 		if rate >= 0 {
-			gen, err = workload.NewLFS(m.Eng, m.FS, files, workload.Config{
+			gen, err := workload.NewLFS(m.Eng, m.FS, files, workload.Config{
 				Personality: workload.Fileserver,
 				OpsPerSec:   rate,
 				Name:        "fileserver-lfs",
@@ -144,14 +143,12 @@ func gcRun(c *RunConfig, g gcScale, seed int64, rate float64, duet bool,
 			WindowSegs:     4096,
 		}
 		if duet {
-			var tr *gcduet.Tracker
-			gc, tr, err = gcduet.StartGC(m.Eng, m.Duet, m.Adapter, m.FS, gcCfg)
+			gc, _, err = gcduet.StartGC(m.Eng, m.Duet, m.Adapter, m.FS, gcCfg)
 			if err != nil {
 				setupErr = err
 				m.Eng.Stop()
 				return
 			}
-			_ = tr
 		} else {
 			gc = m.FS.StartGC(gcCfg)
 		}
@@ -159,39 +156,27 @@ func gcRun(c *RunConfig, g gcScale, seed int64, rate float64, duet bool,
 		m.Eng.Stop()
 	})
 	if err := m.Eng.Run(); err != nil {
-		return err
+		return 0, 0, err
 	}
 	if setupErr != nil {
-		return setupErr
+		return 0, 0, setupErr
 	}
-	if collect != nil && gc != nil {
-		collect(gc, gen, m)
-	}
-	mode := "base"
-	if duet {
-		mode = "duet"
-	}
-	c.fold(observe(o, m, cellTrace(o, fmt.Sprintf("gc %s r%.2f seed%d", mode, rate, seed))))
-	return nil
-}
-
-// gcCleanStats returns the mean cleaning time and mean blocks read per
-// cleaned segment for one run.
-func gcCleanStats(c *RunConfig, g gcScale, seed int64, rate float64, duet bool) (sim.Time, float64, error) {
 	var mean sim.Time
 	var reads float64
-	err := gcRun(c, g, seed, rate, duet, func(gc *lfs.GC, _ *workload.Generator, _ *machine.LFSMachine) {
-		if len(gc.Records) == 0 {
-			return
-		}
+	if gc != nil && len(gc.Records) > 0 {
 		mean = gc.MeanCleanTime()
 		var sum float64
 		for _, r := range gc.Records {
 			sum += float64(r.BlocksRead)
 		}
 		reads = sum / float64(len(gc.Records))
-	})
-	return mean, reads, err
+	}
+	mode := "base"
+	if duet {
+		mode = "duet"
+	}
+	c.fold(observe(o, m, cellTrace(o, fmt.Sprintf("gc %s r%.2f seed%d", mode, rate, seed))))
+	return mean, reads, nil
 }
 
 func runTab6(c *RunConfig, w io.Writer) error {

@@ -50,17 +50,12 @@ func runFig9(c *RunConfig, w io.Writer) error {
 	for _, mk := range masks {
 		series := metrics.Series{Name: mk.name}
 		for _, fetchMS := range []int{10, 20, 40} {
-			spec := EnvSpec{Scale: c.Scale, Seed: 1, Personality: workload.Webserver, TargetUtil: 1}
-			e, err := build(spec, 0, c.newObs())
+			e, err := c.cell(EnvSpec{Scale: c.Scale, Seed: 1, Personality: workload.Webserver, TargetUtil: 1})
 			if err != nil {
 				return err
 			}
 			e.m.Duet.MeasureCPU = true
-			root, err := e.m.FS.Lookup("/data")
-			if err != nil {
-				return err
-			}
-			sess, err := e.m.Duet.RegisterFile(e.m.Adapter, uint64(root.Ino), mk.mask)
+			sess, err := e.m.Duet.RegisterFile(e.m.Adapter, uint64(e.root.Ino), mk.mask)
 			if err != nil {
 				return err
 			}
@@ -77,7 +72,7 @@ func runFig9(c *RunConfig, w io.Writer) error {
 			if err := e.m.Eng.RunFor(runFor); err != nil {
 				return err
 			}
-			c.fold(observe(e.obs, e.m, cellTrace(e.obs, fmt.Sprintf("fig9 %s fetch%dms", mk.name, fetchMS))))
+			c.fold(e.finish(fmt.Sprintf("fig9 %s fetch%dms", mk.name, fetchMS)))
 			st := e.m.Duet.Stats()
 			modelNanos := st.HookCalls*fig9HookCost + st.ItemsFetched*fig9ItemCost + st.FetchCalls*fig9FetchCost
 			overhead := float64(modelNanos) / float64(runFor) * 100
@@ -104,12 +99,7 @@ func runMem(c *RunConfig, w io.Writer) error {
 	// A dedicated state session plays the scrubber's role so the sampler
 	// can observe live descriptor and bitmap sizes mid-run (runTasks
 	// closes its sessions on completion).
-	spec := EnvSpec{Scale: c.Scale, Seed: 1, Personality: workload.Webserver, TargetUtil: 0.5}
-	rate, err := calibrateRate(spec)
-	if err != nil {
-		return err
-	}
-	e, err := build(spec, rate, c.newObs())
+	e, err := c.cell(EnvSpec{Scale: c.Scale, Seed: 1, Personality: workload.Webserver, TargetUtil: 0.5})
 	if err != nil {
 		return err
 	}
@@ -140,7 +130,7 @@ func runMem(c *RunConfig, w io.Writer) error {
 	if err := e.m.Eng.RunFor(30 * sim.Second); err != nil {
 		return err
 	}
-	c.fold(observe(e.obs, e.m, cellTrace(e.obs, "mem sampler")))
+	c.fold(e.finish("mem sampler"))
 	st := e.m.Duet.Stats()
 	descBound := 2 * c.Scale.CachePages
 	fmt.Fprintln(w, "# Memory overhead (§6.4)")
@@ -176,12 +166,7 @@ func runLat(c *RunConfig, w io.Writer) error {
 	for _, cs := range cases {
 		var lat sim.Time
 		if cs.tasks == nil {
-			spec := EnvSpec{Scale: c.Scale, Seed: 1, Personality: workload.Webserver, TargetUtil: 0.5}
-			rate, err := calibrateRate(spec)
-			if err != nil {
-				return err
-			}
-			e, err := build(spec, rate, c.newObs())
+			e, err := c.cell(EnvSpec{Scale: c.Scale, Seed: 1, Personality: workload.Webserver, TargetUtil: 0.5})
 			if err != nil {
 				return err
 			}
@@ -189,7 +174,7 @@ func runLat(c *RunConfig, w io.Writer) error {
 			if err := e.m.Eng.RunFor(c.Scale.Window); err != nil {
 				return err
 			}
-			c.fold(observe(e.obs, e.m, cellTrace(e.obs, "latency baseline")))
+			c.fold(e.finish("latency baseline"))
 			lat = e.gen.Stats().MeanLatency()
 		} else {
 			out, err := runTasks(c, RunSpec{

@@ -146,11 +146,10 @@ func runFig4(c *RunConfig, w io.Writer) error {
 // transfer duration and the fraction of read I/O saved.
 func runRsync(c *RunConfig, seed int64, overlap float64, duet bool) (sim.Time, float64, error) {
 	s := c.Scale
-	spec := EnvSpec{
+	e, err := c.cell(EnvSpec{
 		Scale: s, Seed: seed, Personality: workload.Webserver,
 		Coverage: overlap, TargetUtil: 1, // unthrottled (§6.2 rsync setup)
-	}
-	e, err := build(spec, 0, c.newObs())
+	})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -163,15 +162,11 @@ func runRsync(c *RunConfig, seed int64, overlap float64, duet bool) (sim.Time, f
 	if _, err := dst.MkdirAll("/backup"); err != nil {
 		return 0, 0, err
 	}
-	root, err := e.m.FS.Lookup("/data")
-	if err != nil {
-		return 0, 0, err
-	}
 	var r *rsync.Rsync
 	if duet {
-		r = rsync.NewOpportunistic(e.m.FS, root.Ino, dst, "/backup", rsync.DefaultConfig(), e.m.Duet, e.m.Adapter)
+		r = rsync.NewOpportunistic(e.m.FS, e.root.Ino, dst, "/backup", rsync.DefaultConfig(), e.m.Duet, e.m.Adapter)
 	} else {
-		r = rsync.New(e.m.FS, root.Ino, dst, "/backup", rsync.DefaultConfig())
+		r = rsync.New(e.m.FS, e.root.Ino, dst, "/backup", rsync.DefaultConfig())
 	}
 	var runErr error
 	e.gen.Start(e.m.Eng)
@@ -191,7 +186,7 @@ func runRsync(c *RunConfig, seed int64, overlap float64, duet bool) (sim.Time, f
 	if duet {
 		mode = "duet"
 	}
-	c.fold(observe(e.obs, e.m, cellTrace(e.obs, fmt.Sprintf("rsync %s ov%.2f seed%d", mode, overlap, seed))))
+	c.fold(e.finish(fmt.Sprintf("rsync %s ov%.2f seed%d", mode, overlap, seed)))
 	savedFrac := 0.0
 	if r.Report.WorkTotal > 0 {
 		savedFrac = float64(r.Report.Saved) / float64(r.Report.WorkTotal)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"duet/internal/cowfs"
 	"duet/internal/faults"
 	"duet/internal/machine"
 	"duet/internal/obs"
@@ -95,8 +96,9 @@ func runFaultsSweep(c *RunConfig, w io.Writer) error {
 }
 
 // buildFaultMachine assembles the cell's machine with a populated tree
-// and durability armed (an initial checkpoint of the populated state).
-func buildFaultMachine(s Scale, seed int64, o *obs.Obs) (*machine.Machine, error) {
+// and durability armed (an initial checkpoint of the populated state),
+// returning the populated files in inode order.
+func buildFaultMachine(s Scale, seed int64, o *obs.Obs) (*machine.Machine, []*cowfs.Inode, error) {
 	m, err := machine.New(machine.Config{
 		Seed:         seed,
 		DeviceBlocks: s.DeviceBlocks,
@@ -106,15 +108,16 @@ func buildFaultMachine(s Scale, seed int64, o *obs.Obs) (*machine.Machine, error
 		Obs:          o,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// A quarter of the scale's data keeps the robustness cells cheap:
 	// the sweep exercises failure paths, not steady-state throughput.
-	if _, err := m.Populate(machine.DefaultPopulateSpec("/data", s.DataPages/4)); err != nil {
-		return nil, err
+	files, err := m.Populate(machine.DefaultPopulateSpec("/data", s.DataPages/4))
+	if err != nil {
+		return nil, nil, err
 	}
 	m.EnableDurability()
-	return m, nil
+	return m, files, nil
 }
 
 // planFor finalizes the row's plan for one seed: per-seed decision
@@ -143,17 +146,12 @@ func planFor(m *machine.Machine, row faultRow, seed int64, window sim.Time) faul
 	return plan
 }
 
-// faultWorkload drives a deterministic read/write mix over the populated
-// files until the deadline. Read errors are expected while the device
-// is faulty (latent sectors, exhausted retries) and are absorbed here;
+// faultWorkload drives a deterministic read/write mix over files until
+// the deadline. Read errors are expected while the device is faulty
+// (latent sectors, exhausted retries) and are absorbed here;
 // data-integrity accounting happens in the final sweep, not per op.
-func faultWorkload(m *machine.Machine, deadline sim.Time) func(*sim.Proc) {
+func faultWorkload(m *machine.Machine, files []*cowfs.Inode, deadline sim.Time) func(*sim.Proc) {
 	return func(p *sim.Proc) {
-		root, err := m.FS.Lookup("/data")
-		if err != nil {
-			return
-		}
-		files := m.FS.FilesUnder(root.Ino)
 		if len(files) == 0 {
 			return
 		}
@@ -264,7 +262,7 @@ func lostBlocks(m *machine.Machine) int64 {
 func runFaultCell(c *RunConfig, seed int64, row faultRow, window sim.Time) (faultCell, error) {
 	var cell faultCell
 	o := c.newObs()
-	m, err := buildFaultMachine(c.Scale, seed, o)
+	m, files, err := buildFaultMachine(c.Scale, seed, o)
 	if err != nil {
 		return cell, err
 	}
@@ -274,7 +272,7 @@ func runFaultCell(c *RunConfig, seed int64, row faultRow, window sim.Time) (faul
 	}
 
 	deadline := m.Eng.Now() + window
-	m.Eng.Go("fault-workload", faultWorkload(m, deadline))
+	m.Eng.Go("fault-workload", faultWorkload(m, files, deadline))
 	m.Eng.Go("fault-committer", faultCommitter(m, deadline, &cell.aborts))
 
 	heal := window // the heal phase starts when the fault window closes

@@ -248,11 +248,7 @@ func DefaultPopulateSpec(dir string, totalPages int64) PopulateSpec {
 // simulated I/O (the pre-experiment fill). It returns the created files
 // in creation order.
 func (m *Machine) Populate(spec PopulateSpec) ([]*cowfs.Inode, error) {
-	return PopulateFS(m.FS, spec, m.Eng.DeriveRand("populate:"+spec.Dir))
-}
-
-// PopulateFS is Populate for any cowfs filesystem.
-func PopulateFS(fs *cowfs.FS, spec PopulateSpec, rng *rand.Rand) ([]*cowfs.Inode, error) {
+	fs, rng := m.FS, m.Eng.DeriveRand("populate:"+spec.Dir)
 	if spec.DirWidth <= 0 {
 		spec.DirWidth = 20
 	}

@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"fmt"
-
 	"duet/internal/obs"
 	"duet/internal/sim"
 )
@@ -51,23 +49,4 @@ func (m *LFSMachine) CollectMetrics(r *obs.Registry) {
 	m.Cache.PublishMetrics(r)
 	m.Duet.PublishMetrics(r)
 	m.FS.PublishMetrics(r)
-}
-
-// TraceProcesses lists a multi-domain run's tracers in deterministic
-// order for WriteTraceMulti: the run-level tracer of o (the
-// coordinator's domain) first, then each stack's own, named
-// "<prefix> <unit><index>". Empty when tracing is off.
-func TraceProcesses(prefix string, o *obs.Obs, unit string, stacks []*Stack) []obs.TraceProcess {
-	var procs []obs.TraceProcess
-	if o != nil && o.Trace != nil {
-		procs = append(procs, obs.TraceProcess{Name: prefix + " coord", T: o.Trace})
-	}
-	for i, s := range stacks {
-		if s.Obs != nil && s.Obs.Trace != nil {
-			procs = append(procs, obs.TraceProcess{
-				Name: fmt.Sprintf("%s %s%d", prefix, unit, i), T: s.Obs.Trace,
-			})
-		}
-	}
-	return procs
 }

@@ -15,8 +15,8 @@ import (
 // Stack is one complete storage stack — device, scheduler, page cache,
 // cowfs, and Duet hooked into the cache — on one event domain. It is the
 // only place such a stack is assembled: a Machine is an engine plus one
-// Stack on its default domain, every shard of a ShardedMachine is a
-// Stack on its own domain, and each cluster node hosts one.
+// Stack on its default domain, and each cluster node hosts one on its
+// own domain.
 //
 // A stack survives a power cut in one of two ways, which share one
 // remount (recover): Machine.Recover abandons the dead engine and

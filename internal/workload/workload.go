@@ -154,6 +154,9 @@ func NewLFS(e sim.Host, fs *lfs.FS, files []*lfs.Inode, cfg Config) (*Generator,
 // Stats returns live statistics.
 func (g *Generator) Stats() *Stats { return &g.stats }
 
+// Rate returns the throttle in ops/sec (0 = unthrottled).
+func (g *Generator) Rate() float64 { return g.cfg.OpsPerSec }
+
 // CoveredFiles returns the covered cowfs subset (nil for lfs targets).
 func (g *Generator) CoveredFiles() []*cowfs.Inode {
 	if ct, ok := g.target.(*CowTarget); ok {
