@@ -215,7 +215,7 @@ func (fs *FS) release(start, n int64) {
 // freeRun returns a zero-ref run to the allocator, dropping its per-block
 // metadata (checksum, reverse map, corruption marker).
 func (fs *FS) freeRun(start, n int64) {
-	clear(fs.csums[start : start+n])
+	clear(fs.want[start : start+n])
 	clear(fs.rev[start : start+n])
 	fs.corrupt.UnsetRange(uint64(start), uint64(start+n))
 	fs.insertFree(start, n)

@@ -30,6 +30,42 @@ func cowCycle(p *sim.Proc, v *env, ino Ino) {
 	v.cache.RemoveFile(v.fs.ID(), uint64(ino))
 }
 
+// readMissPages is the size of the read-miss file: four extents of 64
+// pages, so a whole-file read is four coalesced device reads.
+const readMissPages = 256
+
+// readMissFile populates the read-miss file on the medium, uncached.
+func readMissFile(v *env) *Inode {
+	f, err := v.fs.PopulateFile("/cold", readMissPages, 4, rand.New(rand.NewSource(1)))
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
+// readMiss reads the whole file from the device and drops it again: the
+// miss path of every cold read (staging, coalesced device reads, the
+// revalidation after each, one cache insert per page).
+func readMiss(p *sim.Proc, v *env, f *Inode) {
+	missed, err := v.fs.ReadCount(p, f.Ino, 0, f.SizePg, storage.ClassNormal, "bench")
+	if err != nil {
+		panic(err)
+	}
+	if missed != f.SizePg {
+		panic(fmt.Sprintf("read missed %d of %d pages", missed, f.SizePg))
+	}
+	v.cache.RemoveFile(v.fs.ID(), uint64(f.Ino))
+}
+
+// BenchmarkReadMissRun measures cold whole-file reads, per page.
+func BenchmarkReadMissRun(b *testing.B) {
+	benchInProc(b, func(p *sim.Proc, v *env) func() {
+		f := readMissFile(v)
+		return func() { readMiss(p, v, f) }
+	})
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*readMissPages), "ns/page")
+}
+
 // BenchmarkWriteOverwriteRead measures the write → writeback → read
 // cycle that dominates every cowfs experiment.
 func BenchmarkWriteOverwriteRead(b *testing.B) {
@@ -381,6 +417,17 @@ func TestCowHotPathAllocFree(t *testing.T) {
 			}
 			if got := len(f.Extents); got != durableOverwritePages {
 				t.Errorf("file has %d extents, want %d one-page extents", got, durableOverwritePages)
+			}
+		})
+	})
+	t.Run("read-miss", func(t *testing.T) {
+		inProc(t, func(p *sim.Proc, v *env) {
+			f := readMissFile(v)
+			for i := 0; i < 64; i++ {
+				readMiss(p, v, f)
+			}
+			if avg := testing.AllocsPerRun(100, func() { readMiss(p, v, f) }); avg != 0 {
+				t.Errorf("cold whole-file read allocates %.1f allocs/op, want 0", avg)
 			}
 		})
 	})

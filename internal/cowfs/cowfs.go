@@ -5,7 +5,9 @@
 //   - every write allocates new blocks (copy-on-write), so random writes
 //     fragment files and break sharing with snapshots;
 //   - a checksum is stored for every block, updated on write and verified
-//     on read, so a read doubles as a scrub of the block (§5.1);
+//     on read, so a read doubles as a scrub of the block (§5.1); the
+//     simulated checksum is the version the medium is expected to hold,
+//     and verification compares it with the medium's version;
 //   - snapshots share blocks with the live tree through per-block
 //     reference counts, standing in for Btrfs back-references (§5.2);
 //   - logical-to-physical mapping is exposed FIBMAP-style so block tasks
@@ -22,6 +24,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"duet/internal/bitmap"
 	"duet/internal/pagecache"
@@ -108,10 +111,7 @@ type FS struct {
 
 	free       *freeIndex // two-level free-space index (freeindex.go)
 	freeBlocks int64
-	refs       []int32  // per-block reference count
-	csums      []uint64 // per-block stored checksum
-	diskVer    []uint64 // per-block content version on the medium
-	rev        []revEntry
+	blocks                    // per-block state; nil slices once released
 	corrupt    *bitmap.Sparse // blocks with injected silent corruption
 
 	hooks  []VFSHook
@@ -151,6 +151,57 @@ type wbTag struct {
 	owner string
 }
 
+// blocks is the filesystem's per-block state, one entry per device block
+// in each slice. It is the bulk of a filesystem's memory, so a finished
+// filesystem hands it on (Release) to the next New of the same size.
+type blocks struct {
+	refs []int32 // reference count
+	// want is the stored checksum: the content version the medium is
+	// expected to hold, 0 when the block is free. A read or a scrub
+	// verifies a block by comparing it with diskVer.
+	want    []uint64
+	diskVer []uint64 // content version on the medium
+	rev     []revEntry
+}
+
+// blockPool holds the per-block state of released filesystems. It is
+// process-wide because experiment cells build and drop filesystems on
+// several goroutines.
+var blockPool sync.Pool // of *blocks
+
+// newBlocks returns zeroed per-block state for nb blocks: a released
+// filesystem's when one of that size is pooled, otherwise fresh.
+func newBlocks(nb int64) blocks {
+	if b, ok := blockPool.Get().(*blocks); ok && int64(len(b.refs)) == nb {
+		clear(b.refs)
+		clear(b.want)
+		clear(b.diskVer)
+		clear(b.rev)
+		return *b
+	}
+	return blocks{
+		refs:    make([]int32, nb),
+		want:    make([]uint64, nb),
+		diskVer: make([]uint64, nb),
+		rev:     make([]revEntry, nb),
+	}
+}
+
+// Release hands the filesystem's per-block state to the next New of the
+// same size. The filesystem must not be used afterwards: its per-block
+// slices are nil, so a read, write or check that reaches them panics
+// instead of reading another filesystem's blocks. A crash image aliases
+// the medium state, so a filesystem whose image is still to be remounted
+// must not be released.
+func (fs *FS) Release() {
+	if fs.refs == nil {
+		return
+	}
+	b := fs.blocks
+	fs.blocks = blocks{}
+	blockPool.Put(&b)
+}
+
 // revEntry is the reverse map from a block to the file page that last
 // wrote it. Entries can go stale when COW remaps the page; consumers
 // validate against Fibmap.
@@ -171,10 +222,7 @@ func New(e sim.Host, id pagecache.FSID, disk *storage.Disk, cache *pagecache.Cac
 		inodes:  make(map[Ino]*Inode),
 		nextIno: RootIno + 1,
 		free:    newFreeIndex(),
-		refs:    make([]int32, nb),
-		csums:   make([]uint64, nb),
-		diskVer: make([]uint64, nb),
-		rev:     make([]revEntry, nb),
+		blocks:  newBlocks(nb),
 		corrupt: bitmap.New(),
 		wbTags:  make(map[Ino]wbTag),
 	}
@@ -210,16 +258,6 @@ func (fs *FS) AddVFSHook(h VFSHook) { fs.hooks = append(fs.hooks, h) }
 func (fs *FS) Inode(ino Ino) (*Inode, bool) {
 	i, ok := fs.inodes[ino]
 	return i, ok
-}
-
-// Checksum is the content checksum function: FNV-1a over the version.
-func Checksum(version uint64) uint64 {
-	h := uint64(14695981039346656037)
-	for s := 0; s < 64; s += 8 {
-		h ^= (version >> s) & 0xff
-		h *= 1099511628211
-	}
-	return h
 }
 
 // --- namespace -----------------------------------------------------------
@@ -499,6 +537,7 @@ func (fs *FS) deleteInode(i *Inode) error {
 	fs.inodeMemo[i.Ino%Ino(len(fs.inodeMemo))] = nil
 	delete(fs.wbTags, i.Ino)
 	fs.gen++
+	i.Gen = fs.gen // a reader holding i learns that its mapping is gone
 	return nil
 }
 

@@ -224,20 +224,63 @@ func TestWritebackReachesMedium(t *testing.T) {
 	}
 }
 
+// tornWriteback tears every writeback request after its first block.
+type tornWriteback struct{}
+
+func (tornWriteback) Evaluate(now sim.Time, r *storage.Request, attempt int) storage.FaultOutcome {
+	if r.Write && r.Owner == "writeback" {
+		return storage.FaultOutcome{Err: &storage.TornWriteError{Persisted: 1}}
+	}
+	return storage.FaultOutcome{}
+}
+
 func TestCorruptionDetectedOnRead(t *testing.T) {
+	// Both ways a block's medium content can differ from its stored
+	// checksum: injected silent corruption, and a torn writeback whose
+	// unpersisted pages were then lost from memory. A read and a scrub
+	// check must both report each.
 	v := newEnv(1024)
 	rng := rand.New(rand.NewSource(5))
 	f, _ := v.fs.PopulateFile("/f", 8, 1, rng)
 	b, _ := v.fs.Fibmap(f.Ino, 3)
 	v.fs.CorruptBlock(b)
+	torn, _ := v.fs.Create("/torn")
 	v.in(t, func(p *sim.Proc) {
 		err := v.fs.ReadFile(p, f.Ino, storage.ClassNormal, "t")
 		if !errors.Is(err, ErrCorruption) {
 			t.Errorf("read of corrupted block: %v", err)
 		}
+		if err := v.fs.CheckBlock(b); !errors.Is(err, ErrCorruption) {
+			t.Errorf("check of corrupted block: %v", err)
+		}
+
+		if err := v.fs.Write(p, torn.Ino, 0, 2); err != nil {
+			t.Fatal(err)
+		}
+		v.disk.SetFaultInjector(tornWriteback{})
+		n, err := v.fs.WritebackPages(p, uint64(torn.Ino), []uint64{0, 1})
+		v.disk.SetFaultInjector(nil)
+		if n != 1 || err == nil {
+			t.Fatalf("torn writeback persisted %d pages, err %v; want 1 and an error", n, err)
+		}
+		v.cache.RemoveFile(v.fs.ID(), uint64(torn.Ino)) // the dirty page 1 is lost
+		kept, _ := v.fs.Fibmap(torn.Ino, 0)
+		lost, _ := v.fs.Fibmap(torn.Ino, 1)
+		if err := v.fs.CheckBlock(kept); err != nil {
+			t.Errorf("check of the persisted block: %v", err)
+		}
+		if err := v.fs.CheckBlock(lost); !errors.Is(err, ErrCorruption) {
+			t.Errorf("check of the torn block: %v", err)
+		}
+		if _, err := v.fs.ReadCount(p, torn.Ino, 0, 2, storage.ClassNormal, "t"); !errors.Is(err, ErrCorruption) {
+			t.Errorf("read of the torn block: %v", err)
+		}
 	})
-	if v.fs.Stats().Corruptions != 1 {
-		t.Errorf("Corruptions = %d", v.fs.Stats().Corruptions)
+	if got := v.fs.Stats().Corruptions; got != 2 {
+		t.Errorf("Corruptions = %d, want 2", got)
+	}
+	if got := v.fs.Stats().ScrubErrors; got != 2 {
+		t.Errorf("ScrubErrors = %d, want 2", got)
 	}
 }
 
@@ -823,6 +866,162 @@ func TestOverwriteDuringReadKeepsFreshData(t *testing.T) {
 			}
 		}
 	})
+}
+
+func TestReadCountRevalidatesRemaps(t *testing.T) {
+	// A reader blocked in a miss run's device read while another process
+	// remaps or deletes the file must not cache what it read from a block
+	// the page no longer maps to, nor call a deleted file corrupt. The
+	// reader reads at idle priority on a slowed device, so the mutator's
+	// own I/O goes first and its change lands while the read is in flight.
+	cases := []struct {
+		name   string
+		extent int  // PopulateFile's extent count
+		snap   bool // snapshot the file's directory before the read
+		mutate func(p *sim.Proc, v *env, f *Inode) error
+		gone   bool
+	}{
+		{"cow-overwrite", 4, true, func(p *sim.Proc, v *env, f *Inode) error {
+			// Straddle the first two extents, then write the new pages
+			// back and drop them. The snapshot keeps the old blocks and
+			// their checksums, so only the page's mapping tells the
+			// reader that what it read is stale.
+			if err := v.fs.Write(p, f.Ino, 8, 16); err != nil {
+				return err
+			}
+			if err := v.cache.SyncFile(p, v.fs.ID(), uint64(f.Ino)); err != nil {
+				return err
+			}
+			v.cache.RemoveFile(v.fs.ID(), uint64(f.Ino))
+			return nil
+		}, false},
+		{"in-place-rewrite", 1, false, func(p *sim.Proc, v *env, f *Inode) error {
+			// The file's one extent, referenced once: the rewrite frees it
+			// and gets the same blocks back in the same extent slot.
+			e := f.Extents[0]
+			if v.fs.refs[e.Phys] != 1 {
+				t.Fatalf("block %d has %d references, want 1", e.Phys, v.fs.refs[e.Phys])
+			}
+			if err := v.fs.Write(p, f.Ino, 0, f.SizePg); err != nil {
+				return err
+			}
+			if got := f.Extents[0].Phys; got != e.Phys {
+				t.Fatalf("rewrite moved the extent from block %d to %d", e.Phys, got)
+			}
+			return nil
+		}, false},
+		{"defragment", 4, false, func(p *sim.Proc, v *env, f *Inode) error {
+			_, err := v.fs.DefragFile(p, f.Ino, storage.ClassNormal, "defrag")
+			return err
+		}, false},
+		{"delete", 4, false, func(p *sim.Proc, v *env, f *Inode) error {
+			return v.fs.Delete("/d/f")
+		}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := sim.New(1)
+			disk := storage.NewDisk(e, "sda", storage.DefaultHDD(testBlocks).Slowed(8), iosched.NewCFQ())
+			cache := pagecache.New(e, pagecache.DefaultConfig(1024))
+			v := &env{e: e, disk: disk, cache: cache, fs: New(e, 1, disk, cache)}
+			if _, err := v.fs.MkdirAll("/d"); err != nil {
+				t.Fatal(err)
+			}
+			f, err := v.fs.PopulateFile("/d/f", 64, tc.extent, rand.New(rand.NewSource(79)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			v.in(t, func(p *sim.Proc) {
+				if tc.snap {
+					if _, err := v.fs.CreateSnapshot(p, "/d", "/snap"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				landed := false
+				v.e.Go("mutator", func(mp *sim.Proc) {
+					mp.Sleep(sim.Millisecond)
+					if err := tc.mutate(mp, v, f); err != nil {
+						t.Errorf("%s: %v", tc.name, err)
+					}
+					landed = true
+				})
+				_, err := v.fs.ReadCount(p, f.Ino, 0, f.SizePg, storage.ClassIdle, "t")
+				if !landed {
+					t.Fatalf("%s did not land while the read was in flight", tc.name)
+				}
+				if tc.gone {
+					if !errors.Is(err, ErrNotFound) {
+						t.Fatalf("err = %v, want ErrNotFound", err)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatalf("read: %v", err)
+				}
+				for idx := int64(0); idx < f.SizePg; idx++ {
+					pg, ok := v.cache.Peek(v.fs.pageKey(f.Ino, idx))
+					if ok && !pg.Dirty && pg.Version != f.PageVers[idx] {
+						t.Fatalf("clean page %d has version %d, file has %d", idx, pg.Version, f.PageVers[idx])
+					}
+				}
+			})
+			if got := v.fs.Stats().Corruptions; got != 0 {
+				t.Errorf("false corruption reports: %d", got)
+			}
+		})
+	}
+}
+
+func TestReleasedFSPanics(t *testing.T) {
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s on a released filesystem did not panic", what)
+			}
+		}()
+		fn()
+	}
+	v := newEnv(1024)
+	f, err := v.fs.PopulateFile("/f", 8, 1, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := v.fs.Fibmap(f.Ino, 0)
+	v.fs.Release()
+	mustPanic("CheckBlock", func() { _ = v.fs.CheckBlock(b) })
+	v.e.Go("user", func(p *sim.Proc) {
+		defer v.e.Stop()
+		mustPanic("Read", func() { _ = v.fs.Read(p, f.Ino, 0, 8, storage.ClassNormal, "t") })
+		mustPanic("Write", func() { _ = v.fs.Write(p, f.Ino, 0, 1) })
+	})
+	if err := v.e.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A later filesystem of the same size takes the released state (the
+	// pool may drop an entry, so try a few times) and finds it zeroed.
+	for try := 0; ; try++ {
+		w := newEnv(1024)
+		if _, err := w.fs.PopulateFile("/f", 8, 1, rand.New(rand.NewSource(1))); err != nil {
+			t.Fatal(err)
+		}
+		held := &w.fs.refs[0]
+		w.fs.Release()
+		u := newEnv(1024)
+		if &u.fs.refs[0] != held {
+			if try == 20 {
+				t.Fatal("a released filesystem's state was never reused")
+			}
+			continue
+		}
+		for blk := range u.fs.refs {
+			if u.fs.refs[blk] != 0 || u.fs.want[blk] != 0 || u.fs.diskVer[blk] != 0 || u.fs.rev[blk] != (revEntry{}) {
+				t.Fatalf("reused block %d state not zeroed", blk)
+			}
+		}
+		return
+	}
 }
 
 func TestChildrenSortedCacheInvalidation(t *testing.T) {

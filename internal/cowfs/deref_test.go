@@ -39,7 +39,7 @@ func derefPerBlock(fs *FS, b int64) {
 		fs.deferredRuns++
 		return
 	}
-	fs.csums[b] = 0
+	fs.want[b] = 0
 	fs.rev[b] = revEntry{}
 	fs.corrupt.Unset(uint64(b))
 	fs.insertFree(b, 1)
@@ -76,7 +76,7 @@ type lifecycleState struct {
 	Deferred        []int64 // deferred blocks, ascending
 	DeferredBlocks  int64
 	Refs            []int32
-	Csums           []uint64
+	Want            []uint64
 	Rev             []revEntry
 	Corrupt         []uint64
 	CowReallocation int64
@@ -87,7 +87,7 @@ func captureLifecycle(fs *FS) lifecycleState {
 		FreeBlocks:      fs.freeBlocks,
 		DeferredBlocks:  fs.deferredBlocks,
 		Refs:            slices.Clone(fs.refs),
-		Csums:           slices.Clone(fs.csums),
+		Want:            slices.Clone(fs.want),
 		Rev:             slices.Clone(fs.rev),
 		CowReallocation: fs.stats.CowReallocation,
 	}
@@ -125,7 +125,7 @@ func (a lifecycleState) equal(b lifecycleState) bool {
 	}
 	return a.FreeBlocks == b.FreeBlocks && a.DeferredBlocks == b.DeferredBlocks && a.CowReallocation == b.CowReallocation &&
 		slices.Equal(a.Runs, b.Runs) && slices.Equal(a.Deferred, b.Deferred) && slices.Equal(a.Refs, b.Refs) &&
-		slices.Equal(a.Csums, b.Csums) && slices.Equal(a.Rev, b.Rev) && slices.Equal(a.Corrupt, b.Corrupt)
+		slices.Equal(a.Want, b.Want) && slices.Equal(a.Rev, b.Rev) && slices.Equal(a.Corrupt, b.Corrupt)
 }
 
 // lifeOp is one decoded operation; a, b and c select files, offsets and

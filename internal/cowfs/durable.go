@@ -399,7 +399,7 @@ func Remount(e sim.Host, id pagecache.FSID, disk *storage.Disk, cache *pagecache
 				b := e.Phys + k
 				fs.refs[b]++
 				idx := e.Logical + k
-				fs.csums[b] = Checksum(i.PageVers[idx])
+				fs.want[b] = i.PageVers[idx]
 				fs.rev[b] = revEntry{ino: ino, idx: idx}
 			}
 		}

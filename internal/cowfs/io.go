@@ -18,16 +18,18 @@ import (
 // allocated, and the cache pages are dirtied; the flusher writes them to
 // the already-assigned blocks later. Reads check the cache first and issue
 // device reads for misses, verifying the per-block checksum — which is why
-// a foreground read lets the opportunistic scrubber skip the block.
+// a foreground read lets the opportunistic scrubber skip the block. The
+// stored checksum is the version the medium should hold (blocks.want).
 
 func (fs *FS) pageKey(ino Ino, idx int64) pagecache.PageKey {
 	return pagecache.PageKey{FS: fs.id, Ino: uint64(ino), Index: uint64(idx)}
 }
 
-// miss is a read-path staging record: a page that needs a device read.
+// miss is a read-path staging record: a page that needs a device read,
+// and the version its block was expected to hold when it was staged.
 type miss struct {
 	idx, block int64
-	wantCsum   uint64
+	want       uint64
 }
 
 // missBuf is a pooled staging buffer for ReadCount.
@@ -367,7 +369,7 @@ func (fs *FS) Write(p *sim.Proc, ino Ino, off, n int64) error {
 			fs.nextVer++
 			ver := fs.nextVer
 			i.PageVers[idx] = ver
-			fs.csums[r.phys+k] = Checksum(ver)
+			fs.want[r.phys+k] = ver
 			fs.rev[r.phys+k] = revEntry{ino: ino, idx: idx}
 			key := fs.pageKey(ino, idx)
 			pg, cached := fs.cache.Lookup(key)
@@ -418,9 +420,13 @@ func (fs *FS) ReadCount(p *sim.Proc, ino Ino, off, n int64, class storage.Class,
 		return 0, nil
 	}
 	fs.stats.ReadsPages += n
+	// Every change to the file's extents bumps its generation (so does
+	// deleting it), and the misses below are staged from the extents of
+	// this generation.
+	gen := i.Gen
 
-	// Collect misses as (idx, block) pairs — remembering the checksum the
-	// block is expected to verify against — then coalesce into physically
+	// Collect misses as (idx, block) pairs — remembering the version the
+	// block is expected to hold — then coalesce into physically
 	// contiguous device reads. The staging buffer comes from a pool: the
 	// process blocks on the device below, so other readers can be staging
 	// concurrently in virtual time.
@@ -436,7 +442,7 @@ func (fs *FS) ReadCount(p *sim.Proc, ino Ino, off, n int64, class storage.Class,
 			fs.cache.Insert(p, fs.pageKey(ino, idx), 0) // hole: zero page
 			continue
 		}
-		misses = append(misses, miss{idx: idx, block: b, wantCsum: fs.csums[b]})
+		misses = append(misses, miss{idx: idx, block: b, want: fs.want[b]})
 	}
 	mb.m = misses
 	missed := int64(len(misses))
@@ -454,22 +460,29 @@ func (fs *FS) ReadCount(p *sim.Proc, ino Ino, off, n int64, class storage.Class,
 		}
 		// Revalidate after the I/O: the file may have been deleted or
 		// copy-on-written while this process was blocked on the device.
-		if _, alive := fs.inodes[ino]; !alive {
+		cur, alive := fs.inodes[ino]
+		if !alive {
 			return missed, fmt.Errorf("%w: inode %d (deleted during read)", ErrNotFound, ino)
 		}
 		for k := 0; k < count; k++ {
 			m := misses[s+k]
-			if cur, mapped := fs.Fibmap(ino, m.idx); !mapped || cur != m.block {
-				continue // remapped mid-read: the new data is (or will be) in cache
+			// While the inode and its generation are the ones the misses
+			// were staged from, every page still maps to its staged block.
+			// The test is per page: an Insert below can block in eviction
+			// writeback while another process remaps or deletes the file.
+			if cur != i || i.Gen != gen {
+				if b, mapped := fs.Fibmap(ino, m.idx); !mapped || b != m.block {
+					continue // remapped mid-read: the new data is (or will be) in cache
+				}
 			}
 			if fs.cache.Contains(fs.pageKey(ino, m.idx)) {
 				continue // a concurrent write cached a newer copy
 			}
-			if fs.csums[m.block] != m.wantCsum {
+			if fs.want[m.block] != m.want {
 				continue // block re-written (possibly in place) mid-read
 			}
 			ver := fs.diskVer[m.block]
-			if Checksum(ver) != m.wantCsum {
+			if ver != m.want {
 				fs.stats.Corruptions++
 				return missed, fmt.Errorf("%w: inode %d page %d block %d", ErrCorruption, ino, m.idx, m.block)
 			}
@@ -659,17 +672,14 @@ func (fs *FS) populateFromBlock(p *sim.Proc, b int64) {
 	fs.cache.Insert(p, fs.pageKey(o.ino, o.idx), fs.diskVer[b])
 }
 
-// CheckBlock compares the medium content of an allocated block against its
-// stored checksum without performing I/O (the device read must already
-// have happened).
+// CheckBlock compares the medium content of block b, if it is allocated,
+// against its stored checksum without performing I/O (the device read
+// must already have happened). b must be a block of the device.
 func (fs *FS) CheckBlock(b int64) error {
-	if !fs.Allocated(b) {
+	if fs.refs[b] == 0 || fs.blockDirtyInCache(b) {
 		return nil
 	}
-	if fs.blockDirtyInCache(b) {
-		return nil
-	}
-	if Checksum(fs.diskVer[b]) != fs.csums[b] {
+	if fs.diskVer[b] != fs.want[b] {
 		fs.stats.ScrubErrors++
 		return fmt.Errorf("%w: block %d", ErrCorruption, b)
 	}

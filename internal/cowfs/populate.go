@@ -66,7 +66,7 @@ func (fs *FS) PopulateFile(path string, sizePg int64, wantExtents int, rng *rand
 				ver := fs.nextVer
 				i.PageVers[idx] = ver
 				b := r.phys + k
-				fs.csums[b] = Checksum(ver)
+				fs.want[b] = ver
 				fs.diskVer[b] = ver
 				fs.rev[b] = revEntry{ino: i.Ino, idx: idx}
 			}

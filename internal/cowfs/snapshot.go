@@ -183,7 +183,7 @@ func (fs *FS) DefragFile(p *sim.Proc, ino Ino, class storage.Class, owner string
 		for k := int64(0); k < r.len; k++ {
 			idx := logical + k
 			ver := i.PageVers[idx]
-			fs.csums[r.phys+k] = Checksum(ver)
+			fs.want[r.phys+k] = ver
 			fs.rev[r.phys+k] = revEntry{ino: ino, idx: idx}
 			key := fs.pageKey(ino, idx)
 			pg, cached := fs.cache.Lookup(key)

@@ -246,9 +246,12 @@ func (c *RunConfig) cell(spec EnvSpec) (*env, error) {
 }
 
 // finish closes e's cell: the machine's counters and the tracer, named
-// name, bundled for the caller to fold.
+// name, bundled for the caller to fold. The cell's filesystem is released
+// to the next cell, so nothing may use it afterwards.
 func (e *env) finish(name string) cellObs {
-	return observe(e.obs, e.m, cellTrace(e.obs, name))
+	co := observe(e.obs, e.m, cellTrace(e.obs, name))
+	e.m.FS.Release()
+	return co
 }
 
 // --- utilization calibration ------------------------------------------------
@@ -350,6 +353,7 @@ func measureUtil(spec EnvSpec, rate float64) (float64, error) {
 	if err := e.m.Eng.Run(); err != nil {
 		return 0, err
 	}
+	e.m.FS.Release()
 	return storage.UtilBetween(before, after), nil
 }
 
@@ -392,16 +396,17 @@ type RunSpec struct {
 	Duet  bool
 }
 
-// Outcome captures one run's results.
+// Outcome captures one run's results. It holds values only, so a
+// finished cell's machine is garbage once the cell returns.
 type Outcome struct {
-	Scrub  *scrub.Scrubber
-	Backup *backup.Backup
-	Defrag *defrag.Defrag
+	// Scrub, Backup and Defrag are the task reports; a task that did not
+	// run has a zero report (empty Name).
+	Scrub, Backup, Defrag tasks.Report
 	// Util is the measured normal-class (workload) device utilization
 	// over the window.
 	Util float64
-	// Workload is the generator's stats (nil without a workload).
-	Workload *workload.Stats
+	// Workload is the generator's stats (zero without a workload).
+	Workload workload.Stats
 	// Elapsed is how long the run lasted (≤ window; shorter when all
 	// tasks finished early).
 	Elapsed sim.Time
@@ -409,17 +414,13 @@ type Outcome struct {
 	obs cellObs
 }
 
-// Reports returns the task reports in a stable order.
+// Reports returns the reports of the tasks that ran, in a stable order.
 func (o *Outcome) Reports() []tasks.Report {
 	var out []tasks.Report
-	if o.Scrub != nil {
-		out = append(out, o.Scrub.Report)
-	}
-	if o.Backup != nil {
-		out = append(out, o.Backup.Report)
-	}
-	if o.Defrag != nil {
-		out = append(out, o.Defrag.Report)
+	for _, r := range []tasks.Report{o.Scrub, o.Backup, o.Defrag} {
+		if r.Name != "" {
+			out = append(out, r)
+		}
 	}
 	return out
 }
@@ -428,19 +429,8 @@ func (o *Outcome) Reports() []tasks.Report {
 // the total maintenance I/O a Duet-less run performs. Defragmentation
 // counts reads and writes (2× its pages).
 func (o *Outcome) IOSaved() float64 {
-	var saved, total float64
-	if o.Scrub != nil {
-		saved += float64(o.Scrub.Report.Saved)
-		total += float64(o.Scrub.Report.WorkTotal)
-	}
-	if o.Backup != nil {
-		saved += float64(o.Backup.Report.Saved)
-		total += float64(o.Backup.Report.WorkTotal)
-	}
-	if o.Defrag != nil {
-		saved += float64(o.Defrag.Report.Saved)
-		total += float64(2 * o.Defrag.Report.WorkTotal)
-	}
+	saved := float64(o.Scrub.Saved + o.Backup.Saved + o.Defrag.Saved)
+	total := float64(o.Scrub.WorkTotal + o.Backup.WorkTotal + 2*o.Defrag.WorkTotal)
 	if total == 0 {
 		return 0
 	}
@@ -490,7 +480,11 @@ func runTasks(c *RunConfig, spec RunSpec) (*Outcome, error) {
 // observations for the caller to fold.
 func runTasksOn(e *env, taskNames []TaskName, duet bool, window sim.Time) (*Outcome, error) {
 	eng := e.m.Eng
-	out := &Outcome{}
+	var (
+		sc *scrub.Scrubber
+		bk *backup.Backup
+		df *defrag.Defrag
+	)
 
 	var taskErr error
 	wg := sim.NewWaitGroup(eng)
@@ -530,25 +524,25 @@ func runTasksOn(e *env, taskNames []TaskName, duet bool, window sim.Time) (*Outc
 			switch t {
 			case TaskScrub:
 				if duet {
-					out.Scrub = scrub.NewOpportunistic(e.m.FS, scrub.DefaultConfig(), e.m.Duet, e.m.Adapter)
+					sc = scrub.NewOpportunistic(e.m.FS, scrub.DefaultConfig(), e.m.Duet, e.m.Adapter)
 				} else {
-					out.Scrub = scrub.New(e.m.FS, scrub.DefaultConfig())
+					sc = scrub.New(e.m.FS, scrub.DefaultConfig())
 				}
-				spawn(t, out.Scrub.Run)
+				spawn(t, sc.Run)
 			case TaskBackup:
 				if duet {
-					out.Backup = backup.NewOpportunistic(e.m.FS, snap, backup.DefaultConfig(), e.m.Duet, e.m.Adapter)
+					bk = backup.NewOpportunistic(e.m.FS, snap, backup.DefaultConfig(), e.m.Duet, e.m.Adapter)
 				} else {
-					out.Backup = backup.New(e.m.FS, snap, backup.DefaultConfig())
+					bk = backup.New(e.m.FS, snap, backup.DefaultConfig())
 				}
-				spawn(t, out.Backup.Run)
+				spawn(t, bk.Run)
 			case TaskDefrag:
 				if duet {
-					out.Defrag = defrag.NewOpportunistic(e.m.FS, e.root.Ino, defrag.DefaultConfig(), e.m.Duet, e.m.Adapter)
+					df = defrag.NewOpportunistic(e.m.FS, e.root.Ino, defrag.DefaultConfig(), e.m.Duet, e.m.Adapter)
 				} else {
-					out.Defrag = defrag.New(e.m.FS, e.root.Ino, defrag.DefaultConfig())
+					df = defrag.New(e.m.FS, e.root.Ino, defrag.DefaultConfig())
 				}
-				spawn(t, out.Defrag.Run)
+				spawn(t, df.Run)
 			default:
 				taskErr = fmt.Errorf("experiments: unknown task %q", t)
 			}
@@ -564,11 +558,22 @@ func runTasksOn(e *env, taskNames []TaskName, duet bool, window sim.Time) (*Outc
 		return nil, taskErr
 	}
 	after := e.m.Disk.Snapshot()
-	out.Util = storage.UtilClassBetween(before, after, storage.ClassNormal)
-	if e.gen != nil {
-		out.Workload = e.gen.Stats()
+	out := &Outcome{
+		Util:    storage.UtilClassBetween(before, after, storage.ClassNormal),
+		Elapsed: eng.Now() - start,
 	}
-	out.Elapsed = eng.Now() - start
+	if sc != nil {
+		out.Scrub = sc.Report
+	}
+	if bk != nil {
+		out.Backup = bk.Report
+	}
+	if df != nil {
+		out.Defrag = df.Report
+	}
+	if e.gen != nil {
+		out.Workload = *e.gen.Stats()
+	}
 	for _, r := range out.Reports() {
 		tasks.ObserveRun(e.obs, r)
 	}

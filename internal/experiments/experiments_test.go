@@ -205,7 +205,7 @@ func TestRunScrubDuetSavesUnderWorkload(t *testing.T) {
 	if out.Util < 0.2 || out.Util > 0.8 {
 		t.Errorf("measured util = %.2f", out.Util)
 	}
-	if out.Workload == nil || out.Workload.Ops == 0 {
+	if out.Workload.Ops == 0 {
 		t.Error("workload did not run")
 	}
 }

@@ -53,9 +53,9 @@ func TestFileserverOnLFS(t *testing.T) {
 			m.Eng.Stop()
 			return
 		}
-		stats = g.Stats()
 		g.Start(m.Eng)
 		p.Sleep(20 * sim.Second)
+		stats = g.Stats()
 		m.Eng.Stop()
 	})
 	if err := m.Eng.Run(); err != nil {
@@ -107,9 +107,9 @@ func TestLFSCoverage(t *testing.T) {
 		if g.CoveredFiles() != nil {
 			t.Error("CoveredFiles should be nil for lfs targets")
 		}
-		stats = g.Stats()
 		g.Start(m.Eng)
 		p.Sleep(10 * sim.Second)
+		stats = g.Stats()
 		m.Eng.Stop()
 	})
 	if err := m.Eng.Run(); err != nil {

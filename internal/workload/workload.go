@@ -151,8 +151,12 @@ func NewLFS(e sim.Host, fs *lfs.FS, files []*lfs.Inode, cfg Config) (*Generator,
 	return &Generator{target: NewLFSTarget(fs, covered, cfg.Name), cfg: cfg}, nil
 }
 
-// Stats returns live statistics.
-func (g *Generator) Stats() *Stats { return &g.stats }
+// Stats returns a copy of the statistics so far. The copy does not keep
+// the generator (or the filesystem it drives) reachable.
+func (g *Generator) Stats() *Stats {
+	s := g.stats
+	return &s
+}
 
 // Rate returns the throttle in ops/sec (0 = unthrottled).
 func (g *Generator) Rate() float64 { return g.cfg.OpsPerSec }
