@@ -60,7 +60,6 @@ func BenchmarkLatencyImpact(b *testing.B)             { runExperiment(b, "lat") 
 func BenchmarkMemOverhead(b *testing.B)               { runExperiment(b, "mem") }
 
 // Ablation benches for the design choices DESIGN.md calls out.
-func BenchmarkAblationScheduler(b *testing.B)   { runExperiment(b, "ab-sched") }
-func BenchmarkAblationFetchRate(b *testing.B)   { runExperiment(b, "ab-fetch") }
-func BenchmarkAblationQueuePolicy(b *testing.B) { runExperiment(b, "ab-policy") }
-func BenchmarkAblationDoneFilter(b *testing.B)  { runExperiment(b, "ab-done") }
+func BenchmarkAblationScheduler(b *testing.B)  { runExperiment(b, "ab-sched") }
+func BenchmarkAblationFetchRate(b *testing.B)  { runExperiment(b, "ab-fetch") }
+func BenchmarkAblationDoneFilter(b *testing.B) { runExperiment(b, "ab-done") }

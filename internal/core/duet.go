@@ -339,18 +339,6 @@ func (d *Duet) PageEvent(ev pagecache.EventType, pg *pagecache.Page) {
 	}
 }
 
-// KeepPage implements pagecache.EvictionAdvisor: a page whose descriptor
-// still sits in some session's fetch queue carries a hint no task has
-// consumed yet, so reclaim should prefer other victims. Enable with
-// cache.SetAdvisor(duet) — the informed-cache-replacement extension the
-// paper leaves as future work (§2).
-func (d *Duet) KeepPage(pg *pagecache.Page) bool {
-	desc := d.table.get(itemKey{pg.Key.FS, pg.Key.Ino, pg.Key.Index})
-	return desc != nil && desc.queued != 0
-}
-
-var _ pagecache.EvictionAdvisor = (*Duet)(nil)
-
 // MemBytes estimates Duet's memory footprint: descriptors plus session
 // bitmaps (the quantities §6.4 reports).
 func (d *Duet) MemBytes() int {

@@ -7,7 +7,6 @@ import (
 	"duet/internal/core"
 	"duet/internal/metrics"
 	"duet/internal/sim"
-	"duet/internal/tasks/defrag"
 	"duet/internal/workload"
 )
 
@@ -102,52 +101,6 @@ func runAbFetch(c *RunConfig, w io.Writer) error {
 	return nil
 }
 
-// runAbPolicy compares the paper's most-cached-first priority queue with
-// plain event-order processing for the defragmenter.
-func runAbPolicy(c *RunConfig, w io.Writer) error {
-	fmt.Fprintln(w, "# Ablation: defragmenter queue policy (most-cached-fraction vs event order)")
-	headers := []string{"Policy", "I/O saved", "Pages read", "Completed"}
-	var rows [][]string
-	for _, fifo := range []bool{false, true} {
-		e, err := c.cell(EnvSpec{Scale: c.Scale, Seed: 1, Personality: workload.Webserver, TargetUtil: 0.6})
-		if err != nil {
-			return err
-		}
-		cfg := defrag.DefaultConfig()
-		cfg.FIFOQueue = fifo
-		d := defrag.NewOpportunistic(e.m.FS, e.root.Ino, cfg, e.m.Duet, e.m.Adapter)
-		e.gen.Start(e.m.Eng)
-		var runErr error
-		e.m.Eng.Go("task:defrag", func(p *sim.Proc) {
-			runErr = d.Run(p)
-			e.m.Eng.Stop()
-		})
-		if err := e.m.Eng.RunFor(c.Scale.Window); err != nil {
-			return err
-		}
-		if runErr != nil {
-			return runErr
-		}
-		name := "most-cached-first"
-		if fifo {
-			name = "event order"
-		}
-		c.fold(e.finish("ab-policy " + name))
-		saved := 0.0
-		if d.Report.WorkTotal > 0 {
-			saved = float64(d.Report.Saved) / float64(2*d.Report.WorkTotal)
-		}
-		rows = append(rows, []string{
-			name,
-			fmt.Sprintf("%.3f", saved),
-			fmt.Sprint(d.Report.ReadBlocks),
-			fmt.Sprint(d.Report.Completed),
-		})
-	}
-	metrics.RenderTable(w, headers, rows)
-	return nil
-}
-
 // runAbDone quantifies the framework-side done filtering of §4.1: marking
 // items done inside Duet suppresses event processing for completed work,
 // which a task-side-only design would keep paying for.
@@ -207,47 +160,5 @@ func runAbDone(c *RunConfig, w io.Writer) error {
 func init() {
 	register(Experiment{ID: "ab-sched", Title: "Ablation: I/O prioritization", Exec: runAbSched})
 	register(Experiment{ID: "ab-fetch", Title: "Ablation: fetch frequency vs backlog", Exec: runAbFetch})
-	register(Experiment{ID: "ab-policy", Title: "Ablation: defrag queue policy", Exec: runAbPolicy})
 	register(Experiment{ID: "ab-done", Title: "Ablation: done-bitmap filtering", Exec: runAbDone})
-}
-
-// runAbEvict measures the informed-cache-replacement extension (the
-// PACMan-inspired future work of §2): reclaim defers evicting pages whose
-// Duet hints no task has consumed yet. Compared at a cache-thrashing
-// utilization with scrubbing + backup running concurrently.
-func runAbEvict(c *RunConfig, w io.Writer) error {
-	s := c.Scale
-	fmt.Fprintln(w, "# Ablation: informed cache replacement (keep pages with unconsumed hints)")
-	headers := []string{"Eviction policy", "I/O saved", "Work completed", "Reclaim deferrals"}
-	var rows [][]string
-	for _, informed := range []bool{false, true} {
-		e, err := c.cell(EnvSpec{Scale: s, Seed: 1, Personality: workload.Webserver, TargetUtil: 0.6})
-		if err != nil {
-			return err
-		}
-		if informed {
-			e.m.Cache.SetAdvisor(e.m.Duet)
-		}
-		out, err := runTasksOn(e, []TaskName{TaskScrub, TaskBackup}, true, s.Window)
-		if err != nil {
-			return err
-		}
-		c.fold(out.obs)
-		name := "LRU"
-		if informed {
-			name = "LRU + Duet advice"
-		}
-		rows = append(rows, []string{
-			name,
-			fmt.Sprintf("%.3f", out.IOSaved()),
-			metrics.Pct(out.WorkCompleted()),
-			fmt.Sprint(e.m.Cache.Stats().AdvisorDeferrals),
-		})
-	}
-	metrics.RenderTable(w, headers, rows)
-	return nil
-}
-
-func init() {
-	register(Experiment{ID: "ab-evict", Title: "Ablation: informed cache replacement", Exec: runAbEvict})
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,16 +34,13 @@ func TestUtilsSweep(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-		"fig9", "fig10", "tab5", "tab6", "mem", "lat",
-		"ab-sched", "ab-fetch", "ab-policy", "ab-done"}
-	for _, id := range want {
-		if _, ok := Lookup(id); !ok {
-			t.Errorf("experiment %q not registered", id)
-		}
-	}
-	if len(IDs()) < len(want) {
-		t.Errorf("IDs = %v", IDs())
+	want := []string{"ab-done", "ab-fetch", "ab-sched", "cluster", "faults",
+		"fig1", "fig10", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
+		"fig9", "lat", "mem", "tab5", "tab6"}
+	got := IDs()
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("sorted IDs = %v\nwant %v", got, want)
 	}
 }
 
@@ -296,8 +294,49 @@ func TestMaxUtilizationDuetAtLeastBaseline(t *testing.T) {
 	}
 }
 
-func TestAbEvictRegistered(t *testing.T) {
-	if _, ok := Lookup("ab-evict"); !ok {
-		t.Error("ab-evict not registered")
+// TestMaxUtilizationStopsAtFirstFailingSeed runs one Table 5 scan with two
+// seeds: no seed runs after a level's first failure, and the answer
+// equals the one every (level, seed) cell gives.
+func TestMaxUtilizationStopsAtFirstFailingSeed(t *testing.T) {
+	sc := ScaleTiny
+	sc.Seeds = 2
+	c := &RunConfig{Scale: sc}
+	row := tab5Row{personality: workload.Webserver, overlap: 1.0, dist: "uniform"}
+	utils, nSeeds := sc.Utils(), len(seeds(sc))
+	want, wantCells, skipped := -1.0, 0, 0
+	for i := len(utils) - 1; i >= 0 && want < 0; i-- {
+		firstFail := -1
+		for j, seed := range seeds(sc) {
+			out, err := runTasks(c, RunSpec{
+				Env: EnvSpec{Scale: sc, Seed: seed, Personality: row.personality,
+					Dist: row.dist, Coverage: row.overlap, TargetUtil: utils[i]},
+				Tasks: []TaskName{TaskBackup},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if firstFail < 0 && !out.Completed() {
+				firstFail = j
+			}
+		}
+		if firstFail < 0 {
+			want, wantCells = utils[i], wantCells+nSeeds
+			continue
+		}
+		wantCells += firstFail + 1
+		skipped += nSeeds - firstFail - 1
+	}
+	if skipped == 0 {
+		t.Fatal("no level of this scan fails before its last seed; the test checks nothing")
+	}
+	got, ran, err := maxUtilization(c, row, TaskBackup, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("max util %.2f, every seed run gives %.2f", got, want)
+	}
+	if len(ran) != wantCells {
+		t.Errorf("ran %d cells, want %d (%d seeds skipped after a level's first failure)", len(ran), wantCells, skipped)
 	}
 }

@@ -220,8 +220,10 @@ func tab5Rows() []tab5Row {
 // maxUtilization finds the highest utilization (in UtilStep steps) at
 // which the task still completes within the window for every seed,
 // scanning from high to low (Table 5's metric) and stopping at the first
-// passing level. It returns -1 when the task fails even on an idle
-// device, and every cell it ran, in run order, for the caller to fold.
+// passing level. A level's seeds stop at its first failure, which
+// already decides the level. It returns -1 when the task fails even on
+// an idle device, and every cell it ran, in run order, for the caller to
+// fold.
 func maxUtilization(c *RunConfig, row tab5Row, task TaskName, duet bool) (float64, []cellObs, error) {
 	var ran []cellObs
 	utils := c.Scale.Utils()
@@ -240,7 +242,10 @@ func maxUtilization(c *RunConfig, row tab5Row, task TaskName, duet bool) (float6
 				return 0, ran, err
 			}
 			ran = append(ran, out.obs)
-			completedAll = completedAll && out.Completed()
+			if !out.Completed() {
+				completedAll = false
+				break
+			}
 		}
 		if completedAll {
 			return utils[i], ran, nil

@@ -49,7 +49,6 @@ type refPager struct {
 	capacity int
 	lru      []*refPage
 	quar     []PageKey
-	keep     EvictionAdvisor
 	be       *scriptBackend
 	stats    Stats
 	events   []string
@@ -117,21 +116,12 @@ func (m *refPager) unquarantine(pg *refPage) {
 }
 
 func (m *refPager) pick() *refPage {
-	var fallback *refPage
 	for i := 0; i < len(m.lru) && i < 128; i++ {
-		pg := m.lru[i]
-		if pg.dirty {
-			continue
-		}
-		if m.keep == nil || !m.keep.KeepPage(&Page{Key: pg.key}) {
+		if pg := m.lru[i]; !pg.dirty {
 			return pg
 		}
-		if fallback == nil {
-			fallback = pg
-			m.stats.AdvisorDeferrals++
-		}
 	}
-	return fallback
+	return nil
 }
 
 // writeback sends pgs (one file, index order) to the backend and applies
@@ -519,11 +509,6 @@ func runDifferential(t testing.TB, capacity, parked int, data []byte) {
 				name = "dropvolatile"
 				c.DropVolatile()
 				m.lru, m.quar = nil, nil
-			case op == 28:
-				name = "advisor"
-				adv := []EvictionAdvisor{nil, nil, keepOdd{}, keepAll{}}[x%4]
-				c.SetAdvisor(adv)
-				m.keep = adv
 			case op == 29 && x < 128:
 				name = "sparse"
 				// High index first, then low: the file's index is sized by
@@ -582,7 +567,7 @@ func runDifferential(t testing.TB, capacity, parked int, data []byte) {
 				if i != len(want) {
 					t.Fatalf("step %d (iteratefile): visited %d of %v", step, i, refKeys(want))
 				}
-			default:
+			default: // op 31, and op 28 at x >= 4
 				name = "iterate"
 				// Every page in (ino, index) order; the callback may mutate
 				// the cache, here by removing the page that would be next.

@@ -68,7 +68,6 @@ func (c *Cache) PublishMetrics(r *obs.Registry) {
 	r.SetCounter("pagecache.removed_by_delete", s.RemovedByDelete)
 	r.SetCounter("pagecache.events_dispatched", s.EventsDispatched)
 	r.SetCounter("pagecache.events_filtered", s.EventsFiltered)
-	r.SetCounter("pagecache.advisor_deferrals", s.AdvisorDeferrals)
 	r.SetCounter("pagecache.writeback_errors", s.WritebackErrors)
 	r.SetCounter("pagecache.quarantine_events", s.QuarantineEvents)
 	r.SetCounter("pagecache.requeued_pages", s.RequeuedPages)

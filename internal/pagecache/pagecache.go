@@ -155,16 +155,6 @@ type InterestReporter interface {
 	EventInterest() uint8
 }
 
-// EvictionAdvisor biases reclaim: pages the advisor wants kept are passed
-// over while other clean victims exist within the reclaim scan window.
-// This implements the paper's informed-cache-replacement future work
-// (§2): Duet can advise keeping pages whose maintenance hints have not
-// been consumed yet.
-type EvictionAdvisor interface {
-	// KeepPage reports whether eviction of this page should be deferred.
-	KeepPage(pg *Page) bool
-}
-
 // Backend writes dirty pages back to storage on behalf of the cache. Each
 // filesystem registers one.
 type Backend interface {
@@ -214,7 +204,6 @@ type Stats struct {
 	RemovedByDelete  int64
 	EventsDispatched int64
 	EventsFiltered   int64 // events skipped by the hook interest mask
-	AdvisorDeferrals int64 // reclaim scans that passed over advised pages
 
 	// Writeback failure accounting (nonzero only when the backing device
 	// fails requests; see internal/faults).
@@ -314,7 +303,6 @@ type Cache struct {
 	backends map[FSID]Backend
 	hooks    []Hook
 	interest uint8 // union of hook event interest; emit skips masked-out types
-	advisor  EvictionAdvisor
 	stats    Stats
 
 	lruHead, lruTail *Page // lruHead = most recently used
@@ -402,9 +390,6 @@ func (c *Cache) AddHook(h Hook) {
 	c.hooks = append(c.hooks, h)
 	c.RefreshInterest()
 }
-
-// SetAdvisor installs (or, with nil, removes) the eviction advisor.
-func (c *Cache) SetAdvisor(a EvictionAdvisor) { c.advisor = a }
 
 // HookCount returns the number of registered event hooks. Recovery
 // paths that rebuild a Duet instance use it to assert they did not
@@ -762,34 +747,20 @@ const scanLimit = 128
 // the LRU tail (approximating kernel reclaim, which prefers clean pages),
 // or nil when that window is all dirty. The answer normally comes from
 // the clean-victim cursor in O(1); the scan below runs only to re-prime
-// an invalid cursor, and on every call while an advisor is installed —
-// KeepPage is dynamic, so nothing can be cached across calls. Advised
-// pages are passed over; if only advised clean pages remain in the
-// window, the coldest of them is evicted anyway (advice defers, it does
-// not pin — pinning would recreate the memory-pressure problems the
-// paper avoids, §3.1).
+// an invalid cursor.
 func (c *Cache) pickVictim() *Page {
-	if c.advisor == nil && c.victim != nil {
+	if c.victim != nil {
 		return c.victim
 	}
-	var fallback *Page
 	pg := c.lruTail
 	for i := 0; pg != nil && i < scanLimit; i++ {
 		if !pg.Dirty {
-			if c.victim == nil {
-				c.victim, c.dirtyBelow = pg, i // first clean page met: prime
-			}
-			if c.advisor == nil || !c.advisor.KeepPage(pg) {
-				return pg
-			}
-			if fallback == nil {
-				fallback = pg
-				c.stats.AdvisorDeferrals++
-			}
+			c.victim, c.dirtyBelow = pg, i
+			return pg
 		}
 		pg = pg.lruPrev
 	}
-	return fallback
+	return nil
 }
 
 // writebackOne synchronously writes a single dirty page back. On

@@ -522,55 +522,6 @@ func TestEventTypeString(t *testing.T) {
 	}
 }
 
-// keepOdd is a test advisor that protects odd page indices.
-type keepOdd struct{}
-
-func (keepOdd) KeepPage(pg *Page) bool { return pg.Key.Index%2 == 1 }
-
-func TestAdvisorBiasesEviction(t *testing.T) {
-	h := newHarness(4)
-	h.c.SetAdvisor(keepOdd{})
-	h.in(t, func(p *sim.Proc) {
-		for i := uint64(0); i < 4; i++ {
-			h.c.Insert(p, key(1, i), 0)
-		}
-		// Insert a 5th page: the coldest NON-advised page (index 0) must
-		// be evicted, not the colder odd ones... index 0 is the coldest
-		// anyway; touch it so index 1 (advised) becomes coldest.
-		h.c.Lookup(key(1, 0))
-		h.c.Insert(p, key(1, 4), 0)
-		if !h.c.Contains(key(1, 1)) {
-			t.Error("advised page (1,1) was evicted despite alternatives")
-		}
-		if h.c.Contains(key(1, 2)) {
-			t.Error("non-advised (1,2) should have been the victim")
-		}
-	})
-	if h.c.Stats().AdvisorDeferrals == 0 {
-		t.Error("no deferrals counted")
-	}
-}
-
-func TestAdvisorFallbackWhenAllAdvised(t *testing.T) {
-	h := newHarness(2)
-	h.c.SetAdvisor(keepAll{})
-	h.in(t, func(p *sim.Proc) {
-		h.c.Insert(p, key(1, 0), 0)
-		h.c.Insert(p, key(1, 1), 0)
-		h.c.Insert(p, key(1, 2), 0) // must still fit: advice defers, not pins
-		if h.c.Len() != 2 {
-			t.Errorf("Len = %d", h.c.Len())
-		}
-		if !h.c.Contains(key(1, 2)) {
-			t.Error("new page not inserted")
-		}
-	})
-}
-
-type keepAll struct{}
-
-func (keepAll) KeepPage(pg *Page) bool { return true }
-
 // funcHook adapts a closure to the Hook interface.
 type funcHook struct {
 	fn func(ev EventType, pg *Page)
@@ -625,70 +576,6 @@ func TestRemoveHookRefreshesInterest(t *testing.T) {
 	if got := h.c.Stats().EventsFiltered - base; got == 0 {
 		t.Error("event was dispatched despite empty interest mask")
 	}
-}
-
-// TestAdvisorFallbackEvictsColdest pins the fallback choice: when every
-// clean page in the scan window is advised, pickVictim must evict the
-// COLDEST advised page (the LRU tail), not an arbitrary one — advice
-// defers eviction, it does not reorder the LRU among advised pages.
-func TestAdvisorFallbackEvictsColdest(t *testing.T) {
-	h := newHarness(4)
-	h.c.SetAdvisor(keepAll{})
-	h.in(t, func(p *sim.Proc) {
-		for i := uint64(0); i < 4; i++ {
-			h.c.Insert(p, key(1, i), 0)
-		}
-		// Promote 0 and 1; coldest is now (1,2).
-		h.c.Lookup(key(1, 0))
-		h.c.Lookup(key(1, 1))
-		h.c.Insert(p, key(1, 4), 0)
-		if h.c.Contains(key(1, 2)) {
-			t.Error("coldest advised page (1,2) survived; fallback picked a warmer victim")
-		}
-		for _, idx := range []uint64{0, 1, 3, 4} {
-			if !h.c.Contains(key(1, idx)) {
-				t.Errorf("page (1,%d) evicted; want only the coldest (1,2)", idx)
-			}
-		}
-	})
-}
-
-// TestAdvisorDeferralsAccounting pins the counter semantics: one
-// deferral per reclaim scan that passes over at least one advised clean
-// page, whether or not the scan ends up using the fallback. Scans that
-// find a non-advised victim before any advised page count nothing.
-func TestAdvisorDeferralsAccounting(t *testing.T) {
-	h := newHarness(2)
-	h.c.SetAdvisor(keepOdd{})
-	h.in(t, func(p *sim.Proc) {
-		// Cache: [0, 1]; coldest is (1,0), not advised -> no deferral.
-		h.c.Insert(p, key(1, 0), 0)
-		h.c.Insert(p, key(1, 1), 0)
-		h.c.Insert(p, key(1, 2), 0)
-		if got := h.c.Stats().AdvisorDeferrals; got != 0 {
-			t.Errorf("AdvisorDeferrals = %d after clean-victim scan, want 0", got)
-		}
-		// Cache: [1, 2]; coldest is (1,1), advised, so the scan defers
-		// once and evicts (1,2) instead.
-		h.c.Insert(p, key(1, 4), 0)
-		if got := h.c.Stats().AdvisorDeferrals; got != 1 {
-			t.Errorf("AdvisorDeferrals = %d after one deferring scan, want 1", got)
-		}
-		if !h.c.Contains(key(1, 1)) || h.c.Contains(key(1, 2)) {
-			t.Error("deferring scan evicted the wrong page")
-		}
-		// Cache: [1, 4]; coldest (1,1) advised, (1,4) clean non-advised:
-		// defers again (exactly once, not once per advised page seen).
-		h.c.Insert(p, key(1, 3), 0)
-		if got := h.c.Stats().AdvisorDeferrals; got != 2 {
-			t.Errorf("AdvisorDeferrals = %d, want 2", got)
-		}
-		// Cache: [1, 3], both advised -> fallback path also counts one.
-		h.c.Insert(p, key(1, 6), 0)
-		if got := h.c.Stats().AdvisorDeferrals; got != 3 {
-			t.Errorf("AdvisorDeferrals = %d after fallback scan, want 3", got)
-		}
-	})
 }
 
 // TestEvictionRaceReinsert pins the eviction-race contract of the page

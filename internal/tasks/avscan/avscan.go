@@ -27,10 +27,11 @@ import (
 // Owner labels the scanner's device I/O.
 const Owner = "avscan"
 
+// class is the scanner's I/O priority: idle, like the maintenance tasks.
+const class = storage.ClassIdle
+
 // Config tunes the scanner.
 type Config struct {
-	// Class is the I/O priority (idle, like the other maintenance tasks).
-	Class storage.Class
 	// SignatureCost is simulated CPU time per scanned page (signature
 	// matching is compute-heavy; default 5µs/page).
 	SignatureCost sim.Time
@@ -38,7 +39,7 @@ type Config struct {
 
 // DefaultConfig returns standard settings.
 func DefaultConfig() Config {
-	return Config{Class: storage.ClassIdle, SignatureCost: 5 * sim.Microsecond}
+	return Config{SignatureCost: 5 * sim.Microsecond}
 }
 
 // Scanner scans every file under a directory.
@@ -156,7 +157,7 @@ func (s *Scanner) handleQueued(p *sim.Proc) {
 // signatures" at the configured CPU cost per page.
 func (s *Scanner) scanOne(p *sim.Proc, ino cowfs.Ino) error {
 	size := s.sizes[uint64(ino)]
-	missed, err := s.FS.ReadCount(p, ino, 0, size, s.Cfg.Class, Owner)
+	missed, err := s.FS.ReadCount(p, ino, 0, size, class, Owner)
 	if errors.Is(err, cowfs.ErrNotFound) {
 		// Deleted before the pass reached it: its work disappears.
 		s.Report.WorkTotal -= size

@@ -29,16 +29,18 @@ import (
 // Owner labels the backup tool's device I/O.
 const Owner = "backup"
 
+// class is the backup tool's I/O priority: idle, like every maintenance
+// task.
+const class = storage.ClassIdle
+
 // Config tunes the backup tool.
 type Config struct {
 	// ChunkPages is the read granularity (16 pages = the paper's 64 KiB).
 	ChunkPages int
-	// Class is the I/O priority.
-	Class storage.Class
 }
 
 // DefaultConfig returns the paper's settings.
-func DefaultConfig() Config { return Config{ChunkPages: 16, Class: storage.ClassIdle} }
+func DefaultConfig() Config { return Config{ChunkPages: 16} }
 
 // Sink receives backed-up data. The default sink only counts.
 type Sink interface {
@@ -207,7 +209,7 @@ func (b *Backup) backupFile(p *sim.Proc, f *cowfs.Inode) error {
 					}
 				}
 			}
-			if err := b.FS.Read(p, f.Ino, runStart, runEnd-runStart, b.Cfg.Class, Owner); err != nil {
+			if err := b.FS.Read(p, f.Ino, runStart, runEnd-runStart, class, Owner); err != nil {
 				return fmt.Errorf("backup: inode %d: %w", f.Ino, err)
 			}
 			b.Out.Send(uint64(f.Ino), int(runEnd-runStart))

@@ -25,22 +25,19 @@ import (
 // Owner labels the defragmenter's device I/O.
 const Owner = "defrag"
 
+// class is the defragmenter's I/O priority: idle, like every maintenance
+// task.
+const class = storage.ClassIdle
+
 // Config tunes the defragmenter.
 type Config struct {
 	// Threshold is the extent count above which a file is defragmented.
 	Threshold int
-	// Class is the I/O priority.
-	Class storage.Class
-	// FIFOQueue disables the cached-fraction priority: any candidate with
-	// cached pages is processed in event order instead. Exists for the
-	// priority-policy ablation; the paper's policy (most-cached-first) is
-	// the default.
-	FIFOQueue bool
 }
 
 // DefaultConfig returns the standard settings.
 func DefaultConfig() Config {
-	return Config{Threshold: cowfs.FragmentationThreshold, Class: storage.ClassIdle}
+	return Config{Threshold: cowfs.FragmentationThreshold}
 }
 
 // Defrag defragments the files under one directory.
@@ -144,9 +141,6 @@ func (df *Defrag) prio(ino uint64, t *duetlib.FileTracker) float64 {
 	if cached == 0 || f.SizePg == 0 {
 		return 0
 	}
-	if df.Cfg.FIFOQueue {
-		return 1 // constant priority: effectively event order
-	}
 	return float64(cached) / float64(f.SizePg)
 }
 
@@ -168,7 +162,7 @@ func (df *Defrag) handleQueued(p *sim.Proc) {
 }
 
 func (df *Defrag) defragOne(p *sim.Proc, f *cowfs.Inode) error {
-	res, err := df.FS.DefragFile(p, f.Ino, df.Cfg.Class, Owner)
+	res, err := df.FS.DefragFile(p, f.Ino, class, Owner)
 	if errors.Is(err, cowfs.ErrNotFound) {
 		// The workload deleted the file while it was queued — "a
 		// defragmentation task in a copy-on-write file system can simply

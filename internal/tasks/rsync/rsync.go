@@ -35,12 +35,14 @@ const (
 	OwnerDst = "rsync-dst"
 )
 
+// class is rsync's I/O priority: normal, because rsync is a regular
+// application, not a maintenance task.
+const class = storage.ClassNormal
+
 // Config tunes the transfer.
 type Config struct {
 	// ChunkPages is the data chunk size (8 pages = rsync's 32 KiB).
 	ChunkPages int
-	// Class is the I/O priority (normal: rsync is a regular application).
-	Class storage.Class
 	// PipeDepth is the buffering between the three processes, in
 	// messages.
 	PipeDepth int
@@ -48,7 +50,7 @@ type Config struct {
 
 // DefaultConfig returns the paper's settings.
 func DefaultConfig() Config {
-	return Config{ChunkPages: 8, Class: storage.ClassNormal, PipeDepth: 16}
+	return Config{ChunkPages: 8, PipeDepth: 16}
 }
 
 // Rsync synchronises SrcRoot (on Src) into DstDir (on Dst).
@@ -214,7 +216,7 @@ func (r *Rsync) Run(p *sim.Proc) error {
 			if off+n > f.SizePg {
 				n = f.SizePg - off
 			}
-			miss, err := r.Src.ReadCount(p, f.Ino, off, n, r.Cfg.Class, Owner)
+			miss, err := r.Src.ReadCount(p, f.Ino, off, n, class, Owner)
 			if errors.Is(err, cowfs.ErrNotFound) {
 				// Deleted mid-transfer (e.g. a rotated log): rsync skips it
 				// with a "file has vanished" warning in real life.

@@ -25,6 +25,9 @@ import (
 // Owner labels the scrubber's device I/O.
 const Owner = "scrub"
 
+// class is the scrubber's I/O priority: idle, like every maintenance task.
+const class = storage.ClassIdle
+
 // Config tunes the scrubber.
 type Config struct {
 	// ChunkBlocks is the sequential read granularity (default 64 blocks
@@ -32,10 +35,6 @@ type Config struct {
 	// stall foreground arrivals for the whole request; 256 KiB keeps the
 	// workload-latency impact small (§6.1.3).
 	ChunkBlocks int
-	// Class is the I/O priority (maintenance default: idle).
-	Class storage.Class
-	// Repair fixes detected corruption in place.
-	Repair bool
 	// MaxQueue, when positive, overrides the Duet session's bounded
 	// fetch queue (the robustness experiments shrink it to force the
 	// degraded-mode fallback; zero keeps core.DefaultMaxItems).
@@ -44,7 +43,7 @@ type Config struct {
 
 // DefaultConfig returns the standard scrubber settings.
 func DefaultConfig() Config {
-	return Config{ChunkBlocks: 64, Class: storage.ClassIdle, Repair: true}
+	return Config{ChunkBlocks: 64}
 }
 
 // Scrubber scans one cowfs filesystem.
@@ -222,7 +221,7 @@ func (s *Scrubber) scrubChunk(p *sim.Proc, lo, hi int64) error {
 				s.session.SetDone(uint64(b))
 			}
 		}
-		err := s.FS.VerifyRange(p, runStart, int(end-runStart), s.Cfg.Class, Owner)
+		err := s.FS.VerifyRange(p, runStart, int(end-runStart), class, Owner)
 		if err != nil {
 			if !errors.Is(err, cowfs.ErrCorruption) && !errors.Is(err, storage.ErrBadBlock) {
 				return err
@@ -250,15 +249,15 @@ func (s *Scrubber) scrubChunk(p *sim.Proc, lo, hi int64) error {
 	return flush(hi)
 }
 
-// rescueRun re-verifies a failed run block by block, repairing (or just
-// counting) the corrupted ones. Both silent corruption (checksum
+// rescueRun re-verifies a failed run block by block, counting and
+// repairing the corrupted ones. Both silent corruption (checksum
 // mismatch) and latent sector errors (unreadable blocks) land here.
 func (s *Scrubber) rescueRun(p *sim.Proc, lo, hi int64) error {
 	for b := lo; b < hi; b++ {
 		if !s.FS.Allocated(b) {
 			continue
 		}
-		_, err := s.FS.VerifyBlock(p, b, s.Cfg.Class, Owner)
+		_, err := s.FS.VerifyBlock(p, b, class, Owner)
 		if err == nil {
 			continue
 		}
@@ -266,10 +265,8 @@ func (s *Scrubber) rescueRun(p *sim.Proc, lo, hi int64) error {
 			return err
 		}
 		s.Report.Errors++
-		if s.Cfg.Repair {
-			if err := s.FS.RepairBlock(p, b, s.Cfg.Class, Owner); err != nil {
-				return fmt.Errorf("scrub: repair block %d: %w", b, err)
-			}
+		if err := s.FS.RepairBlock(p, b, class, Owner); err != nil {
+			return fmt.Errorf("scrub: repair block %d: %w", b, err)
 		}
 	}
 	return nil

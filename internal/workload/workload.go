@@ -70,11 +70,12 @@ type Config struct {
 	// OpsPerSec throttles the workload; 0 means unthrottled (back to
 	// back operations).
 	OpsPerSec float64
-	// AppendPages is the size of append operations.
-	AppendPages int64
 	// Name disambiguates multiple generators' rng streams.
 	Name string
 }
+
+// appendPages is the size of every append operation, in pages.
+const appendPages = 2
 
 // Stats counts workload activity.
 type Stats struct {
@@ -110,9 +111,6 @@ func fillDefaults(cfg *Config) {
 	}
 	if cfg.Dist == nil {
 		cfg.Dist = trace.Uniform{}
-	}
-	if cfg.AppendPages <= 0 {
-		cfg.AppendPages = 2
 	}
 	if cfg.Name == "" {
 		cfg.Name = string(cfg.Personality)
@@ -229,7 +227,7 @@ func (g *Generator) step(p *sim.Proc, rng *rand.Rand) error {
 		// 10 reads : 1 append (to the single log).
 		if rng.Intn(11) == 0 {
 			g.stats.Writes++
-			return g.target.AppendLog(p, g.cfg.AppendPages)
+			return g.target.AppendLog(p, appendPages)
 		}
 		g.stats.Reads++
 		return g.target.ReadWhole(p, pick())
@@ -243,7 +241,7 @@ func (g *Generator) step(p *sim.Proc, rng *rand.Rand) error {
 			return g.target.ReadWhole(p, pick())
 		case r < 19:
 			g.stats.Writes++
-			return g.target.Append(p, pick(), g.cfg.AppendPages)
+			return g.target.Append(p, pick(), appendPages)
 		default:
 			g.stats.Deletes++
 			g.stats.Creates++
@@ -262,7 +260,7 @@ func (g *Generator) step(p *sim.Proc, rng *rand.Rand) error {
 			return g.target.Overwrite(p, pick())
 		case r < 13:
 			g.stats.Writes++
-			return g.target.Append(p, pick(), g.cfg.AppendPages)
+			return g.target.Append(p, pick(), appendPages)
 		default:
 			g.stats.Deletes++
 			g.stats.Creates++
