@@ -13,8 +13,8 @@ import (
 // check verifies the table's structure: every descriptor sits at
 // descs[key.idx] of the fileDescs the file table maps its file to, the
 // per-file counts add up to Stats.CurDescs, the memo points at a live
-// fileDescs, and pooled ones are empty and within the pool's budget. It
-// returns the descriptors by key.
+// fileDescs, the file remembered absent is absent, and pooled ones are
+// empty and within the pool's budget. It returns the descriptors by key.
 func (t *descTable) check(st *Stats) (map[itemKey]*itemDesc, error) {
 	all := map[itemKey]*itemDesc{}
 	for _, k := range t.byFile.AppendKeys(nil) {
@@ -42,6 +42,9 @@ func (t *descTable) check(st *Stats) (map[itemKey]*itemDesc, error) {
 	}
 	if fd := t.last; fd != nil && t.byFile.Get(fd.key) != fd {
 		return nil, fmt.Errorf("memo points at a released fileDescs (last key %v)", fd.key)
+	}
+	if t.noneSet && t.byFile.Get(t.none) != nil {
+		return nil, fmt.Errorf("file %v is remembered absent but has an entry", t.none)
 	}
 	pooled := 0
 	for _, fd := range t.fdFree {
@@ -171,31 +174,27 @@ func TestDescTableAgainstMap(t *testing.T) {
 
 	t.Run("sessions", func(t *testing.T) {
 		for seed := int64(1); seed <= 4; seed++ {
-			runSessionModel(t, seed, 3000)
+			ops := make([]byte, 8000)
+			rand.New(rand.NewSource(seed)).Read(ops)
+			runSessionModel(t, ops)
 		}
 	})
 
 	t.Run("SetDone frees the last descriptor mid-loop", func(t *testing.T) {
-		// Descriptors kept alive by a state session and orphaned when it
-		// closes are all freed by the next SetDone over their file: the
-		// loop releases the fileDescs it is walking.
+		// Descriptors that SetDone brings up to date and nobody else
+		// needs are freed inside its walk, and freeing the file's last
+		// one releases the fileDescs being walked. Sessions free such
+		// descriptors as soon as they reach that state, so the test
+		// builds it by hand: pages reported as cached and gone since,
+		// with the news not queued yet.
 		d := New(pagecache.New(sim.New(1), pagecache.DefaultConfig(64)))
 		fs := &moveFS{outside: map[uint64]bool{}}
 		d.AttachFS(fs)
-		state, _ := d.RegisterFile(fs, 1, StExists)
-		events, _ := d.RegisterFile(fs, 1, EvtAdded)
+		s, _ := d.RegisterFile(fs, 1, StExists)
 		for _, idx := range []uint64{300, 3, 41} {
-			d.PageEvent(pagecache.EventAdded, &pagecache.Page{Key: pagecache.PageKey{FS: 1, Ino: 7, Index: idx}})
+			d.table.getOrCreate(itemKey{1, 7, idx}, &d.stats).flags[s.id] = fRepExists
 		}
-		drain(state)
-		drain(events)
-		if err := state.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if got := d.Stats().CurDescs; got != 3 {
-			t.Fatalf("CurDescs = %d before SetDone, want the 3 orphans", got)
-		}
-		events.SetDone(7)
+		s.SetDone(7)
 		if got := d.Stats().CurDescs; got != 0 || d.table.file(pagecache.FileKey{FS: 1, Ino: 7}) != nil {
 			t.Errorf("CurDescs = %d after SetDone, file still indexed: %v", got, d.table.file(pagecache.FileKey{FS: 1, Ino: 7}) != nil)
 		}
@@ -205,18 +204,57 @@ func TestDescTableAgainstMap(t *testing.T) {
 	})
 }
 
-// runSessionModel drives three sessions with random events, fetches,
-// done-marking, renames and session turnover. After every operation the
-// table must pass check; SetDone and the move-out path are predicted
-// from the map of descriptors taken before the call, key by key in
-// index order.
-func runSessionModel(t *testing.T, seed int64, steps int) {
-	rng := rand.New(rand.NewSource(seed))
+// FuzzSessionModel runs the session model on arbitrary op streams.
+func FuzzSessionModel(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		ops := make([]byte, 512)
+		rand.New(rand.NewSource(seed)).Read(ops)
+		f.Add(ops)
+	}
+	f.Fuzz(runSessionModel)
+}
+
+// opStream hands out a fuzz input's bytes as small numbers; an exhausted
+// stream gives zeros.
+type opStream []byte
+
+func (s *opStream) intn(n int) int {
+	if len(*s) == 0 {
+		return 0
+	}
+	v := int((*s)[0]) % n
+	*s = (*s)[1:]
+	return v
+}
+
+// pageIdx draws indexes the way sparseIdx does.
+func (s *opStream) pageIdx() uint64 {
+	v := uint64(s.intn(256))
+	switch v % 4 {
+	case 0:
+		return 300 + v/4%8
+	case 1:
+		return 40 + v/4%8
+	}
+	return v / 4 % 8
+}
+
+// runSessionModel drives three sessions (two file sessions, one of them
+// with state, and a block session with state) through the events,
+// fetches, done-marking, renames and session turnover an op stream
+// spells out, keeping its own model of which pages are cached. After
+// every operation the table must pass check, no descriptor may carry a
+// closed slot's bits, and every descriptor must be queued for a session
+// or hold an active session's state for a cached page. SetDone, Close,
+// the suppressed Removed of a done page and the move-out path are
+// predicted from the descriptors as they were before the call.
+func runSessionModel(t *testing.T, ops []byte) {
+	in := opStream(ops)
 	d := New(pagecache.New(sim.New(1), pagecache.DefaultConfig(64)))
 	d.table.poolBudget = 64
 	fs := &moveFS{outside: map[uint64]bool{}}
 	d.AttachFS(fs)
-	masks := []Mask{EventBits, StExists | StModified, EvtAdded | EvtFlushed}
+	masks := []Mask{EventBits, StExists | StModified, EvtAdded | EvtFlushed | StExists}
 	sessions := make([]*Session, len(masks))
 	open := func(i int) {
 		var err error
@@ -232,16 +270,35 @@ func runSessionModel(t *testing.T, seed int64, steps int) {
 	for i := range masks {
 		open(i)
 	}
-	needed := func(desc *itemDesc) bool {
-		if desc.queued != 0 {
-			return true
+	cached := map[itemKey]bool{}
+	// itemOf is the item a session tracks a page under.
+	itemOf := func(s *Session, k itemKey) uint64 {
+		if s.kind == blockTask {
+			blk, _ := fs.Fibmap(k.ino, k.idx)
+			return uint64(blk)
 		}
-		for _, s := range d.active {
+		return k.ino
+	}
+	neededBy := func(desc *itemDesc, sessions []*Session) bool {
+		for _, s := range sessions {
 			if needsDesc(desc.flags[s.id], s.mask) {
 				return true
 			}
 		}
 		return false
+	}
+	invariants := func(all map[itemKey]*itemDesc) error {
+		for k, desc := range all {
+			for slot, s := range d.sessions {
+				if s == nil && (desc.flags[slot] != 0 || desc.queued&(1<<uint(slot)) != 0) {
+					return fmt.Errorf("%v carries closed slot %d: flags %08b, queued %b", k, slot, desc.flags[slot], desc.queued)
+				}
+			}
+			if desc.queued == 0 && (!cached[k] || !neededBy(desc, d.active)) {
+				return fmt.Errorf("%v (cached %v) is neither queued nor holding a session's state for a cached page", k, cached[k])
+			}
+		}
+		return nil
 	}
 	upToDate := func(f uint8) uint8 {
 		f &^= fEventBits
@@ -249,30 +306,84 @@ func runSessionModel(t *testing.T, seed int64, steps int) {
 		return f&^(twoStateBit<<repShift) | cur<<repShift
 	}
 	buf := make([]Item, 8)
-	for step := 0; step < steps; step++ {
+	for step := 0; len(in) > 0; step++ {
 		fail := func(format string, args ...any) {
 			t.Helper()
-			t.Fatalf("seed %d step %d: %s", seed, step, fmt.Sprintf(format, args...))
+			t.Fatalf("step %d: %s", step, fmt.Sprintf(format, args...))
 		}
 		before, err := d.table.check(&d.stats)
 		if err != nil {
 			fail("%v", err)
 		}
-		ino := uint64(2 + rng.Intn(5))
-		s := sessions[rng.Intn(2)] // a file session
-		switch op := rng.Intn(16); {
+		if err := invariants(before); err != nil {
+			fail("%v", err)
+		}
+		flagsBefore := map[itemKey][MaxSessions]uint8{}
+		for k, desc := range before {
+			flagsBefore[k] = desc.flags
+		}
+		ino := uint64(2 + in.intn(5))
+		switch op := in.intn(16); {
 		case op < 8:
-			ev := pagecache.EventType(rng.Intn(4))
-			pg := pagecache.Page{Key: pagecache.PageKey{FS: 1, Ino: ino, Index: sparseIdx(rng)}, Dirty: ev == pagecache.EventDirtied}
-			d.PageEvent(ev, &pg)
+			ev := pagecache.EventType(in.intn(4))
+			k := itemKey{1, ino, in.pageIdx()}
+			// A page leaving the cache while its item is done takes each
+			// state session's byte with it.
+			var forget []*Session
+			if ev == pagecache.EventRemoved {
+				for _, s := range sessions {
+					if s.mask&StateBits != 0 && s.CheckDone(itemOf(s, k)) {
+						forget = append(forget, s)
+					}
+				}
+			}
+			d.PageEvent(ev, &pagecache.Page{Key: pagecache.PageKey{FS: 1, Ino: k.ino, Index: k.idx}, Dirty: ev == pagecache.EventDirtied})
+			switch ev {
+			case pagecache.EventAdded, pagecache.EventDirtied:
+				cached[k] = true
+			case pagecache.EventRemoved:
+				delete(cached, k)
+			}
+			for _, s := range forget {
+				if desc := d.table.get(k); desc != nil && desc.flags[s.id] != 0 {
+					fail("Removed of %v, done for session %d, left flags %08b", k, s.id, desc.flags[s.id])
+				}
+			}
 		case op < 11:
-			sessions[rng.Intn(len(sessions))].FetchInto(buf[:1+rng.Intn(len(buf))])
+			sessions[in.intn(len(sessions))].FetchInto(buf[:1+in.intn(len(buf))])
 		case op == 11:
-			s.UnsetDone(ino)
+			s := sessions[in.intn(len(sessions))]
+			s.UnsetDone(itemOf(s, itemKey{1, ino, in.pageIdx()}))
 		case op == 12:
-			i := rng.Intn(len(sessions))
-			if err := sessions[i].Close(); err != nil {
+			// Close clears the slot everywhere and frees what the
+			// sessions left open do not need.
+			i := in.intn(len(sessions))
+			s := sessions[i]
+			bit := uint32(1) << uint(s.id)
+			var rest []*Session
+			for _, a := range d.active {
+				if a != s {
+					rest = append(rest, a)
+				}
+			}
+			keep := map[itemKey]bool{}
+			for k, desc := range before {
+				keep[k] = desc.queued&^bit != 0 || neededBy(desc, rest)
+			}
+			if err := s.Close(); err != nil {
 				fail("%v", err)
+			}
+			all, err := d.table.check(&d.stats)
+			if err != nil {
+				fail("after Close: %v", err)
+			}
+			for k, want := range keep {
+				if (all[k] != nil) != want {
+					fail("Close of session %d: %v kept %v, want %v", s.id, k, all[k] != nil, want)
+				}
+			}
+			if err := invariants(all); err != nil {
+				fail("after Close: %v", err)
 			}
 			open(i)
 		case op == 13:
@@ -313,25 +424,28 @@ func runSessionModel(t *testing.T, seed int64, steps int) {
 				}
 			}
 		default:
-			// SetDone: each descriptor of the file is brought up to date
-			// for the session, and freed if that leaves nobody needing it.
-			wasDone := s.CheckDone(ino)
+			// SetDone: a file session brings each descriptor of the file
+			// up to date, freeing it if that leaves nobody needing it; a
+			// block session touches no descriptor.
+			s := sessions[in.intn(len(sessions))]
+			id := itemOf(s, itemKey{1, ino, in.pageIdx()})
+			wasDone := s.CheckDone(id)
 			frees := d.stats.DescFrees
-			s.SetDone(ino)
-			if wasDone {
+			s.SetDone(id)
+			if wasDone || s.kind == blockTask {
+				for k, desc := range before {
+					if d.table.get(k) != desc || desc.flags != flagsBefore[k] {
+						fail("SetDone(%d) on session %d changed %v", id, s.id, k)
+					}
+				}
 				break
 			}
 			freed := int64(0)
 			for _, k := range fileKeys(before, 1, ino) {
-				desc := before[k]
-				want := upToDate(desc.flags[s.id])
-				// A freed descriptor is zeroed, so key and flags tell.
+				want := upToDate(flagsBefore[k][s.id])
 				if got := d.table.get(k); got != nil {
-					if got != desc || got.flags[s.id] != want {
+					if got != before[k] || got.flags[s.id] != want {
 						fail("SetDone(%d): %v has flags %08b, want %08b", ino, k, got.flags[s.id], want)
-					}
-					if !needed(got) {
-						fail("SetDone(%d): %v is needed by nobody and was kept", ino, k)
 					}
 				} else {
 					freed++
@@ -342,8 +456,12 @@ func runSessionModel(t *testing.T, seed int64, steps int) {
 			}
 		}
 	}
-	if _, err := d.table.check(&d.stats); err != nil {
-		t.Fatalf("seed %d: %v", seed, err)
+	all, err := d.table.check(&d.stats)
+	if err == nil {
+		err = invariants(all)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -167,12 +167,18 @@ type fileDescs struct {
 
 // descTable holds the merged item descriptors: byFile finds the file,
 // its slice finds the descriptor. Events arrive file by file, so the
-// file found last is tried before the table. Freed descriptors and
-// emptied fileDescs are recycled, so the event hot path stops allocating
-// once the table has reached its high-water mark.
+// file found last, and the file found absent last, are tried before the
+// table (an eviction run removes consecutive pages of one file, most of
+// which have no descriptor). Freed descriptors and emptied fileDescs are
+// recycled, so the event hot path stops allocating once the table has
+// reached its high-water mark.
 type descTable struct {
-	byFile   pagecache.FileTab[fileDescs]
-	last     *fileDescs // the fileDescs file() returned last; nil once released
+	byFile pagecache.FileTab[fileDescs]
+	last   *fileDescs // the fileDescs file() returned last; nil once released
+	// none is the file file() found absent last, valid while noneSet;
+	// getOrCreate forgets it when it gives that file an entry.
+	none     pagecache.FileKey
+	noneSet  bool
 	freeList *itemDesc
 	// fdFree is the stack of emptied fileDescs, kept with their slices
 	// (length 0, capacity kept). As in the page cache, the slice capacity
@@ -187,9 +193,14 @@ func (t *descTable) file(fk pagecache.FileKey) *fileDescs {
 	if fd := t.last; fd != nil && fd.key == fk {
 		return fd
 	}
+	if t.noneSet && t.none == fk {
+		return nil
+	}
 	fd := t.byFile.Get(fk)
 	if fd != nil {
 		t.last = fd
+	} else {
+		t.none, t.noneSet = fk, true
 	}
 	return fd
 }
@@ -216,6 +227,7 @@ func (t *descTable) getOrCreate(k itemKey, st *Stats) *itemDesc {
 		fd.key = fk
 		t.byFile.Put(fk, fd)
 		t.last = fd
+		t.noneSet = false // file() just found fk absent
 	} else if k.idx < uint64(len(fd.descs)) && fd.descs[k.idx] != nil {
 		return fd.descs[k.idx]
 	}
@@ -251,6 +263,7 @@ func (t *descTable) free(desc *itemDesc, st *Stats) {
 	if fd.n == 0 {
 		t.byFile.Del(fd.key)
 		t.last = nil
+		t.none, t.noneSet = fd.key, true
 		fd.descs = fd.descs[:0]
 		t.fdFree = append(t.fdFree, fd)
 		t.fdFreeCap += cap(fd.descs)

@@ -167,14 +167,20 @@ func (s *Session) Close() error {
 		}
 	}
 	d.refreshGlobalMask()
-	// Drop queued references and free descriptors nobody else needs.
-	for _, desc := range s.queue[s.qhead:] {
-		if desc == nil {
-			continue
+	// Clear the slot in every descriptor, queued or not, so a session
+	// reusing it starts from nothing, and free what no active session
+	// needs (with no session active, PageEvent would never free them).
+	bit := uint32(1) << uint(s.id)
+	for _, fk := range d.table.byFile.AppendKeys(nil) {
+		fd := d.table.byFile.Get(fk)
+		for _, desc := range fd.descs { // maybeFree can release fd, as in SetDone
+			if desc == nil {
+				continue
+			}
+			desc.queued &^= bit
+			desc.flags[s.id] = 0
+			d.maybeFree(desc)
 		}
-		desc.queued &^= 1 << uint(s.id)
-		desc.flags[s.id] = 0
-		d.maybeFree(desc)
 	}
 	s.queue, s.qhead = nil, 0
 	s.done.Clear()
@@ -208,7 +214,7 @@ func (s *Session) deliver(ev pagecache.EventType, key pagecache.PageKey, dirty b
 		// An unmapped page (no block assigned yet — the delayed-allocation
 		// case of §4.2) is left for a later event to report.
 		if mapped && s.done.Test(uint64(blk)) {
-			s.SuppressedDone++
+			s.suppressDone(ev, key)
 			return
 		}
 		if !mapped && ev != pagecache.EventAdded && ev != pagecache.EventDirtied {
@@ -216,7 +222,7 @@ func (s *Session) deliver(ev pagecache.EventType, key pagecache.PageKey, dirty b
 		}
 	} else {
 		if s.done.Test(key.Ino) {
-			s.SuppressedDone++
+			s.suppressDone(ev, key)
 			return
 		}
 		if !s.relevant.Test(key.Ino) {
@@ -258,6 +264,25 @@ func (s *Session) deliver(ev pagecache.EventType, key pagecache.PageKey, dirty b
 	} else if desc.queued&(1<<uint(s.id)) == 0 {
 		d.maybeFree(desc)
 	}
+}
+
+// suppressDone filters an event for a done item (§4.1). When the page
+// leaves the cache, a state session also forgets it: the state it holds
+// for the page would otherwise outlive the page, since the events that
+// update it are suppressed. The byte is cleared even while the
+// descriptor is queued, which the fetch then consumes without an item.
+func (s *Session) suppressDone(ev pagecache.EventType, key pagecache.PageKey) {
+	s.SuppressedDone++
+	if ev != pagecache.EventRemoved || s.mask&StateBits == 0 {
+		return
+	}
+	d := s.d
+	desc := d.table.get(itemKey{key.FS, key.Ino, key.Index})
+	if desc == nil || desc.flags[s.id] == 0 {
+		return
+	}
+	desc.flags[s.id] = 0
+	d.maybeFree(desc)
 }
 
 func eventBit(ev pagecache.EventType) uint8 {

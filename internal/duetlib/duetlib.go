@@ -176,6 +176,14 @@ func (t *FileTracker) Files() []uint64 {
 	return out
 }
 
+// SetDone marks a file processed in the session and drops the tracker's
+// state for it: events for a done file are suppressed, so no later Apply
+// would.
+func SetDone(s *core.Session, t *FileTracker, ino uint64) {
+	s.SetDone(ino)
+	t.Forget(ino)
+}
+
 // PrioUpdate is the prioqueue_update() of Algorithm 1: it drains pending
 // events from the session, folds them into the tracker, and refreshes the
 // priority queue using prio (which receives the inode and the tracker).
@@ -190,17 +198,22 @@ func PrioUpdate(s *core.Session, t *FileTracker, q *PrioQueue, prio func(ino uin
 		}
 		total += n
 		for _, ino := range t.Apply(buf[:n]) {
-			if s.CheckDone(ino) {
+			p := 0.0
+			if !s.CheckDone(ino) {
+				p = prio(ino, t)
+			}
+			switch {
+			case s.CheckDone(ino):
+				// Done before prio or by it (tasks mark non-targets
+				// done there): its events are suppressed from now on,
+				// so no later Apply would drop its pages.
 				t.Forget(ino)
 				q.Remove(ino)
-				continue
-			}
-			p := prio(ino, t)
-			if p <= 0 {
+			case p <= 0:
 				q.Remove(ino)
-				continue
+			default:
+				q.Update(ino, p)
 			}
-			q.Update(ino, p)
 		}
 	}
 }

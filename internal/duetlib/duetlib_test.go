@@ -7,6 +7,8 @@ import (
 	"testing/quick"
 
 	"duet/internal/core"
+	"duet/internal/pagecache"
+	"duet/internal/sim"
 )
 
 func TestPrioQueueBasics(t *testing.T) {
@@ -177,5 +179,51 @@ func TestSortUint64(t *testing.T) {
 		if v[i] < v[i-1] {
 			t.Fatalf("not sorted at %d", i)
 		}
+	}
+}
+
+// flatFS is a filesystem stub: every inode is a file under directory 1.
+type flatFS struct{}
+
+func (flatFS) FSID() pagecache.FSID                   { return 1 }
+func (flatFS) Fibmap(ino, idx uint64) (int64, bool)   { return int64(ino<<12 | idx), true }
+func (flatFS) Within(ino, root uint64) (string, bool) { return "", true }
+func (flatFS) IsDir(ino uint64) bool                  { return ino == 1 }
+func (flatFS) DeviceBlocks() int64                    { return 1 << 20 }
+
+// TestPrioUpdateForgetsFilesPrioMarksDone: a file that prio marks done
+// (as tasks do with non-targets) leaves nothing in the tracker, since
+// its later events are suppressed and would never remove its pages.
+func TestPrioUpdateForgetsFilesPrioMarksDone(t *testing.T) {
+	d := core.New(pagecache.New(sim.New(1), pagecache.DefaultConfig(64)))
+	d.AttachFS(flatFS{})
+	s, err := d.RegisterFile(flatFS{}, 1, core.StExists)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ino := range []uint64{7, 8} {
+		for idx := uint64(0); idx < 3; idx++ {
+			d.PageEvent(pagecache.EventAdded, &pagecache.Page{Key: pagecache.PageKey{FS: 1, Ino: ino, Index: idx}})
+		}
+	}
+	tr, q := NewFileTracker(), NewPrioQueue()
+	n := PrioUpdate(s, tr, q, func(ino uint64, t *FileTracker) float64 {
+		if ino == 7 {
+			s.SetDone(ino) // a non-target
+			return 0
+		}
+		return float64(t.CachedPages(ino))
+	})
+	if n != 6 {
+		t.Fatalf("PrioUpdate fetched %d items, want 6", n)
+	}
+	if got := tr.CachedPages(7); got != 0 {
+		t.Errorf("tracker holds %d pages of the file prio marked done", got)
+	}
+	if files := tr.Files(); len(files) != 1 || files[0] != 8 {
+		t.Errorf("tracked files = %v, want [8]", files)
+	}
+	if id, _, ok := q.DequeueMax(); !ok || id != 8 || q.Len() != 0 {
+		t.Errorf("queue held %d (ok %v) and %d more, want only 8", id, ok, q.Len())
 	}
 }

@@ -116,7 +116,7 @@ func (s *Scanner) Run(p *sim.Proc) error {
 			return err
 		}
 		if s.session != nil {
-			s.session.SetDone(uint64(f.Ino))
+			duetlib.SetDone(s.session, s.tracker, uint64(f.Ino))
 		}
 		s.Report.ReadBlocks = s.FS.Disk().Stats().Owner(Owner).BlocksRead - readsBefore
 		s.Report.End = p.Now()
@@ -131,7 +131,7 @@ func (s *Scanner) Run(p *sim.Proc) error {
 // the pass started) are excluded by marking them done.
 func (s *Scanner) prio(ino uint64, t *duetlib.FileTracker) float64 {
 	if _, known := s.sizes[ino]; !known {
-		s.session.SetDone(ino)
+		duetlib.SetDone(s.session, s.tracker, ino)
 		return 0
 	}
 	return float64(t.CachedPages(ino))
@@ -148,7 +148,7 @@ func (s *Scanner) handleQueued(p *sim.Proc) {
 		if err := s.scanOne(p, cowfs.Ino(ino)); err != nil {
 			return true // vanished or transient: the normal pass re-checks
 		}
-		s.session.SetDone(ino)
+		duetlib.SetDone(s.session, s.tracker, ino)
 		return !p.Engine().Stopping()
 	})
 }

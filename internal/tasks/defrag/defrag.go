@@ -116,7 +116,7 @@ func (df *Defrag) Run(p *sim.Proc) error {
 			return err
 		}
 		if df.session != nil {
-			df.session.SetDone(uint64(f.Ino))
+			duetlib.SetDone(df.session, df.tracker, uint64(f.Ino))
 		}
 	}
 	df.Report.Completed = true
@@ -134,7 +134,7 @@ func (df *Defrag) Run(p *sim.Proc) error {
 func (df *Defrag) prio(ino uint64, t *duetlib.FileTracker) float64 {
 	f, isTarget := df.targets[ino]
 	if !isTarget {
-		df.session.SetDone(ino)
+		duetlib.SetDone(df.session, df.tracker, ino)
 		return 0
 	}
 	cached := t.CachedPages(ino)
@@ -156,7 +156,7 @@ func (df *Defrag) handleQueued(p *sim.Proc) {
 		if err := df.defragOne(p, f); err != nil {
 			return false
 		}
-		df.session.SetDone(ino)
+		duetlib.SetDone(df.session, df.tracker, ino)
 		return !p.Engine().Stopping()
 	})
 }

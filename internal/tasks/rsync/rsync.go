@@ -225,7 +225,7 @@ func (r *Rsync) Run(p *sim.Proc) error {
 				r.Report.WorkDone += off
 				r.FilesSent++
 				if r.session != nil {
-					r.session.SetDone(uint64(f.Ino))
+					duetlib.SetDone(r.session, r.tracker, uint64(f.Ino))
 				}
 				return nil
 			}
@@ -240,14 +240,14 @@ func (r *Rsync) Run(p *sim.Proc) error {
 		r.Report.Saved += f.SizePg - missed
 		r.FilesSent++
 		if r.session != nil {
-			r.session.SetDone(uint64(f.Ino))
+			duetlib.SetDone(r.session, r.tracker, uint64(f.Ino))
 		}
 		return nil
 	}
 
 	prio := func(ino uint64, t *duetlib.FileTracker) float64 {
 		if _, ok := r.byIno[ino]; !ok {
-			r.session.SetDone(ino)
+			duetlib.SetDone(r.session, r.tracker, ino)
 			return 0
 		}
 		if sent[ino] {
