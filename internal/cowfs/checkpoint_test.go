@@ -129,11 +129,11 @@ type cpEntry struct {
 	SizePg   int64
 	Gen      uint64
 	Extents  []Extent
-	PageVers []uint64
+	PageVers []uint32
 	Children map[string]Ino
 }
 
-func newCPEntry(ino Ino, name string, parent Ino, dir bool, sizePg int64, gen uint64, exts []Extent, vers []uint64, children map[string]Ino) cpEntry {
+func newCPEntry(ino Ino, name string, parent Ino, dir bool, sizePg int64, gen uint64, exts []Extent, vers []uint32, children map[string]Ino) cpEntry {
 	e := cpEntry{Ino: ino, Name: name, Parent: parent, Dir: dir, SizePg: sizePg, Gen: gen}
 	if len(exts) > 0 {
 		e.Extents = slices.Clone(exts)
@@ -161,7 +161,7 @@ func sortedInos[V any](m map[Ino]V) []Ino {
 type cpState struct {
 	Gen      uint64
 	NextIno  Ino
-	NextVer  uint64
+	NextVer  uint32
 	Files    []cpEntry // ascending inode number
 	Deferred []blkRange
 }
@@ -183,9 +183,9 @@ func captureCheckpoint(fs *FS) cpState {
 type remountState struct {
 	Gen     uint64
 	NextIno Ino
-	NextVer uint64
+	NextVer uint32
 	Inodes  []cpEntry // ascending inode number
-	DiskVer []uint64
+	DiskVer []uint32
 	Life    lifecycleState
 }
 

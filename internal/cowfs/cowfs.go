@@ -22,6 +22,7 @@ package cowfs
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -65,7 +66,7 @@ type Inode struct {
 	Dir      bool
 	SizePg   int64 // size in pages (files)
 	Extents  []Extent
-	PageVers []uint64       // content version per page
+	PageVers []uint32       // content version per page (see bumpVer)
 	Children map[string]Ino // directories only
 	Gen      uint64         // generation of last modification
 
@@ -107,7 +108,7 @@ type FS struct {
 	inodeMemo [8]*Inode // Fibmap's lookup memo, indexed by ino mod 8
 	nextIno   Ino
 	gen       uint64
-	nextVer   uint64
+	nextVer   uint32 // last content version handed out (see bumpVer)
 
 	free       *freeIndex // two-level free-space index (freeindex.go)
 	freeBlocks int64
@@ -152,15 +153,17 @@ type wbTag struct {
 }
 
 // blocks is the filesystem's per-block state, one entry per device block
-// in each slice. It is the bulk of a filesystem's memory, so a finished
-// filesystem hands it on (Release) to the next New of the same size.
+// in each slice: 20 bytes a block (TestPerBlockFootprint). It is the bulk
+// of a filesystem's memory, so a finished filesystem hands it on
+// (Release) to the next New of the same size.
 type blocks struct {
 	refs []int32 // reference count
 	// want is the stored checksum: the content version the medium is
 	// expected to hold, 0 when the block is free. A read or a scrub
-	// verifies a block by comparing it with diskVer.
-	want    []uint64
-	diskVer []uint64 // content version on the medium
+	// verifies a block by comparing it with diskVer. Like Btrfs's crc32c
+	// it is 32 bits wide; bumpVer keeps it from wrapping.
+	want    []uint32
+	diskVer []uint32 // content version on the medium
 	rev     []revEntry
 }
 
@@ -181,8 +184,8 @@ func newBlocks(nb int64) blocks {
 	}
 	return blocks{
 		refs:    make([]int32, nb),
-		want:    make([]uint64, nb),
-		diskVer: make([]uint64, nb),
+		want:    make([]uint32, nb),
+		diskVer: make([]uint32, nb),
 		rev:     make([]revEntry, nb),
 	}
 }
@@ -204,10 +207,33 @@ func (fs *FS) Release() {
 
 // revEntry is the reverse map from a block to the file page that last
 // wrote it. Entries can go stale when COW remaps the page; consumers
-// validate against Fibmap.
+// validate against Fibmap. Both fields are 32 bits wide; newRev is the
+// only constructor of a non-zero entry.
 type revEntry struct {
-	ino Ino
-	idx int64
+	ino, idx uint32
+}
+
+// newRev returns the reverse entry for page idx of inode ino. It panics
+// when either does not fit 32 bits: a truncated entry would name another
+// file's page.
+func newRev(ino Ino, idx int64) revEntry {
+	if uint64(ino) > math.MaxUint32 || uint64(idx) > math.MaxUint32 {
+		panic(fmt.Sprintf("cowfs: reverse entry for inode %d page %d does not fit 32 bits", ino, idx))
+	}
+	return revEntry{ino: uint32(ino), idx: uint32(idx)}
+}
+
+// bumpVer hands out the next content version. Versions are dense
+// per-filesystem counters stored in 32 bits (the width of Btrfs's crc32c
+// checksum), and running out panics rather than wrapping: a wrapped
+// version could equal an old one, and a stale or corrupted block holding
+// it would then pass verification.
+func (fs *FS) bumpVer() uint32 {
+	if fs.nextVer == math.MaxUint32 {
+		panic("cowfs: content versions exhausted: the next would wrap past 2^32-1")
+	}
+	fs.nextVer++
+	return fs.nextVer
 }
 
 // New creates an empty filesystem spanning the whole device, using the

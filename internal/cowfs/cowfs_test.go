@@ -804,7 +804,7 @@ func TestReadBackAfterRandomWrites(t *testing.T) {
 			if !ok {
 				t.Fatalf("page %d not cached", idx)
 			}
-			if pg.Version != f.PageVers[idx] {
+			if pg.Version != uint64(f.PageVers[idx]) {
 				t.Errorf("page %d version %d != %d", idx, pg.Version, f.PageVers[idx])
 			}
 		}
@@ -860,7 +860,7 @@ func TestOverwriteDuringReadKeepsFreshData(t *testing.T) {
 		// Every cached page must carry the post-write version.
 		for idx := int64(0); idx < 64; idx++ {
 			pg, ok := v.cache.Peek(v.fs.pageKey(f.Ino, idx))
-			if ok && pg.Version != f.PageVers[idx] {
+			if ok && pg.Version != uint64(f.PageVers[idx]) {
 				t.Fatalf("page %d version %d != latest %d (stale read clobbered cache)",
 					idx, pg.Version, f.PageVers[idx])
 			}
@@ -960,7 +960,7 @@ func TestReadCountRevalidatesRemaps(t *testing.T) {
 				}
 				for idx := int64(0); idx < f.SizePg; idx++ {
 					pg, ok := v.cache.Peek(v.fs.pageKey(f.Ino, idx))
-					if ok && !pg.Dirty && pg.Version != f.PageVers[idx] {
+					if ok && !pg.Dirty && pg.Version != uint64(f.PageVers[idx]) {
 						t.Fatalf("clean page %d has version %d, file has %d", idx, pg.Version, f.PageVers[idx])
 					}
 				}

@@ -76,7 +76,7 @@ type lifecycleState struct {
 	Deferred        []int64 // deferred blocks, ascending
 	DeferredBlocks  int64
 	Refs            []int32
-	Want            []uint64
+	Want            []uint32
 	Rev             []revEntry
 	Corrupt         []uint64
 	CowReallocation int64

@@ -42,7 +42,7 @@ type cpFile struct {
 	sizePg   int64
 	gen      uint64
 	extents  []Extent
-	pageVers []uint64
+	pageVers []uint32
 	children map[string]Ino // directories; an empty map may linger in a file's recycled entry
 }
 
@@ -50,7 +50,7 @@ type cpFile struct {
 type checkpoint struct {
 	gen     uint64
 	nextIno Ino
-	nextVer uint64
+	nextVer uint32
 	files   map[Ino]*cpFile
 	// carried lists the entries taken over from the previous checkpoint,
 	// and deferredAt is FS.deferredRuns at the snapshot: together they let
@@ -301,7 +301,7 @@ func (fs *FS) markExtents(marked []int64, exts []Extent) []int64 {
 // metadata — is gone by construction.
 type CrashImage struct {
 	cp        *checkpoint
-	diskVer   []uint64
+	diskVer   []uint32
 	corrupt   []uint64
 	badBlocks []int64
 }
@@ -400,7 +400,7 @@ func Remount(e sim.Host, id pagecache.FSID, disk *storage.Disk, cache *pagecache
 				fs.refs[b]++
 				idx := e.Logical + k
 				fs.want[b] = i.PageVers[idx]
-				fs.rev[b] = revEntry{ino: ino, idx: idx}
+				fs.rev[b] = newRev(ino, idx)
 			}
 		}
 	}

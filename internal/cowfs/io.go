@@ -29,7 +29,7 @@ func (fs *FS) pageKey(ino Ino, idx int64) pagecache.PageKey {
 // and the version its block was expected to hold when it was staged.
 type miss struct {
 	idx, block int64
-	want       uint64
+	want       uint32
 }
 
 // missBuf is a pooled staging buffer for ReadCount.
@@ -63,7 +63,7 @@ func (fs *FS) putMissBuf(b *missBuf) {
 type wb struct {
 	idx   int64
 	block int64
-	ver   uint64
+	ver   uint32
 	pos   int
 	ok    bool
 }
@@ -366,17 +366,16 @@ func (fs *FS) Write(p *sim.Proc, ino Ino, off, n int64) error {
 		}
 		for k := int64(0); k < r.len; k++ {
 			idx := logical + k
-			fs.nextVer++
-			ver := fs.nextVer
+			ver := fs.bumpVer()
 			i.PageVers[idx] = ver
 			fs.want[r.phys+k] = ver
-			fs.rev[r.phys+k] = revEntry{ino: ino, idx: idx}
+			fs.rev[r.phys+k] = newRev(ino, idx)
 			key := fs.pageKey(ino, idx)
 			pg, cached := fs.cache.Lookup(key)
 			if !cached {
-				pg = fs.cache.Insert(p, key, ver)
+				pg = fs.cache.Insert(p, key, uint64(ver))
 			}
-			fs.cache.MarkDirty(pg, ver)
+			fs.cache.MarkDirty(pg, uint64(ver))
 		}
 		logical += r.len
 	}
@@ -486,7 +485,7 @@ func (fs *FS) ReadCount(p *sim.Proc, ino Ino, off, n int64, class storage.Class,
 				fs.stats.Corruptions++
 				return missed, fmt.Errorf("%w: inode %d page %d block %d", ErrCorruption, ino, m.idx, m.block)
 			}
-			fs.cache.Insert(p, fs.pageKey(ino, m.idx), ver)
+			fs.cache.Insert(p, fs.pageKey(ino, m.idx), uint64(ver))
 		}
 		s = e
 	}
@@ -662,14 +661,25 @@ func (fs *FS) VerifyRange(p *sim.Proc, b int64, count int, class storage.Class, 
 // populateFromBlock inserts a just-read block's page into the cache when
 // the block currently backs a file page.
 func (fs *FS) populateFromBlock(p *sim.Proc, b int64) {
+	if ino, idx, ok := fs.mappedPage(b); ok {
+		fs.cache.Insert(p, fs.pageKey(ino, idx), uint64(fs.diskVer[b]))
+	}
+}
+
+// mappedPage returns the file page that block b currently backs: the
+// reverse entry, if Fibmap still maps that page to b. Stale entries (COW
+// moved the page to a new block, leaving b to a snapshot) and free blocks
+// report false.
+func (fs *FS) mappedPage(b int64) (Ino, int64, bool) {
 	o := fs.rev[b]
 	if o.ino == 0 {
-		return
+		return 0, 0, false
 	}
-	if cur, mapped := fs.Fibmap(o.ino, o.idx); !mapped || cur != b {
-		return
+	ino, idx := Ino(o.ino), int64(o.idx)
+	if cur, mapped := fs.Fibmap(ino, idx); !mapped || cur != b {
+		return 0, 0, false
 	}
-	fs.cache.Insert(p, fs.pageKey(o.ino, o.idx), fs.diskVer[b])
+	return ino, idx, true
 }
 
 // CheckBlock compares the medium content of block b, if it is allocated,
@@ -686,37 +696,20 @@ func (fs *FS) CheckBlock(b int64) error {
 	return nil
 }
 
-// RepairBlock rewrites a corrupted block from its checksummed version
-// (in a real system: from a redundant copy). It also clears any injected
-// device-level bad-block state, modelling sector reallocation.
+// RepairBlock rewrites a corrupted block with the version its stored
+// checksum names (in a real system: from a redundant copy). Every path
+// that maps a page to a block stamps the block's checksum and the page's
+// version together, so the checksum is the version of every file page
+// that references the block. It also clears any injected device-level
+// bad-block state, modelling sector reallocation.
 func (fs *FS) RepairBlock(p *sim.Proc, b int64, class storage.Class, owner string) error {
 	if !fs.Allocated(b) {
 		return nil
 	}
 	fs.disk.RepairBlock(b)
 	fs.corrupt.Unset(uint64(b))
-	// Restore the version whose checksum is stored. We recover it from
-	// the owning file's extent map.
-	ino, idx, ok := fs.blockOwner(b)
-	if !ok {
-		return fmt.Errorf("cowfs: cannot repair unowned block %d", b)
-	}
-	i := fs.inodes[ino]
-	fs.diskVer[b] = i.PageVers[idx]
+	fs.diskVer[b] = fs.want[b]
 	return fs.disk.Write(p, b, 1, class, owner)
-}
-
-// blockOwner finds a file referencing block b (linear in file count; used
-// only on the rare repair path).
-func (fs *FS) blockOwner(b int64) (Ino, int64, bool) {
-	for _, ino := range fs.fileInos(nil) {
-		for _, e := range fs.inodes[ino].Extents {
-			if b >= e.Phys && b < e.Phys+e.Len {
-				return ino, e.Logical + (b - e.Phys), true
-			}
-		}
-	}
-	return 0, 0, false
 }
 
 // fileInos appends the inode numbers of all regular files to buf, in
@@ -732,17 +725,13 @@ func (fs *FS) fileInos(buf []Ino) []Ino {
 }
 
 // blockDirtyInCache reports whether the page currently mapped to block b
-// is dirty in the cache. Stale reverse-map entries (COW moved the page to
-// a new block, leaving b to a snapshot) report false: the medium copy of
-// such a block is stable.
+// is dirty in the cache. A block no page maps to reports false: the
+// medium copy of such a block is stable.
 func (fs *FS) blockDirtyInCache(b int64) bool {
-	o := fs.rev[b]
-	if o.ino == 0 {
+	ino, idx, ok := fs.mappedPage(b)
+	if !ok {
 		return false
 	}
-	if cur, mapped := fs.Fibmap(o.ino, o.idx); !mapped || cur != b {
-		return false
-	}
-	pg, cached := fs.cache.Peek(fs.pageKey(o.ino, o.idx))
+	pg, cached := fs.cache.Peek(fs.pageKey(ino, idx))
 	return cached && pg.Dirty
 }

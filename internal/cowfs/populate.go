@@ -32,7 +32,7 @@ func (fs *FS) PopulateFile(path string, sizePg int64, wantExtents int, rng *rand
 	fs.gen++
 	i.Gen = fs.gen
 	i.SizePg = sizePg
-	i.PageVers = make([]uint64, sizePg)
+	i.PageVers = make([]uint32, sizePg)
 
 	// Split the size into wantExtents pieces and allocate each at a
 	// random hint so the pieces scatter across the device. PopulateFile
@@ -62,13 +62,12 @@ func (fs *FS) PopulateFile(path string, sizePg int64, wantExtents int, rng *rand
 			i.Extents = insertExtent(i.Extents, Extent{Logical: logical, Phys: r.phys, Len: r.len, Gen: fs.gen})
 			for k := int64(0); k < r.len; k++ {
 				idx := logical + k
-				fs.nextVer++
-				ver := fs.nextVer
+				ver := fs.bumpVer()
 				i.PageVers[idx] = ver
 				b := r.phys + k
 				fs.want[b] = ver
 				fs.diskVer[b] = ver
-				fs.rev[b] = revEntry{ino: i.Ino, idx: idx}
+				fs.rev[b] = newRev(i.Ino, idx)
 			}
 			logical += r.len
 		}

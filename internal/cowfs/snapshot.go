@@ -71,7 +71,7 @@ func (fs *FS) CreateSnapshot(p *sim.Proc, srcPath, dstPath string) (*Snapshot, e
 			n.SizePg = c.SizePg
 			n.Gen = c.Gen
 			n.Extents = append([]Extent(nil), c.Extents...)
-			n.PageVers = append([]uint64(nil), c.PageVers...)
+			n.PageVers = append([]uint32(nil), c.PageVers...)
 			for _, e := range c.Extents {
 				for b := e.Phys; b < e.Phys+e.Len; b++ {
 					fs.ref(b)
@@ -184,13 +184,13 @@ func (fs *FS) DefragFile(p *sim.Proc, ino Ino, class storage.Class, owner string
 			idx := logical + k
 			ver := i.PageVers[idx]
 			fs.want[r.phys+k] = ver
-			fs.rev[r.phys+k] = revEntry{ino: ino, idx: idx}
+			fs.rev[r.phys+k] = newRev(ino, idx)
 			key := fs.pageKey(ino, idx)
 			pg, cached := fs.cache.Lookup(key)
 			if !cached {
-				pg = fs.cache.Insert(p, key, ver)
+				pg = fs.cache.Insert(p, key, uint64(ver))
 			}
-			fs.cache.MarkDirty(pg, ver)
+			fs.cache.MarkDirty(pg, uint64(ver))
 		}
 		logical += r.len
 	}
