@@ -208,6 +208,7 @@ func New(cfg Config) (*Cluster, error) {
 			alive: true,
 		}
 		n.fromCoord = sim.NewPort[Msg](e, dom, fmt.Sprintf("c2n%d", i), cfg.PortLatency)
+		n.pings = sim.NewPort[Msg](e, dom, fmt.Sprintf("ping%d", i), cfg.PortLatency)
 		c.Nodes = append(c.Nodes, n)
 	}
 	// The node-to-node mesh: peers[i][j] carries i -> j traffic.
@@ -282,6 +283,7 @@ func New(cfg Config) (*Cluster, error) {
 		for _, pt := range n.inbound {
 			pt.OnDeliver(n.delivered)
 		}
+		n.pings.OnDeliver(n.pong)
 	}
 	return c, nil
 }

@@ -395,12 +395,40 @@ func outcomeHash(s Stats, rep AuditReport) string {
 	return hex.EncodeToString(sum[:8])
 }
 
+// violations lists the invariants bench's cluster-repair checks that a
+// run with one kill breaks.
+func violations(s Stats, rep AuditReport) []string {
+	var bad []string
+	check := func(ok bool, format string, args ...any) {
+		if !ok {
+			bad = append(bad, fmt.Sprintf(format, args...))
+		}
+	}
+	check(len(rep.NodeErrors) == 0, "node errors %v", rep.NodeErrors)
+	check(rep.LostBlocks == 0, "lost %d", rep.LostBlocks)
+	check(rep.DivergentPages == 0, "divergent %d", rep.DivergentPages)
+	check(rep.UnsyncedReplicas == 0, "unsynced %d", rep.UnsyncedReplicas)
+	check(rep.DeadNodes == 0, "dead %d", rep.DeadNodes)
+	check(rep.MediumErrors == 0, "medium errors %d", rep.MediumErrors)
+	check(s.ConsistencyViolations == 0, "ConsistencyViolations %d", s.ConsistencyViolations)
+	check(s.KillsDetected == 1, "KillsDetected %d for one kill", s.KillsDetected)
+	check(s.ShardRepairs == s.RepairsStarted, "ShardRepairs %d/%d", s.ShardRepairs, s.RepairsStarted)
+	return bad
+}
+
+// runClean runs cfg and fails the test on any violation.
+func runClean(t *testing.T, cfg Config) {
+	t.Helper()
+	_, s, rep := runCluster(t, cfg, 1)
+	if bad := violations(s, rep); len(bad) != 0 {
+		t.Errorf("invariants violated: %v\nstats %+v\naudit %+v", bad, s, rep)
+	}
+}
+
 // TestClusterOnFileCases runs the nine cluster cases on file in ROADMAP
 // item 1: three geometries whose shard files outgrow the cache (so the
 // server blocks on I/O) at seeds 1, 2 and 4. Each case asserts the
-// invariants bench's cluster-repair checks. The cases marked known
-// violate them today; they skip with the observed numbers until item 1
-// fixes them, while every other case must pass.
+// invariants bench's cluster-repair checks.
 func TestClusterOnFileCases(t *testing.T) {
 	if testing.Short() {
 		t.Skip("nine 300 s cluster runs; skipped under -short")
@@ -409,39 +437,55 @@ func TestClusterOnFileCases(t *testing.T) {
 		cache int
 		shard int64
 		seed  int64
-		known bool
 	}{
-		{1024, 1024, 1, true}, {1024, 1024, 2, true}, {1024, 1024, 4, true},
-		{1024, 4096, 1, true}, {1024, 4096, 2, true}, {1024, 4096, 4, true},
-		{256, 256, 1, false}, {256, 256, 2, true}, {256, 256, 4, false},
+		{1024, 1024, 1}, {1024, 1024, 2}, {1024, 1024, 4},
+		{1024, 4096, 1}, {1024, 4096, 2}, {1024, 4096, 4},
+		{256, 256, 1}, {256, 256, 2}, {256, 256, 4},
 	} {
 		t.Run(fmt.Sprintf("cache%d-shard%d-seed%d", tc.cache, tc.shard, tc.seed), func(t *testing.T) {
 			t.Parallel()
-			_, s, rep := runCluster(t, onFileConfig(tc.seed, tc.cache, tc.shard), 1)
-			t.Logf("stats %+v\naudit %+v", s, rep)
-			var bad []string
-			check := func(ok bool, format string, args ...any) {
-				if !ok {
-					bad = append(bad, fmt.Sprintf(format, args...))
-				}
-			}
-			check(len(rep.NodeErrors) == 0, "node errors %v", rep.NodeErrors)
-			check(rep.LostBlocks == 0, "lost %d", rep.LostBlocks)
-			check(rep.DivergentPages == 0, "divergent %d", rep.DivergentPages)
-			check(rep.UnsyncedReplicas == 0, "unsynced %d", rep.UnsyncedReplicas)
-			check(rep.DeadNodes == 0, "dead %d", rep.DeadNodes)
-			check(rep.MediumErrors == 0, "medium errors %d", rep.MediumErrors)
-			check(s.ConsistencyViolations == 0, "ConsistencyViolations %d", s.ConsistencyViolations)
-			check(s.KillsDetected == 1, "KillsDetected %d for one kill", s.KillsDetected)
-			check(s.ShardRepairs == s.RepairsStarted, "ShardRepairs %d/%d", s.ShardRepairs, s.RepairsStarted)
-			switch {
-			case len(bad) == 0:
-			case tc.known:
-				t.Skipf("known bug, ROADMAP item 1: %v", bad)
-			default:
-				t.Errorf("invariants violated: %v", bad)
-			}
+			runClean(t, onFileConfig(tc.seed, tc.cache, tc.shard))
 		})
+	}
+}
+
+// TestClusterBenchSeeds runs bench's cluster-repair configuration (900 s)
+// at two seeds that each broke an invariant through one bug:
+//   - seed 11: a repair batch carried the sequences of when its pages
+//     joined it, and rolled the destination back past a learner write
+//     that overtook it (2 stale primary reads);
+//   - seed 21: a node server blocked on its faulty disk stopped
+//     answering heartbeats, and the coordinator declared it dead
+//     (KillsDetected 2, 768 lost blocks).
+func TestClusterBenchSeeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two 900 s cluster runs; skipped under -short")
+	}
+	for _, seed := range []int64{11, 21} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			runClean(t, repairConfig(seed, 900*sim.Second))
+		})
+	}
+}
+
+// TestClusterParanoidDetector runs bench's cluster-repair configuration
+// (900 s) with a failure detector tighter than the default 160 ms. A
+// heartbeat is answered even while the node's server blocks on I/O, so
+// no live node is declared dead, and no block is lost.
+func TestClusterParanoidDetector(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four 900 s cluster runs; skipped under -short")
+	}
+	for _, hb := range []sim.Time{60 * sim.Millisecond, 80 * sim.Millisecond} {
+		for _, seed := range []int64{1, 4} {
+			t.Run(fmt.Sprintf("hb%v-seed%d", hb, seed), func(t *testing.T) {
+				t.Parallel()
+				cfg := repairConfig(seed, 900*sim.Second)
+				cfg.HBTimeout = hb
+				runClean(t, cfg)
+			})
+		}
 	}
 }
 

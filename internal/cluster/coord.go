@@ -247,7 +247,7 @@ func (co *Coordinator) heartbeat(d *sim.Domain) {
 	}
 	co.lastHB = now
 	for _, n := range co.c.Nodes {
-		n.fromCoord.Send(d, Msg{Kind: MsgPing, From: -1})
+		n.pings.Send(d, Msg{Kind: MsgPing, From: -1})
 	}
 }
 

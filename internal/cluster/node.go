@@ -70,6 +70,7 @@ type Node struct {
 
 	fromCoord *sim.Port[Msg]
 	toCoord   *sim.Port[Msg]
+	pings     *sim.Port[Msg]   // coordinator -> node heartbeats (see pong)
 	peers     []*sim.Port[Msg] // peers[j]: this node -> node j
 	inbound   []*sim.Port[Msg] // fixed drain order: coord, then peers ascending
 
@@ -157,6 +158,23 @@ func (n *Node) sleep(now sim.Time) {
 func (n *Node) delivered(now sim.Time) {
 	if n.idle.Len() > 0 {
 		n.tick.arm(now, now+1)
+	}
+}
+
+// pong is the ping port's delivery hook: a live node answers every
+// heartbeat at once. It runs inline in the delivery and never blocks,
+// so a server proc stalled in FS.Write, FS.Commit or writeback on a
+// faulty disk still looks alive to the coordinator.
+func (n *Node) pong(sim.Time) {
+	for {
+		if _, ok := n.pings.TryRecv(); !ok {
+			return
+		}
+		if !n.alive {
+			n.stats.DroppedDead++
+			continue
+		}
+		n.toCoord.Send(n.dom, Msg{Kind: MsgPong, From: n.idx})
 	}
 }
 
@@ -314,8 +332,6 @@ func (n *Node) handle(p *sim.Proc, m Msg) {
 		return
 	}
 	switch m.Kind {
-	case MsgPing:
-		n.toCoord.Send(p, Msg{Kind: MsgPong, From: n.idx})
 	case MsgMembership:
 		n.epoch, n.aliveV, n.ranks = m.Epoch, m.Alive, m.Ranks
 		n.pruneDeadAcks(p)

@@ -55,10 +55,18 @@ func (n *Node) repairShard(rp *sim.Proc, shard, dest int, destVec []uint64) {
 			n.aliveV == nil || dest >= len(n.aliveV) || !n.aliveV[dest]
 	}
 
+	// A batch carries each page's sequence as of its send, not of when
+	// the page joined it: the source may apply a client write to a
+	// batched page while a later ship blocks, and the learner stream
+	// delivers that write ahead of the batch. The port is FIFO, so
+	// writes after the send still follow the batch.
 	var batch []PageSeq
 	flush := func(done bool) {
 		if len(batch) == 0 && !done {
 			return
+		}
+		for k := range batch {
+			batch[k].Seq = r.applied[batch[k].Page]
 		}
 		n.peers[dest].Send(rp, Msg{
 			Kind: MsgRepairData, From: n.idx, Shard: shard,
@@ -73,7 +81,7 @@ func (n *Node) repairShard(rp *sim.Proc, shard, dest int, destVec []uint64) {
 		}
 		pending[pg] = false
 		left--
-		batch = append(batch, PageSeq{Page: pg, Seq: r.applied[pg]})
+		batch = append(batch, PageSeq{Page: pg})
 		if len(batch) >= repairBatch {
 			flush(false)
 		}

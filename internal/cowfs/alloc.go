@@ -1,5 +1,10 @@
 package cowfs
 
+import (
+	"fmt"
+	"math"
+)
+
 // Block allocation and release. Free space is kept in the two-level index
 // of freeindex.go: address-ordered free runs plus size-class buckets.
 // Allocation is address-ordered first-fit from a caller-supplied hint,
@@ -163,8 +168,15 @@ func (fs *FS) anySpace(hint int64) (at, avail int64, ok bool) {
 	return 0, 0, false
 }
 
-// ref increments a block's reference count (snapshot sharing).
-func (fs *FS) ref(b int64) { fs.refs[b]++ }
+// ref increments a block's reference count (snapshot sharing, remount).
+// Counts are 16 bits wide, and one past the largest panics rather than
+// wrapping: a wrapped count would free a block that files still map.
+func (fs *FS) ref(b int64) {
+	if fs.refs[b] == math.MaxUint16 {
+		panic(fmt.Sprintf("cowfs: block %d reference count would pass %d", b, math.MaxUint16))
+	}
+	fs.refs[b]++
+}
 
 // derefRange drops one reference from each of the n blocks starting at
 // phys and releases every maximal sub-run whose count reached zero in one
@@ -175,15 +187,15 @@ func (fs *FS) derefRange(phys, n int64) (shared int64) {
 	refs := fs.refs[phys : phys+n]
 	zero := int64(-1) // start of the zero-ref run being gathered, or -1
 	for k := range refs {
+		if refs[k] == 0 {
+			panic(fmt.Sprintf("cowfs: block %d dereferenced with no references", phys+int64(k)))
+		}
 		refs[k]--
 		if refs[k] == 0 {
 			if zero < 0 {
 				zero = int64(k)
 			}
 			continue
-		}
-		if refs[k] < 0 {
-			panic("cowfs: negative block refcount")
 		}
 		shared++
 		if zero >= 0 {

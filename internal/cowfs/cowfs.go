@@ -105,7 +105,7 @@ type FS struct {
 	cache *pagecache.Cache
 
 	inodes    map[Ino]*Inode
-	inodeMemo [8]*Inode // Fibmap's lookup memo, indexed by ino mod 8
+	inodeMemo [8]*Inode // lookup memo of FS.inode, indexed by ino mod 8
 	nextIno   Ino
 	gen       uint64
 	nextVer   uint32 // last content version handed out (see bumpVer)
@@ -114,6 +114,7 @@ type FS struct {
 	freeBlocks int64
 	blocks                    // per-block state; nil slices once released
 	corrupt    *bitmap.Sparse // blocks with injected silent corruption
+	writing    []run          // runs of writes still inserting their pages (beingWritten)
 
 	hooks  []VFSHook
 	wbTags map[Ino]wbTag
@@ -153,18 +154,20 @@ type wbTag struct {
 }
 
 // blocks is the filesystem's per-block state, one entry per device block
-// in each slice: 20 bytes a block (TestPerBlockFootprint). It is the bulk
+// in each slice: 14 bytes a block (TestPerBlockFootprint). It is the bulk
 // of a filesystem's memory, so a finished filesystem hands it on
 // (Release) to the next New of the same size.
 type blocks struct {
-	refs []int32 // reference count
+	refs []uint16 // reference count; ref and derefRange keep it in range
 	// want is the stored checksum: the content version the medium is
 	// expected to hold, 0 when the block is free. A read or a scrub
 	// verifies a block by comparing it with diskVer. Like Btrfs's crc32c
 	// it is 32 bits wide; bumpVer keeps it from wrapping.
 	want    []uint32
 	diskVer []uint32 // content version on the medium
-	rev     []revEntry
+	// rev is the reverse entry: the inode that last wrote the block, 0
+	// when free (see newRev and mappedPage).
+	rev []uint32
 }
 
 // blockPool holds the per-block state of released filesystems. It is
@@ -183,10 +186,10 @@ func newBlocks(nb int64) blocks {
 		return *b
 	}
 	return blocks{
-		refs:    make([]int32, nb),
+		refs:    make([]uint16, nb),
 		want:    make([]uint32, nb),
 		diskVer: make([]uint32, nb),
-		rev:     make([]revEntry, nb),
+		rev:     make([]uint32, nb),
 	}
 }
 
@@ -205,22 +208,15 @@ func (fs *FS) Release() {
 	blockPool.Put(&b)
 }
 
-// revEntry is the reverse map from a block to the file page that last
-// wrote it. Entries can go stale when COW remaps the page; consumers
-// validate against Fibmap. Both fields are 32 bits wide; newRev is the
-// only constructor of a non-zero entry.
-type revEntry struct {
-	ino, idx uint32
-}
-
-// newRev returns the reverse entry for page idx of inode ino. It panics
-// when either does not fit 32 bits: a truncated entry would name another
-// file's page.
-func newRev(ino Ino, idx int64) revEntry {
-	if uint64(ino) > math.MaxUint32 || uint64(idx) > math.MaxUint32 {
-		panic(fmt.Sprintf("cowfs: reverse entry for inode %d page %d does not fit 32 bits", ino, idx))
+// newRev returns the reverse entry naming inode ino. The entry keeps
+// only the inode: mappedPage finds the page from the inode's extents.
+// It panics when ino does not fit 32 bits, since a truncated entry would
+// name another file.
+func newRev(ino Ino) uint32 {
+	if uint64(ino) > math.MaxUint32 {
+		panic(fmt.Sprintf("cowfs: reverse entry for inode %d does not fit 32 bits", ino))
 	}
-	return revEntry{ino: uint32(ino), idx: uint32(idx)}
+	return uint32(ino)
 }
 
 // bumpVer hands out the next content version. Versions are dense

@@ -841,6 +841,53 @@ func TestDeleteDuringReadIsNotCorruption(t *testing.T) {
 	}
 }
 
+// TestWriteBlockedInInsertIsNotCorruption: a write that blocks in a
+// cache insert (reclaim writes back dirty pages) must not leave a block
+// of its run looking corrupt to a verifier that runs meanwhile. The
+// cache holds four dirty pages, so the write's first insert blocks; the
+// run reuses the blocks of a deleted file, whose medium still holds the
+// old versions.
+func TestWriteBlockedInInsertIsNotCorruption(t *testing.T) {
+	v := newEnv(4)
+	rng := rand.New(rand.NewSource(1))
+	if _, err := v.fs.PopulateFile("/old", 8, 1, rng); err != nil {
+		t.Fatal(err)
+	}
+	dirty, _ := v.fs.Create("/dirty")
+	v.in(t, func(p *sim.Proc) {
+		if err := v.fs.Write(p, dirty.Ino, 0, 4); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.fs.Delete("/old"); err != nil {
+			t.Fatal(err)
+		}
+		f, _ := v.fs.Create("/new")
+		v.e.Go("scrub", func(sp *sim.Proc) {
+			sp.Sleep(sim.Microsecond) // land while the write blocks
+			var run []int64
+			for idx := int64(0); idx < 4; idx++ {
+				b, ok := v.fs.Fibmap(f.Ino, idx)
+				if !ok {
+					t.Fatalf("page %d of the new file is unmapped", idx)
+				}
+				run = append(run, b)
+				if err := v.fs.CheckBlock(b); err != nil {
+					t.Errorf("page %d: CheckBlock: %v", idx, err)
+				}
+			}
+			if _, err := v.fs.VerifyBlock(sp, run[2], storage.ClassIdle, "scrub"); err != nil {
+				t.Errorf("page 2: VerifyBlock: %v", err)
+			}
+		})
+		if err := v.fs.Write(p, f.Ino, 0, 4); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n := v.fs.Stats().ScrubErrors; n != 0 {
+		t.Errorf("%d false checksum failures", n)
+	}
+}
+
 func TestOverwriteDuringReadKeepsFreshData(t *testing.T) {
 	// A COW overwrite while a reader is blocked must not let the stale
 	// device data clobber the newer cached page.
@@ -1016,7 +1063,7 @@ func TestReleasedFSPanics(t *testing.T) {
 			continue
 		}
 		for blk := range u.fs.refs {
-			if u.fs.refs[blk] != 0 || u.fs.want[blk] != 0 || u.fs.diskVer[blk] != 0 || u.fs.rev[blk] != (revEntry{}) {
+			if u.fs.refs[blk] != 0 || u.fs.want[blk] != 0 || u.fs.diskVer[blk] != 0 || u.fs.rev[blk] != 0 {
 				t.Fatalf("reused block %d state not zeroed", blk)
 			}
 		}

@@ -26,12 +26,12 @@ import (
 // derefPerBlock is the reference: it drops one reference from block b and
 // disposes of it alone when the count reaches zero.
 func derefPerBlock(fs *FS, b int64) {
+	if fs.refs[b] == 0 {
+		panic("cowfs: block dereferenced with no references")
+	}
 	fs.refs[b]--
 	if fs.refs[b] > 0 {
 		return
-	}
-	if fs.refs[b] < 0 {
-		panic("cowfs: negative block refcount")
 	}
 	if fs.durable != nil {
 		fs.deferredFree = append(fs.deferredFree, blkRange{phys: b, n: 1})
@@ -40,7 +40,7 @@ func derefPerBlock(fs *FS, b int64) {
 		return
 	}
 	fs.want[b] = 0
-	fs.rev[b] = revEntry{}
+	fs.rev[b] = 0
 	fs.corrupt.Unset(uint64(b))
 	fs.insertFree(b, 1)
 	fs.freeBlocks++
@@ -75,9 +75,9 @@ type lifecycleState struct {
 	FreeBlocks      int64
 	Deferred        []int64 // deferred blocks, ascending
 	DeferredBlocks  int64
-	Refs            []int32
+	Refs            []uint16
 	Want            []uint32
-	Rev             []revEntry
+	Rev             []uint32
 	Corrupt         []uint64
 	CowReallocation int64
 }

@@ -397,10 +397,9 @@ func Remount(e sim.Host, id pagecache.FSID, disk *storage.Disk, cache *pagecache
 		for _, e := range i.Extents {
 			for k := int64(0); k < e.Len; k++ {
 				b := e.Phys + k
-				fs.refs[b]++
-				idx := e.Logical + k
-				fs.want[b] = i.PageVers[idx]
-				fs.rev[b] = newRev(ino, idx)
+				fs.ref(b)
+				fs.want[b] = i.PageVers[e.Logical+k]
+				fs.rev[b] = newRev(ino)
 			}
 		}
 	}

@@ -51,7 +51,7 @@ func (fs *FS) CheckInvariants() error {
 	// Pass 2: refcounts must match the extent walk exactly — a higher
 	// stored count is a leak, a lower one a double-free in waiting.
 	for b := int64(0); b < nb; b++ {
-		if fs.refs[b] != want[b] {
+		if int32(fs.refs[b]) != want[b] {
 			return fmt.Errorf("cowfs: block %d refcount %d, but %d extent references found", b, fs.refs[b], want[b])
 		}
 	}

@@ -122,16 +122,25 @@ func findExtent(exts []Extent, idx int64) (Extent, bool) {
 // in a small direct-mapped memo (deleteInode drops its entry) and a run
 // costs one map lookup.
 func (fs *FS) Fibmap(ino Ino, idx int64) (int64, bool) {
+	i, ok := fs.inode(ino)
+	if !ok {
+		return 0, false
+	}
+	return fibmapIn(i, idx)
+}
+
+// inode returns inode ino through the lookup memo.
+func (fs *FS) inode(ino Ino) (*Inode, bool) {
 	memo := &fs.inodeMemo[ino%Ino(len(fs.inodeMemo))]
 	if i := *memo; i != nil && i.Ino == ino {
-		return fibmapIn(i, idx)
+		return i, true
 	}
 	i, exists := fs.inodes[ino]
 	if !exists {
-		return 0, false
+		return nil, false
 	}
 	*memo = i
-	return fibmapIn(i, idx)
+	return i, true
 }
 
 // fibmapIn is Fibmap for callers that already hold the inode.
@@ -359,18 +368,38 @@ func (fs *FS) Write(p *sim.Proc, ino Ino, off, n int64) error {
 		i.PageVers = append(i.PageVers, 0)
 	}
 
+	// Stamp every page of the write before the first insert, which can
+	// block in reclaim: a verifier that runs meanwhile sees the whole
+	// write in flight (see beingWritten), never half of it stamped.
 	logical := off
 	for _, r := range runs {
 		if !inPlace {
 			i.Extents = insertExtent(i.Extents, Extent{Logical: logical, Phys: r.phys, Len: r.len, Gen: fs.gen})
 		}
 		for k := int64(0); k < r.len; k++ {
-			idx := logical + k
 			ver := fs.bumpVer()
-			i.PageVers[idx] = ver
+			i.PageVers[logical+k] = ver
 			fs.want[r.phys+k] = ver
-			fs.rev[r.phys+k] = newRev(ino, idx)
-			key := fs.pageKey(ino, idx)
+			fs.rev[r.phys+k] = newRev(ino)
+		}
+		logical += r.len
+	}
+	fs.dirtyRuns(p, i, off, runs)
+	fs.stats.WritesPages += n
+	return nil
+}
+
+// dirtyRuns inserts and dirties the pages of a write whose runs, laid
+// out from logical page off, are stamped already. The runs count as
+// being written until every page is dirty in the cache.
+func (fs *FS) dirtyRuns(p *sim.Proc, i *Inode, off int64, runs []run) {
+	fs.writing = append(fs.writing, runs...)
+	logical := off
+	for _, r := range runs {
+		for k := int64(0); k < r.len; k++ {
+			idx := logical + k
+			ver := i.PageVers[idx]
+			key := fs.pageKey(i.Ino, idx)
 			pg, cached := fs.cache.Lookup(key)
 			if !cached {
 				pg = fs.cache.Insert(p, key, uint64(ver))
@@ -379,8 +408,22 @@ func (fs *FS) Write(p *sim.Proc, ino Ino, off, n int64) error {
 		}
 		logical += r.len
 	}
-	fs.stats.WritesPages += n
-	return nil
+	for _, r := range runs {
+		k := slices.Index(fs.writing, r)
+		fs.writing = slices.Delete(fs.writing, k, k+1)
+	}
+}
+
+// beingWritten reports whether block b belongs to a write whose pages
+// are not all dirty in the cache yet. Its medium copy is stale and will
+// be rewritten at flush, as for a dirty page.
+func (fs *FS) beingWritten(b int64) bool {
+	for _, r := range fs.writing {
+		if b >= r.phys && b < r.phys+r.len {
+			return true
+		}
+	}
+	return false
 }
 
 // Append adds n pages at the end of the file.
@@ -474,8 +517,8 @@ func (fs *FS) ReadCount(p *sim.Proc, ino Ino, off, n int64, class storage.Class,
 					continue // remapped mid-read: the new data is (or will be) in cache
 				}
 			}
-			if fs.cache.Contains(fs.pageKey(ino, m.idx)) {
-				continue // a concurrent write cached a newer copy
+			if fs.cache.Contains(fs.pageKey(ino, m.idx)) || fs.beingWritten(m.block) {
+				continue // a concurrent write cached (or is caching) a newer copy
 			}
 			if fs.want[m.block] != m.want {
 				continue // block re-written (possibly in place) mid-read
@@ -667,19 +710,25 @@ func (fs *FS) populateFromBlock(p *sim.Proc, b int64) {
 }
 
 // mappedPage returns the file page that block b currently backs: the
-// reverse entry, if Fibmap still maps that page to b. Stale entries (COW
-// moved the page to a new block, leaving b to a snapshot) and free blocks
-// report false.
+// page of the reverse entry's inode whose extent covers b. Only
+// snapshots share blocks, so a file maps a block at one index at most.
+// A stale entry (COW moved the page to a new block, leaving b to a
+// snapshot) and a free block report false.
 func (fs *FS) mappedPage(b int64) (Ino, int64, bool) {
-	o := fs.rev[b]
-	if o.ino == 0 {
+	ino := Ino(fs.rev[b])
+	if ino == 0 {
 		return 0, 0, false
 	}
-	ino, idx := Ino(o.ino), int64(o.idx)
-	if cur, mapped := fs.Fibmap(ino, idx); !mapped || cur != b {
+	i, ok := fs.inode(ino)
+	if !ok {
 		return 0, 0, false
 	}
-	return ino, idx, true
+	for _, e := range i.Extents {
+		if b >= e.Phys && b < e.Phys+e.Len {
+			return ino, e.Logical + b - e.Phys, true
+		}
+	}
+	return 0, 0, false
 }
 
 // CheckBlock compares the medium content of block b, if it is allocated,
@@ -725,9 +774,12 @@ func (fs *FS) fileInos(buf []Ino) []Ino {
 }
 
 // blockDirtyInCache reports whether the page currently mapped to block b
-// is dirty in the cache. A block no page maps to reports false: the
-// medium copy of such a block is stable.
+// is dirty in the cache, or is about to be (beingWritten). A block no
+// page maps to reports false: the medium copy of such a block is stable.
 func (fs *FS) blockDirtyInCache(b int64) bool {
+	if fs.beingWritten(b) {
+		return true
+	}
 	ino, idx, ok := fs.mappedPage(b)
 	if !ok {
 		return false

@@ -67,7 +67,7 @@ func (fs *FS) PopulateFile(path string, sizePg int64, wantExtents int, rng *rand
 				b := r.phys + k
 				fs.want[b] = ver
 				fs.diskVer[b] = ver
-				fs.rev[b] = newRev(i.Ino, idx)
+				fs.rev[b] = newRev(i.Ino)
 			}
 			logical += r.len
 		}

@@ -181,19 +181,12 @@ func (fs *FS) DefragFile(p *sim.Proc, ino Ino, class storage.Class, owner string
 	for _, r := range runs {
 		i.Extents = insertExtent(i.Extents, Extent{Logical: logical, Phys: r.phys, Len: r.len, Gen: fs.gen})
 		for k := int64(0); k < r.len; k++ {
-			idx := logical + k
-			ver := i.PageVers[idx]
-			fs.want[r.phys+k] = ver
-			fs.rev[r.phys+k] = newRev(ino, idx)
-			key := fs.pageKey(ino, idx)
-			pg, cached := fs.cache.Lookup(key)
-			if !cached {
-				pg = fs.cache.Insert(p, key, uint64(ver))
-			}
-			fs.cache.MarkDirty(pg, uint64(ver))
+			fs.want[r.phys+k] = i.PageVers[logical+k]
+			fs.rev[r.phys+k] = newRev(ino)
 		}
 		logical += r.len
 	}
+	fs.dirtyRuns(p, i, 0, runs)
 	fs.SetWritebackTag(ino, class, owner)
 	return res, nil
 }

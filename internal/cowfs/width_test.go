@@ -13,10 +13,10 @@ import (
 	"duet/internal/storage"
 )
 
-// Content versions and reverse entries are 32 bits wide. These tests pin
-// the width, the two checked points every narrowed value goes through
-// (bumpVer and newRev), and that verification still sees corruption and
-// repair at that width.
+// Content versions and reverse entries are 32 bits wide, reference
+// counts 16. These tests pin the widths, the checked points every
+// narrowed value goes through (bumpVer, newRev, ref and derefRange), and
+// that verification still sees corruption and repair at that width.
 
 // panicsWith runs fn and reports whether it panicked with a message
 // containing want.
@@ -95,17 +95,15 @@ func TestVersionOverflowPanics(t *testing.T) {
 	})
 }
 
-// TestRevEntryOverflowPanics: a reverse entry whose inode number or page
-// index does not fit 32 bits panics instead of naming another page, both
-// at the constructor and on the populate path.
+// TestRevEntryOverflowPanics: a reverse entry whose inode number does
+// not fit 32 bits panics instead of naming another file, both at the
+// constructor and on the populate path.
 func TestRevEntryOverflowPanics(t *testing.T) {
 	const want = "does not fit 32 bits"
-	if r := newRev(math.MaxUint32, math.MaxUint32); r.ino != math.MaxUint32 || r.idx != math.MaxUint32 {
-		t.Errorf("newRev at the limit = %+v", r)
+	if r := newRev(math.MaxUint32); r != math.MaxUint32 {
+		t.Errorf("newRev at the limit = %d", r)
 	}
-	panicsWith(t, "newRev(2^32, 0)", want, func() { newRev(1<<32, 0) })
-	panicsWith(t, "newRev(1, 2^32)", want, func() { newRev(1, 1<<32) })
-	panicsWith(t, "newRev(1, -1)", want, func() { newRev(1, -1) })
+	panicsWith(t, "newRev(2^32)", want, func() { newRev(1 << 32) })
 
 	v := newEnv(1024)
 	v.fs.nextIno = 1 << 32
@@ -114,9 +112,52 @@ func TestRevEntryOverflowPanics(t *testing.T) {
 	})
 }
 
-// TestPerBlockFootprint pins the per-block state at 20 bytes per device
-// block (a reference count, the stored checksum, the medium's version and
-// a reverse entry) and a file's page versions at 4 bytes per page. Every
+// TestRefCountGuardsPanic: reference counts are 16 bits wide. A
+// reference past 65535 panics and leaves the count where it was, on the
+// snapshot path too; dropping a reference from a block that has none
+// panics before the count could wrap.
+func TestRefCountGuardsPanic(t *testing.T) {
+	const past, none = "reference count would pass 65535", "dereferenced with no references"
+	v := newEnv(1024)
+	if _, err := v.fs.MkdirAll("/d"); err != nil {
+		t.Fatal(err)
+	}
+	f, err := v.fs.PopulateFile("/d/f", 4, 1, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := v.fs.Fibmap(f.Ino, 2)
+	v.fs.refs[b] = math.MaxUint16 - 1
+	v.fs.ref(b)
+	if v.fs.refs[b] != math.MaxUint16 {
+		t.Fatalf("ref at 65534 gave %d, want 65535", v.fs.refs[b])
+	}
+	panicsWith(t, "ref at 65535", past, func() { v.fs.ref(b) })
+	// The forged count breaks CheckInvariants, so run without v.in.
+	v.e.Go("snapshot", func(p *sim.Proc) {
+		defer v.e.Stop()
+		panicsWith(t, "CreateSnapshot of a block at 65535", past, func() { _, _ = v.fs.CreateSnapshot(p, "/d", "/snap") })
+	})
+	if err := v.e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if v.fs.refs[b] != math.MaxUint16 {
+		t.Errorf("refcount %d after the refused references, want 65535", v.fs.refs[b])
+	}
+
+	free := v.disk.Blocks() - 1
+	if v.fs.refs[free] != 0 {
+		t.Fatalf("block %d is not free", free)
+	}
+	panicsWith(t, "derefRange of a free block", none, func() { v.fs.derefRange(free, 1) })
+	if v.fs.refs[free] != 0 {
+		t.Errorf("refcount %d after the refused dereference, want 0", v.fs.refs[free])
+	}
+}
+
+// TestPerBlockFootprint pins the per-block state at 14 bytes per device
+// block (a 16-bit reference count, the stored checksum, the medium's
+// version and a reverse entry naming the inode) and a file's page versions at 4 bytes per page. Every
 // slice of blocks is counted, so a new or widened per-block array fails
 // here by name rather than as a drift in peak RSS.
 func TestPerBlockFootprint(t *testing.T) {
@@ -137,8 +178,8 @@ func TestPerBlockFootprint(t *testing.T) {
 		perBlock += size
 	}
 	t.Logf("per-block state: %d bytes a device block", perBlock)
-	if perBlock > 20 {
-		t.Errorf("per-block state costs %d bytes a device block, want at most 20", perBlock)
+	if perBlock > 14 {
+		t.Errorf("per-block state costs %d bytes a device block, want at most 14", perBlock)
 	}
 
 	f, err := v.fs.PopulateFile("/f", 100, 1, rand.New(rand.NewSource(1)))

@@ -8,6 +8,8 @@
 package duetlib
 
 import (
+	"slices"
+
 	"duet/internal/core"
 	"duet/internal/rbtree"
 )
@@ -94,85 +96,131 @@ func (q *PrioQueue) Len() int { return q.tree.Len() }
 
 // FileTracker accumulates per-file cache residency from fetched items, the
 // state tasks like defragmentation and rsync prioritize on ("files with
-// the highest fraction of pages in memory", §5.3).
+// the highest fraction of pages in memory", §5.3). It keeps one
+// fileBits per tracked file, so its memory follows the files a task
+// touches (§4.2 keeps a task's bitmaps the same way).
 type FileTracker struct {
-	pages map[uint64]map[uint64]bool // inode -> set of resident page idxs
-	dirty map[uint64]map[uint64]bool // inode -> set of dirty page idxs
+	files   map[uint64]*fileBits
+	changed []uint64 // Apply's result, reused across calls
+}
+
+// fileBits is one file's tracked pages: a bitset of resident page
+// indices, one of dirty ones, and how many bits each has set. A file is
+// tracked while either count is non-zero.
+type fileBits struct {
+	res, dirty   bitset
+	nres, ndirty int
+}
+
+// bitset is a dense set of page indices, grown to the highest index set.
+type bitset []uint64
+
+// set adds i and reports whether it was absent.
+func (b *bitset) set(i uint64) bool {
+	w := int(i / 64)
+	if w >= len(*b) {
+		*b = append(*b, make(bitset, w+1-len(*b))...)
+	}
+	m := uint64(1) << (i % 64)
+	if (*b)[w]&m != 0 {
+		return false
+	}
+	(*b)[w] |= m
+	return true
+}
+
+// unset removes i and reports whether it was present.
+func (b bitset) unset(i uint64) bool {
+	w := i / 64
+	if w >= uint64(len(b)) {
+		return false
+	}
+	m := uint64(1) << (i % 64)
+	if b[w]&m == 0 {
+		return false
+	}
+	b[w] &^= m
+	return true
 }
 
 // NewFileTracker returns an empty tracker.
 func NewFileTracker() *FileTracker {
-	return &FileTracker{
-		pages: make(map[uint64]map[uint64]bool),
-		dirty: make(map[uint64]map[uint64]bool),
-	}
+	return &FileTracker{files: make(map[uint64]*fileBits)}
 }
 
 // Apply folds fetched items (from a file-task session subscribed to state
-// notifications) into the tracker and returns the inodes whose residency
-// changed.
+// notifications) into the tracker and returns the inodes the items
+// named, ascending and without repeats. The result is valid until the
+// next Apply.
 func (t *FileTracker) Apply(items []core.Item) []uint64 {
-	changed := make(map[uint64]bool)
-	for _, it := range items {
+	t.changed = t.changed[:0]
+	var f *fileBits
+	for k, it := range items {
 		ino, idx := it.ID, it.PageIdx
+		if k == 0 || ino != items[k-1].ID {
+			t.changed = append(t.changed, ino)
+			f = t.files[ino]
+		}
+		if f == nil {
+			if !it.Flags.Has(core.StExists) && !it.Flags.Has(core.StModified) {
+				continue // nothing tracked to clear
+			}
+			f = &fileBits{}
+			t.files[ino] = f
+		}
 		if it.Flags.Has(core.StExists) {
-			set(t.pages, ino, idx)
-		} else {
-			unset(t.pages, ino, idx)
+			if f.res.set(idx) {
+				f.nres++
+			}
+		} else if f.res.unset(idx) {
+			f.nres--
 		}
 		if it.Flags.Has(core.StModified) {
-			set(t.dirty, ino, idx)
-		} else {
-			unset(t.dirty, ino, idx)
+			if f.dirty.set(idx) {
+				f.ndirty++
+			}
+		} else if f.dirty.unset(idx) {
+			f.ndirty--
 		}
-		changed[ino] = true
-	}
-	out := make([]uint64, 0, len(changed))
-	for ino := range changed {
-		out = append(out, ino)
-	}
-	sortUint64(out)
-	return out
-}
-
-func set(m map[uint64]map[uint64]bool, ino, idx uint64) {
-	s := m[ino]
-	if s == nil {
-		s = make(map[uint64]bool)
-		m[ino] = s
-	}
-	s[idx] = true
-}
-
-func unset(m map[uint64]map[uint64]bool, ino, idx uint64) {
-	if s := m[ino]; s != nil {
-		delete(s, idx)
-		if len(s) == 0 {
-			delete(m, ino)
+		if f.nres == 0 && f.ndirty == 0 {
+			delete(t.files, ino)
+			f = nil
 		}
 	}
+	slices.Sort(t.changed)
+	t.changed = slices.Compact(t.changed)
+	return t.changed
 }
 
 // CachedPages returns how many pages of the file the tracker believes are
 // resident.
-func (t *FileTracker) CachedPages(ino uint64) int { return len(t.pages[ino]) }
-
-// DirtyPages returns how many of them are dirty.
-func (t *FileTracker) DirtyPages(ino uint64) int { return len(t.dirty[ino]) }
-
-// Forget drops all state for a file (after it has been processed).
-func (t *FileTracker) Forget(ino uint64) {
-	delete(t.pages, ino)
-	delete(t.dirty, ino)
+func (t *FileTracker) CachedPages(ino uint64) int {
+	if f := t.files[ino]; f != nil {
+		return f.nres
+	}
+	return 0
 }
 
-// Files returns the tracked inodes in ascending order.
-func (t *FileTracker) Files() []uint64 {
-	out := make([]uint64, 0, len(t.pages))
-	for ino := range t.pages {
-		out = append(out, ino)
+// DirtyPages returns how many of them are dirty.
+func (t *FileTracker) DirtyPages(ino uint64) int {
+	if f := t.files[ino]; f != nil {
+		return f.ndirty
 	}
-	sortUint64(out)
+	return 0
+}
+
+// Forget drops all state for a file (after it has been processed).
+func (t *FileTracker) Forget(ino uint64) { delete(t.files, ino) }
+
+// Files returns the inodes with resident pages, in ascending order.
+func (t *FileTracker) Files() []uint64 {
+	out := make([]uint64, 0, len(t.files))
+	for ino, f := range t.files {
+		if f.nres > 0 {
+			out = append(out, ino)
+		}
+	}
+	slices.Sort(out)
 	return out
 }
 
@@ -237,14 +285,6 @@ func HandleQueued(s *core.Session, t *FileTracker, q *PrioQueue,
 		}
 		if !handle(ino) {
 			return
-		}
-	}
-}
-
-func sortUint64(v []uint64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
 		}
 	}
 }

@@ -2,6 +2,7 @@ package duetlib
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -168,16 +169,97 @@ func TestFileTrackerIdempotent(t *testing.T) {
 	}
 }
 
-func TestSortUint64(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	v := make([]uint64, 50)
-	for i := range v {
-		v[i] = uint64(rng.Intn(100))
+// mapTracker is the nested-map tracker FileTracker replaced, kept as the
+// reference model for TestFileTrackerMatchesMapModel.
+type mapTracker struct {
+	pages, dirty map[uint64]map[uint64]bool
+}
+
+func (m *mapTracker) apply(items []core.Item) []uint64 {
+	mark := func(sets map[uint64]map[uint64]bool, ino, idx uint64, on bool) {
+		s := sets[ino]
+		if on {
+			if s == nil {
+				s = map[uint64]bool{}
+				sets[ino] = s
+			}
+			s[idx] = true
+			return
+		}
+		delete(s, idx)
+		if len(s) == 0 {
+			delete(sets, ino)
+		}
 	}
-	sortUint64(v)
-	for i := 1; i < len(v); i++ {
-		if v[i] < v[i-1] {
-			t.Fatalf("not sorted at %d", i)
+	changed := map[uint64]bool{}
+	for _, it := range items {
+		mark(m.pages, it.ID, it.PageIdx, it.Flags.Has(core.StExists))
+		mark(m.dirty, it.ID, it.PageIdx, it.Flags.Has(core.StModified))
+		changed[it.ID] = true
+	}
+	out := make([]uint64, 0, len(changed))
+	for ino := range changed {
+		out = append(out, ino)
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	return out
+}
+
+func (m *mapTracker) files() []uint64 {
+	out := make([]uint64, 0, len(m.pages))
+	for ino := range m.pages {
+		out = append(out, ino)
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	return out
+}
+
+// TestFileTrackerMatchesMapModel drives FileTracker and the nested-map
+// tracker with the same random item streams (runs of one file's pages,
+// every flag combination, pages past the end of a file's bitset, and
+// Forget between batches): Apply's inodes, Files and every count agree,
+// and the tracker holds exactly the files with a resident or dirty page.
+func TestFileTrackerMatchesMapModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	flags := []core.Mask{0, core.StExists, core.StModified, core.StExists | core.StModified}
+	for round := 0; round < 200; round++ {
+		tr := NewFileTracker()
+		model := &mapTracker{pages: map[uint64]map[uint64]bool{}, dirty: map[uint64]map[uint64]bool{}}
+		for batch := 0; batch < 20; batch++ {
+			var items []core.Item
+			for n := rng.Intn(64); len(items) < n; {
+				ino := uint64(rng.Intn(6))
+				for run := 1 + rng.Intn(4); run > 0; run-- {
+					idx := uint64(rng.Intn(4)) // few pages, so files empty out
+					if rng.Intn(8) == 0 {
+						idx = uint64(rng.Intn(300))
+					}
+					items = append(items, core.Item{ID: ino, PageIdx: idx, Flags: flags[rng.Intn(len(flags))]})
+				}
+			}
+			got, want := tr.Apply(items), model.apply(items)
+			if !slices.Equal(got, want) {
+				t.Fatalf("round %d batch %d: Apply = %v, want %v", round, batch, got, want)
+			}
+			if rng.Intn(4) == 0 {
+				ino := uint64(rng.Intn(6))
+				tr.Forget(ino)
+				delete(model.pages, ino)
+				delete(model.dirty, ino)
+			}
+			if got, want := tr.Files(), model.files(); !slices.Equal(got, want) {
+				t.Fatalf("round %d batch %d: Files = %v, want %v", round, batch, got, want)
+			}
+			for ino := uint64(0); ino < 6; ino++ {
+				if tr.CachedPages(ino) != len(model.pages[ino]) || tr.DirtyPages(ino) != len(model.dirty[ino]) {
+					t.Fatalf("round %d batch %d: inode %d cached %d dirty %d, want %d and %d", round, batch, ino,
+						tr.CachedPages(ino), tr.DirtyPages(ino), len(model.pages[ino]), len(model.dirty[ino]))
+				}
+				_, held := tr.files[ino]
+				if want := model.pages[ino] != nil || model.dirty[ino] != nil; held != want {
+					t.Fatalf("round %d batch %d: tracker holds inode %d: %v, want %v", round, batch, ino, held, want)
+				}
+			}
 		}
 	}
 }
