@@ -144,6 +144,26 @@ func (s *Sparse) Test(i uint64) bool {
 	return c != nil && c.words[w]&(uint64(1)<<b) != 0
 }
 
+// AllSet reports whether every bit of [lo, hi) is set; an empty range
+// is. It tests a word at a time, so a run of done blocks costs one probe
+// per 64 bits rather than one per bit.
+func (s *Sparse) AllSet(lo, hi uint64) bool {
+	for lo < hi {
+		ci, w, b := split(lo)
+		c := s.chunkAt(ci)
+		if c == nil {
+			return false
+		}
+		end := min(hi, lo-uint64(b)+64) // the range's end within word w
+		mask := ^uint64(0) >> (64 - (end - lo)) << b
+		if c.words[w]&mask != mask {
+			return false
+		}
+		lo = end
+	}
+	return true
+}
+
 // SetRange sets bits [lo, hi) and returns how many changed.
 func (s *Sparse) SetRange(lo, hi uint64) uint64 {
 	var changed uint64

@@ -325,6 +325,61 @@ func TestQuickIterateMatchesCount(t *testing.T) {
 	}
 }
 
+// TestAllSetMatchesTest property: AllSet(lo, hi) is true exactly when
+// Test holds for every bit of [lo, hi). The bitmaps are set in long runs
+// with a few holes, around word and chunk boundaries, over a span with
+// absent chunks (chunk 3 is never touched), and the ranges probed start
+// and end near those boundaries.
+func TestAllSetMatchesTest(t *testing.T) {
+	near := func(rng *rand.Rand) uint64 {
+		base := uint64(rng.Intn(6)) * ChunkBits
+		if rng.Intn(2) == 0 {
+			base += uint64(rng.Intn(chunkWords)) * 64
+		}
+		// Within 65 bits either side of a word or chunk boundary.
+		return uint64(max(0, int64(base)+int64(rng.Intn(130))-65))
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := New()
+		for r := 0; r < 6; r++ {
+			lo := near(rng)
+			n := uint64(1 + rng.Intn(3*ChunkBits/2))
+			if lo/ChunkBits == 3 {
+				continue
+			}
+			hi := lo + n
+			if lo < 3*ChunkBits && hi > 3*ChunkBits {
+				hi = 3 * ChunkBits
+			}
+			s.SetRange(lo, hi)
+		}
+		for h := 0; h < rng.Intn(4); h++ {
+			s.Unset(near(rng))
+		}
+		for probe := 0; probe < 300; probe++ {
+			lo := near(rng)
+			hi := lo + uint64(rng.Intn(200))
+			if rng.Intn(8) == 0 {
+				hi = lo + uint64(rng.Intn(3*ChunkBits))
+			}
+			want := true
+			for i := lo; i < hi; i++ {
+				if !s.Test(i) {
+					want = false
+					break
+				}
+			}
+			if got := s.AllSet(lo, hi); got != want {
+				t.Fatalf("seed %d: AllSet(%d, %d) = %v, per-bit Test says %v", seed, lo, hi, got, want)
+			}
+		}
+	}
+	if s := New(); !s.AllSet(7, 7) || s.AllSet(7, 8) {
+		t.Error("an empty range must be all set, a bit of an empty bitmap must not")
+	}
+}
+
 func BenchmarkSparseSet(b *testing.B) {
 	s := New()
 	for i := 0; i < b.N; i++ {

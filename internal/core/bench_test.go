@@ -103,8 +103,12 @@ func BenchmarkSetDoneCheckDone(b *testing.B) {
 // translations.
 type countingFS struct{ fibmaps int }
 
-func (f *countingFS) FSID() pagecache.FSID                   { return 1 }
-func (f *countingFS) Fibmap(ino, idx uint64) (int64, bool)   { f.fibmaps++; return int64(idx), true }
+func (f *countingFS) FSID() pagecache.FSID                 { return 1 }
+func (f *countingFS) Fibmap(ino, idx uint64) (int64, bool) { f.fibmaps++; return int64(idx), true }
+func (f *countingFS) FibmapRun(ino, idx, n uint64) (int64, uint64) {
+	f.fibmaps++
+	return int64(idx), n
+}
 func (f *countingFS) Within(ino, root uint64) (string, bool) { return "", false }
 func (f *countingFS) IsDir(ino uint64) bool                  { return false }
 func (f *countingFS) DeviceBlocks() int64                    { return 1 << 20 }

@@ -94,8 +94,18 @@ type moveFS struct{ outside map[uint64]bool }
 
 func (f *moveFS) FSID() pagecache.FSID                 { return 1 }
 func (f *moveFS) Fibmap(ino, idx uint64) (int64, bool) { return int64(ino<<12 | idx), true }
-func (f *moveFS) IsDir(ino uint64) bool                { return ino == 1 }
-func (f *moveFS) DeviceBlocks() int64                  { return 1 << 20 }
+
+// FibmapRun maps a file's first 4096 pages to consecutive blocks and
+// answers one page at a time past them, where ino<<12|idx is not
+// consecutive.
+func (f *moveFS) FibmapRun(ino, idx, n uint64) (int64, uint64) {
+	if idx >= 1<<12 {
+		return int64(ino<<12 | idx), 1
+	}
+	return int64(ino<<12 | idx), min(n, 1<<12-idx)
+}
+func (f *moveFS) IsDir(ino uint64) bool { return ino == 1 }
+func (f *moveFS) DeviceBlocks() int64   { return 1 << 20 }
 func (f *moveFS) Within(ino, root uint64) (string, bool) {
 	return "", !f.outside[ino]
 }

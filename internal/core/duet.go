@@ -31,6 +31,11 @@ type FSAdapter interface {
 	// Fibmap translates (inode, page index) to a device block; ok is
 	// false when the page has no on-device location yet.
 	Fibmap(ino uint64, idx uint64) (block int64, ok bool)
+	// FibmapRun is Fibmap for a run of pages: the block of page idx, and
+	// how many of the pages [idx, idx+n) map to the consecutive blocks
+	// from it — at least 1 (a shorter answer than the truth is allowed),
+	// or 0 when page idx has no block.
+	FibmapRun(ino, idx, n uint64) (block int64, run uint64)
 	// Within reports whether ino is inside (or is) the directory root,
 	// returning its relative path.
 	Within(ino, root uint64) (rel string, ok bool)
@@ -129,7 +134,9 @@ type Duet struct {
 	globalMask Mask
 	table      descTable
 	stats      Stats
-	obs        *duetObs // nil unless observability is on (see obs.go)
+	// live is PageRun's scratch list of the sessions a run is replayed to.
+	live []*Session
+	obs  *duetObs // nil unless observability is on (see obs.go)
 	// MeasureCPU enables real-time accounting of hook and fetch cost
 	// (used by the Figure 9 overhead experiment). Off by default: calling
 	// time.Now twice per page event is itself measurable.
@@ -335,17 +342,55 @@ func (d *Duet) PageEvent(ev pagecache.EventType, pg *pagecache.Page) {
 		t0 = time.Now()
 	}
 	d.stats.HookCalls++
+	fanOut(d.active, ev, pg.Key, pg.Dirty)
+	if d.MeasureCPU {
+		d.stats.HookNanos += time.Since(t0).Nanoseconds()
+	}
+}
+
+// fanOut delivers one event to the sessions of its filesystem.
+func fanOut(sessions []*Session, ev pagecache.EventType, key pagecache.PageKey, dirty bool) {
 	var blk int64
 	mapped, resolved := false, false
-	for _, s := range d.active {
-		if s.fsid != pg.Key.FS {
+	for _, s := range sessions {
+		if s.fsid != key.FS {
 			continue
 		}
 		if s.kind == blockTask && !resolved {
-			blk, mapped = s.fs.Fibmap(pg.Key.Ino, pg.Key.Index)
+			blk, mapped = s.fs.Fibmap(key.Ino, key.Index)
 			resolved = true
 		}
-		s.deliver(ev, pg.Key, pg.Dirty, blk, mapped)
+		s.deliver(ev, key, dirty, blk, mapped)
+	}
+}
+
+// PageRun implements pagecache.Hook: it handles the run's events as
+// PageEvent would handle them one by one (see pagecache.Run.Each), but
+// tests each session once per run. A session for which the whole run is
+// inert (see Session.absorbRun) is only counted; the others get the
+// events one at a time, in the run's order, as from PageEvent — so
+// descriptors are made and freed in the same order, and every counter
+// moves as it would.
+func (d *Duet) PageRun(r *pagecache.Run) {
+	if len(d.active) == 0 {
+		return
+	}
+	var t0 time.Time
+	if d.MeasureCPU {
+		t0 = time.Now()
+	}
+	d.stats.HookCalls += int64(r.N + len(r.Victims))
+	live := d.live[:0]
+	for _, s := range d.active {
+		if !s.absorbRun(r) {
+			live = append(live, s)
+		}
+	}
+	d.live = live
+	if len(live) > 0 {
+		r.Each(func(ev pagecache.EventType, key pagecache.PageKey) {
+			fanOut(live, ev, key, false)
+		})
 	}
 	if d.MeasureCPU {
 		d.stats.HookNanos += time.Since(t0).Nanoseconds()

@@ -266,6 +266,78 @@ func (s *Session) deliver(ev pagecache.EventType, key pagecache.PageKey, dirty b
 	}
 }
 
+// absorbRun tests the session once against a whole run of events
+// (pagecache.Run). The session is inert for the run when deliver would
+// suppress every event of its filesystem in the run as done, and none of
+// them is a Removed that leaves a descriptor byte to forget
+// (suppressDone). Then it counts those events as deliver would and
+// reports true; otherwise it changes nothing and reports false, and the
+// events are delivered one by one. Nothing the other sessions do with
+// the run's events touches this session's done bits or descriptor
+// bytes, so the test, made before any of them is delivered, holds for
+// the whole run.
+func (s *Session) absorbRun(r *pagecache.Run) bool {
+	var n int64
+	if r.FS == s.fsid {
+		if !s.doneRange(r.Ino, r.Lo, uint64(r.N)) {
+			return false
+		}
+		n = int64(r.N)
+	}
+	// Victims leave the LRU coldest first, and the pages of one earlier
+	// run went in together, in index order: they are tested in runs of
+	// consecutive pages of one file too.
+	vs := r.Victims
+	for i := 0; i < len(vs); {
+		v := vs[i]
+		j := i + 1
+		for j < len(vs) && vs[j].FS == v.FS && vs[j].Ino == v.Ino && vs[j].Index == vs[j-1].Index+1 {
+			j++
+		}
+		if v.FS == s.fsid {
+			if !s.doneRange(v.Ino, v.Index, uint64(j-i)) || s.holdsState(vs[i:j]) {
+				return false
+			}
+			n += int64(j - i)
+		}
+		i = j
+	}
+	s.EventsSeen += n
+	s.SuppressedDone += n
+	return true
+}
+
+// doneRange reports whether the item of every page [lo, lo+n) of ino is
+// done: for a block task, whether each page maps to a done block, a
+// mapped piece at a time.
+func (s *Session) doneRange(ino, lo, n uint64) bool {
+	if s.kind != blockTask {
+		return s.done.Test(ino)
+	}
+	for n > 0 {
+		blk, m := s.fs.FibmapRun(ino, lo, n)
+		if m == 0 || !s.done.AllSet(uint64(blk), uint64(blk)+m) {
+			return false
+		}
+		lo, n = lo+m, n-m
+	}
+	return true
+}
+
+// holdsState reports whether a suppressed Removed of one of the pages
+// would clear a descriptor byte of this session (see suppressDone).
+func (s *Session) holdsState(keys []pagecache.PageKey) bool {
+	if s.mask&StateBits == 0 {
+		return false
+	}
+	for _, k := range keys {
+		if desc := s.d.table.get(itemKey{k.FS, k.Ino, k.Index}); desc != nil && desc.flags[s.id] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // suppressDone filters an event for a done item (§4.1). When the page
 // leaves the cache, a state session also forgets it: the state it holds
 // for the page would otherwise outlive the page, since the events that

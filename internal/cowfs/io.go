@@ -32,9 +32,11 @@ type miss struct {
 	want       uint32
 }
 
-// missBuf is a pooled staging buffer for ReadCount.
+// missBuf is a pooled staging buffer for ReadCount: the misses, and the
+// versions of a run of them on their way into the cache.
 type missBuf struct {
 	m    []miss
+	vers []uint64
 	next *missBuf
 }
 
@@ -127,6 +129,21 @@ func (fs *FS) Fibmap(ino Ino, idx int64) (int64, bool) {
 		return 0, false
 	}
 	return fibmapIn(i, idx)
+}
+
+// FibmapRun is Fibmap for the pages [idx, idx+n): the block of page idx
+// and how many of the pages, from idx to the end of its extent, map to
+// the blocks from it (0 for a hole).
+func (fs *FS) FibmapRun(ino Ino, idx, n int64) (int64, int64) {
+	i, ok := fs.inode(ino)
+	if !ok {
+		return 0, 0
+	}
+	e, ok := findExtent(i.Extents, idx)
+	if !ok {
+		return 0, 0
+	}
+	return e.Phys + (idx - e.Logical), min(n, e.Logical+e.Len-idx)
 }
 
 // inode returns inode ino through the lookup memo.
@@ -506,33 +523,75 @@ func (fs *FS) ReadCount(p *sim.Proc, ino Ino, off, n int64, class storage.Class,
 		if !alive {
 			return missed, fmt.Errorf("%w: inode %d (deleted during read)", ErrNotFound, ino)
 		}
-		for k := 0; k < count; k++ {
+		// The pages go into the cache a run at a time: the longest run of
+		// pages from k that checkMiss finds fresh, all in one InsertRun.
+		// Nothing else runs while InsertRun does (it never blocks), and
+		// inserting a page changes no other page's verdict, so each page
+		// of the run would have passed its checks at its own turn too.
+		// Where InsertRun stops, the next page goes in by Insert, which
+		// can block in eviction writeback while another process remaps,
+		// deletes or rewrites the file; the pages after it are checked
+		// again.
+		for k := 0; k < count; {
 			m := misses[s+k]
-			// While the inode and its generation are the ones the misses
-			// were staged from, every page still maps to its staged block.
-			// The test is per page: an Insert below can block in eviction
-			// writeback while another process remaps or deletes the file.
-			if cur != i || i.Gen != gen {
-				if b, mapped := fs.Fibmap(ino, m.idx); !mapped || b != m.block {
-					continue // remapped mid-read: the new data is (or will be) in cache
-				}
-			}
-			if fs.cache.Contains(fs.pageKey(ino, m.idx)) || fs.beingWritten(m.block) {
-				continue // a concurrent write cached (or is caching) a newer copy
-			}
-			if fs.want[m.block] != m.want {
-				continue // block re-written (possibly in place) mid-read
-			}
-			ver := fs.diskVer[m.block]
-			if ver != m.want {
+			switch fs.checkMiss(ino, i, cur, gen, m) {
+			case missStale:
+				k++
+				continue
+			case missCorrupt:
 				fs.stats.Corruptions++
 				return missed, fmt.Errorf("%w: inode %d page %d block %d", ErrCorruption, ino, m.idx, m.block)
 			}
-			fs.cache.Insert(p, fs.pageKey(ino, m.idx), uint64(ver))
+			vers := append(mb.vers[:0], uint64(m.want))
+			for j := k + 1; j < count && fs.checkMiss(ino, i, cur, gen, misses[s+j]) == missFresh; j++ {
+				vers = append(vers, uint64(misses[s+j].want))
+			}
+			mb.vers = vers
+			n := fs.cache.InsertRun(fs.id, uint64(ino), uint64(m.idx), vers)
+			if n < len(vers) {
+				fs.cache.Insert(p, fs.pageKey(ino, m.idx+int64(n)), vers[n])
+				n++
+			}
+			k += n
 		}
 		s = e
 	}
 	return missed, nil
+}
+
+// missVerdict is what becomes of a staged miss once its device read is
+// back.
+type missVerdict uint8
+
+const (
+	missFresh   missVerdict = iota // the read is the page's content: cache it
+	missStale                      // a newer copy is (or will be) cached: drop the read
+	missCorrupt                    // the block failed its checksum
+)
+
+// checkMiss judges staged miss m of file ino, whose misses were staged
+// from inode i at generation gen; cur is the inode the file table held
+// when the device read came back.
+func (fs *FS) checkMiss(ino Ino, i, cur *Inode, gen uint64, m miss) missVerdict {
+	// While the inode and its generation are the ones the misses were
+	// staged from, every page still maps to its staged block. The test is
+	// per page: an Insert can block in eviction writeback while another
+	// process remaps or deletes the file.
+	if cur != i || i.Gen != gen {
+		if b, mapped := fs.Fibmap(ino, m.idx); !mapped || b != m.block {
+			return missStale // remapped mid-read: the new data is (or will be) in cache
+		}
+	}
+	if fs.cache.Contains(fs.pageKey(ino, m.idx)) || fs.beingWritten(m.block) {
+		return missStale // a concurrent write cached (or is caching) a newer copy
+	}
+	if fs.want[m.block] != m.want {
+		return missStale // block re-written (possibly in place) mid-read
+	}
+	if fs.diskVer[m.block] != m.want {
+		return missCorrupt
+	}
+	return missFresh
 }
 
 // ReadFile brings the whole file into the cache.

@@ -267,11 +267,12 @@ func TestFileTrackerMatchesMapModel(t *testing.T) {
 // flatFS is a filesystem stub: every inode is a file under directory 1.
 type flatFS struct{}
 
-func (flatFS) FSID() pagecache.FSID                   { return 1 }
-func (flatFS) Fibmap(ino, idx uint64) (int64, bool)   { return int64(ino<<12 | idx), true }
-func (flatFS) Within(ino, root uint64) (string, bool) { return "", true }
-func (flatFS) IsDir(ino uint64) bool                  { return ino == 1 }
-func (flatFS) DeviceBlocks() int64                    { return 1 << 20 }
+func (flatFS) FSID() pagecache.FSID                         { return 1 }
+func (flatFS) Fibmap(ino, idx uint64) (int64, bool)         { return int64(ino<<12 | idx), true }
+func (flatFS) FibmapRun(ino, idx, _ uint64) (int64, uint64) { return int64(ino<<12 | idx), 1 }
+func (flatFS) Within(ino, root uint64) (string, bool)       { return "", true }
+func (flatFS) IsDir(ino uint64) bool                        { return ino == 1 }
+func (flatFS) DeviceBlocks() int64                          { return 1 << 20 }
 
 // TestPrioUpdateForgetsFilesPrioMarksDone: a file that prio marks done
 // (as tasks do with non-targets) leaves nothing in the tracker, since

@@ -172,6 +172,7 @@ type countingInterestHook struct {
 }
 
 func (h *countingInterestHook) PageEvent(ev EventType, pg *Page) { h.calls++ }
+func (h *countingInterestHook) PageRun(r *Run)                   { h.calls++ }
 func (h *countingInterestHook) EventInterest() uint8             { return h.interest }
 
 // BenchmarkEmitNoInterest measures the event hot path with a hook

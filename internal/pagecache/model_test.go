@@ -233,6 +233,10 @@ func (h *keyHook) PageEvent(ev EventType, pg *Page) {
 	h.events = append(h.events, fmt.Sprint(ev, pg.Key))
 }
 
+func (h *keyHook) PageRun(r *Run) {
+	r.Each(func(ev EventType, key PageKey) { h.events = append(h.events, fmt.Sprint(ev, key)) })
+}
+
 // checkVictimCursor recomputes the coldest clean page by an unbounded
 // walk from the tail and compares it with the cached cursor whenever the
 // cursor is marked valid; it also checks that LRU stamps order the list.
@@ -305,6 +309,9 @@ func (c *Cache) checkIndex() error {
 	}
 	if f := c.lastFile; f != nil && c.files.Get(f.key) != f {
 		return fmt.Errorf("memo points at a released index (last key %v)", f.key)
+	}
+	if c.noneSet && c.files.Get(c.none) != nil {
+		return fmt.Errorf("file %v is remembered absent but has an index", c.none)
 	}
 	return nil
 }

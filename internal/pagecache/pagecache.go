@@ -139,8 +139,42 @@ type Page struct {
 func (pg *Page) Quarantined() bool { return pg.quarantined }
 
 // Hook receives page events. Duet implements this interface.
+//
+// PageEvent receives one event. PageRun receives the events of one
+// InsertRun call at once, after the run is in the cache: the hook must
+// treat it exactly as the event sequence Run.Each spells out. With more
+// than one hook, each gets the whole run before the next does.
 type Hook interface {
 	PageEvent(ev EventType, pg *Page)
+	PageRun(r *Run)
+}
+
+// Run is the news of one InsertRun call: the clean pages [Lo, Lo+N) of
+// file (FS, Ino) were added in index order, and Victims were evicted to
+// make room for them, in eviction order. The cache never holds more than
+// its capacity, so the run's first pages went into free room and each of
+// its last len(Victims) pages evicted exactly one victim just before it
+// was added. A Run is valid only during the PageRun call.
+type Run struct {
+	FS      FSID
+	Ino     uint64
+	Lo      uint64
+	N       int
+	Victims []PageKey
+}
+
+// Each calls fn for the events of the run in the order the run's
+// Inserts fire them one by one: Added(Lo), … for the pages that found
+// room, then Removed(Victims[0]), Added(next page), Removed(Victims[1]),
+// …. Neither an added page nor a victim is dirty.
+func (r *Run) Each(fn func(ev EventType, key PageKey)) {
+	free := r.N - len(r.Victims)
+	for j := 0; j < r.N; j++ {
+		if j >= free {
+			fn(EventRemoved, r.Victims[j-free])
+		}
+		fn(EventAdded, PageKey{r.FS, r.Ino, r.Lo + uint64(j)})
+	}
 }
 
 // InterestReporter is optionally implemented by hooks that can report
@@ -294,6 +328,11 @@ type Cache struct {
 	files    FileTab[fileIndex]
 	lastFile *fileIndex // the index file() returned last; nil once released
 	n        int        // resident pages
+	// none is the file file() found absent last, valid while noneSet: a
+	// cold read looks up each page of a file not yet in the cache.
+	// fileInsert forgets it when it gives that file an index.
+	none    FileKey
+	noneSet bool
 	// dirty holds the files with pages to write back (fileIndex.dirty >
 	// 0) in key order; dirtyN is the number of such pages. Pages change
 	// state far more often than files do, so the tree is touched only
@@ -329,6 +368,7 @@ type Cache struct {
 	flFree    []*fileIndex
 	flFreeCap int
 	batchFree *wbBatch
+	run       Run       // InsertRun's report, reused (its Victims keep their capacity)
 	obs       *cacheObs // nil unless observability is on (see obs.go)
 
 	flusherKick *sim.WaitQueue
@@ -511,14 +551,20 @@ func (c *Cache) lruMoveToFront(pg *Page) {
 
 // file returns the file's index, or nil when it has no resident page.
 // Readers, writeback and reclaim all walk one file at a time, so the
-// index returned last is tried before the table.
+// index returned last, and the file found absent last, are tried before
+// the table.
 func (c *Cache) file(fk FileKey) *fileIndex {
 	if f := c.lastFile; f != nil && f.key == fk {
 		return f
 	}
+	if c.noneSet && c.none == fk {
+		return nil
+	}
 	f := c.files.Get(fk)
 	if f != nil {
 		c.lastFile = f
+	} else {
+		c.none, c.noneSet = fk, true
 	}
 	return f
 }
@@ -548,6 +594,7 @@ func (c *Cache) fileInsert(pg *Page) {
 		f.key = fk
 		c.files.Put(fk, f)
 		c.lastFile = f
+		c.noneSet = false // file() just found fk absent
 	}
 	// Entries past the length are nil up to the capacity: a slot is
 	// cleared when its page leaves, and the length never shrinks while
@@ -578,6 +625,7 @@ func (c *Cache) fileRemove(pg *Page) {
 	if c.lastFile == f {
 		c.lastFile = nil
 	}
+	c.none, c.noneSet = f.key, true
 	f.pages = f.pages[:0]
 	c.flFree = append(c.flFree, f)
 	c.flFreeCap += cap(f.pages)
@@ -680,6 +728,14 @@ func (c *Cache) Insert(p *sim.Proc, key PageKey, version uint64) *Page {
 			return pg
 		}
 	}
+	pg := c.addPage(key, version)
+	c.emit(EventAdded, pg)
+	return pg
+}
+
+// addPage makes a clean page resident under key, at the front of the
+// LRU; the caller has made room for it.
+func (c *Cache) addPage(key PageKey, version uint64) *Page {
 	pg := c.arena.alloc()
 	pg.Key = key
 	pg.Version = version
@@ -687,8 +743,57 @@ func (c *Cache) Insert(p *sim.Proc, key PageKey, version uint64) *Page {
 	c.lruPushFront(pg)
 	c.fileInsert(pg)
 	c.stats.Inserts++
-	c.emit(EventAdded, pg)
 	return pg
+}
+
+// runEvents is the interest InsertRun reports in one PageRun call.
+const runEvents = 1<<EventAdded | 1<<EventRemoved
+
+// InsertRun inserts the clean pages [lo, lo+len(vers)) of file ino, page
+// lo+j at version vers[j], as len(vers) Inserts would: the same victims,
+// LRU stamps, file index and stats. When the hooks want both Added and
+// Removed, the run reaches each hook in one PageRun call (see Run);
+// otherwise each event is emitted, or counted as filtered, as Insert
+// does. InsertRun never blocks, so it needs no process: it stops before
+// a page whose room only writeback can make — the caller inserts that
+// page with Insert, which may block — and before a page that is cached
+// already, and returns how many pages it inserted.
+func (c *Cache) InsertRun(fs FSID, ino, lo uint64, vers []uint64) int {
+	bulk := c.interest&runEvents == runEvents
+	r := &c.run
+	r.Victims = r.Victims[:0]
+	n := 0
+	for ; n < len(vers); n++ {
+		key := PageKey{fs, ino, lo + uint64(n)}
+		if c.page(key) != nil {
+			break
+		}
+		if c.n >= c.cfg.CapacityPages {
+			victim := c.pickVictim()
+			if victim == nil {
+				break
+			}
+			if bulk {
+				r.Victims = append(r.Victims, victim.Key)
+				c.dropPage(victim)
+			} else {
+				c.removePage(victim, EventRemoved)
+			}
+			c.stats.Evictions++
+		}
+		pg := c.addPage(key, vers[n])
+		if !bulk {
+			c.emit(EventAdded, pg)
+		}
+	}
+	if bulk && n > 0 {
+		r.FS, r.Ino, r.Lo, r.N = fs, ino, lo, n
+		c.stats.EventsDispatched += int64(n + len(r.Victims))
+		for _, h := range c.hooks {
+			h.PageRun(r)
+		}
+	}
+	return n
 }
 
 // makeRoom evicts pages until there is room for one more. It reports
@@ -799,21 +904,37 @@ func (c *Cache) writebackOne(p *sim.Proc, pg *Page) {
 // an index, and it is unmapped through its own file pointer), so a raced
 // double-eviction can never orphan a live page.
 func (c *Cache) removePage(pg *Page, ev EventType) {
-	if pg.resident {
-		c.lruRemove(pg)
-		if pg.quarantined {
-			c.unquarantine(pg)
-		} else if pg.Dirty {
-			c.dirtyDel(pg)
-		}
-		pg.Dirty = false
-		c.fileRemove(pg)
-		pg.resident = false
-	}
+	c.unlinkPage(pg)
 	c.emit(ev, pg)
 	if pg.pins == 0 {
 		c.arena.release(pg)
 	}
+}
+
+// dropPage is removePage without the event, for InsertRun, which reports
+// its victims in the run.
+func (c *Cache) dropPage(pg *Page) {
+	c.unlinkPage(pg)
+	if pg.pins == 0 {
+		c.arena.release(pg)
+	}
+}
+
+// unlinkPage takes a resident page out of every index and clears its
+// dirty state; a page no longer resident is left as it is.
+func (c *Cache) unlinkPage(pg *Page) {
+	if !pg.resident {
+		return
+	}
+	c.lruRemove(pg)
+	if pg.quarantined {
+		c.unquarantine(pg)
+	} else if pg.Dirty {
+		c.dirtyDel(pg)
+	}
+	pg.Dirty = false
+	c.fileRemove(pg)
+	pg.resident = false
 }
 
 // MarkDirty sets the page's dirty bit and bumps its content version,

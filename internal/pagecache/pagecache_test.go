@@ -25,6 +25,10 @@ func (h *recordingHook) PageEvent(ev EventType, pg *Page) {
 	h.byType[ev]++
 }
 
+func (h *recordingHook) PageRun(r *Run) {
+	r.Each(func(ev EventType, _ PageKey) { h.PageEvent(ev, nil) })
+}
+
 // nullBackend counts writebacks without doing I/O.
 type nullBackend struct {
 	pagesWritten int
@@ -528,6 +532,10 @@ type funcHook struct {
 }
 
 func (h *funcHook) PageEvent(ev EventType, pg *Page) { h.fn(ev, pg) }
+
+func (h *funcHook) PageRun(r *Run) {
+	r.Each(func(ev EventType, key PageKey) { h.fn(ev, &Page{Key: key}) })
+}
 
 // TestRemoveHookDuringDispatch is the regression test for hook removal
 // from inside a PageEvent callback. With a splice-under-iteration

@@ -85,6 +85,7 @@ func NewOpportunistic(fs *cowfs.FS, root cowfs.Ino, cfg Config, d *core.Duet, ad
 // after being scanned are left for the next pass, as with scrubbing.
 func (s *Scanner) Run(p *sim.Proc) error {
 	s.Report.Start = p.Now()
+	defer s.Report.Settle(p)
 	files := s.FS.FilesUnder(s.Root)
 	s.sizes = make(map[uint64]int64, len(files))
 	for _, f := range files {

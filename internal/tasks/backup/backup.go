@@ -92,6 +92,7 @@ func NewOpportunistic(fs *cowfs.FS, snap *cowfs.Snapshot, cfg Config, d *core.Du
 // Run backs up every file of the snapshot.
 func (b *Backup) Run(p *sim.Proc) error {
 	b.Report.Start = p.Now()
+	defer b.Report.Settle(p)
 	files := b.FS.FilesUnder(b.Snap.Root)
 	b.Report.WorkTotal = b.Snap.Blocks
 	b.fetch = make([]core.Item, 512)

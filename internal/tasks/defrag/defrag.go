@@ -81,6 +81,7 @@ func NewOpportunistic(fs *cowfs.FS, root cowfs.Ino, cfg Config, d *core.Duet, ad
 // Run defragments every file that exceeds the threshold at start time.
 func (df *Defrag) Run(p *sim.Proc) error {
 	df.Report.Start = p.Now()
+	defer df.Report.Settle(p)
 	files := df.FS.FilesUnder(df.Root)
 	df.targets = make(map[uint64]*cowfs.Inode)
 	var order []*cowfs.Inode

@@ -113,6 +113,7 @@ type dataMsg struct {
 // destination is fully written.
 func (r *Rsync) Run(p *sim.Proc) error {
 	r.Report.Start = p.Now()
+	defer r.Report.Settle(p)
 	e := p.Engine()
 
 	files := r.dfsFiles()

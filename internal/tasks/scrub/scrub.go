@@ -88,6 +88,7 @@ func NewOpportunistic(fs *cowfs.FS, cfg Config, d *core.Duet, ad *core.CowAdapte
 // if configured).
 func (s *Scrubber) Run(p *sim.Proc) error {
 	s.Report.Start = p.Now()
+	defer s.Report.Settle(p)
 	s.Report.WorkTotal = s.FS.AllocatedBlocks()
 	s.fetch = make([]core.Item, 512)
 

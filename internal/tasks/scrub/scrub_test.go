@@ -7,6 +7,8 @@ import (
 	"duet/internal/machine"
 	"duet/internal/sim"
 	"duet/internal/storage"
+	"duet/internal/trace"
+	"duet/internal/workload"
 )
 
 func newMachine(t *testing.T) *machine.Machine {
@@ -203,4 +205,40 @@ func mustLookup(t *testing.T, m *machine.Machine, path string) cowfs.Ino {
 		t.Fatal(err)
 	}
 	return i.Ino
+}
+
+// TestStarvedRunEndsAtStop: an opportunistic scrub behind an
+// unthrottled fileserver never gets its idle-class reads served, so the
+// window closes while it waits in its first chunk. Its report must still
+// end where the run was stopped, not at virtual time zero.
+func TestStarvedRunEndsAtStop(t *testing.T) {
+	m := newMachine(t)
+	files := m.FS.FilesUnder(mustLookup(t, m, "/data"))
+	gen, err := workload.New(m.Eng, m.FS, files, workload.Config{
+		Personality: workload.Fileserver,
+		Dir:         "/data",
+		Coverage:    1,
+		Dist:        trace.ByName("uniform"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewOpportunistic(m.FS, DefaultConfig(), m.Duet, m.Adapter)
+	gen.Start(m.Eng)
+	m.Eng.Go("scrub", func(p *sim.Proc) {
+		if err := s.Run(p); err != nil {
+			t.Error(err)
+		}
+	})
+	const window = 5 * sim.Second
+	if err := m.Eng.RunFor(window); err != nil {
+		t.Fatal(err)
+	}
+	r := s.Report
+	if r.Completed || r.ReadBlocks != 0 {
+		t.Fatalf("the scrub was not starved: completed %v, %d blocks read", r.Completed, r.ReadBlocks)
+	}
+	if r.End != window || r.End < r.Start {
+		t.Errorf("starved run: Start %v, End %v, want End at the stop instant %v", r.Start, r.End, window)
+	}
 }

@@ -52,3 +52,15 @@ func (r Report) SavedFraction() float64 {
 
 // Duration returns the task's runtime.
 func (r Report) Duration() sim.Time { return r.End - r.Start }
+
+// Settle is deferred by every task's Run, right after it sets Start, so
+// that it runs when Run returns and when the engine stops and unwinds the
+// task. A run stopped before it recorded any progress (a task starved of
+// I/O in its first chunk) has no End yet, and Settle gives it the stop
+// instant; End ≥ Start then holds for every report read after the engine
+// stops. A run that recorded an End keeps it.
+func (r *Report) Settle(p *sim.Proc) {
+	if r.End == 0 {
+		r.End = p.Now()
+	}
+}
