@@ -276,10 +276,6 @@ type Figure = metrics.Figure
 // UtilBetween computes device utilization between two snapshots.
 func UtilBetween(a, b storage.Snapshot) float64 { return storage.UtilBetween(a, b) }
 
-// Ensure the pagecache package's types stay reachable for advanced use.
-type (
-	// Page is a cached page.
-	Page = pagecache.Page
-	// PageCache is the simulated page cache Duet hooks into.
-	PageCache = pagecache.Cache
-)
+// PageCache is the simulated page cache Duet hooks into, reachable for
+// advanced use.
+type PageCache = pagecache.Cache

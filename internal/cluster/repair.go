@@ -160,7 +160,7 @@ func (n *Node) repairDuet(rp *sim.Proc, r *replica, pending []bool, left *int,
 				key := pagecache.PageKey{
 					FS: n.st.FS.ID(), Ino: uint64(r.ino), Index: uint64(pg),
 				}
-				if _, resident := n.st.Cache.Peek(key); !resident {
+				if !n.st.Cache.Contains(key) {
 					continue
 				}
 				// Resident: ship from memory, no device read.

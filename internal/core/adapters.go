@@ -85,13 +85,10 @@ func (a *LFSAdapter) Fibmap(ino, idx uint64) (int64, bool) {
 	return a.FS.Fibmap(lfs.Ino(ino), int64(idx))
 }
 
-// FibmapRun implements FSAdapter one page at a time: the lfs read path
-// reports no runs.
-func (a *LFSAdapter) FibmapRun(ino, idx, _ uint64) (int64, uint64) {
-	if blk, ok := a.Fibmap(ino, idx); ok {
-		return blk, 1
-	}
-	return 0, 0
+// FibmapRun implements FSAdapter.
+func (a *LFSAdapter) FibmapRun(ino, idx, n uint64) (int64, uint64) {
+	blk, m := a.FS.FibmapRun(lfs.Ino(ino), int64(idx), int64(n))
+	return blk, uint64(m)
 }
 
 // Within implements FSAdapter: every file is under the flat root.

@@ -18,7 +18,7 @@ type benchEnv struct {
 	c    *pagecache.Cache
 	d    *Duet
 	sess *Session
-	pgs  []*pagecache.Page
+	keys []pagecache.PageKey
 }
 
 func newBenchEnv(b *testing.B, mask Mask) *benchEnv {
@@ -40,8 +40,8 @@ func newBenchEnv(b *testing.B, mask Mask) *benchEnv {
 			b.Error(err)
 			return
 		}
-		c.IterateFile(1, uint64(f.Ino), func(pg *pagecache.Page) bool {
-			env.pgs = append(env.pgs, pg)
+		c.IterateFile(1, uint64(f.Ino), func(key pagecache.PageKey, _ bool) bool {
+			env.keys = append(env.keys, key)
 			return true
 		})
 		sess, err := d.RegisterBlock(ad, mask)
@@ -61,7 +61,7 @@ func BenchmarkHookEventDelivery(b *testing.B) {
 	env := newBenchEnv(b, EvtDirtied|EvtFlushed)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env.d.PageEvent(pagecache.EventDirtied, env.pgs[i%len(env.pgs)])
+		env.d.PageEvent(pagecache.EventDirtied, env.keys[i%len(env.keys)], true)
 	}
 }
 
@@ -69,7 +69,7 @@ func BenchmarkHookStateDelivery(b *testing.B) {
 	env := newBenchEnv(b, StExists|StModified)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env.d.PageEvent(pagecache.EventDirtied, env.pgs[i%len(env.pgs)])
+		env.d.PageEvent(pagecache.EventDirtied, env.keys[i%len(env.keys)], true)
 	}
 }
 
@@ -78,7 +78,7 @@ func BenchmarkFetchDrain(b *testing.B) {
 	buf := make([]Item, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env.d.PageEvent(pagecache.EventDirtied, env.pgs[i%len(env.pgs)])
+		env.d.PageEvent(pagecache.EventDirtied, env.keys[i%len(env.keys)], true)
 		if i%256 == 255 {
 			for env.sess.FetchInto(buf) == len(buf) {
 			}
@@ -126,14 +126,14 @@ func BenchmarkHookTwoBlockSessions(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	pgs := make([]pagecache.Page, 1<<12)
-	for i := range pgs {
-		pgs[i].Key = pagecache.PageKey{FS: 1, Ino: 2, Index: uint64(i)}
+	keys := make([]pagecache.PageKey, 1<<12)
+	for i := range keys {
+		keys[i] = pagecache.PageKey{FS: 1, Ino: 2, Index: uint64(i)}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.PageEvent(pagecache.EventDirtied, &pgs[i%len(pgs)])
+		d.PageEvent(pagecache.EventDirtied, keys[i%len(keys)], true)
 	}
 	b.StopTimer()
 	if fs.fibmaps != b.N {
@@ -317,8 +317,8 @@ func BenchmarkHookLargeTable(b *testing.B) {
 	}
 	event := func(ev pagecache.EventType, n int) {
 		file := n / filePages % files
-		pg := pagecache.Page{Key: pagecache.PageKey{FS: 1, Ino: uint64(1 + file*stride%files), Index: uint64(n % filePages)}}
-		d.PageEvent(ev, &pg)
+		key := pagecache.PageKey{FS: 1, Ino: uint64(1 + file*stride%files), Index: uint64(n % filePages)}
+		d.PageEvent(ev, key, ev == pagecache.EventDirtied)
 	}
 	for n := 0; n < live; n++ {
 		event(pagecache.EventAdded, n)

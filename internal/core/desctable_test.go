@@ -347,7 +347,7 @@ func runSessionModel(t *testing.T, ops []byte) {
 					}
 				}
 			}
-			d.PageEvent(ev, &pagecache.Page{Key: pagecache.PageKey{FS: 1, Ino: k.ino, Index: k.idx}, Dirty: ev == pagecache.EventDirtied})
+			d.PageEvent(ev, pagecache.PageKey{FS: 1, Ino: k.ino, Index: k.idx}, ev == pagecache.EventDirtied)
 			switch ev {
 			case pagecache.EventAdded, pagecache.EventDirtied:
 				cached[k] = true
@@ -519,7 +519,7 @@ func TestIndexMemoryBound(t *testing.T) {
 		defer e.Stop()
 		for step := 0; step < 20*capacity; step++ {
 			k := pagecache.PageKey{FS: 1, Ino: uint64(1 + rng.Intn(files)), Index: uint64(rng.Intn(filePages))}
-			if _, ok := c.Touch(k); !ok {
+			if !c.Touch(k) {
 				c.Insert(p, k, 1)
 			}
 			if step%64 == 0 {

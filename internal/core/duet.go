@@ -333,7 +333,7 @@ func (d *Duet) refreshGlobalMask() {
 // interested session, as §4.1 describes. The page's block is resolved at
 // most once per event — an event belongs to one filesystem — and handed
 // to every block-task session on it.
-func (d *Duet) PageEvent(ev pagecache.EventType, pg *pagecache.Page) {
+func (d *Duet) PageEvent(ev pagecache.EventType, key pagecache.PageKey, dirty bool) {
 	if len(d.active) == 0 {
 		return
 	}
@@ -342,7 +342,7 @@ func (d *Duet) PageEvent(ev pagecache.EventType, pg *pagecache.Page) {
 		t0 = time.Now()
 	}
 	d.stats.HookCalls++
-	fanOut(d.active, ev, pg.Key, pg.Dirty)
+	fanOut(d.active, ev, key, dirty)
 	if d.MeasureCPU {
 		d.stats.HookNanos += time.Since(t0).Nanoseconds()
 	}
@@ -379,7 +379,7 @@ func (d *Duet) PageRun(r *pagecache.Run) {
 	if d.MeasureCPU {
 		t0 = time.Now()
 	}
-	d.stats.HookCalls += int64(r.N + len(r.Victims))
+	d.stats.HookCalls += int64(r.N + r.Evicted)
 	live := d.live[:0]
 	for _, s := range d.active {
 		if !s.absorbRun(r) {

@@ -27,9 +27,9 @@ func TestReusedSlotStartsClean(t *testing.T) {
 			if bystander {
 				other, _ = d.RegisterFile(fs, 1, StExists)
 			}
-			pg := &pagecache.Page{Key: pagecache.PageKey{FS: 1, Ino: 7, Index: 3}}
+			key := pagecache.PageKey{FS: 1, Ino: 7, Index: 3}
 			first, _ := d.RegisterFile(fs, 1, StExists)
-			d.PageEvent(pagecache.EventAdded, pg)
+			d.PageEvent(pagecache.EventAdded, key, false)
 			drain(first)
 			if other != nil {
 				drain(other)
@@ -43,7 +43,7 @@ func TestReusedSlotStartsClean(t *testing.T) {
 			if next.ID() != first.ID() {
 				t.Fatalf("new session in slot %d, want the closed slot %d", next.ID(), first.ID())
 			}
-			d.PageEvent(pagecache.EventAdded, pg)
+			d.PageEvent(pagecache.EventAdded, key, false)
 			if items := drain(next); len(items) != 1 || !items[0].Flags.Has(StExists) {
 				t.Errorf("reused slot fetched %v, want one Exists item", items)
 			}
@@ -63,14 +63,14 @@ func TestDonePageLeavesNoDescriptor(t *testing.T) {
 	d.AttachFS(fs)
 	s, _ := d.RegisterBlock(fs, StExists)
 	for i := uint64(0); i < 1000; i++ {
-		pg := &pagecache.Page{Key: pagecache.PageKey{FS: 1, Ino: 2 + i/64, Index: i % 64}}
-		d.PageEvent(pagecache.EventAdded, pg)
+		key := pagecache.PageKey{FS: 1, Ino: 2 + i/64, Index: i % 64}
+		d.PageEvent(pagecache.EventAdded, key, false)
 		items := drain(s)
 		if len(items) != 1 {
 			t.Fatalf("page %d: fetched %d items, want 1", i, len(items))
 		}
 		s.SetDone(items[0].ID)
-		d.PageEvent(pagecache.EventRemoved, pg)
+		d.PageEvent(pagecache.EventRemoved, key, false)
 	}
 	if got := d.Stats().CurDescs; got != 0 {
 		t.Errorf("CurDescs = %d after every done page left the cache, want 0", got)

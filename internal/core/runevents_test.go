@@ -115,19 +115,18 @@ func runRunEvents(t *testing.T, ops []byte) {
 		var what string
 		switch op := in.intn(16); {
 		case op < 7:
-			r := pagecache.Run{FS: 1, Ino: ino, Lo: in.pageIdx(), N: 1 + in.intn(12)}
+			r := pagecache.Run{Range: pagecache.Range{FS: 1, Ino: ino, Lo: in.pageIdx(), N: 1 + in.intn(12)}}
 			// Victims come in runs of one file's consecutive pages, as the
 			// LRU gives them back, with a stray page now and then.
-			for nv := in.intn(r.N + 1); len(r.Victims) < nv; {
-				k := pagecache.PageKey{FS: 1, Ino: uint64(2 + in.intn(5)), Index: in.pageIdx()}
-				for l := 1 + in.intn(6); l > 0 && len(r.Victims) < nv; l-- {
-					r.Victims = append(r.Victims, k)
-					k.Index++
-				}
+			for nv := in.intn(r.N + 1); r.Evicted < nv; {
+				v := pagecache.Range{FS: 1, Ino: uint64(2 + in.intn(5)), Lo: in.pageIdx()}
+				v.N = min(1+in.intn(6), nv-r.Evicted)
+				r.Victims = append(r.Victims, v)
+				r.Evicted += v.N
 			}
 			what = fmt.Sprintf("run %+v", r)
 			r.Each(func(ev pagecache.EventType, key pagecache.PageKey) {
-				pages.d.PageEvent(ev, &pagecache.Page{Key: key})
+				pages.d.PageEvent(ev, key, false)
 			})
 			runs.d.PageRun(&r)
 			switch len(runs.d.live) {
@@ -142,7 +141,7 @@ func runRunEvents(t *testing.T, ops []byte) {
 			key := pagecache.PageKey{FS: 1, Ino: ino, Index: in.pageIdx()}
 			what = fmt.Sprintf("%v %v", ev, key)
 			for _, side := range []*runSide{pages, runs} {
-				side.d.PageEvent(ev, &pagecache.Page{Key: key, Dirty: ev == pagecache.EventDirtied})
+				side.d.PageEvent(ev, key, ev == pagecache.EventDirtied)
 			}
 		case op < 12:
 			i, n := in.intn(len(masks)), 1+in.intn(len(bufA))

@@ -107,9 +107,9 @@ func (d *Duet) newSession(kind taskKind, fs FSAdapter, root uint64, mask Mask) (
 	// Registration scan (§4.1): initialize descriptors from the pages
 	// already cached, so the task can exploit them immediately and state
 	// notifications start from the truth.
-	d.cache.Iterate(func(pg *pagecache.Page) bool {
-		if pg.Key.FS == s.fsid {
-			s.deliverCached(pg)
+	d.cache.Iterate(func(key pagecache.PageKey, dirty bool) bool {
+		if key.FS == s.fsid {
+			s.deliverCached(key, dirty)
 		}
 		return true
 	})
@@ -118,15 +118,15 @@ func (d *Duet) newSession(kind taskKind, fs FSAdapter, root uint64, mask Mask) (
 
 // deliverCached tells the session about a page that is already cached,
 // as the events that brought it to its current state would have.
-func (s *Session) deliverCached(pg *pagecache.Page) {
+func (s *Session) deliverCached(key pagecache.PageKey, dirty bool) {
 	var blk int64
 	mapped := false
 	if s.kind == blockTask {
-		blk, mapped = s.fs.Fibmap(pg.Key.Ino, pg.Key.Index)
+		blk, mapped = s.fs.Fibmap(key.Ino, key.Index)
 	}
-	s.deliver(pagecache.EventAdded, pg.Key, pg.Dirty, blk, mapped)
-	if pg.Dirty {
-		s.deliver(pagecache.EventDirtied, pg.Key, true, blk, mapped)
+	s.deliver(pagecache.EventAdded, key, dirty, blk, mapped)
+	if dirty {
+		s.deliver(pagecache.EventDirtied, key, true, blk, mapped)
 	}
 }
 
@@ -284,23 +284,15 @@ func (s *Session) absorbRun(r *pagecache.Run) bool {
 		}
 		n = int64(r.N)
 	}
-	// Victims leave the LRU coldest first, and the pages of one earlier
-	// run went in together, in index order: they are tested in runs of
-	// consecutive pages of one file too.
-	vs := r.Victims
-	for i := 0; i < len(vs); {
-		v := vs[i]
-		j := i + 1
-		for j < len(vs) && vs[j].FS == v.FS && vs[j].Ino == v.Ino && vs[j].Index == vs[j-1].Index+1 {
-			j++
-		}
+	// The victims come in runs of consecutive pages of one file, and
+	// each is tested as one.
+	for _, v := range r.Victims {
 		if v.FS == s.fsid {
-			if !s.doneRange(v.Ino, v.Index, uint64(j-i)) || s.holdsState(vs[i:j]) {
+			if !s.doneRange(v.Ino, v.Lo, uint64(v.N)) || s.holdsState(v) {
 				return false
 			}
-			n += int64(j - i)
+			n += int64(v.N)
 		}
-		i = j
 	}
 	s.EventsSeen += n
 	s.SuppressedDone += n
@@ -326,12 +318,12 @@ func (s *Session) doneRange(ino, lo, n uint64) bool {
 
 // holdsState reports whether a suppressed Removed of one of the pages
 // would clear a descriptor byte of this session (see suppressDone).
-func (s *Session) holdsState(keys []pagecache.PageKey) bool {
+func (s *Session) holdsState(v pagecache.Range) bool {
 	if s.mask&StateBits == 0 {
 		return false
 	}
-	for _, k := range keys {
-		if desc := s.d.table.get(itemKey{k.FS, k.Ino, k.Index}); desc != nil && desc.flags[s.id] != 0 {
+	for i := v.Lo; i < v.Lo+uint64(v.N); i++ {
+		if desc := s.d.table.get(itemKey{v.FS, v.Ino, i}); desc != nil && desc.flags[s.id] != 0 {
 			return true
 		}
 	}
@@ -636,8 +628,8 @@ func (s *Session) handleMove(ino uint64, isDir bool, oldParent, newParent uint64
 		// registration scan (§4.1).
 		s.done.Unset(ino)
 		s.relevant.Set(ino)
-		s.d.cache.IterateFile(s.fsid, ino, func(pg *pagecache.Page) bool {
-			s.deliverCached(pg)
+		s.d.cache.IterateFile(s.fsid, ino, func(key pagecache.PageKey, dirty bool) bool {
+			s.deliverCached(key, dirty)
 			return true
 		})
 	case wasTracked && !nowIn:
@@ -657,8 +649,8 @@ func (s *Session) handleMove(ino uint64, isDir bool, oldParent, newParent uint64
 				}
 			}
 		}
-		s.d.cache.IterateFile(s.fsid, ino, func(pg *pagecache.Page) bool {
-			s.deliver(pagecache.EventRemoved, pg.Key, false, 0, false)
+		s.d.cache.IterateFile(s.fsid, ino, func(key pagecache.PageKey, _ bool) bool {
+			s.deliver(pagecache.EventRemoved, key, false, 0, false)
 			return true
 		})
 		s.relevant.Unset(ino)

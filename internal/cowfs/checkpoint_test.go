@@ -36,8 +36,8 @@ func refSnapshotFile(i *Inode) *cpFile {
 // refFileDirty walks the file's pages for a dirty one.
 func refFileDirty(fs *FS, ino Ino) bool {
 	dirty := false
-	fs.cache.IterateFile(fs.id, uint64(ino), func(pg *pagecache.Page) bool {
-		dirty = pg.Dirty
+	fs.cache.IterateFile(fs.id, uint64(ino), func(_ pagecache.PageKey, d bool) bool {
+		dirty = d
 		return !dirty
 	})
 	return dirty

@@ -800,12 +800,12 @@ func TestReadBackAfterRandomWrites(t *testing.T) {
 		}
 		// Every cached page version must match the inode's record.
 		for idx := int64(0); idx < 128; idx++ {
-			pg, ok := v.cache.Peek(v.fs.pageKey(f.Ino, idx))
+			ver, _, ok := v.cache.Peek(v.fs.pageKey(f.Ino, idx))
 			if !ok {
 				t.Fatalf("page %d not cached", idx)
 			}
-			if pg.Version != uint64(f.PageVers[idx]) {
-				t.Errorf("page %d version %d != %d", idx, pg.Version, f.PageVers[idx])
+			if ver != uint64(f.PageVers[idx]) {
+				t.Errorf("page %d version %d != %d", idx, ver, f.PageVers[idx])
 			}
 		}
 	})
@@ -906,10 +906,10 @@ func TestOverwriteDuringReadKeepsFreshData(t *testing.T) {
 		}
 		// Every cached page must carry the post-write version.
 		for idx := int64(0); idx < 64; idx++ {
-			pg, ok := v.cache.Peek(v.fs.pageKey(f.Ino, idx))
-			if ok && pg.Version != uint64(f.PageVers[idx]) {
+			ver, _, ok := v.cache.Peek(v.fs.pageKey(f.Ino, idx))
+			if ok && ver != uint64(f.PageVers[idx]) {
 				t.Fatalf("page %d version %d != latest %d (stale read clobbered cache)",
-					idx, pg.Version, f.PageVers[idx])
+					idx, ver, f.PageVers[idx])
 			}
 		}
 	})
@@ -1006,9 +1006,9 @@ func TestReadCountRevalidatesRemaps(t *testing.T) {
 					t.Fatalf("read: %v", err)
 				}
 				for idx := int64(0); idx < f.SizePg; idx++ {
-					pg, ok := v.cache.Peek(v.fs.pageKey(f.Ino, idx))
-					if ok && !pg.Dirty && pg.Version != uint64(f.PageVers[idx]) {
-						t.Fatalf("clean page %d has version %d, file has %d", idx, pg.Version, f.PageVers[idx])
+					ver, dirty, ok := v.cache.Peek(v.fs.pageKey(f.Ino, idx))
+					if ok && !dirty && ver != uint64(f.PageVers[idx]) {
+						t.Fatalf("clean page %d has version %d, file has %d", idx, ver, f.PageVers[idx])
 					}
 				}
 			})

@@ -417,11 +417,10 @@ func (fs *FS) dirtyRuns(p *sim.Proc, i *Inode, off int64, runs []run) {
 			idx := logical + k
 			ver := i.PageVers[idx]
 			key := fs.pageKey(i.Ino, idx)
-			pg, cached := fs.cache.Lookup(key)
-			if !cached {
-				pg = fs.cache.Insert(p, key, uint64(ver))
+			if !fs.cache.Lookup(key) {
+				fs.cache.Insert(p, key, uint64(ver))
 			}
-			fs.cache.MarkDirty(pg, uint64(ver))
+			fs.cache.MarkDirty(key, uint64(ver))
 		}
 		logical += r.len
 	}
@@ -493,8 +492,10 @@ func (fs *FS) ReadCount(p *sim.Proc, ino Ino, off, n int64, class storage.Class,
 	defer fs.putMissBuf(mb)
 	misses := mb.m
 	for idx := off; idx < off+n; idx++ {
-		if _, hit := fs.cache.Touch(fs.pageKey(ino, idx)); hit {
-			continue
+		// The cached pages from idx are touched as one run; idx is then
+		// the first page after them.
+		if idx += int64(fs.cache.TouchRun(fs.id, uint64(ino), uint64(idx), int(off+n-idx))); idx == off+n {
+			break
 		}
 		b, mapped := fibmapIn(i, idx)
 		if !mapped {
@@ -843,6 +844,6 @@ func (fs *FS) blockDirtyInCache(b int64) bool {
 	if !ok {
 		return false
 	}
-	pg, cached := fs.cache.Peek(fs.pageKey(ino, idx))
-	return cached && pg.Dirty
+	_, dirty, _ := fs.cache.Peek(fs.pageKey(ino, idx))
+	return dirty
 }

@@ -150,7 +150,7 @@ func (fs *FS) DefragFile(p *sim.Proc, ino Ino, class storage.Class, owner string
 	res.PagesTotal = i.SizePg
 	// Count pages the workload had already dirtied.
 	for idx := int64(0); idx < i.SizePg; idx++ {
-		if pg, cached := fs.cache.Peek(fs.pageKey(ino, idx)); cached && pg.Dirty {
+		if _, dirty, _ := fs.cache.Peek(fs.pageKey(ino, idx)); dirty {
 			res.AlreadyDirty++
 		}
 	}

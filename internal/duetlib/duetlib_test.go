@@ -286,7 +286,7 @@ func TestPrioUpdateForgetsFilesPrioMarksDone(t *testing.T) {
 	}
 	for _, ino := range []uint64{7, 8} {
 		for idx := uint64(0); idx < 3; idx++ {
-			d.PageEvent(pagecache.EventAdded, &pagecache.Page{Key: pagecache.PageKey{FS: 1, Ino: ino, Index: idx}})
+			d.PageEvent(pagecache.EventAdded, pagecache.PageKey{FS: 1, Ino: ino, Index: idx}, false)
 		}
 	}
 	tr, q := NewFileTracker(), NewPrioQueue()

@@ -238,7 +238,7 @@ func (g *GC) clean(p *sim.Proc, si int, urgent bool) {
 		}
 		for k := s; k < e; k++ {
 			m := toRead[k]
-			i := fs.inodes[m.ino]
+			i, _ := fs.inode(m.ino)
 			if i == nil || m.idx >= int64(len(i.blocks)) || i.blocks[m.idx] != m.block {
 				continue // invalidated while we were reading
 			}
@@ -250,16 +250,15 @@ func (g *GC) clean(p *sim.Proc, si int, urgent bool) {
 	// Mark everything dirty; writeback migrates it to the log head and
 	// invalidates this segment's copies.
 	for _, m := range all {
-		i := fs.inodes[m.ino]
+		i, _ := fs.inode(m.ino)
 		if i == nil || m.idx >= int64(len(i.blocks)) || i.blocks[m.idx] != m.block {
 			continue
 		}
 		key := fs.pageKey(m.ino, m.idx)
-		pg, cached := fs.cache.Lookup(key)
-		if !cached {
-			pg = fs.cache.Insert(p, key, i.vers[m.idx])
+		if !fs.cache.Lookup(key) {
+			fs.cache.Insert(p, key, i.vers[m.idx])
 		}
-		fs.cache.MarkDirty(pg, i.vers[m.idx])
+		fs.cache.MarkDirty(key, i.vers[m.idx])
 		rec.BlocksMoved++
 	}
 	if urgent {

@@ -138,7 +138,9 @@ type FS struct {
 
 	diskVer []uint64 // content version on the medium, per block
 	stats   Stats
-	obs     *lfsObs // nil unless observability is on (see obs.go)
+
+	inodeMemo [8]*Inode // lookup memo of FS.inode, indexed by ino mod 8
+	obs       *lfsObs   // nil unless observability is on (see obs.go)
 
 	// Pooled staging buffers for the read and writeback paths (holders
 	// block on device I/O, so several can be live in virtual time).
@@ -222,6 +224,7 @@ type miss struct{ idx, block int64 }
 
 type missBuf struct {
 	m    []miss
+	vers []uint64 // a run's versions, for InsertRun
 	next *missBuf
 }
 
@@ -298,13 +301,44 @@ func (fs *FS) FreeSegments() int { return int(fs.freeSegs.Count()) }
 // SegOf maps a device block to its segment index.
 func (fs *FS) SegOf(block int64) int { return int(block) / fs.cfg.SegBlocks }
 
-// Fibmap translates a file page to its device block.
+// Fibmap translates a file page to its device block. Page events come
+// in per-file runs, so recently resolved inodes are kept in a small
+// direct-mapped memo (Delete drops its entry).
 func (fs *FS) Fibmap(ino Ino, idx int64) (int64, bool) {
-	i, ok := fs.inodes[ino]
+	i, ok := fs.inode(ino)
 	if !ok || idx < 0 || idx >= int64(len(i.blocks)) || i.blocks[idx] == NoBlock {
 		return 0, false
 	}
 	return i.blocks[idx], true
+}
+
+// FibmapRun is Fibmap for the pages [idx, idx+n): the block of page idx
+// and how many of the pages from it map to the consecutive blocks from
+// that one (0 when page idx has no block).
+func (fs *FS) FibmapRun(ino Ino, idx, n int64) (int64, int64) {
+	b, ok := fs.Fibmap(ino, idx)
+	if !ok {
+		return 0, 0
+	}
+	i, _ := fs.inode(ino)
+	m := int64(1)
+	for m < n && idx+m < int64(len(i.blocks)) && i.blocks[idx+m] == b+m {
+		m++
+	}
+	return b, m
+}
+
+// inode returns inode ino through the lookup memo.
+func (fs *FS) inode(ino Ino) (*Inode, bool) {
+	memo := &fs.inodeMemo[ino%Ino(len(fs.inodeMemo))]
+	if i := *memo; i != nil && i.Ino == ino {
+		return i, true
+	}
+	i, ok := fs.inodes[ino]
+	if ok {
+		*memo = i
+	}
+	return i, ok
 }
 
 // SlotOwner returns the file page stored in a block, if valid.
@@ -342,7 +376,7 @@ func (fs *FS) Lookup(name string) (*Inode, error) {
 
 // Inode returns a file by number.
 func (fs *FS) Inode(ino Ino) (*Inode, bool) {
-	i, ok := fs.inodes[ino]
+	i, ok := fs.inode(ino)
 	return i, ok
 }
 
@@ -360,6 +394,7 @@ func (fs *FS) Delete(name string) error {
 	fs.cache.RemoveFile(fs.id, uint64(i.Ino))
 	delete(fs.byName, name)
 	delete(fs.inodes, i.Ino)
+	fs.inodeMemo[i.Ino%Ino(len(fs.inodeMemo))] = nil
 	return nil
 }
 
@@ -382,7 +417,7 @@ func (fs *FS) pageKey(ino Ino, idx int64) pagecache.PageKey {
 // Write dirties n pages at page offset off, extending the file if needed.
 // Log placement happens at writeback, as in any LFS.
 func (fs *FS) Write(p *sim.Proc, ino Ino, off, n int64) error {
-	i, ok := fs.inodes[ino]
+	i, ok := fs.inode(ino)
 	if !ok {
 		return fmt.Errorf("%w: inode %d", ErrNotFound, ino)
 	}
@@ -399,11 +434,10 @@ func (fs *FS) Write(p *sim.Proc, ino Ino, off, n int64) error {
 	for idx := off; idx < off+n; idx++ {
 		i.vers[idx]++
 		key := fs.pageKey(ino, idx)
-		pg, cached := fs.cache.Lookup(key)
-		if !cached {
-			pg = fs.cache.Insert(p, key, i.vers[idx])
+		if !fs.cache.Lookup(key) {
+			fs.cache.Insert(p, key, i.vers[idx])
 		}
-		fs.cache.MarkDirty(pg, i.vers[idx])
+		fs.cache.MarkDirty(key, i.vers[idx])
 	}
 	fs.stats.WritesPages += n
 	return nil
@@ -411,7 +445,7 @@ func (fs *FS) Write(p *sim.Proc, ino Ino, off, n int64) error {
 
 // Append adds n pages at the end of the file.
 func (fs *FS) Append(p *sim.Proc, ino Ino, n int64) error {
-	i, ok := fs.inodes[ino]
+	i, ok := fs.inode(ino)
 	if !ok {
 		return fmt.Errorf("%w: inode %d", ErrNotFound, ino)
 	}
@@ -420,7 +454,7 @@ func (fs *FS) Append(p *sim.Proc, ino Ino, n int64) error {
 
 // Read brings n pages at offset off into the cache.
 func (fs *FS) Read(p *sim.Proc, ino Ino, off, n int64, class storage.Class, owner string) error {
-	i, ok := fs.inodes[ino]
+	i, ok := fs.inode(ino)
 	if !ok {
 		return fmt.Errorf("%w: inode %d", ErrNotFound, ino)
 	}
@@ -435,13 +469,14 @@ func (fs *FS) Read(p *sim.Proc, ino Ino, off, n int64, class storage.Class, owne
 	defer fs.putMissBuf(mb)
 	misses := mb.m
 	for idx := off; idx < off+n; idx++ {
-		key := fs.pageKey(ino, idx)
-		if _, hit := fs.cache.Touch(key); hit {
-			continue
+		// The cached pages from idx are touched as one run; idx is then
+		// the first page after them.
+		if idx += int64(fs.cache.TouchRun(fs.id, uint64(ino), uint64(idx), int(off+n-idx))); idx == off+n {
+			break
 		}
 		b := i.blocks[idx]
 		if b == NoBlock {
-			fs.cache.Insert(p, key, 0)
+			fs.cache.Insert(p, fs.pageKey(ino, idx), 0)
 			continue
 		}
 		misses = append(misses, miss{idx, b})
@@ -457,8 +492,22 @@ func (fs *FS) Read(p *sim.Proc, ino Ino, off, n int64, class storage.Class, owne
 		if err := fs.disk.Read(p, misses[s].block, e-s, class, owner); err != nil {
 			return fmt.Errorf("lfs read inode %d: %w", ino, err)
 		}
-		for k := s; k < e; k++ {
-			fs.cache.Insert(p, fs.pageKey(ino, misses[k].idx), fs.diskVer[misses[k].block])
+		// The read's runs of consecutive pages go into the cache a run at
+		// a time, as page-by-page Inserts would: where InsertRun stops,
+		// the next page goes in by Insert, which may block, and the pages
+		// after it are staged afresh.
+		for k := s; k < e; {
+			vers := mb.vers[:0]
+			for j := k; j < e && (j == k || misses[j].idx == misses[j-1].idx+1); j++ {
+				vers = append(vers, fs.diskVer[misses[j].block])
+			}
+			mb.vers = vers
+			n := fs.cache.InsertRun(fs.id, uint64(ino), uint64(misses[k].idx), vers)
+			if n < len(vers) {
+				fs.cache.Insert(p, fs.pageKey(ino, misses[k+n].idx), vers[n])
+				n++
+			}
+			k += n
 		}
 		s = e
 	}
@@ -467,7 +516,7 @@ func (fs *FS) Read(p *sim.Proc, ino Ino, off, n int64, class storage.Class, owne
 
 // ReadFile brings the whole file into the cache.
 func (fs *FS) ReadFile(p *sim.Proc, ino Ino, class storage.Class, owner string) error {
-	i, ok := fs.inodes[ino]
+	i, ok := fs.inode(ino)
 	if !ok {
 		return fmt.Errorf("%w: inode %d", ErrNotFound, ino)
 	}
@@ -577,7 +626,7 @@ func (fs *FS) inPlaceAlloc() int64 {
 // placement happens before any device write is issued.
 func (fs *FS) WritebackPages(p *sim.Proc, inoN uint64, indices []uint64) (int, error) {
 	ino := Ino(inoN)
-	i, ok := fs.inodes[ino]
+	i, ok := fs.inode(ino)
 	if !ok {
 		return len(indices), nil // deleted while dirty
 	}

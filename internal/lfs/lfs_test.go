@@ -2,6 +2,7 @@ package lfs
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"duet/internal/iosched"
@@ -162,8 +163,8 @@ func TestReadBackContent(t *testing.T) {
 			t.Fatal(err)
 		}
 		for idx := int64(0); idx < 10; idx++ {
-			pg, ok := v.cache.Peek(v.fs.pageKey(f.Ino, idx))
-			if !ok || pg.Version != f.vers[idx] {
+			ver, _, ok := v.cache.Peek(v.fs.pageKey(f.Ino, idx))
+			if !ok || ver != f.vers[idx] {
 				t.Errorf("page %d: cached=%v version mismatch", idx, ok)
 			}
 		}
@@ -463,10 +464,54 @@ func TestInPlaceFallbackWhenLogFull(t *testing.T) {
 			t.Fatal(err)
 		}
 		for idx := int64(0); idx < pages; idx++ {
-			pg, ok := v.cache.Peek(v.fs.pageKey(f.Ino, idx))
-			if !ok || pg.Version != f.vers[idx] {
+			ver, _, ok := v.cache.Peek(v.fs.pageKey(f.Ino, idx))
+			if !ok || ver != f.vers[idx] {
 				t.Fatalf("page %d: cached=%v, want version %d", idx, ok, f.vers[idx])
 			}
+		}
+	})
+}
+
+// TestFibmapMemoForgetsDeleted reads block maps through the inode memo
+// of two files that share a memo slot, deletes the one the memo holds,
+// and requires Fibmap of the deleted file to fail while the other still
+// maps. FibmapRun reports a file written in one go as one run.
+func TestFibmapMemoForgetsDeleted(t *testing.T) {
+	v := newEnv(256)
+	v.in(t, func(p *sim.Proc) {
+		var files []*Inode
+		for k := 0; k < 9; k++ {
+			f, err := v.fs.Create(fmt.Sprintf("f%d", k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := v.fs.Write(p, f.Ino, 0, 4); err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		v.fs.Sync(p)
+		live, gone := files[0], files[8]
+		if live.Ino%8 != gone.Ino%8 {
+			t.Fatalf("inodes %d and %d do not share a memo slot", live.Ino, gone.Ino)
+		}
+		if _, ok := v.fs.Fibmap(live.Ino, 0); !ok {
+			t.Fatal("live file has no block")
+		}
+		if b, m := v.fs.FibmapRun(gone.Ino, 0, 8); m != 4 || b != gone.blocks[0] {
+			t.Fatalf("FibmapRun = block %d, run %d; want block %d, run 4", b, m, gone.blocks[0])
+		}
+		if err := v.fs.Delete(gone.Name); err != nil {
+			t.Fatal(err)
+		}
+		if b, ok := v.fs.Fibmap(gone.Ino, 0); ok {
+			t.Errorf("Fibmap of deleted inode %d = block %d", gone.Ino, b)
+		}
+		if _, m := v.fs.FibmapRun(gone.Ino, 0, 4); m != 0 {
+			t.Errorf("FibmapRun of deleted inode %d maps %d pages", gone.Ino, m)
+		}
+		if _, ok := v.fs.Fibmap(live.Ino, 0); !ok {
+			t.Error("the live file sharing the slot lost its block")
 		}
 	})
 }

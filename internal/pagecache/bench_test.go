@@ -35,8 +35,9 @@ func run(b *testing.B, e *sim.Engine, fn func(p *sim.Proc)) {
 // BenchmarkInsertLookupDirtyFlush cycles a page through the full hot
 // path: insert, lookup (LRU promotion), dirty (rbtree insert), sync
 // (writeback + flush event), remove. Steady state must not allocate:
-// pages recycle through the arena, dirty-tree nodes through the rbtree
-// free list, and writeback staging through the batch pool.
+// segments recycle through their free list and file indexes through
+// the pool, dirty-tree nodes through the rbtree free list, and
+// writeback staging through the batch pool.
 func BenchmarkInsertLookupDirtyFlush(b *testing.B) {
 	c, e := benchCache(4096)
 	run(b, e, func(p *sim.Proc) {
@@ -54,9 +55,9 @@ func BenchmarkInsertLookupDirtyFlush(b *testing.B) {
 
 func cycle(p *sim.Proc, c *Cache, ino uint64) {
 	k := PageKey{FS: 1, Ino: ino, Index: 7}
-	pg := c.Insert(p, k, 1)
-	pg, _ = c.Lookup(k)
-	c.MarkDirty(pg, 2)
+	c.Insert(p, k, 1)
+	c.Lookup(k)
+	c.MarkDirty(k, 2)
 	_ = c.SyncFile(p, k.FS, k.Ino)
 	c.Remove(k)
 }
@@ -100,7 +101,7 @@ func BenchmarkReadMissChurn(b *testing.B) {
 		read := func() {
 			k := PageKey{FS: 1, Ino: 1 + n/filePages%files, Index: n % filePages}
 			n++
-			if _, ok := c.Touch(k); !ok && !c.Contains(k) {
+			if !c.Touch(k) && !c.Contains(k) {
 				c.Insert(p, k, 1)
 			}
 		}
@@ -125,16 +126,19 @@ func BenchmarkFlushExpired(b *testing.B) {
 		b.Run("files="+strconv.Itoa(files), func(b *testing.B) {
 			c, e := benchCache(capacity)
 			run(b, e, func(p *sim.Proc) {
-				var dirty []*Page
+				var dirty []PageKey
 				for i := 0; i < capacity; i++ {
-					pg := c.Insert(p, PageKey{FS: 1, Ino: uint64(1 + i%files), Index: uint64(i / files)}, 1)
+					k := PageKey{FS: 1, Ino: uint64(1 + i%files), Index: uint64(i / files)}
+					c.Insert(p, k, 1)
 					if i%5 == 0 {
-						dirty = append(dirty, pg)
+						dirty = append(dirty, k)
 					}
 				}
+				ver := uint64(1)
 				round := func() {
-					for _, pg := range dirty {
-						c.MarkDirty(pg, pg.Version+1)
+					ver++
+					for _, k := range dirty {
+						c.MarkDirty(k, ver)
 					}
 					c.Sync(p)
 				}
@@ -171,9 +175,9 @@ type countingInterestHook struct {
 	calls    int64
 }
 
-func (h *countingInterestHook) PageEvent(ev EventType, pg *Page) { h.calls++ }
-func (h *countingInterestHook) PageRun(r *Run)                   { h.calls++ }
-func (h *countingInterestHook) EventInterest() uint8             { return h.interest }
+func (h *countingInterestHook) PageEvent(EventType, PageKey, bool) { h.calls++ }
+func (h *countingInterestHook) PageRun(*Run)                       { h.calls++ }
+func (h *countingInterestHook) EventInterest() uint8               { return h.interest }
 
 // BenchmarkEmitNoInterest measures the event hot path with a hook
 // installed whose interest mask is empty — the baseline configuration
@@ -220,7 +224,8 @@ func BenchmarkEmitAllInterest(b *testing.B) {
 }
 
 // TestHotPathAllocFree asserts the steady-state allocation contract the
-// arena, rbtree free list, and batch pool exist to provide: zero
+// segment free list, index pool, rbtree free list, and batch pool exist
+// to provide: zero
 // allocations per insert/lookup/dirty/flush/remove cycle, with and
 // without an uninterested hook installed. CI runs this as a regression
 // gate (see .github/workflows/ci.yml).
@@ -266,8 +271,9 @@ func TestHotPathAllocFree(t *testing.T) {
 // taking its victims from just above.
 func parkDirtyTail(p *sim.Proc, c *Cache, parked int) uint64 {
 	for i := 0; i < parked; i++ {
-		pg := c.Insert(p, PageKey{FS: 1, Ino: 100 + uint64(i/16), Index: uint64(i)}, 1)
-		c.MarkDirty(pg, 2)
+		k := PageKey{FS: 1, Ino: 100 + uint64(i/16), Index: uint64(i)}
+		c.Insert(p, k, 1)
+		c.MarkDirty(k, 2)
 	}
 	next := uint64(0)
 	for ; c.Len() < c.Config().CapacityPages; next++ {
@@ -303,9 +309,10 @@ func BenchmarkEvictDirtyTail(b *testing.B) {
 }
 
 // TestEvictionAllocFree asserts that steady-state eviction (insert into
-// a full cache, clean victim) does not allocate: the evicted page's
-// struct must be recycled into the one being inserted. It holds with
-// dirty pages parked below the victim too.
+// a full cache, clean victim) does not allocate: the victim's segment,
+// when it empties, is recycled for the page being inserted, and the
+// file index slots are reused. It holds with dirty pages parked below
+// the victim too.
 func TestEvictionAllocFree(t *testing.T) {
 	for _, parked := range []int{0, 100} {
 		c, e := benchCache(1024)

@@ -229,64 +229,100 @@ func (m *refPager) requeue(k PageKey) {
 // keyHook records events with their keys, in the model's format.
 type keyHook struct{ events []string }
 
-func (h *keyHook) PageEvent(ev EventType, pg *Page) {
-	h.events = append(h.events, fmt.Sprint(ev, pg.Key))
+func (h *keyHook) PageEvent(ev EventType, key PageKey, _ bool) {
+	h.events = append(h.events, fmt.Sprint(ev, key))
 }
 
 func (h *keyHook) PageRun(r *Run) {
 	r.Each(func(ev EventType, key PageKey) { h.events = append(h.events, fmt.Sprint(ev, key)) })
 }
 
+// lruPages lists the resident pages from the LRU tail (the coldest) to
+// the head.
+func (c *Cache) lruPages() []PageKey {
+	var out []PageKey
+	for id := c.segs[0].prev; id != 0; id = c.segs[id].prev {
+		s := &c.segs[id]
+		for i := s.lo; i < s.hi(); i++ {
+			out = append(out, PageKey{s.f.key.FS, s.f.key.Ino, i})
+		}
+	}
+	return out
+}
+
 // checkVictimCursor recomputes the coldest clean page by an unbounded
 // walk from the tail and compares it with the cached cursor whenever the
-// cursor is marked valid; it also checks that LRU stamps order the list.
+// cursor is marked valid; it also checks that the (stamp, index) pairs
+// order the list.
 func (c *Cache) checkVictimCursor() error {
 	below := 0
-	var coldest *Page
-	for pg := c.lruTail; pg != nil; pg = pg.lruPrev {
-		if pg.lruNext != nil && pg.lruStamp <= pg.lruNext.lruStamp {
-			return fmt.Errorf("lruStamp not increasing toward the head at %v", pg.Key)
+	var coldest *PageKey
+	for id := c.segs[0].prev; id != 0; id = c.segs[id].prev {
+		s := &c.segs[id]
+		if h := s.prev; h != 0 && !(s.stamp < c.segs[h].stamp || s.stamp == c.segs[h].stamp && s.f == c.segs[h].f && s.hi() <= c.segs[h].lo) {
+			return fmt.Errorf("segments %+v and %+v are out of (stamp, index) order", *s, c.segs[h])
 		}
-		if coldest == nil {
-			if pg.Dirty {
+		for i := s.lo; i < s.hi() && coldest == nil; i++ {
+			if s.f.state[i] != 0 {
 				below++
 			} else {
-				coldest = pg
+				coldest = &PageKey{s.f.key.FS, s.f.key.Ino, i}
 			}
 		}
 	}
-	if c.victim == nil {
+	if c.victimSeg == 0 {
 		return nil // cursor invalid: the next pickVictim re-primes it
 	}
-	if c.victim != coldest || c.dirtyBelow != below || below >= scanLimit {
-		return fmt.Errorf("cursor (%v, %d), scan finds (%v, %d)", c.victim.Key, c.dirtyBelow, coldest, below)
+	v := &c.segs[c.victimSeg]
+	got := PageKey{v.f.key.FS, v.f.key.Ino, c.victimIdx}
+	if coldest == nil || got != *coldest || c.dirtyBelow != below || below >= scanLimit ||
+		c.victimIdx < v.lo || c.victimIdx >= v.hi() {
+		return fmt.Errorf("cursor (%v in %+v, %d), scan finds (%v, %d)", got, *v, c.dirtyBelow, coldest, below)
 	}
 	return nil
 }
 
 // checkIndex verifies the per-file indexes against the LRU, which is the
-// independent record of what is resident: every page is in its slot of
-// its file's index, the per-file and global counts add up, the dirty
-// tree holds exactly the files with pages to write back, and the memo
-// points at a live index. It costs what the LRU walk costs; checkSlots
-// is the part that has to look at every slot.
+// independent record of what is resident: the segments are linked both
+// ways, each is non-empty and its pages point at it in its file's index,
+// the per-file and global counts add up, the dirty tree holds exactly
+// the files with pages to write back, the free list holds the rest of
+// the segments, and the memo points at a live index. It costs what the
+// LRU walk costs; checkSlots is the part that has to look at every slot.
 func (c *Cache) checkIndex() error {
 	type count struct{ n, dirty int }
 	files := map[*fileIndex]count{}
-	pages, dirtyN, dirtyFiles := 0, 0, 0
-	for pg := c.lruTail; pg != nil; pg = pg.lruPrev {
-		f := pg.file
-		if f == nil || !pg.resident || f.key != (FileKey{pg.Key.FS, pg.Key.Ino}) ||
-			pg.Key.Index >= uint64(len(f.pages)) || f.pages[pg.Key.Index] != pg {
-			return fmt.Errorf("%v is on the LRU but not in its slot of its file's index", pg.Key)
+	pages, dirtyN, dirtyFiles, live := 0, 0, 0, 0
+	var next int32
+	for id := c.segs[0].prev; id != 0; next, id = id, c.segs[id].prev {
+		s := &c.segs[id]
+		if s.next != next || s.n <= 0 || s.f == nil {
+			return fmt.Errorf("segment %d %+v: broken link (colder neighbour %d) or empty", id, *s, next)
 		}
-		ct := files[f]
-		ct.n++
-		if pg.Dirty && !pg.quarantined {
-			ct.dirty++
+		live++
+		f := s.f
+		for i := s.lo; i < s.hi(); i++ {
+			if !f.resident(i) || f.seg[i] != id {
+				return fmt.Errorf("page %v of segment %d is not in its slot of its file's index", PageKey{f.key.FS, f.key.Ino, i}, id)
+			}
+			ct := files[f]
+			ct.n++
+			if f.state[i] == pgDirty {
+				ct.dirty++
+			}
+			files[f] = ct
+			pages++
 		}
-		files[f] = ct
-		pages++
+	}
+	if next != c.segs[0].next {
+		return fmt.Errorf("the walk from the tail ends at segment %d, the head is %d", next, c.segs[0].next)
+	}
+	free := 0
+	for id := c.segFree; id != 0; id = c.segs[id].next {
+		free++
+	}
+	if live+free != len(c.segs)-1 {
+		return fmt.Errorf("%d segments in the LRU and %d free, of %d", live, free, len(c.segs)-1)
 	}
 	for f, ct := range files {
 		if c.files.Get(f.key) != f {
@@ -313,33 +349,46 @@ func (c *Cache) checkIndex() error {
 	if c.noneSet && c.files.Get(c.none) != nil {
 		return fmt.Errorf("file %v is remembered absent but has an index", c.none)
 	}
+	if len(c.holds) != 0 {
+		return fmt.Errorf("%d holds outlive reclaim", len(c.holds))
+	}
 	return nil
 }
 
 // checkSlots looks at every slot up to the capacity of every index, live
-// and pooled: a live index holds its count of pages and no more (so,
-// after checkIndex, nothing stale and nothing past its length), a pooled
-// one nothing at all, and the pool is within its bound.
+// and pooled: a live index holds its count of pages and no more, and no
+// state for a page it does not hold (so, after checkIndex, nothing stale
+// and nothing past its length), a pooled one nothing at all, and the
+// pool is within its bound.
 func (c *Cache) checkSlots() error {
-	occupied := func(f *fileIndex) (n int) {
-		for _, pg := range f.pages[:cap(f.pages)] {
-			if pg != nil {
+	occupied := func(f *fileIndex) (n int, err error) {
+		if cap(f.ver) != cap(f.seg) || cap(f.state) != cap(f.seg) || cap(f.dirtyAt) != cap(f.seg) {
+			return 0, fmt.Errorf("file %v: arrays of capacities %d, %d, %d, %d", f.key, cap(f.seg), cap(f.ver), cap(f.state), cap(f.dirtyAt))
+		}
+		st := f.state[:cap(f.state)]
+		for i, id := range f.seg[:cap(f.seg)] {
+			if id != 0 {
 				n++
+			} else if st[i] != 0 {
+				return 0, fmt.Errorf("file %v: page %d is not resident but has state %d", f.key, i, st[i])
 			}
 		}
-		return n
+		return n, nil
 	}
 	for _, f := range c.files.vals {
-		if f != nil && occupied(f) != f.n {
-			return fmt.Errorf("file %v: %d occupied slots for %d pages (len %d, cap %d)", f.key, occupied(f), f.n, len(f.pages), cap(f.pages))
+		if f == nil {
+			continue
+		}
+		if n, err := occupied(f); err != nil || n != f.n {
+			return errors.Join(err, fmt.Errorf("file %v: %d occupied slots for %d pages (len %d, cap %d)", f.key, n, f.n, len(f.seg), cap(f.seg)))
 		}
 	}
 	pooled := 0
 	for _, f := range c.flFree {
-		if f.n != 0 || f.dirty != 0 || len(f.pages) != 0 || occupied(f) != 0 {
-			return fmt.Errorf("pooled index (last key %v) is not empty: n %d, dirty %d, len %d, %d occupied slots", f.key, f.n, f.dirty, len(f.pages), occupied(f))
+		if n, err := occupied(f); err != nil || f.n != 0 || f.dirty != 0 || len(f.seg) != 0 || n != 0 {
+			return errors.Join(err, fmt.Errorf("pooled index (last key %v) is not empty: n %d, dirty %d, len %d, %d occupied slots", f.key, f.n, f.dirty, len(f.seg), n))
 		}
-		pooled += cap(f.pages)
+		pooled += cap(f.seg)
 	}
 	if pooled != c.flFreeCap || pooled > poolEntriesPerPage*c.cfg.CapacityPages {
 		return fmt.Errorf("pool holds %d entries, accounted %d, bound %d", pooled, c.flFreeCap, poolEntriesPerPage*c.cfg.CapacityPages)
@@ -386,23 +435,16 @@ func runDifferential(t testing.TB, capacity, parked int, data []byte) {
 		if *c.Stats() != m.stats {
 			t.Fatalf("step %d (%s): stats diverge:\n cache %+v\n model %+v", step, op, *c.Stats(), m.stats)
 		}
-		i := 0
-		for pg := c.lruTail; pg != nil; pg, i = pg.lruPrev, i+1 {
-			if i >= len(m.lru) {
-				t.Fatalf("step %d (%s): cache holds more than the model's %d pages", step, op, len(m.lru))
-			}
-			if r := m.lru[i]; pg.Key != r.key || pg.Version != r.ver || pg.Dirty != r.dirty || pg.quarantined != r.quar {
-				t.Fatalf("step %d (%s): LRU position %d: cache %+v, model %+v", step, op, i, *pg, *r)
-			}
-			if pg.file == nil || pg.Key.Index >= uint64(len(pg.file.pages)) || pg.file.pages[pg.Key.Index] != pg {
-				t.Fatalf("step %d (%s): %v is in the LRU but not in its slot of its file's index", step, op, pg.Key)
-			}
-			if cur, ok := c.Peek(pg.Key); !ok || cur != pg {
-				t.Fatalf("step %d (%s): %v is in the LRU but Peek does not find it", step, op, pg.Key)
-			}
+		lru := c.lruPages()
+		if len(lru) != len(m.lru) || c.Len() != len(lru) {
+			t.Fatalf("step %d (%s): %d pages in the LRU, %d in the table, model has %d", step, op, len(lru), c.Len(), len(m.lru))
 		}
-		if i != len(m.lru) || c.Len() != i {
-			t.Fatalf("step %d (%s): %d pages in the LRU, %d in the table, model has %d", step, op, i, c.Len(), len(m.lru))
+		for i, k := range lru {
+			ver, dirty, ok := c.Peek(k)
+			quar := ok && c.files.Get(FileKey{k.FS, k.Ino}).state[k.Index]&pgQuar != 0
+			if r := m.lru[i]; k != r.key || !ok || ver != r.ver || dirty != r.dirty || quar != r.quar {
+				t.Fatalf("step %d (%s): LRU position %d: cache %v@%d dirty %v quarantined %v (cached %v), model %+v", step, op, i, k, ver, dirty, quar, ok, *r)
+			}
 		}
 		if q := c.Quarantined(nil); !reflect.DeepEqual(q, append([]PageKey(nil), m.quar...)) {
 			t.Fatalf("step %d (%s): quarantine lists diverge: cache %v, model %v", step, op, q, m.quar)
@@ -414,7 +456,7 @@ func runDifferential(t testing.TB, capacity, parked int, data []byte) {
 	e.Go("differential", func(p *sim.Proc) {
 		defer e.Stop()
 		read := func(k PageKey, ver uint64) {
-			if _, ok := c.Lookup(k); !ok {
+			if !c.Lookup(k) {
 				c.Insert(p, k, ver)
 			}
 			if !m.lookup(k) {
@@ -422,8 +464,7 @@ func runDifferential(t testing.TB, capacity, parked int, data []byte) {
 			}
 		}
 		dirty := func(r *refPage, ver uint64) {
-			pg, _ := c.Peek(r.key)
-			c.MarkDirty(pg, ver)
+			c.MarkDirty(r.key, ver)
 			m.markDirty(r, ver)
 		}
 		syncFile := func(ino uint64) {
@@ -552,14 +593,14 @@ func runDifferential(t testing.TB, capacity, parked int, data []byte) {
 				ino, mode := at.key.Ino, y%4
 				want := m.file(ino)
 				i := 0
-				c.IterateFile(1, ino, func(pg *Page) bool {
-					if i >= len(want) || pg.Key != want[i].key {
-						t.Fatalf("step %d (iteratefile): visit %d is %v, model file is %v", step, i, pg.Key, refKeys(want))
+				c.IterateFile(1, ino, func(k PageKey, dirty bool) bool {
+					if i >= len(want) || k != want[i].key || dirty != want[i].dirty {
+						t.Fatalf("step %d (iteratefile): visit %d is %v (dirty %v), model file is %v", step, i, k, dirty, refKeys(want))
 					}
 					r := want[i]
 					i++
 					if mode >= 2 || mode == 1 && r.key.Index%2 == 1 {
-						c.Remove(pg.Key)
+						c.Remove(k)
 						m.drop(r)
 					}
 					if mode == 3 && i == len(want) {
@@ -584,9 +625,9 @@ func runDifferential(t testing.TB, capacity, parked int, data []byte) {
 					return a.Ino < b.Ino || a.Ino == b.Ino && a.Index < b.Index
 				})
 				i, removed := 0, 0
-				c.Iterate(func(pg *Page) bool {
-					if i >= len(want) || pg.Key != want[i].key {
-						t.Fatalf("step %d (iterate): visit %d is %v, want %v", step, i, pg.Key, refKeys(want[min(i, len(want)):]))
+				c.Iterate(func(k PageKey, dirty bool) bool {
+					if i >= len(want) || k != want[i].key || dirty != want[i].dirty {
+						t.Fatalf("step %d (iterate): visit %d is %v (dirty %v), want %v", step, i, k, dirty, refKeys(want[min(i, len(want)):]))
 					}
 					i++
 					if x < 64 && i%3 == 0 && i < len(want) && removed < 8 {

@@ -6,7 +6,7 @@
 // flusher process after a dirty-expire interval, mirroring the Linux
 // writeback behaviour the paper depends on for Flushed events.
 //
-// The cache does not store page contents. Each page carries a Version
+// The cache does not store page contents. Each page carries a version
 // stamp; content is defined as a deterministic function of
 // (inode, index, version), which preserves checksum and comparison
 // semantics (a write changes the version, so checksums change) without
@@ -16,19 +16,23 @@
 // four page events of the paper's Table 2: Added, Removed, Dirtied,
 // Flushed.
 //
-// The hot path is allocation-free in steady state: Page structs live in
-// a preallocated arena bounded by CapacityPages and are recycled through
-// a free list, the LRU is an intrusive linked list threaded through the
-// pages themselves, each file's pages sit in a slice indexed by page
-// index that is pooled when the file leaves the cache, and writeback
-// batches reuse pooled buffers. A *Page handed to a Hook is only valid
-// while the page is resident — hooks must not retain it across events
-// (see DESIGN.md).
+// Resident data is held as runs, after Do et al.'s data blocks: the LRU
+// is a list of segments, each a run of consecutive pages of one file
+// that sit next to each other in LRU order, coldest first. A segment is
+// a contiguous slice of the per-page LRU, so page order, victims and
+// events are exactly those of a per-page list; a miss run, a hit run or
+// a run of victims costs a few segment operations plus per-page array
+// writes. Per-page state (version, dirty bit, dirty time, quarantine)
+// lives in per-file arrays indexed by page index, pooled when the file
+// leaves the cache; segments are recycled through a free list and
+// writeback batches through a pool, so the hot path is allocation-free
+// in steady state.
 package pagecache
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"duet/internal/rbtree"
@@ -95,83 +99,53 @@ func fileKeyLess(a, b FileKey) bool {
 	return a.Ino < b.Ino
 }
 
-// Page is a cached page. Fields are read-only outside this package.
-//
-// Pages are arena-allocated and recycled: a *Page is only valid while
-// the page is resident in the cache. Hooks receive the pointer for the
-// duration of one PageEvent call and must not retain it.
-type Page struct {
-	Key     PageKey
-	Version uint64 // content stamp
-	Dirty   bool
-	DirtyAt sim.Time
-
-	// lruPrev/lruNext thread the global LRU (front = most recently
-	// used); lruNext doubles as the arena free-list link while the page
-	// is not resident. file is the index holding the page at
-	// file.pages[Key.Index], nil while the page is not resident.
-	lruPrev, lruNext *Page
-	file             *fileIndex
-
-	// lruStamp orders the LRU without walking it: it is drawn from a
-	// counter on every push to the front, so a page is colder than
-	// another exactly when its stamp is smaller.
-	lruStamp uint64
-
-	// resident is true while the page is linked into the LRU and its
-	// file's index. pins counts in-flight references held across a
-	// blocking call (reclaim holding its eviction candidate); a pinned
-	// page is not recycled into the arena even after removal, so the
-	// holder's pointer stays frozen rather than aliasing a new page.
-	resident bool
-	pins     int32
-
-	// quarantined marks a dirty page whose writeback failed permanently
-	// (storage.ErrWriteFault): it stays dirty but is withheld from the
-	// writeback set, so the flusher stops hammering a dead destination. The
-	// data is preserved until Requeue (after repair/remap) or until
-	// reclaim is forced to drop it, which is counted in Stats.LostPages.
-	quarantined bool
-}
-
-// Quarantined reports whether the page is held out of writeback after a
-// permanent write fault.
-func (pg *Page) Quarantined() bool { return pg.quarantined }
-
 // Hook receives page events. Duet implements this interface.
 //
-// PageEvent receives one event. PageRun receives the events of one
+// PageEvent receives one event: the page's key and whether the page is
+// dirty once the event has happened. PageRun receives the events of one
 // InsertRun call at once, after the run is in the cache: the hook must
 // treat it exactly as the event sequence Run.Each spells out. With more
 // than one hook, each gets the whole run before the next does.
 type Hook interface {
-	PageEvent(ev EventType, pg *Page)
+	PageEvent(ev EventType, key PageKey, dirty bool)
 	PageRun(r *Run)
 }
 
-// Run is the news of one InsertRun call: the clean pages [Lo, Lo+N) of
-// file (FS, Ino) were added in index order, and Victims were evicted to
-// make room for them, in eviction order. The cache never holds more than
-// its capacity, so the run's first pages went into free room and each of
-// its last len(Victims) pages evicted exactly one victim just before it
-// was added. A Run is valid only during the PageRun call.
+// Range is the pages [Lo, Lo+N) of file (FS, Ino).
+type Range struct {
+	FS  FSID
+	Ino uint64
+	Lo  uint64
+	N   int
+}
+
+// Run is the news of one InsertRun call: the clean pages of its Range
+// were added in index order, and the Evicted pages of Victims were
+// evicted to make room for them, in eviction order (each range in index
+// order). The cache never holds more than its capacity, so the run's
+// first pages went into free room and each of its last Evicted pages
+// evicted exactly one victim just before it was added. A Run is valid
+// only during the PageRun call.
 type Run struct {
-	FS      FSID
-	Ino     uint64
-	Lo      uint64
-	N       int
-	Victims []PageKey
+	Range
+	Victims []Range
+	Evicted int
 }
 
 // Each calls fn for the events of the run in the order the run's
 // Inserts fire them one by one: Added(Lo), … for the pages that found
-// room, then Removed(Victims[0]), Added(next page), Removed(Victims[1]),
-// …. Neither an added page nor a victim is dirty.
+// room, then Removed(first victim), Added(next page), Removed(second
+// victim), …. Neither an added page nor a victim is dirty.
 func (r *Run) Each(fn func(ev EventType, key PageKey)) {
-	free := r.N - len(r.Victims)
+	free := r.N - r.Evicted
+	v, vj := 0, uint64(0) // the next victim: page vj of range v
 	for j := 0; j < r.N; j++ {
 		if j >= free {
-			fn(EventRemoved, r.Victims[j-free])
+			vr := &r.Victims[v]
+			fn(EventRemoved, PageKey{vr.FS, vr.Ino, vr.Lo + vj})
+			if vj++; vj == uint64(vr.N) {
+				v, vj = v+1, 0
+			}
 		}
 		fn(EventAdded, PageKey{r.FS, r.Ino, r.Lo + uint64(j)})
 	}
@@ -247,66 +221,88 @@ type Stats struct {
 	LostPages        int64 // dirty pages reclaim was forced to drop
 }
 
-// arenaSlabPages is the growth quantum of the page arena. The arena
-// never exceeds CapacityPages and never shrinks; slabs keep the upfront
-// cost of small short-lived caches (one per experiment grid cell) low
-// while guaranteeing pointer stability.
-const arenaSlabPages = 1024
+// Per-page state bits, fileIndex.state. A quarantined page — dirty, its
+// writeback failed permanently (storage.ErrWriteFault) — keeps pgDirty
+// but is withheld from the writeback set, so the flusher stops
+// hammering a dead destination. The data is preserved until Requeue
+// (after repair/remap) or until reclaim is forced to drop it, which is
+// counted in Stats.LostPages.
+const (
+	pgDirty uint8 = 1 << iota
+	pgQuar
+)
 
-// pageArena hands out Page structs from preallocated slabs and recycles
-// them through a free list, so the cache performs zero allocations per
-// insert once warm.
-type pageArena struct {
-	slabs [][]Page
-	used  int   // pages handed out from the newest slab
-	free  *Page // recycled pages, linked through lruNext
-}
-
-func (a *pageArena) alloc() *Page {
-	if pg := a.free; pg != nil {
-		a.free = pg.lruNext
-		pg.lruNext = nil
-		return pg
-	}
-	if len(a.slabs) == 0 || a.used == len(a.slabs[len(a.slabs)-1]) {
-		a.slabs = append(a.slabs, make([]Page, arenaSlabPages))
-		a.used = 0
-	}
-	slab := a.slabs[len(a.slabs)-1]
-	pg := &slab[a.used]
-	a.used++
-	return pg
-}
-
-func (a *pageArena) release(pg *Page) {
-	*pg = Page{lruNext: a.free}
-	a.free = pg
-}
-
-// fileIndex is the per-file page index, and the only index there is:
-// Cache.files finds the file, pages[Key.Index] finds the page. Slice
-// order is index order, so per-file walks are range loops. A walk whose
-// body can remove the file's last page — which releases the index to the
-// pool, where another file may pick it up — ranges over the slice header
-// it took before the loop (what range does anyway) and must not touch
-// the index again afterwards.
+// fileIndex is a file's per-page state, and the only page index there
+// is: Cache.files finds the file, the page index finds the page's slot
+// in every array. Slice order is index order, so per-file walks are
+// range loops. A walk whose body can remove the file's last page — which
+// releases the index to the pool, where another file may pick it up —
+// ranges over the slice header it took before the loop (what range does
+// anyway) and must not touch the index again afterwards. The arrays
+// share one length and capacity; entries past the length are zero.
 type fileIndex struct {
-	key   FileKey
-	pages []*Page // indexed by page index; nil = not resident
-	n     int     // resident pages
-	dirty int     // of which dirty and not quarantined
+	key     FileKey
+	seg     []int32    // the segment holding the page; 0 = not resident
+	ver     []uint64   // content version, while resident
+	state   []uint8    // pgDirty, pgQuar; 0 while not resident
+	dirtyAt []sim.Time // when the page came dirty, while dirty
+	n       int        // resident pages
+	dirty   int        // of which dirty and not quarantined
 }
 
-// poolEntriesPerPage bounds the pool of emptied indexes. A pooled slice
-// is as long as the largest file its index ever served, and the stack is
-// as deep as the number of files that were ever resident at once, so
-// left alone the pool could pin that product. It is held to this many
-// slice entries per page of cache capacity (a third of what the pages
-// themselves take); past that the indexes deepest in the stack, which a
-// steady state never reaches, go to the GC. One entry per page is too
-// tight: lfs-gc and ssd-churn then shed and regrow slices for ever, and
-// the garbage shows in their peak RSS.
+// grow makes page index need-1 addressable.
+func (f *fileIndex) grow(need int) {
+	if n := max(need, 2*cap(f.seg)); need > cap(f.seg) {
+		f.seg, f.ver, f.state, f.dirtyAt = realloc(f.seg, n), realloc(f.ver, n), realloc(f.state, n), realloc(f.dirtyAt, n)
+	}
+	if need > len(f.seg) {
+		f.seg, f.ver, f.state, f.dirtyAt = f.seg[:need], f.ver[:need], f.state[:need], f.dirtyAt[:need]
+	}
+}
+
+// realloc copies s into a new array of capacity n.
+func realloc[T any](s []T, n int) []T { return append(make([]T, 0, n), s...) }
+
+// resident reports whether page idx is cached.
+func (f *fileIndex) resident(idx uint64) bool {
+	return idx < uint64(len(f.seg)) && f.seg[idx] != 0
+}
+
+// poolEntriesPerPage bounds the pool of emptied indexes. A pooled index
+// is as long as the largest file it ever served, and the stack is as
+// deep as the number of files that were ever resident at once, so left
+// alone the pool could pin that product. It is held to this many slots
+// per page of cache capacity; past that the indexes deepest in the
+// stack, which a steady state never reaches, go to the GC. One slot per
+// page is too tight: lfs-gc and ssd-churn then shed and regrow indexes
+// for ever, and the garbage shows in their peak RSS.
 const poolEntriesPerPage = 4
+
+// segment is a run of pages [lo, lo+n) of file f that are adjacent in
+// the LRU, lo coldest. Segments are the LRU's nodes: prev is the hotter
+// neighbour and next the colder one, by index into Cache.segs (0 is
+// none). stamp orders the LRU without walking it: each segment made at
+// the head draws it from a counter, and the pieces a split leaves keep
+// it, so a page is colder than another exactly when its (stamp, index)
+// is smaller.
+type segment struct {
+	f          *fileIndex
+	lo         uint64
+	n          int
+	stamp      uint64
+	prev, next int32
+}
+
+func (s *segment) hi() uint64 { return s.lo + uint64(s.n) }
+
+// hold is reclaim's grip on its writeback candidate across blocking
+// writeback (see makeRoom): gone reports that the page left the cache
+// meanwhile, and ver is its version at that moment.
+type hold struct {
+	key  PageKey
+	ver  uint64
+	gone bool
+}
 
 // wbBatch is a reusable writeback staging buffer. A flat index/version
 // array plus file boundaries describes per-file batches without
@@ -330,7 +326,7 @@ type Cache struct {
 	n        int        // resident pages
 	// none is the file file() found absent last, valid while noneSet: a
 	// cold read looks up each page of a file not yet in the cache.
-	// fileInsert forgets it when it gives that file an index.
+	// fileFor forgets it when it gives that file an index.
 	none    FileKey
 	noneSet bool
 	// dirty holds the files with pages to write back (fileIndex.dirty >
@@ -344,26 +340,33 @@ type Cache struct {
 	interest uint8 // union of hook event interest; emit skips masked-out types
 	stats    Stats
 
-	lruHead, lruTail *Page // lruHead = most recently used
-	lruClock         uint64
+	// segs holds the segments. segs[0] closes the LRU into a ring: its
+	// next is the head, the most recently used segment, and its prev the
+	// tail. segFree lists the recycled segments through next.
+	segs     []segment
+	segFree  int32
+	lruClock uint64
 
 	// Clean-victim cursor: pickVictim's answer, kept current instead of
-	// rediscovered per eviction. While victim is non-nil it is the
-	// coldest clean page of the LRU and dirtyBelow (< scanLimit) is the
-	// number of pages colder than it, all of them dirty. nil means
-	// unknown, or no clean page within the reclaim window; the next
-	// pickVictim rescans and re-primes it.
-	victim     *Page
+	// rediscovered per eviction. While victimSeg is non-zero, page
+	// victimIdx of that segment is the coldest clean page of the LRU and
+	// dirtyBelow (< scanLimit) is the number of pages colder than it, all
+	// of them dirty. 0 means unknown, or no clean page within the reclaim
+	// window; the next pickVictim rescans and re-primes it.
+	victimSeg  int32
+	victimIdx  uint64
 	dirtyBelow int
+
+	// holds are reclaim's candidates held across writeback.
+	holds []*hold
 
 	// quar lists quarantined pages in insertion order (bounded by the
 	// cache capacity; scanned only on quarantine-state changes).
 	quar []PageKey
 
-	arena pageArena
-	// flFree is the stack of emptied indexes, kept with their slices
+	// flFree is the stack of emptied indexes, kept with their arrays
 	// (length 0, capacity kept) so that a file entering the cache need
-	// not allocate; flFreeCap is the slice capacity it holds, see
+	// not allocate; flFreeCap is the slots it holds, see
 	// poolEntriesPerPage.
 	flFree    []*fileIndex
 	flFreeCap int
@@ -399,6 +402,7 @@ func New(e sim.Host, cfg Config) *Cache {
 		cfg:      cfg,
 		dirty:    rbtree.New[FileKey, *fileIndex](fileKeyLess),
 		backends: make(map[FSID]Backend),
+		segs:     make([]segment, 1),
 	}
 	c.flusherKick = sim.NewWaitQueue(e)
 	c.flusherTimer = sim.NewCallback(e, "pagecache-flusher-timer", func(sim.Time) sim.Time {
@@ -470,7 +474,7 @@ func (c *Cache) RefreshInterest() {
 	c.interest = m
 }
 
-func (c *Cache) emit(ev EventType, pg *Page) {
+func (c *Cache) emit(ev EventType, key PageKey, dirty bool) {
 	c.stats.EventsDispatched++
 	if c.interest&(1<<ev) == 0 {
 		c.stats.EventsFiltered++
@@ -481,43 +485,115 @@ func (c *Cache) emit(ev EventType, pg *Page) {
 	// callback.
 	hooks := c.hooks
 	for _, h := range hooks {
-		h.PageEvent(ev, pg)
+		h.PageEvent(ev, key, dirty)
 	}
 }
 
-// --- intrusive LRU ---------------------------------------------------------
+// --- segment LRU -----------------------------------------------------------
 
-func (c *Cache) lruPushFront(pg *Page) {
-	c.lruClock++
-	pg.lruStamp = c.lruClock
-	pg.lruPrev = nil
-	pg.lruNext = c.lruHead
-	if c.lruHead != nil {
-		c.lruHead.lruPrev = pg
+// newSeg makes a segment for the pages [lo, lo+n) of f, unlinked.
+// Pointers into c.segs do not survive it.
+func (c *Cache) newSeg(f *fileIndex, lo uint64, n int, stamp uint64) int32 {
+	id := c.segFree
+	if id != 0 {
+		c.segFree = c.segs[id].next
+	} else {
+		id = int32(len(c.segs))
+		c.segs = append(c.segs, segment{})
 	}
-	c.lruHead = pg
-	if c.lruTail == nil {
-		c.lruTail = pg
+	c.segs[id] = segment{f: f, lo: lo, n: n, stamp: stamp}
+	return id
+}
+
+// link puts segment id into the LRU between prev (hotter) and next.
+func (c *Cache) link(id, prev, next int32) {
+	c.segs[id].prev, c.segs[id].next = prev, next
+	c.segs[prev].next, c.segs[next].prev = id, id
+}
+
+// unlinkSeg takes segment id out of the LRU and recycles it.
+func (c *Cache) unlinkSeg(id int32) {
+	s := &c.segs[id]
+	c.segs[s.prev].next, c.segs[s.next].prev = s.next, s.prev
+	*s = segment{next: c.segFree}
+	c.segFree = id
+}
+
+// colder reports whether page idx of segment id is colder than the
+// victim cursor, which must be set.
+func (c *Cache) colder(id int32, idx uint64) bool {
+	s, v := c.segs[id].stamp, c.segs[c.victimSeg].stamp
+	return s < v || s == v && idx < c.victimIdx
+}
+
+// cut takes the pages [a, b) of segment id out of the LRU, splitting the
+// segment when they are inside it; the pages' file state is the
+// caller's. The piece with fewer pages moves to a new segment, so a
+// split relabels at most half of them.
+func (c *Cache) cut(id int32, a, b uint64) {
+	if c.victimSeg != 0 {
+		if c.victimSeg == id && c.victimIdx >= a && c.victimIdx < b {
+			// The pages of the stretch colder than the victim are dirty
+			// and leave; the walk to the next victim starts past it.
+			c.dirtyBelow -= int(c.victimIdx - a)
+			c.victimIdx = b - 1
+			c.advanceVictim(0)
+		} else if c.colder(id, a) {
+			c.dirtyBelow -= int(b - a)
+		}
+	}
+	s := &c.segs[id]
+	lo, hi := s.lo, s.hi()
+	switch {
+	case a == lo && b == hi:
+		c.unlinkSeg(id)
+	case a == lo:
+		s.lo, s.n = b, int(hi-b)
+	case b == hi:
+		s.n = int(a - lo)
+	case a-lo <= hi-b:
+		f, stamp, next := s.f, s.stamp, s.next
+		s.lo, s.n = b, int(hi-b)
+		p := c.newSeg(f, lo, int(a-lo), stamp)
+		c.link(p, id, next)
+		c.relabel(p, id)
+	default:
+		f, stamp, prev := s.f, s.stamp, s.prev
+		s.n = int(a - lo)
+		p := c.newSeg(f, b, int(hi-b), stamp)
+		c.link(p, prev, id)
+		c.relabel(p, id)
 	}
 }
 
-func (c *Cache) lruRemove(pg *Page) {
-	if v := c.victim; v == pg {
-		c.advanceVictim(0)
-	} else if v != nil && pg.lruStamp < v.lruStamp {
-		c.dirtyBelow-- // one of the dirty pages under the cursor left
+// relabel points the pages of piece p, split off segment from, at it,
+// and the victim cursor with them.
+func (c *Cache) relabel(p, from int32) {
+	s := &c.segs[p]
+	ids := s.f.seg[s.lo:s.hi()]
+	for i := range ids {
+		ids[i] = p
 	}
-	if pg.lruPrev != nil {
-		pg.lruPrev.lruNext = pg.lruNext
+	if c.victimSeg == from && c.victimIdx >= s.lo && c.victimIdx < s.hi() {
+		c.victimSeg = p
+	}
+}
+
+// pushRun makes the pages [lo, lo+n) of f, out of the LRU, its hottest,
+// in index order: they extend the head segment when they continue it.
+func (c *Cache) pushRun(f *fileIndex, lo uint64, n int) {
+	id := c.segs[0].next
+	if h := &c.segs[id]; id != 0 && h.f == f && h.hi() == lo {
+		h.n += n
 	} else {
-		c.lruHead = pg.lruNext
+		c.lruClock++
+		id = c.newSeg(f, lo, n, c.lruClock)
+		c.link(id, 0, c.segs[0].next)
 	}
-	if pg.lruNext != nil {
-		pg.lruNext.lruPrev = pg.lruPrev
-	} else {
-		c.lruTail = pg.lruPrev
+	ids := f.seg[lo : lo+uint64(n)]
+	for i := range ids {
+		ids[i] = id
 	}
-	pg.lruPrev, pg.lruNext = nil, nil
 }
 
 // advanceVictim moves the cursor off the current victim, which is
@@ -528,23 +604,34 @@ func (c *Cache) lruRemove(pg *Page) {
 // page inside it there is no victim to cache, and pickVictim rescans.
 func (c *Cache) advanceVictim(passed int) {
 	below := c.dirtyBelow + passed
-	pg := c.victim.lruPrev
-	for pg != nil && pg.Dirty && below < scanLimit {
+	id, idx := c.victimSeg, c.victimIdx
+	for {
+		if s := &c.segs[id]; idx+1 < s.hi() {
+			idx++
+		} else if id = s.prev; id != 0 {
+			idx = c.segs[id].lo
+		}
+		if id == 0 || below >= scanLimit || c.segs[id].f.state[idx] == 0 {
+			break
+		}
 		below++
-		pg = pg.lruPrev
 	}
 	if below >= scanLimit {
-		pg = nil
+		id = 0
 	}
-	c.victim, c.dirtyBelow = pg, below
+	c.victimSeg, c.victimIdx, c.dirtyBelow = id, idx, below
 }
 
-func (c *Cache) lruMoveToFront(pg *Page) {
-	if c.lruHead == pg {
-		return
+// touch makes the resident pages [lo, hi) of f the hottest, in index
+// order.
+func (c *Cache) touch(f *fileIndex, lo, hi uint64) {
+	for i := lo; i < hi; {
+		id := f.seg[i]
+		end := min(hi, c.segs[id].hi())
+		c.cut(id, i, end)
+		i = end
 	}
-	c.lruRemove(pg)
-	c.lruPushFront(pg)
+	c.pushRun(f, lo, int(hi-lo))
 }
 
 // --- per-file index --------------------------------------------------------
@@ -569,55 +656,66 @@ func (c *Cache) file(fk FileKey) *fileIndex {
 	return f
 }
 
-// page returns the resident page under key, or nil.
-func (c *Cache) page(key PageKey) *Page {
+// page returns the index of the file holding key when key is resident.
+func (c *Cache) page(key PageKey) (*fileIndex, bool) {
 	f := c.file(FileKey{key.FS, key.Ino})
-	if f == nil || key.Index >= uint64(len(f.pages)) {
-		return nil
-	}
-	return f.pages[key.Index]
+	return f, f != nil && f.resident(key.Index)
 }
 
-// fileInsert enters pg into its file's index, taking an index from the
-// pool if the file had no resident page.
-func (c *Cache) fileInsert(pg *Page) {
-	fk := FileKey{pg.Key.FS, pg.Key.Ino}
-	f := c.file(fk)
-	if f == nil {
-		if n := len(c.flFree) - 1; n >= 0 {
-			f, c.flFree[n] = c.flFree[n], nil
-			c.flFree = c.flFree[:n]
-			c.flFreeCap -= cap(f.pages)
-		} else {
-			f = &fileIndex{}
+// fileFor returns the file's index, taking one from the pool if the file
+// has no resident page.
+func (c *Cache) fileFor(fk FileKey) *fileIndex {
+	if f := c.file(fk); f != nil {
+		return f
+	}
+	var f *fileIndex
+	if n := len(c.flFree) - 1; n >= 0 {
+		f, c.flFree[n] = c.flFree[n], nil
+		c.flFree = c.flFree[:n]
+		c.flFreeCap -= cap(f.seg)
+	} else {
+		f = &fileIndex{}
+	}
+	f.key = fk
+	c.files.Put(fk, f)
+	c.lastFile = f
+	c.noneSet = false // file() just found fk absent
+	return f
+}
+
+// addRun makes the clean pages [lo, lo+len(vers)) of file fk, none of
+// them cached, resident at the front of the LRU; the caller has made
+// room for them.
+func (c *Cache) addRun(fk FileKey, lo uint64, vers []uint64) {
+	f := c.fileFor(fk)
+	f.grow(int(lo) + len(vers))
+	copy(f.ver[lo:], vers)
+	c.pushRun(f, lo, len(vers))
+	f.n += len(vers)
+	c.n += len(vers)
+	c.stats.Inserts += int64(len(vers))
+}
+
+// drop takes the pages [a, b) of f, all of segment id, out of the cache,
+// with their dirty or quarantine state, and releases the index to the
+// pool when they were the file's last pages.
+func (c *Cache) drop(f *fileIndex, id int32, a, b uint64) {
+	c.cut(id, a, b)
+	for i := a; i < b; i++ {
+		if st := f.state[i]; st&pgQuar != 0 {
+			c.unquarantine(PageKey{f.key.FS, f.key.Ino, i})
+		} else if st != 0 {
+			c.dirtyDel(f)
 		}
-		f.key = fk
-		c.files.Put(fk, f)
-		c.lastFile = f
-		c.noneSet = false // file() just found fk absent
+		f.state[i], f.seg[i] = 0, 0
+		for _, h := range c.holds {
+			if !h.gone && h.key == (PageKey{f.key.FS, f.key.Ino, i}) {
+				h.gone, h.ver = true, f.ver[i]
+			}
+		}
 	}
-	// Entries past the length are nil up to the capacity: a slot is
-	// cleared when its page leaves, and the length never shrinks while
-	// the file is resident.
-	if need := int(pg.Key.Index) + 1; need > cap(f.pages) {
-		f.pages = append(f.pages[:cap(f.pages)], make([]*Page, need-cap(f.pages))...)
-	} else if need > len(f.pages) {
-		f.pages = f.pages[:need]
-	}
-	f.pages[pg.Key.Index] = pg
-	pg.file = f
-	f.n++
-	c.n++
-}
-
-// fileRemove takes pg out of its file's index, releasing the index to
-// the pool when that was the file's last page.
-func (c *Cache) fileRemove(pg *Page) {
-	f := pg.file
-	f.pages[pg.Key.Index] = nil
-	pg.file = nil
-	c.n--
-	f.n--
+	f.n -= int(b - a)
+	c.n -= int(b - a)
 	if f.n > 0 {
 		return
 	}
@@ -626,20 +724,19 @@ func (c *Cache) fileRemove(pg *Page) {
 		c.lastFile = nil
 	}
 	c.none, c.noneSet = f.key, true
-	f.pages = f.pages[:0]
+	f.seg, f.ver, f.state, f.dirtyAt = f.seg[:0], f.ver[:0], f.state[:0], f.dirtyAt[:0]
 	c.flFree = append(c.flFree, f)
-	c.flFreeCap += cap(f.pages)
+	c.flFreeCap += cap(f.seg)
 	for c.flFreeCap > poolEntriesPerPage*c.cfg.CapacityPages {
-		c.flFreeCap -= cap(c.flFree[0].pages)
+		c.flFreeCap -= cap(c.flFree[0].seg)
 		c.flFree[0] = nil
 		c.flFree = c.flFree[1:]
 	}
 }
 
-// dirtyAdd and dirtyDel move pg, a dirty page that is not quarantined,
+// dirtyAdd and dirtyDel move a dirty page of f that is not quarantined
 // into and out of the writeback set.
-func (c *Cache) dirtyAdd(pg *Page) {
-	f := pg.file
+func (c *Cache) dirtyAdd(f *fileIndex) {
 	if f.dirty == 0 {
 		c.dirty.Set(f.key, f)
 	}
@@ -647,8 +744,7 @@ func (c *Cache) dirtyAdd(pg *Page) {
 	c.dirtyN++
 }
 
-func (c *Cache) dirtyDel(pg *Page) {
-	f := pg.file
+func (c *Cache) dirtyDel(f *fileIndex) {
 	f.dirty--
 	c.dirtyN--
 	if f.dirty == 0 {
@@ -678,72 +774,74 @@ func (c *Cache) putBatch(b *wbBatch) {
 
 // --- lookup / insert / evict ----------------------------------------------
 
-// Lookup returns the page if cached, promoting it in the LRU, and counts
-// the hit or the miss.
-func (c *Cache) Lookup(key PageKey) (*Page, bool) {
-	pg, ok := c.Touch(key)
+// Lookup reports whether the page is cached, promoting it in the LRU,
+// and counts the hit or the miss.
+func (c *Cache) Lookup(key PageKey) bool {
+	ok := c.Touch(key)
 	if !ok {
 		c.stats.Misses++
 	}
-	return pg, ok
+	return ok
 }
 
 // Touch is Lookup for read paths that follow a miss with an Insert and
 // do their own miss accounting: a hit is promoted and counted, a miss is
 // only reported.
-func (c *Cache) Touch(key PageKey) (*Page, bool) {
-	pg := c.page(key)
-	if pg == nil {
-		return nil, false
-	}
-	c.stats.Hits++
-	c.lruMoveToFront(pg)
-	return pg, true
+func (c *Cache) Touch(key PageKey) bool {
+	return c.TouchRun(key.FS, key.Ino, key.Index, 1) == 1
 }
 
-// Peek returns the page if cached without perturbing the LRU or stats.
-func (c *Cache) Peek(key PageKey) (*Page, bool) {
-	pg := c.page(key)
-	return pg, pg != nil
+// TouchRun is Touch for the pages [lo, lo+n) of file ino, one after
+// another, up to the first page that is not cached: it returns how many
+// it touched. The pages it touches become the hottest run of the LRU.
+func (c *Cache) TouchRun(fs FSID, ino, lo uint64, n int) int {
+	f, hi := c.file(FileKey{fs, ino}), lo
+	for f != nil && hi < lo+uint64(n) && f.resident(hi) {
+		hi++
+	}
+	if hi > lo {
+		c.stats.Hits += int64(hi - lo)
+		c.touch(f, lo, hi)
+	}
+	return int(hi - lo)
+}
+
+// Peek returns the page's version and dirty bit if it is cached, without
+// perturbing the LRU or stats.
+func (c *Cache) Peek(key PageKey) (ver uint64, dirty, ok bool) {
+	f, ok := c.page(key)
+	if !ok {
+		return 0, false, false
+	}
+	return f.ver[key.Index], f.state[key.Index] != 0, true
 }
 
 // Contains reports whether the page is cached, without LRU effects.
-func (c *Cache) Contains(key PageKey) bool { return c.page(key) != nil }
+func (c *Cache) Contains(key PageKey) bool {
+	_, ok := c.page(key)
+	return ok
+}
 
 // Insert adds a clean page with the given content version, evicting as
 // needed, and fires Added. If the page is already present it is promoted
-// and returned unchanged. Insert may block (eviction of a dirty page
-// forces a synchronous writeback), so it needs the calling process.
-func (c *Cache) Insert(p *sim.Proc, key PageKey, version uint64) *Page {
-	if pg := c.page(key); pg != nil {
-		c.lruMoveToFront(pg)
-		return pg
+// and left unchanged. Insert may block (eviction of a dirty page forces
+// a synchronous writeback), so it needs the calling process.
+func (c *Cache) Insert(p *sim.Proc, key PageKey, version uint64) {
+	if f, ok := c.page(key); ok {
+		c.touch(f, key.Index, key.Index+1)
+		return
 	}
 	if c.makeRoom(p) {
 		// Reclaim blocked in writeback, so another process may have
 		// inserted the key meanwhile; a second page under it would orphan
-		// the first in the LRU and the file index.
-		if pg := c.page(key); pg != nil {
-			c.lruMoveToFront(pg)
-			return pg
+		// the first in the LRU.
+		if f, ok := c.page(key); ok {
+			c.touch(f, key.Index, key.Index+1)
+			return
 		}
 	}
-	pg := c.addPage(key, version)
-	c.emit(EventAdded, pg)
-	return pg
-}
-
-// addPage makes a clean page resident under key, at the front of the
-// LRU; the caller has made room for it.
-func (c *Cache) addPage(key PageKey, version uint64) *Page {
-	pg := c.arena.alloc()
-	pg.Key = key
-	pg.Version = version
-	pg.resident = true
-	c.lruPushFront(pg)
-	c.fileInsert(pg)
-	c.stats.Inserts++
-	return pg
+	c.addRun(FileKey{key.FS, key.Ino}, key.Index, []uint64{version})
+	c.emit(EventAdded, key, false)
 }
 
 // runEvents is the interest InsertRun reports in one PageRun call.
@@ -751,44 +849,70 @@ const runEvents = 1<<EventAdded | 1<<EventRemoved
 
 // InsertRun inserts the clean pages [lo, lo+len(vers)) of file ino, page
 // lo+j at version vers[j], as len(vers) Inserts would: the same victims,
-// LRU stamps, file index and stats. When the hooks want both Added and
+// LRU order, file index and stats. When the hooks want both Added and
 // Removed, the run reaches each hook in one PageRun call (see Run);
 // otherwise each event is emitted, or counted as filtered, as Insert
 // does. InsertRun never blocks, so it needs no process: it stops before
 // a page whose room only writeback can make — the caller inserts that
 // page with Insert, which may block — and before a page that is cached
 // already, and returns how many pages it inserted.
+//
+// It works a stretch at a time: the pages that fit in free room, or as
+// many as the clean pages from the victim onward in the victim's
+// segment, which are the victims Insert would pick one after another.
 func (c *Cache) InsertRun(fs FSID, ino, lo uint64, vers []uint64) int {
 	bulk := c.interest&runEvents == runEvents
 	r := &c.run
-	r.Victims = r.Victims[:0]
+	r.Victims, r.Evicted = r.Victims[:0], 0
+	fk := FileKey{fs, ino}
 	n := 0
-	for ; n < len(vers); n++ {
-		key := PageKey{fs, ino, lo + uint64(n)}
-		if c.page(key) != nil {
+	for n < len(vers) {
+		at := lo + uint64(n)
+		k, f := len(vers)-n, c.file(fk) // k: the pages from at that are not cached
+		for j := 0; f != nil && j < k; j++ {
+			if f.resident(at + uint64(j)) {
+				k = j
+			}
+		}
+		if k == 0 {
 			break
 		}
-		if c.n >= c.cfg.CapacityPages {
-			victim := c.pickVictim()
-			if victim == nil {
+		var victim Range
+		if room := c.cfg.CapacityPages - c.n; room > 0 {
+			k = min(k, room)
+		} else {
+			id, idx := c.pickVictim()
+			if id == 0 {
 				break
 			}
-			if bulk {
-				r.Victims = append(r.Victims, victim.Key)
-				c.dropPage(victim)
-			} else {
-				c.removePage(victim, EventRemoved)
+			s := &c.segs[id]
+			vf, end := s.f, idx+1
+			for end < s.hi() && end < idx+uint64(k) && vf.state[end] == 0 {
+				end++
 			}
-			c.stats.Evictions++
+			k = int(end - idx)
+			victim = Range{vf.key.FS, vf.key.Ino, idx, k}
+			c.drop(vf, id, idx, end)
+			c.stats.Evictions += int64(k)
 		}
-		pg := c.addPage(key, vers[n])
-		if !bulk {
-			c.emit(EventAdded, pg)
+		c.addRun(fk, at, vers[n:n+k])
+		switch {
+		case bulk && victim.N > 0:
+			r.Evicted += k
+			r.Victims = append(r.Victims, victim)
+		case !bulk:
+			for j := 0; j < k; j++ {
+				if victim.N > 0 {
+					c.emit(EventRemoved, PageKey{victim.FS, victim.Ino, victim.Lo + uint64(j)}, false)
+				}
+				c.emit(EventAdded, PageKey{fs, ino, at + uint64(j)}, false)
+			}
 		}
+		n += k
 	}
 	if bulk && n > 0 {
-		r.FS, r.Ino, r.Lo, r.N = fs, ino, lo, n
-		c.stats.EventsDispatched += int64(n + len(r.Victims))
+		r.Range = Range{fs, ino, lo, n}
+		c.stats.EventsDispatched += int64(n + r.Evicted)
 		for _, h := range c.hooks {
 			h.PageRun(r)
 		}
@@ -800,45 +924,55 @@ func (c *Cache) InsertRun(fs FSID, ino, lo uint64, vers []uint64) int {
 // whether it went through writeback, the only place it can block.
 func (c *Cache) makeRoom(p *sim.Proc) (blocked bool) {
 	for c.n >= c.cfg.CapacityPages {
-		victim := c.pickVictim()
-		if victim == nil {
+		id, idx := c.pickVictim()
+		if id == 0 {
 			// The reclaim window is all dirty: write back the coldest
 			// page's whole file (batched into coalesced device writes,
 			// as kernel reclaim hands contiguous ranges to writeback)
 			// and retry the scan for a clean victim. The writebacks
-			// block, so tail is pinned: a concurrent process may evict
-			// it meanwhile, and the pin keeps the struct (and the
-			// frozen key/version the fallback below relies on) from
-			// being recycled under our pointer.
+			// block, so the tail page is held: a concurrent process may
+			// evict it meanwhile, and the hold keeps its key and the
+			// version it left with for the fallback below.
 			blocked = true
-			tail := c.lruTail
-			tail.pins++
+			t := &c.segs[c.segs[0].prev]
+			h := &hold{key: PageKey{t.f.key.FS, t.f.key.Ino, t.lo}}
+			c.holds = append(c.holds, h)
 			c.stats.DirtyEvictions++
 			// A writeback failure here is classified, counted
 			// (Stats.WritebackErrors), and acted on inside SyncFile
 			// (transient: pages stay dirty; permanent: quarantined);
 			// reclaim just rescans for whatever came clean.
-			_ = c.SyncFile(p, tail.Key.FS, tail.Key.Ino)
-			victim = c.pickVictim()
-			if victim == nil {
+			_ = c.SyncFile(p, h.key.FS, h.key.Ino)
+			id, idx = c.pickVictim()
+			if id == 0 {
 				// The file was re-dirtied or empty: fall back to a single
 				// forced page writeback.
-				c.writebackOne(p, tail)
-				if tail.Dirty && tail.resident {
+				c.writebackHeld(p, h)
+			}
+			c.holds = slices.DeleteFunc(c.holds, func(x *hold) bool { return x == h })
+			if id == 0 {
+				c.stats.Evictions++
+				if h.gone {
+					// A concurrent process evicted the page meanwhile (and
+					// the key may be cached again): eviction raced, and
+					// both parties report the removal, leaving any page
+					// now under the key intact.
+					c.emit(EventRemoved, h.key, false)
+					continue
+				}
+				f, _ := c.page(h.key)
+				if f.state[h.key.Index] != 0 {
 					// The forced writeback failed too (or the page is
 					// quarantined) and memory pressure leaves no choice:
 					// the page is dropped with its data, recorded rather
 					// than silently swallowed.
 					c.stats.LostPages++
 				}
-				victim = tail
-			}
-			tail.pins--
-			if !tail.resident && tail.pins == 0 && victim != tail {
-				c.arena.release(tail)
+				c.removePage(f, h.key.Index)
+				continue
 			}
 		}
-		c.removePage(victim, EventRemoved)
+		c.removePage(c.segs[id].f, idx)
 		c.stats.Evictions++
 	}
 	return blocked
@@ -849,37 +983,44 @@ func (c *Cache) makeRoom(p *sim.Proc) (blocked bool) {
 const scanLimit = 128
 
 // pickVictim returns the first clean page within scanLimit positions of
-// the LRU tail (approximating kernel reclaim, which prefers clean pages),
-// or nil when that window is all dirty. The answer normally comes from
-// the clean-victim cursor in O(1); the scan below runs only to re-prime
-// an invalid cursor.
-func (c *Cache) pickVictim() *Page {
-	if c.victim != nil {
-		return c.victim
+// the LRU tail (approximating kernel reclaim, which prefers clean pages)
+// as its segment and page index, or segment 0 when that window is all
+// dirty. The answer normally comes from the clean-victim cursor in
+// O(1); the scan below runs only to re-prime an invalid cursor.
+func (c *Cache) pickVictim() (int32, uint64) {
+	if c.victimSeg != 0 {
+		return c.victimSeg, c.victimIdx
 	}
-	pg := c.lruTail
-	for i := 0; pg != nil && i < scanLimit; i++ {
-		if !pg.Dirty {
-			c.victim, c.dirtyBelow = pg, i
-			return pg
+	i := 0
+	for id := c.segs[0].prev; id != 0 && i < scanLimit; id = c.segs[id].prev {
+		s := &c.segs[id]
+		for idx := s.lo; idx < s.hi() && i < scanLimit; idx, i = idx+1, i+1 {
+			if s.f.state[idx] == 0 {
+				c.victimSeg, c.victimIdx, c.dirtyBelow = id, idx, i
+				return id, idx
+			}
 		}
-		pg = pg.lruPrev
 	}
-	return nil
+	return 0, 0
 }
 
-// writebackOne synchronously writes a single dirty page back. On
-// failure the page stays dirty (or is quarantined, for a permanent
-// fault); the caller decides whether it must be dropped anyway.
-func (c *Cache) writebackOne(p *sim.Proc, pg *Page) {
-	b := c.backends[pg.Key.FS]
+// writebackHeld synchronously writes the held page back: the page still
+// resident, or the version it left the cache with. On failure the page
+// stays dirty (or is quarantined, for a permanent fault); the caller
+// decides whether it must be dropped anyway.
+func (c *Cache) writebackHeld(p *sim.Proc, h *hold) {
+	key, ver := h.key, h.ver
+	b := c.backends[key.FS]
 	if b == nil {
-		panic(fmt.Sprintf("pagecache: no backend for fs %d", pg.Key.FS))
+		panic(fmt.Sprintf("pagecache: no backend for fs %d", key.FS))
 	}
-	if pg.quarantined {
-		return
+	if !h.gone {
+		f, _ := c.page(key)
+		if f.state[key.Index]&pgQuar != 0 {
+			return
+		}
+		ver = f.ver[key.Index]
 	}
-	key, ver := pg.Key, pg.Version
 	one := c.getBatch()
 	one.idx = append(one.idx, key.Index)
 	one.vers = append(one.vers, ver)
@@ -894,63 +1035,33 @@ func (c *Cache) writebackOne(p *sim.Proc, pg *Page) {
 	c.putBatch(one)
 }
 
-// removePage drops the page from all indices, fires ev, and recycles the
-// Page struct (unless pinned). The pointer must not be used after this
-// returns. A non-resident page — reclaim's pinned candidate that a
-// concurrent process already evicted during a blocking writeback — is
-// not unlinked again; it only re-fires the event, as eviction raced and
-// both parties report the removal. If the key was re-inserted during the
-// race, the fresh page is left fully intact (only a resident page is in
-// an index, and it is unmapped through its own file pointer), so a raced
-// double-eviction can never orphan a live page.
-func (c *Cache) removePage(pg *Page, ev EventType) {
-	c.unlinkPage(pg)
-	c.emit(ev, pg)
-	if pg.pins == 0 {
-		c.arena.release(pg)
-	}
-}
-
-// dropPage is removePage without the event, for InsertRun, which reports
-// its victims in the run.
-func (c *Cache) dropPage(pg *Page) {
-	c.unlinkPage(pg)
-	if pg.pins == 0 {
-		c.arena.release(pg)
-	}
-}
-
-// unlinkPage takes a resident page out of every index and clears its
-// dirty state; a page no longer resident is left as it is.
-func (c *Cache) unlinkPage(pg *Page) {
-	if !pg.resident {
-		return
-	}
-	c.lruRemove(pg)
-	if pg.quarantined {
-		c.unquarantine(pg)
-	} else if pg.Dirty {
-		c.dirtyDel(pg)
-	}
-	pg.Dirty = false
-	c.fileRemove(pg)
-	pg.resident = false
+// removePage drops resident page idx of f and fires Removed.
+func (c *Cache) removePage(f *fileIndex, idx uint64) {
+	key := PageKey{f.key.FS, f.key.Ino, idx}
+	c.drop(f, f.seg[idx], idx, idx+1)
+	c.emit(EventRemoved, key, false)
 }
 
 // MarkDirty sets the page's dirty bit and bumps its content version,
-// firing Dirtied on the clean-to-dirty transition.
-func (c *Cache) MarkDirty(pg *Page, version uint64) {
-	pg.Version = version
-	if pg.Dirty {
+// firing Dirtied on the clean-to-dirty transition. The page must be
+// cached.
+func (c *Cache) MarkDirty(key PageKey, version uint64) {
+	f, ok := c.page(key)
+	if !ok {
+		panic(fmt.Sprintf("pagecache: MarkDirty of %v, which is not cached", key))
+	}
+	idx := key.Index
+	f.ver[idx] = version
+	if f.state[idx] != 0 {
 		return
 	}
-	pg.Dirty = true
-	if pg == c.victim {
+	f.state[idx] = pgDirty
+	if c.victimSeg == f.seg[idx] && c.victimIdx == idx {
 		c.advanceVictim(1)
 	}
-	pg.DirtyAt = c.eng.Now()
-	c.dirtyAdd(pg)
-	c.emit(EventDirtied, pg)
+	f.dirtyAt[idx] = c.eng.Now()
+	c.dirtyAdd(f)
+	c.emit(EventDirtied, key, true)
 	// Dirty-background throttling: too many dirty pages wake the flusher
 	// immediately rather than waiting out the expiry interval.
 	if float64(c.dirtyN) > c.cfg.DirtyBackgroundRatio*float64(c.cfg.CapacityPages) {
@@ -961,44 +1072,50 @@ func (c *Cache) MarkDirty(pg *Page, version uint64) {
 // markCleanIf clears the dirty bit if the page is still at the version the
 // writeback captured, firing Flushed. Re-dirtied pages stay dirty.
 func (c *Cache) markCleanIf(key PageKey, version uint64) {
-	pg := c.page(key)
-	if pg == nil || !pg.Dirty || pg.quarantined || pg.Version != version {
+	f, ok := c.page(key)
+	if !ok || f.state[key.Index] != pgDirty || f.ver[key.Index] != version {
 		return
 	}
-	pg.Dirty = false
-	if c.victim != nil && pg.lruStamp < c.victim.lruStamp {
-		c.victim = nil // a colder page came clean: re-prime on demand
+	f.state[key.Index] = 0
+	if c.victimSeg != 0 && c.colder(f.seg[key.Index], key.Index) {
+		c.victimSeg = 0 // a colder page came clean: re-prime on demand
 	}
-	c.dirtyDel(pg)
-	c.emit(EventFlushed, pg)
+	c.dirtyDel(f)
+	c.emit(EventFlushed, key, false)
 }
 
 // Remove drops a page (file truncation or deletion), firing Removed.
 // Dirty pages are discarded without writeback, matching truncate
 // semantics.
 func (c *Cache) Remove(key PageKey) bool {
-	pg := c.page(key)
-	if pg == nil {
-		return false
+	f, ok := c.page(key)
+	if ok {
+		c.removePage(f, key.Index)
 	}
-	c.removePage(pg, EventRemoved)
-	return true
+	return ok
 }
 
-// RemoveFile drops every cached page of a file (deletion).
+// RemoveFile drops every cached page of a file (deletion), firing
+// Removed for each in index order. It drops a segment at a time: in
+// index order, the first page left of a segment is its coldest.
 func (c *Cache) RemoveFile(fs FSID, ino uint64) int {
 	f := c.file(FileKey{fs, ino})
 	if f == nil {
 		return 0
 	}
-	n := 0
-	for _, pg := range f.pages {
-		if pg != nil {
-			c.removePage(pg, EventRemoved)
-			c.stats.RemovedByDelete++
-			n++
+	n := f.n
+	for i, ids := uint64(0), f.seg; i < uint64(len(ids)); {
+		if ids[i] == 0 {
+			i++
+			continue
+		}
+		hi := c.segs[ids[i]].hi()
+		c.drop(f, ids[i], i, hi)
+		for ; i < hi; i++ {
+			c.emit(EventRemoved, PageKey{fs, ino, i}, false)
 		}
 	}
+	c.stats.RemovedByDelete += int64(n)
 	return n
 }
 
@@ -1031,16 +1148,17 @@ func (c *Cache) FileDirty(fs FSID, ino uint64) bool {
 }
 
 // IterateFile calls fn for each cached page of a file in index order,
-// without allocating. fn may remove the page it was handed, but must not
-// otherwise insert or remove pages of the same file during iteration.
-func (c *Cache) IterateFile(fs FSID, ino uint64, fn func(pg *Page) bool) {
+// with its dirty bit, without allocating. fn may remove the page it was
+// handed, but must not otherwise insert or remove pages of the same file
+// during iteration.
+func (c *Cache) IterateFile(fs FSID, ino uint64, fn func(key PageKey, dirty bool) bool) {
 	fk := FileKey{fs, ino}
 	f := c.file(fk)
 	if f == nil {
 		return
 	}
-	for _, pg := range f.pages {
-		if pg == nil {
+	for i, id := range f.seg {
+		if id == 0 {
 			continue
 		}
 		// fn removed the file's last page and its index now serves
@@ -1048,27 +1166,28 @@ func (c *Cache) IterateFile(fs FSID, ino uint64, fn func(pg *Page) bool) {
 		if f.key != fk {
 			return
 		}
-		if !fn(pg) {
+		if !fn(PageKey{fs, ino, uint64(i)}, f.state[i] != 0) {
 			return
 		}
 	}
 }
 
-// Iterate calls fn for every cached page in key order (used by Duet's
-// registration scan). It snapshots keys first, so fn may mutate the cache.
-func (c *Cache) Iterate(fn func(pg *Page) bool) {
+// Iterate calls fn for every cached page in key order, with its dirty
+// bit (used by Duet's registration scan). It snapshots keys first, so fn
+// may mutate the cache.
+func (c *Cache) Iterate(fn func(key PageKey, dirty bool) bool) {
 	fks := c.files.AppendKeys(make([]FileKey, 0, c.files.Len()))
 	sort.Slice(fks, func(i, j int) bool { return fileKeyLess(fks[i], fks[j]) })
 	keys := make([]PageKey, 0, c.n)
 	for _, fk := range fks {
-		for _, pg := range c.files.Get(fk).pages {
-			if pg != nil {
-				keys = append(keys, pg.Key)
+		for i, id := range c.files.Get(fk).seg {
+			if id != 0 {
+				keys = append(keys, PageKey{fk.FS, fk.Ino, uint64(i)})
 			}
 		}
 	}
 	for _, k := range keys {
-		if pg := c.page(k); pg != nil && !fn(pg) {
+		if f, ok := c.page(k); ok && !fn(k, f.state[k.Index] != 0) {
 			return
 		}
 	}
@@ -1084,10 +1203,10 @@ func (c *Cache) SyncFile(p *sim.Proc, fs FSID, ino uint64) error {
 		return nil
 	}
 	b := c.getBatch()
-	for _, pg := range f.pages {
-		if pg != nil && pg.Dirty && !pg.quarantined {
-			b.idx = append(b.idx, pg.Key.Index)
-			b.vers = append(b.vers, pg.Version)
+	for i, st := range f.state {
+		if st == pgDirty {
+			b.idx = append(b.idx, uint64(i))
+			b.vers = append(b.vers, f.ver[i])
 		}
 	}
 	be := c.backends[fs]
@@ -1140,10 +1259,10 @@ func (c *Cache) flushExpired(p *sim.Proc, minAge sim.Time) {
 	b := c.getBatch()
 	c.dirty.Ascend(nil, func(fk FileKey, f *fileIndex) bool {
 		start := len(b.idx)
-		for _, pg := range f.pages {
-			if pg != nil && pg.Dirty && !pg.quarantined && now-pg.DirtyAt >= minAge {
-				b.idx = append(b.idx, pg.Key.Index)
-				b.vers = append(b.vers, pg.Version)
+		for i, st := range f.state {
+			if st == pgDirty && now-f.dirtyAt[i] >= minAge {
+				b.idx = append(b.idx, uint64(i))
+				b.vers = append(b.vers, f.ver[i])
 			}
 		}
 		if len(b.idx) > start {
@@ -1192,25 +1311,25 @@ func (c *Cache) wbFailed(err error, fs FSID, ino uint64, idx, vers []uint64) {
 	}
 	now := c.eng.Now()
 	for i, ix := range idx {
-		pg := c.page(PageKey{fs, ino, ix})
-		if pg == nil || !pg.Dirty || pg.quarantined {
+		f, ok := c.page(PageKey{fs, ino, ix})
+		if !ok || f.state[ix] != pgDirty {
 			continue
 		}
-		if permanent && pg.Version == vers[i] {
-			c.quarantine(pg)
+		if permanent && f.ver[ix] == vers[i] {
+			c.quarantine(f, ix)
 			continue
 		}
-		pg.DirtyAt = now
+		f.dirtyAt[ix] = now
 	}
 }
 
 // quarantine parks a dirty page out of the writeback path after a
 // permanent fault. The page keeps its data and dirty bit but leaves the
 // writeback set, so flusher and sync passes skip it.
-func (c *Cache) quarantine(pg *Page) {
-	pg.quarantined = true
-	c.dirtyDel(pg)
-	c.quar = append(c.quar, pg.Key)
+func (c *Cache) quarantine(f *fileIndex, idx uint64) {
+	f.state[idx] |= pgQuar
+	c.dirtyDel(f)
+	c.quar = append(c.quar, PageKey{f.key.FS, f.key.Ino, idx})
 	c.stats.QuarantineEvents++
 	if st := c.obs; st != nil && st.tr != nil {
 		st.tr.Instant(st.tid, "pagecache", "quarantine", c.eng.Now())
@@ -1234,24 +1353,12 @@ func (c *Cache) QuarantinedLen() int { return len(c.quar) }
 // the machine whose hooks cared about these pages is the one that just
 // died. Returns the number of pages dropped.
 func (c *Cache) DropVolatile() int {
-	n := 0
-	for pg := c.lruHead; pg != nil; n++ {
-		next := pg.lruNext
-		if pg.Dirty && !pg.quarantined {
-			c.dirtyDel(pg)
-		}
-		pg.Dirty = false
-		pg.quarantined = false
-		c.fileRemove(pg)
-		pg.resident = false
-		pg.lruPrev, pg.lruNext = nil, nil
-		if pg.pins == 0 {
-			c.arena.release(pg)
-		}
-		pg = next
+	n := c.n
+	c.victimSeg = 0
+	for id := c.segs[0].next; id != 0; id = c.segs[0].next {
+		s := &c.segs[id]
+		c.drop(s.f, id, s.lo, s.hi())
 	}
-	c.lruHead, c.lruTail, c.victim = nil, nil, nil
-	c.quar = c.quar[:0]
 	return n
 }
 
@@ -1259,13 +1366,14 @@ func (c *Cache) DropVolatile() int {
 // called after the underlying fault is repaired (block remapped or
 // rewritten). The expiry clock restarts at now.
 func (c *Cache) Requeue(key PageKey) bool {
-	pg := c.page(key)
-	if pg == nil || !pg.quarantined {
+	f, ok := c.page(key)
+	if !ok || f.state[key.Index]&pgQuar == 0 {
 		return false
 	}
-	c.unquarantine(pg)
-	pg.DirtyAt = c.eng.Now()
-	c.dirtyAdd(pg)
+	c.unquarantine(key)
+	f.state[key.Index] = pgDirty
+	f.dirtyAt[key.Index] = c.eng.Now()
+	c.dirtyAdd(f)
 	c.stats.RequeuedPages++
 	if st := c.obs; st != nil && st.tr != nil {
 		st.tr.Instant(st.tid, "pagecache", "requeue", c.eng.Now())
@@ -1274,12 +1382,10 @@ func (c *Cache) Requeue(key PageKey) bool {
 	return true
 }
 
-// unquarantine clears the flag and drops the key from the quarantine
-// list.
-func (c *Cache) unquarantine(pg *Page) {
-	pg.quarantined = false
+// unquarantine drops the key from the quarantine list.
+func (c *Cache) unquarantine(key PageKey) {
 	for i, k := range c.quar {
-		if k == pg.Key {
+		if k == key {
 			c.quar = append(c.quar[:i], c.quar[i+1:]...)
 			break
 		}

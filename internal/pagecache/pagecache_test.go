@@ -20,13 +20,13 @@ func newRecordingHook() *recordingHook {
 	return &recordingHook{byType: map[EventType]int{}}
 }
 
-func (h *recordingHook) PageEvent(ev EventType, pg *Page) {
+func (h *recordingHook) PageEvent(ev EventType, _ PageKey, _ bool) {
 	h.events = append(h.events, ev.String())
 	h.byType[ev]++
 }
 
 func (h *recordingHook) PageRun(r *Run) {
-	r.Each(func(ev EventType, _ PageKey) { h.PageEvent(ev, nil) })
+	r.Each(func(ev EventType, key PageKey) { h.PageEvent(ev, key, false) })
 }
 
 // nullBackend counts writebacks without doing I/O.
@@ -75,19 +75,19 @@ func key(ino, idx uint64) PageKey { return PageKey{FS: 1, Ino: ino, Index: idx} 
 func TestInsertLookupEvents(t *testing.T) {
 	h := newHarness(10)
 	h.in(t, func(p *sim.Proc) {
-		pg := h.c.Insert(p, key(1, 0), 7)
-		if pg.Version != 7 || pg.Dirty {
-			t.Errorf("page = %+v", pg)
+		h.c.Insert(p, key(1, 0), 7)
+		if ver, dirty, ok := h.c.Peek(key(1, 0)); !ok || ver != 7 || dirty {
+			t.Errorf("page = version %d, dirty %v, cached %v", ver, dirty, ok)
 		}
-		if got, ok := h.c.Lookup(key(1, 0)); !ok || got != pg {
+		if !h.c.Lookup(key(1, 0)) {
 			t.Error("Lookup failed")
 		}
-		if _, ok := h.c.Lookup(key(1, 1)); ok {
+		if h.c.Lookup(key(1, 1)) {
 			t.Error("Lookup of absent page succeeded")
 		}
 		// Re-insert is idempotent and fires no second Added.
 		h.c.Insert(p, key(1, 0), 99)
-		if pg.Version != 7 {
+		if ver, _, _ := h.c.Peek(key(1, 0)); ver != 7 {
 			t.Error("re-insert must not clobber version")
 		}
 	})
@@ -127,10 +127,10 @@ func TestLRUEviction(t *testing.T) {
 func TestEvictionPrefersClean(t *testing.T) {
 	h := newHarness(3)
 	h.in(t, func(p *sim.Proc) {
-		a := h.c.Insert(p, key(1, 0), 0)
+		h.c.Insert(p, key(1, 0), 0)
 		h.c.Insert(p, key(1, 1), 0)
 		h.c.Insert(p, key(1, 2), 0)
-		h.c.MarkDirty(a, 1) // dirtying (1,0) doesn't change LRU position
+		h.c.MarkDirty(key(1, 0), 1) // dirtying (1,0) doesn't change LRU position
 		h.c.Insert(p, key(1, 3), 0)
 		if !h.c.Contains(key(1, 0)) {
 			t.Error("dirty coldest page should be skipped by reclaim")
@@ -147,10 +147,10 @@ func TestEvictionPrefersClean(t *testing.T) {
 func TestAllDirtyForcesWriteback(t *testing.T) {
 	h := newHarness(2)
 	h.in(t, func(p *sim.Proc) {
-		a := h.c.Insert(p, key(1, 0), 0)
-		b := h.c.Insert(p, key(1, 1), 0)
-		h.c.MarkDirty(a, 1)
-		h.c.MarkDirty(b, 1)
+		h.c.Insert(p, key(1, 0), 0)
+		h.c.Insert(p, key(1, 1), 0)
+		h.c.MarkDirty(key(1, 0), 1)
+		h.c.MarkDirty(key(1, 1), 1)
 		h.c.Insert(p, key(1, 2), 0)
 		if h.c.Len() != 2 {
 			t.Errorf("Len = %d", h.c.Len())
@@ -172,19 +172,20 @@ func TestAllDirtyForcesWriteback(t *testing.T) {
 func TestDirtyFlushCycle(t *testing.T) {
 	h := newHarness(10)
 	h.in(t, func(p *sim.Proc) {
-		pg := h.c.Insert(p, key(1, 0), 1)
-		h.c.MarkDirty(pg, 2)
-		h.c.MarkDirty(pg, 3) // second dirty: no extra event
+		h.c.Insert(p, key(1, 0), 1)
+		h.c.MarkDirty(key(1, 0), 2)
+		h.c.MarkDirty(key(1, 0), 3) // second dirty: no extra event
 		if h.c.DirtyLen() != 1 {
 			t.Errorf("DirtyLen = %d", h.c.DirtyLen())
 		}
 		// Wait past dirty expire + writeback interval for the flusher.
 		p.Sleep(40 * sim.Second)
-		if pg.Dirty {
+		ver, dirty, _ := h.c.Peek(key(1, 0))
+		if dirty {
 			t.Error("page still dirty after expire")
 		}
-		if pg.Version != 3 {
-			t.Errorf("version = %d", pg.Version)
+		if ver != 3 {
+			t.Errorf("version = %d", ver)
 		}
 	})
 	if h.hook.byType[EventDirtied] != 1 {
@@ -201,10 +202,10 @@ func TestDirtyFlushCycle(t *testing.T) {
 func TestFlusherHonoursDirtyExpire(t *testing.T) {
 	h := newHarness(10)
 	h.in(t, func(p *sim.Proc) {
-		pg := h.c.Insert(p, key(1, 0), 1)
-		h.c.MarkDirty(pg, 2)
+		h.c.Insert(p, key(1, 0), 1)
+		h.c.MarkDirty(key(1, 0), 2)
 		p.Sleep(10 * sim.Second) // several flusher runs, but page is young
-		if !pg.Dirty {
+		if _, dirty, _ := h.c.Peek(key(1, 0)); !dirty {
 			t.Error("page flushed before dirty expire")
 		}
 	})
@@ -214,11 +215,11 @@ func TestSyncFileImmediate(t *testing.T) {
 	h := newHarness(10)
 	h.in(t, func(p *sim.Proc) {
 		for i := uint64(0); i < 4; i++ {
-			pg := h.c.Insert(p, key(5, i), 1)
-			h.c.MarkDirty(pg, 2)
+			h.c.Insert(p, key(5, i), 1)
+			h.c.MarkDirty(key(5, i), 2)
 		}
-		pg := h.c.Insert(p, key(6, 0), 1)
-		h.c.MarkDirty(pg, 2)
+		h.c.Insert(p, key(6, 0), 1)
+		h.c.MarkDirty(key(6, 0), 2)
 		if err := h.c.SyncFile(p, 1, 5); err != nil {
 			t.Fatal(err)
 		}
@@ -235,8 +236,8 @@ func TestSyncAll(t *testing.T) {
 	h := newHarness(10)
 	h.in(t, func(p *sim.Proc) {
 		for i := uint64(0); i < 3; i++ {
-			pg := h.c.Insert(p, key(i+1, 0), 1)
-			h.c.MarkDirty(pg, 2)
+			h.c.Insert(p, key(i+1, 0), 1)
+			h.c.MarkDirty(key(i+1, 0), 2)
 		}
 		h.c.Sync(p)
 		if h.c.DirtyLen() != 0 {
@@ -251,8 +252,8 @@ func TestRemoveFile(t *testing.T) {
 		for i := uint64(0); i < 3; i++ {
 			h.c.Insert(p, key(7, i), 1)
 		}
-		pg := h.c.Insert(p, key(7, 1), 1)
-		h.c.MarkDirty(pg, 2)
+		h.c.Insert(p, key(7, 1), 1)
+		h.c.MarkDirty(key(7, 1), 2)
 		if n := h.c.RemoveFile(1, 7); n != 3 {
 			t.Errorf("RemoveFile = %d, want 3", n)
 		}
@@ -279,8 +280,8 @@ func TestIterateFileOrder(t *testing.T) {
 		}
 		h.c.Insert(p, key(8, 0), 1)
 		var got []uint64
-		h.c.IterateFile(1, 9, func(pg *Page) bool {
-			got = append(got, pg.Key.Index)
+		h.c.IterateFile(1, 9, func(k PageKey, _ bool) bool {
+			got = append(got, k.Index)
 			return true
 		})
 		want := []uint64{1, 2, 3, 4, 5}
@@ -309,9 +310,9 @@ func TestIterateFileIndexReleasedMidWalk(t *testing.T) {
 		h.c.Insert(p, key(9, 10), 1)
 		h.c.Remove(key(9, 10)) // the index stays 11 long
 		var got []PageKey
-		h.c.IterateFile(1, 9, func(pg *Page) bool {
-			got = append(got, pg.Key)
-			h.c.Remove(pg.Key)
+		h.c.IterateFile(1, 9, func(k PageKey, _ bool) bool {
+			got = append(got, k)
+			h.c.Remove(k)
 			h.c.Insert(p, key(8, 5), 1)
 			return true
 		})
@@ -332,12 +333,12 @@ func TestIterateFileIndexReleasedMidWalk(t *testing.T) {
 func (c *Cache) indexCapacity() (live, pooled, files int) {
 	for _, f := range c.files.vals {
 		if f != nil {
-			live += cap(f.pages)
+			live += cap(f.seg)
 			files++
 		}
 	}
 	for _, f := range c.flFree {
-		pooled += cap(f.pages)
+		pooled += cap(f.seg)
 	}
 	return live, pooled, files
 }
@@ -372,7 +373,7 @@ func TestIndexMemoryBound(t *testing.T) {
 		defer e.Stop()
 		for step := 0; step < 20*capacity; step++ {
 			k := key(uint64(1+rng.Intn(files)), uint64(rng.Intn(filePages)))
-			if _, ok := c.Touch(k); !ok {
+			if !c.Touch(k) {
 				c.Insert(p, k, 1)
 			}
 			check(step)
@@ -403,8 +404,8 @@ func TestIterateWholeCache(t *testing.T) {
 		h.c.Insert(p, key(1, 5), 1)
 		h.c.Insert(p, key(1, 2), 1)
 		var got []PageKey
-		h.c.Iterate(func(pg *Page) bool {
-			got = append(got, pg.Key)
+		h.c.Iterate(func(k PageKey, _ bool) bool {
+			got = append(got, k)
 			return true
 		})
 		if len(got) != 3 {
@@ -423,19 +424,20 @@ func TestRedirtiedPageStaysDirty(t *testing.T) {
 	c.RegisterFS(1, slow)
 	redirtied := false
 	e.Go("test", func(p *sim.Proc) {
-		pg := c.Insert(p, key(1, 0), 1)
-		c.MarkDirty(pg, 2)
+		c.Insert(p, key(1, 0), 1)
+		c.MarkDirty(key(1, 0), 2)
 		// The flusher starts writing back v2 at t=1s and finishes at
 		// t=1.5s. Re-dirty mid-writeback at t=1.2s.
 		p.Sleep(1200 * sim.Millisecond)
-		c.MarkDirty(pg, 3)
+		c.MarkDirty(key(1, 0), 3)
 		redirtied = true
 		p.Sleep(400 * sim.Millisecond) // writeback of v2 has completed
-		if !pg.Dirty {
+		ver, dirty, _ := c.Peek(key(1, 0))
+		if !dirty {
 			t.Error("page re-dirtied during writeback must stay dirty")
 		}
-		if pg.Version != 3 {
-			t.Errorf("version = %d, want 3", pg.Version)
+		if ver != 3 {
+			t.Errorf("version = %d, want 3", ver)
 		}
 		e.Stop()
 	})
@@ -528,14 +530,12 @@ func TestEventTypeString(t *testing.T) {
 
 // funcHook adapts a closure to the Hook interface.
 type funcHook struct {
-	fn func(ev EventType, pg *Page)
+	fn func(ev EventType, key PageKey)
 }
 
-func (h *funcHook) PageEvent(ev EventType, pg *Page) { h.fn(ev, pg) }
+func (h *funcHook) PageEvent(ev EventType, key PageKey, _ bool) { h.fn(ev, key) }
 
-func (h *funcHook) PageRun(r *Run) {
-	r.Each(func(ev EventType, key PageKey) { h.fn(ev, &Page{Key: key}) })
-}
+func (h *funcHook) PageRun(r *Run) { r.Each(h.fn) }
 
 // TestRemoveHookDuringDispatch is the regression test for hook removal
 // from inside a PageEvent callback. With a splice-under-iteration
@@ -549,11 +549,11 @@ func TestRemoveHookDuringDispatch(t *testing.T) {
 	h.c.RemoveHook(h.hook) // drop the harness hook; this test counts its own
 	var aCalls, bCalls int
 	var a, b *funcHook
-	a = &funcHook{fn: func(ev EventType, pg *Page) {
+	a = &funcHook{fn: func(EventType, PageKey) {
 		aCalls++
 		h.c.RemoveHook(a) // self-removal mid-dispatch
 	}}
-	b = &funcHook{fn: func(ev EventType, pg *Page) { bCalls++ }}
+	b = &funcHook{fn: func(EventType, PageKey) { bCalls++ }}
 	h.c.AddHook(a)
 	h.c.AddHook(b)
 	h.in(t, func(p *sim.Proc) {
@@ -586,8 +586,8 @@ func TestRemoveHookRefreshesInterest(t *testing.T) {
 	}
 }
 
-// TestEvictionRaceReinsert pins the eviction-race contract of the page
-// arena: while reclaim is blocked writing back its LRU-tail candidate, a
+// TestEvictionRaceReinsert pins the eviction-race contract of reclaim's
+// hold: while reclaim is blocked writing back its LRU-tail candidate, a
 // concurrent process may evict that page and re-insert the same key.
 // The raced double-eviction must re-report the removal (both parties
 // observed it) but leave the freshly inserted page fully intact — in
@@ -602,10 +602,10 @@ func TestEvictionRaceReinsert(t *testing.T) {
 	c.AddHook(h)
 	k1, k2, k3 := key(1, 0), key(1, 1), key(2, 0)
 	e.Go("inserter", func(p *sim.Proc) {
-		pg := c.Insert(p, k1, 1)
-		c.MarkDirty(pg, 1)
-		pg = c.Insert(p, k2, 2)
-		c.MarkDirty(pg, 2)
+		c.Insert(p, k1, 1)
+		c.MarkDirty(k1, 1)
+		c.Insert(p, k2, 2)
+		c.MarkDirty(k2, 2)
 		// Cache full, everything dirty: this insert blocks in reclaim
 		// writing back the tail (k1).
 		c.Insert(p, k3, 3)
@@ -613,8 +613,8 @@ func TestEvictionRaceReinsert(t *testing.T) {
 	e.Go("racer", func(p *sim.Proc) {
 		p.Sleep(sim.Millisecond) // let the inserter block first
 		c.Remove(k1)
-		pg := c.Insert(p, k1, 10)
-		c.MarkDirty(pg, 10)
+		c.Insert(p, k1, 10)
+		c.MarkDirty(k1, 10)
 	})
 	e.Go("stopper", func(p *sim.Proc) {
 		p.Sleep(sim.Second)
@@ -626,34 +626,34 @@ func TestEvictionRaceReinsert(t *testing.T) {
 	if !c.Contains(k1) {
 		t.Fatal("re-inserted page lost by raced double-eviction")
 	}
-	pg, ok := c.Lookup(k1)
-	if !ok || pg.Version != 10 {
-		t.Fatalf("Lookup(k1) = %v, %v; want the re-inserted page (version 10)", pg, ok)
+	ver, dirty, ok := c.Peek(k1)
+	if !ok || ver != 10 {
+		t.Fatalf("Peek(k1) = version %d, cached %v; want the re-inserted page (version 10)", ver, ok)
 	}
-	if !pg.Dirty {
+	if !dirty {
 		t.Error("re-inserted page lost its dirty bit")
 	}
 	// The re-inserted page must still be reachable through the per-file
 	// index, or SyncFile would silently skip it.
 	seen := false
-	c.IterateFile(1, 1, func(p *Page) bool {
-		if p.Key == k1 && p.Version == 10 {
-			seen = true
-		}
+	c.IterateFile(1, 1, func(k PageKey, dirty bool) bool {
+		seen = seen || k == k1 && dirty
 		return true
 	})
 	if !seen {
 		t.Error("re-inserted page missing from the per-file index")
+	}
+	if err := errors.Join(c.checkIndex(), c.checkVictimCursor()); err != nil {
+		t.Error(err)
 	}
 }
 
 // TestInsertRaceSameKey pins Insert's behaviour when reclaim blocks: two
 // processes miss on the same key while the reclaim window is all dirty,
 // so both block in makeRoom's writeback. The first to resume inserts the
-// page; the second must find it and return it, not insert a second page
-// under the same key — that would orphan the first in the LRU and the
-// file index (resident, absent from the table), and its later eviction
-// would report Removed for a key that is still cached.
+// page; the second must find it and leave it, not insert a second page
+// under the same key — its later eviction would report Removed for a key
+// that is still cached.
 func TestInsertRaceSameKey(t *testing.T) {
 	e := sim.New(1)
 	c := New(e, DefaultConfig(2))
@@ -661,15 +661,16 @@ func TestInsertRaceSameKey(t *testing.T) {
 	h := &keyHook{}
 	c.AddHook(h)
 	k1, k2, k3 := key(1, 0), key(1, 1), key(2, 0)
-	var first, second *Page
 	e.Go("first", func(p *sim.Proc) {
-		c.MarkDirty(c.Insert(p, k1, 1), 1)
-		c.MarkDirty(c.Insert(p, k2, 2), 2)
-		first = c.Insert(p, k3, 3) // blocks writing back file 1
+		c.Insert(p, k1, 1)
+		c.MarkDirty(k1, 1)
+		c.Insert(p, k2, 2)
+		c.MarkDirty(k2, 2)
+		c.Insert(p, k3, 3) // blocks writing back file 1
 	})
 	e.Go("second", func(p *sim.Proc) {
 		p.Sleep(sim.Millisecond) // let the first block
-		second = c.Insert(p, k3, 4)
+		c.Insert(p, k3, 4)
 		// Push everything else out: an orphan would surface here as a
 		// Removed for k3 while k3 stays cached.
 		c.Insert(p, key(3, 0), 5)
@@ -679,9 +680,6 @@ func TestInsertRaceSameKey(t *testing.T) {
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
-	}
-	if first == nil || first != second {
-		t.Errorf("the two inserts returned different pages: %p, %p", first, second)
 	}
 	added, removed := 0, 0
 	for _, ev := range h.events {
@@ -695,14 +693,13 @@ func TestInsertRaceSameKey(t *testing.T) {
 	if added != 1 || removed != 0 {
 		t.Errorf("k3: %d Added, %d Removed events, want 1 and 0: %v", added, removed, h.events)
 	}
-	if pg, ok := c.Peek(k3); !ok || pg.Version != 3 {
-		t.Errorf("k3 should be cached at the winner's version 3, got %+v, %v", pg, ok)
+	if ver, _, ok := c.Peek(k3); !ok || ver != 3 {
+		t.Errorf("k3 should be cached at the winner's version 3, got %d, %v", ver, ok)
 	}
-	n := 0
-	for pg := c.lruHead; pg != nil; pg = pg.lruNext {
-		n++
-	}
-	if n != c.Len() {
+	if n := len(c.lruPages()); n != c.Len() {
 		t.Errorf("%d pages in the LRU, %d in the table", n, c.Len())
+	}
+	if err := c.checkIndex(); err != nil {
+		t.Error(err)
 	}
 }

@@ -34,6 +34,13 @@ func (b *faultBackend) WritebackPages(p *sim.Proc, ino uint64, indices []uint64)
 	return n, b.errs[i]
 }
 
+// quarantined reports whether the page is cached and held out of
+// writeback after a permanent write fault.
+func (c *Cache) quarantined(k PageKey) bool {
+	f, ok := c.page(k)
+	return ok && f.state[k.Index]&pgQuar != 0
+}
+
 func newFaultHarness(capacity int, b *faultBackend) *harness {
 	e := sim.New(1)
 	c := New(e, DefaultConfig(capacity))
@@ -47,15 +54,15 @@ func TestPermanentFaultQuarantinesAndRequeues(t *testing.T) {
 	fb := &faultBackend{errs: []error{storage.ErrWriteFault}, persist: []int{0}}
 	h := newFaultHarness(8, fb)
 	h.in(t, func(p *sim.Proc) {
-		pg := h.c.Insert(p, key(1, 0), 1)
-		h.c.MarkDirty(pg, 2)
+		h.c.Insert(p, key(1, 0), 1)
+		h.c.MarkDirty(key(1, 0), 2)
 		if err := h.c.SyncFile(p, 1, 1); err == nil {
 			t.Fatal("SyncFile should report the write fault")
 		}
-		if !pg.Quarantined() {
+		if !h.c.quarantined(key(1, 0)) {
 			t.Fatal("page not quarantined after permanent fault")
 		}
-		if !pg.Dirty {
+		if _, dirty, _ := h.c.Peek(key(1, 0)); !dirty {
 			t.Error("quarantined page must keep its dirty data")
 		}
 		if h.c.DirtyLen() != 0 {
@@ -78,13 +85,13 @@ func TestPermanentFaultQuarantinesAndRequeues(t *testing.T) {
 		if !h.c.Requeue(key(1, 0)) {
 			t.Fatal("Requeue failed")
 		}
-		if pg.Quarantined() || h.c.DirtyLen() != 1 {
+		if h.c.quarantined(key(1, 0)) || h.c.DirtyLen() != 1 {
 			t.Error("requeued page not back on the writeback path")
 		}
 		if err := h.c.SyncFile(p, 1, 1); err != nil {
 			t.Fatalf("sync after requeue: %v", err)
 		}
-		if pg.Dirty {
+		if _, dirty, _ := h.c.Peek(key(1, 0)); dirty {
 			t.Error("page still dirty after successful writeback")
 		}
 	})
@@ -112,8 +119,8 @@ func TestFileDirty(t *testing.T) {
 				t.Errorf("%s: FileDirty(ino %d) = %v, want %v", what, ino, got, want)
 			}
 			walked := false
-			h.c.IterateFile(1, ino, func(pg *Page) bool {
-				walked = walked || pg.Dirty
+			h.c.IterateFile(1, ino, func(_ PageKey, dirty bool) bool {
+				walked = walked || dirty
 				return true
 			})
 			if walked != want {
@@ -125,8 +132,7 @@ func TestFileDirty(t *testing.T) {
 			h.c.Insert(p, key(1, i), 1)
 		}
 		check("clean file", 1, false)
-		pg, _ := h.c.Peek(key(1, 1))
-		h.c.MarkDirty(pg, 2)
+		h.c.MarkDirty(key(1, 1), 2)
 		check("dirty file", 1, true)
 		if h.c.FileDirty(2, 1) {
 			t.Error("a dirty page of fs 1 made the same inode of fs 2 dirty")
@@ -137,8 +143,8 @@ func TestFileDirty(t *testing.T) {
 		check("cleaned by writeback", 1, false)
 
 		for i := uint64(0); i < 2; i++ {
-			pg := h.c.Insert(p, key(2, i), 1)
-			h.c.MarkDirty(pg, 2)
+			h.c.Insert(p, key(2, i), 1)
+			h.c.MarkDirty(key(2, i), 2)
 		}
 		if err := h.c.SyncFile(p, 1, 2); err == nil {
 			t.Fatal("SyncFile should report the write fault")
@@ -163,22 +169,22 @@ func TestTransientFaultRedirtiesForRetry(t *testing.T) {
 	fb := &faultBackend{errs: []error{storage.ErrTransient}, persist: []int{0}}
 	h := newFaultHarness(8, fb)
 	h.in(t, func(p *sim.Proc) {
-		pg := h.c.Insert(p, key(1, 0), 1)
-		h.c.MarkDirty(pg, 2)
+		h.c.Insert(p, key(1, 0), 1)
+		h.c.MarkDirty(key(1, 0), 2)
 		if err := h.c.SyncFile(p, 1, 1); err == nil {
 			t.Fatal("SyncFile should report the transient fault")
 		}
-		if pg.Quarantined() {
+		if h.c.quarantined(key(1, 0)) {
 			t.Error("transient fault must not quarantine")
 		}
-		if !pg.Dirty || h.c.DirtyLen() != 1 {
+		if _, dirty, _ := h.c.Peek(key(1, 0)); !dirty || h.c.DirtyLen() != 1 {
 			t.Error("page should stay dirty for retry")
 		}
 		// Retry succeeds (script exhausted).
 		if err := h.c.SyncFile(p, 1, 1); err != nil {
 			t.Fatalf("retry: %v", err)
 		}
-		if pg.Dirty {
+		if _, dirty, _ := h.c.Peek(key(1, 0)); dirty {
 			t.Error("page dirty after successful retry")
 		}
 	})
@@ -191,20 +197,20 @@ func TestPartialPersistCleansPrefixOnly(t *testing.T) {
 	h := newFaultHarness(8, fb)
 	h.in(t, func(p *sim.Proc) {
 		for i := uint64(0); i < 4; i++ {
-			pg := h.c.Insert(p, key(1, i), 1)
-			h.c.MarkDirty(pg, 2)
+			h.c.Insert(p, key(1, i), 1)
+			h.c.MarkDirty(key(1, i), 2)
 		}
 		if err := h.c.SyncFile(p, 1, 1); err == nil {
 			t.Fatal("SyncFile should report the fault")
 		}
 		for i := uint64(0); i < 4; i++ {
-			pg, ok := h.c.Peek(key(1, i))
+			_, dirty, ok := h.c.Peek(key(1, i))
 			if !ok {
 				t.Fatalf("page %d missing", i)
 			}
 			wantDirty := i >= 2
-			if pg.Dirty != wantDirty {
-				t.Errorf("page %d dirty = %v, want %v", i, pg.Dirty, wantDirty)
+			if dirty != wantDirty {
+				t.Errorf("page %d dirty = %v, want %v", i, dirty, wantDirty)
 			}
 		}
 		if h.c.DirtyLen() != 2 {
@@ -222,8 +228,8 @@ func TestForcedEvictionOfQuarantinedPageCountsLost(t *testing.T) {
 	h := newFaultHarness(2, fb)
 	h.in(t, func(p *sim.Proc) {
 		for i := uint64(0); i < 2; i++ {
-			pg := h.c.Insert(p, key(1, i), 1)
-			h.c.MarkDirty(pg, 2)
+			h.c.Insert(p, key(1, i), 1)
+			h.c.MarkDirty(key(1, i), 2)
 		}
 		h.c.Insert(p, key(1, 9), 1) // forces eviction
 		if h.c.Len() != 2 {

@@ -165,8 +165,8 @@ func (b *Backup) harvest() {
 			// private buffer" (§5.2). A dirty page maps to a fresh COW
 			// block, so a clean check suffices; verify against the cache
 			// because the hint may be stale.
-			pg, cached := b.FS.Cache().Peek(pagecache.PageKey{FS: b.FS.ID(), Ino: it.PageIno, Index: it.PageIdx})
-			if !cached || pg.Dirty {
+			_, dirty, cached := b.FS.Cache().Peek(pagecache.PageKey{FS: b.FS.ID(), Ino: it.PageIno, Index: it.PageIdx})
+			if !cached || dirty {
 				continue
 			}
 			// Back-reference check: the page must still map to this
